@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from .classes import ClassParams, coeff_bound_r, extremal_r, log_r_criterion_term
+from .classes import ClassParams, _certified_scan, coeff_bound_r, extremal_r
 from .errors import ParameterOutOfRangeError, UncertifiedBoundWarning
 from .operators import bernardi, fractional_derivative, fractional_integral, gamma_ratio
 from .series import CoefficientSeries, FractionalSeries
@@ -53,17 +53,9 @@ class CompositionBound:
     printed_upper: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "theorem": self.theorem,
-            "c": self.c,
-            "eta": self.eta,
-            "r": self.r,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
-        if self.printed_lower is not None:
-            out["printed_lower"] = self.printed_lower
-            out["printed_upper"] = self.printed_upper
+        out = asdict(self)
+        if self.printed_lower is None:
+            del out["printed_lower"], out["printed_upper"]
         return out
 
 
@@ -86,34 +78,31 @@ def _validate(theorem: int, cp: ClassParams, c: float, eta: float) -> None:
         )
 
 
-def _multipliers(theorem: int, p: int, c: float, eta: float) -> tuple[float, float, float]:
-    """(A0, A1, e0) for the composed operator acting on z^p and z^(p+1)."""
-    if theorem == 7:
-        a0 = gamma_ratio(p + 1.0, p + 1.0 + eta)
-        a1 = (c + p) / (c + p + 1.0) * gamma_ratio(p + 2.0, p + 2.0 + eta)
-        return a0, a1, p + eta
-    if theorem == 8:
-        a0 = gamma_ratio(p + 1.0, p + 1.0 - eta)
-        a1 = (c + p) / (c + p + 1.0) * gamma_ratio(p + 2.0, p + 2.0 - eta)
-        return a0, a1, p - eta
-    if theorem == 9:
-        a0 = gamma_ratio(p + 1.0, p + 1.0 - eta) * (c + p) / (c + p - eta)
-        a1 = gamma_ratio(p + 2.0, p + 2.0 - eta) * (c + p) / (c + p + 1.0 - eta)
-        return a0, a1, p - eta
-    a0 = gamma_ratio(p + 1.0, p + 1.0 + eta) * (c + p) / (c + p + eta)
-    a1 = gamma_ratio(p + 2.0, p + 2.0 + eta) * (c + p) / (c + p + 1.0 + eta)
-    return a0, a1, p + eta
+def _shifts(theorem: int, eta: float) -> tuple[float, float]:
+    """(s, b) with composed multiplier (c+p)/(c+k+b) * Gamma(k+1)/Gamma(k+1+s) on z^k.
+
+    s = +eta for the integral compositions (7, 10) and -eta for the
+    derivative ones (8, 9); the Bernardi factor sees the shifted exponent
+    (b = s) when it acts last (9, 10) and the plain index (b = 0) otherwise.
+    """
+    s = eta if theorem in (7, 10) else -eta
+    return s, (s if theorem in (9, 10) else 0.0)
 
 
-def _log_multiplier(theorem: int, p: int, c: float, eta: float, k: int) -> float:
-    # log of the composed multiplier on z^k, dropping the constant (c+p)
-    if theorem == 7:
-        return math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + eta) - math.log(c + k)
-    if theorem == 8:
-        return math.lgamma(k + 1.0) - math.lgamma(k + 1.0 - eta) - math.log(c + k)
-    if theorem == 9:
-        return math.lgamma(k + 1.0) - math.lgamma(k + 1.0 - eta) - math.log(c + k - eta)
-    return math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + eta) - math.log(c + k + eta)
+def _multiplier(theorem: int, p: int, c: float, eta: float, k: int) -> float:
+    """Composed multiplier on z^k, in each theorem's own order of operations."""
+    s, b = _shifts(theorem, eta)
+    g = gamma_ratio(k + 1.0, k + 1.0 + s)
+    # (c+p) + (k-p) rather than c+k: A0 and A1 keep the bits of the audit table
+    if theorem in (7, 8):
+        return (c + p) / (c + p + (k - p)) * g
+    return g * (c + p) / (c + p + (k - p) + b)
+
+
+def _leading(theorem: int, p: int, c: float, eta: float) -> tuple[float, float, float]:
+    """(A0, A1, e0): the multipliers on z^p and z^(p+1) and the leading exponent."""
+    s, _ = _shifts(theorem, eta)
+    return _multiplier(theorem, p, c, eta, p), _multiplier(theorem, p, c, eta, p + 1), p + s
 
 
 @lru_cache(maxsize=4096)
@@ -121,29 +110,17 @@ def composition_certified(theorem: int, cp: ClassParams, c: float, eta: float) -
     """Whether the k = p+1 composed multiplier binds the aggregated tail.
 
     The bounds need  term(k) * mult(p+1) / mult(k) >= term(p+1)  for every
-    k > p.  The scan stops once the per-step growth factor
-    (1-mu)(k+delta)(k+1-eta')/(k+1), with eta' = eta for the derivative
-    compositions and 0 otherwise, reaches one: past that point the ratio is
-    nondecreasing, so no later k can dip.
+    k > p: the shared log-space scan of :mod:`pvalent.classes` with weight
+    mult(k) and shift eta for the derivative compositions (8, 9), 0 otherwise.
     """
     _validate(theorem, cp, float(c), float(eta))
-    eta_eff = eta if theorem in (8, 9) else 0.0
-    base = log_r_criterion_term(cp.p + 1, cp) - _log_multiplier(
-        theorem, cp.p, c, eta, cp.p + 1
-    )
-    k = cp.p + 1
-    while (1.0 - cp.mu) * (k + cp.delta) * (k + 1 - eta_eff) / (k + 1) < 1.0:
-        k += 1
-        if k - cp.p > 200_000:
-            return False
-        log_ratio = (
-            log_r_criterion_term(k, cp)
-            - _log_multiplier(theorem, cp.p, c, eta, k)
-            - base
-        )
-        if log_ratio < -1e-9:
-            return False
-    return True
+    s, b = _shifts(theorem, eta)
+
+    def log_mult(k: int) -> float:
+        # the constant log(c+p) cancels in the ratio; lgamma stays finite where mult(k) underflows
+        return math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + s) - math.log(c + k + b)
+
+    return _certified_scan(cp, max(-s, 0.0), log_mult)
 
 
 def _printed(
@@ -213,7 +190,7 @@ def composition_bound(
             UncertifiedBoundWarning,
             stacklevel=2,
         )
-    a0, a1, e0 = _multipliers(theorem, cp.p, c, eta)
+    a0, a1, e0 = _leading(theorem, cp.p, c, eta)
     budget = coeff_bound_r(cp.p + 1, cp)
     lower = a0 * r**e0 - a1 * budget * r ** (e0 + 1.0)
     upper = a0 * r**e0 + a1 * budget * r ** (e0 + 1.0)
@@ -235,7 +212,7 @@ def composition_bound(
 def lower_bound_peak(theorem: int, cp: ClassParams, c: float, eta: float) -> float:
     """Radius where the derived lower bound turns over: A0 e0 = A1 T (e0+1) r."""
     _validate(theorem, cp, c, eta)
-    a0, a1, e0 = _multipliers(theorem, cp.p, c, eta)
+    a0, a1, e0 = _leading(theorem, cp.p, c, eta)
     return a0 * e0 / (a1 * coeff_bound_r(cp.p + 1, cp) * (e0 + 1.0))
 
 

@@ -12,19 +12,24 @@ factor k/p.  Everything here works with the normalized form: the
 per-coefficient term is divided by the right-hand side, so membership is
 ``sum <= 1`` and the sharp bound for a lone coefficient is the reciprocal
 of its term.
+
+Terms are carried as a mantissa and a power of two (see
+:func:`pvalent.operators.rafid_multiplier`) and scaled once, after the product
+with a_k or the reciprocal, so sums, bounds and margins stay finite at every
+index; scans over k read the log form instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import OrderExceedsValenceError, ParameterOutOfRangeError, ValenceMismatchError
-from .operators import RafidParams, rafid_weight
+from .operators import RafidParams, log_rafid_weight, pow2_product, rafid_multiplier
 from .series import CoefficientSeries, make_series
 
 
@@ -38,6 +43,10 @@ class ClassParams:
     B: float = -1.0
     mu: float = 0.0
     delta: float = 1.0
+    # derived once, since every criterion term reads them; scale = (A-B)(p-alpha) is
+    # the right-hand side of the unnormalized criterion
+    rafid: RafidParams = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 1:
@@ -48,17 +57,9 @@ class ClassParams:
             raise ParameterOutOfRangeError(
                 f"need -1 <= B < A <= 1, got A = {self.A}, B = {self.B}"
             )
-        # delegate mu/delta checks
-        RafidParams(self.mu, self.delta)
-
-    @property
-    def rafid(self) -> RafidParams:
-        return RafidParams(self.mu, self.delta)
-
-    @property
-    def scale(self) -> float:
-        """Right-hand side (A-B)(p-alpha) of the unnormalized criterion."""
-        return (self.A - self.B) * (self.p - self.alpha)
+        # RafidParams checks mu and delta
+        object.__setattr__(self, "rafid", RafidParams(self.mu, self.delta))
+        object.__setattr__(self, "scale", (self.A - self.B) * (self.p - self.alpha))
 
 
 @dataclass(frozen=True)
@@ -77,38 +78,40 @@ class MembershipReport:
         }
 
 
+def _bracket(k: int, cp: ClassParams) -> float:
+    """(1-B)(k-p) + (A-B)(p-alpha), the factor of w_k in the unnormalized criterion."""
+    if k < cp.p + 1:
+        raise ParameterOutOfRangeError(f"criterion terms start at k = p+1, got {k}")
+    return (1.0 - cp.B) * (k - cp.p) + cp.scale
+
+
+def _term(k: int, cp: ClassParams) -> tuple[float, int]:
+    """(t, e) with r_criterion_term(k) = t 2^e."""
+    m, e = rafid_multiplier(k, cp.p, cp.rafid)
+    return _bracket(k, cp) * m / cp.scale, e
+
+
 def r_criterion_term(k: int, cp: ClassParams) -> float:
     """Normalized criterion multiplier of a_k for the R family.
 
     [(1-B)(k-p) + (A-B)(p-alpha)] w_k / ((A-B)(p-alpha)); always >= w_k >= 1
     at mu = 0 and strictly increasing once the smoothing growth takes over.
+    Comes back as inf only where the true term exceeds double range.
     """
-    if k < cp.p + 1:
-        raise ParameterOutOfRangeError(f"criterion terms start at k = p+1, got {k}")
-    bracket = (1.0 - cp.B) * (k - cp.p) + cp.scale
-    return bracket * rafid_weight(k, cp.p, cp.rafid) / cp.scale
+    return pow2_product(*_term(k, cp))
 
 
 def log_r_criterion_term(k: int, cp: ClassParams) -> float:
-    """log of :func:`r_criterion_term`, safe for indices far beyond overflow."""
-    if k < cp.p + 1:
-        raise ParameterOutOfRangeError(f"criterion terms start at k = p+1, got {k}")
-    bracket = (1.0 - cp.B) * (k - cp.p) + cp.scale
-    return (
-        math.log(bracket)
-        + (k - cp.p) * math.log1p(-cp.mu)
-        + math.lgamma(k + cp.delta)
-        - math.lgamma(cp.p + cp.delta)
-        - math.log(cp.scale)
-    )
+    """log of :func:`r_criterion_term` at log-gamma cost, finite at every index."""
+    return math.log(_bracket(k, cp) / cp.scale) + log_rafid_weight(k, cp.p, cp.rafid)
 
 
 def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipReport:
-    """Exact finite criterion sum; member iff sum <= 1, margin = 1 - sum."""
+    """Exact finite criterion sum; member iff sum <= 1, margin = 1 - sum; zeros add 0.0."""
     if f.p != cp.p:
         raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
     per_term = tuple(
-        (k, r_criterion_term(k, cp) * f.coeffs[k]) for k in sorted(f.coeffs)
+        (k, pow2_product(*_term(k, cp), f.coeffs[k])) for k in sorted(f.coeffs)
     )
     total = math.fsum(c for _, c in per_term)
     return MembershipReport(
@@ -118,7 +121,8 @@ def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
 
 def coeff_bound_r(k: int, cp: ClassParams) -> float:
     """Largest admissible lone coefficient at index k (sharp)."""
-    return 1.0 / r_criterion_term(k, cp)
+    t, e = _term(k, cp)
+    return pow2_product(1.0 / t, -e)
 
 
 def extremal_r(k: int, cp: ClassParams) -> CoefficientSeries:
@@ -144,7 +148,8 @@ def check_p_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
 
 def coeff_bound_p(k: int, cp: ClassParams) -> float:
     """Sharp lone-coefficient bound for the P family: the R bound shrunk by p/k."""
-    return 1.0 / ((k / cp.p) * r_criterion_term(k, cp))
+    t, e = _term(k, cp)
+    return pow2_product(1.0 / ((k / cp.p) * t), -e)
 
 
 def extremal_p(k: int, cp: ClassParams) -> CoefficientSeries:
@@ -172,6 +177,40 @@ def random_member(
     return make_series(cp.p, pairs)
 
 
+def _certified_scan(cp: ClassParams, shift: float, log_weight: Callable[[int], float]) -> bool:
+    """Whether term(k) / weight(k) stays at or above its k = p+1 value for all k > p.
+
+    Log space, tolerance 1e-9.  The scan stops once the growth factor
+    (1-mu)(k+delta)(k+1-shift)/(k+1) reaches one, after which the ratio
+    cannot dip; one still running after 200 000 steps is not certified.
+    """
+
+    def log_ratio(k: int) -> float:
+        return log_r_criterion_term(k, cp) - log_weight(k)
+
+    base = log_ratio(cp.p + 1)
+    k = cp.p + 1
+    while (1.0 - cp.mu) * (k + cp.delta) * (k + 1 - shift) / (k + 1) < 1.0:
+        k += 1
+        if k - cp.p > 200_000 or log_ratio(k) - base < -1e-9:
+            return False
+    return True
+
+
+def _scan_candidates(
+    cp: ClassParams, k_max: int, candidate: Callable[[int], float]
+) -> list[tuple[int, float]]:
+    """(k, candidate(k)) for k = p+1 .. k_max, the k-scan behind radii and orders."""
+    if k_max < cp.p + 1:
+        raise ParameterOutOfRangeError(f"k_max must be at least p+1, got {k_max}")
+    return [(k, candidate(k)) for k in range(cp.p + 1, k_max + 1)]
+
+
+def _nondecreasing(values: Sequence[float], rel: float = 0.0, tol: float = 0.0) -> bool:
+    """Whether a - tol <= b (1 + rel) for each neighbouring pair; a nan fails."""
+    return all(a - tol <= b * (1.0 + rel) for a, b in zip(values, values[1:]))
+
+
 @lru_cache(maxsize=4096)
 def budget_certified(cp: ClassParams, m: int = 0) -> bool:
     """Whether the k = p+1 multiplier binds the order-m aggregated budget.
@@ -183,30 +222,14 @@ def budget_certified(cp: ClassParams, m: int = 0) -> bool:
 
     This always holds at mu = 0 but fails for strong smoothing (large mu,
     small delta), where admissible functions genuinely escape those bounds.
-    The scan runs in log space and stops once the per-step growth factor
-    (1-mu)(k+delta)(k+1-m)/(k+1) reaches one, after which the sequence can
-    no longer dip.
+    The check is the shared log-space scan with weight fallfac(k, m) and
+    shift m.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise ParameterOutOfRangeError(f"order must be an integer >= 0, got {m!r}")
     if m > cp.p:
         raise OrderExceedsValenceError(f"order {m} exceeds valence {cp.p}")
-    base = log_r_criterion_term(cp.p + 1, cp)
-    perm_base = math.lgamma(cp.p + 2) - math.lgamma(cp.p + 2 - m)
-    k = cp.p + 1
-    while (1.0 - cp.mu) * (k + cp.delta) * (k + 1 - m) / (k + 1) < 1.0:
-        k += 1
-        if k - cp.p > 200_000:
-            return False
-        log_ratio = (
-            log_r_criterion_term(k, cp)
-            - base
-            + perm_base
-            - (math.lgamma(k + 1) - math.lgamma(k + 1 - m))
-        )
-        if log_ratio < -1e-9:
-            return False
-    return True
+    return _certified_scan(cp, m, lambda k: math.lgamma(k + 1) - math.lgamma(k + 1 - m))
 
 
 def random_params(
@@ -222,8 +245,6 @@ def random_params(
         alpha = float(rng.uniform(0.0, 0.8 * p))
         B = float(rng.uniform(-1.0, 0.8))
         A = float(rng.uniform(B + 0.1, 1.0))
-        if not B < A <= 1.0:
-            continue
         mu = float(rng.uniform(*mu_range))
         delta = float(rng.uniform(*delta_range))
         cp = ClassParams(p=p, alpha=alpha, A=A, B=B, mu=mu, delta=delta)

@@ -26,9 +26,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .classes import ClassParams, budget_certified, coeff_bound_r, log_r_criterion_term
+from .classes import (
+    ClassParams,
+    _nondecreasing,
+    _scan_candidates,
+    budget_certified,
+    coeff_bound_r,
+    log_r_criterion_term,
+)
 from .errors import (
     OrderExceedsValenceError,
     ParameterOutOfRangeError,
@@ -65,11 +72,6 @@ class RadiusReport:
         }
 
 
-def _tail_coefficient(cp: ClassParams) -> float:
-    # sharp k = p+1 bound, reused as the aggregated tail budget
-    return coeff_bound_r(cp.p + 1, cp)
-
-
 def distortion_bounds(cp: ClassParams, m: int, r: float) -> tuple[float, float]:
     """(lower, upper) for |f^(m)| on |z| = r, 0 < r < 1, 0 <= m <= p."""
     if isinstance(m, bool) or not isinstance(m, int) or m < 0:
@@ -87,20 +89,14 @@ def distortion_bounds(cp: ClassParams, m: int, r: float) -> tuple[float, float]:
             stacklevel=2,
         )
     lead = float(math.perm(cp.p, m))
-    tail = _tail_coefficient(cp) * float(math.perm(cp.p + 1, m)) * r
+    # the sharp k = p+1 bound, reused as the aggregated tail budget
+    tail = coeff_bound_r(cp.p + 1, cp) * float(math.perm(cp.p + 1, m)) * r
     scale = r ** (cp.p - m)
     return ((lead - tail) * scale, (lead + tail) * scale)
 
 
 def distortion_curve(cp: ClassParams, m: int, radii: Iterable[float]) -> BoundCurve:
-    samples = []
-    for r in radii:
-        lower, upper = distortion_bounds(cp, m, r)
-        samples.append((float(r), lower, upper))
-    return BoundCurve(m=m, samples=tuple(samples))
-
-
-_RADIUS_KINDS = ("starlike", "convex", "close-to-convex")
+    return BoundCurve(m=m, samples=tuple((float(r), *distortion_bounds(cp, m, r)) for r in radii))
 
 
 def _log_factor(kind: str, k: int, p: int, zeta: float) -> float:
@@ -115,24 +111,20 @@ def _radius_report(cp: ClassParams, zeta: float, k_max: int, kind: str) -> Radiu
     zeta = float(zeta)
     if not (0.0 <= zeta < cp.p):
         raise ParameterOutOfRangeError(f"zeta must lie in [0, p), got {zeta}")
-    if k_max < cp.p + 1:
-        raise ParameterOutOfRangeError(f"k_max must be at least p+1, got {k_max}")
-    candidates = []
-    for k in range(cp.p + 1, k_max + 1):
-        log_r = (
-            log_r_criterion_term(k, cp) + _log_factor(kind, k, cp.p, zeta)
-        ) / (k - cp.p)
-        candidates.append((k, math.exp(log_r)))
+
+    def candidate(k: int) -> float:
+        log_r = log_r_criterion_term(k, cp) + _log_factor(kind, k, cp.p, zeta)
+        return math.exp(log_r / (k - cp.p))
+
+    candidates = _scan_candidates(cp, k_max, candidate)
     argmin_k, radius = min(candidates, key=lambda kr: (kr[1], kr[0]))
-    tail = [r for k, r in candidates if k >= argmin_k]
-    certified = all(a <= b * (1.0 + 1e-12) for a, b in zip(tail, tail[1:]))
     return RadiusReport(
         kind=kind,
         radius=radius,
         argmin_k=argmin_k,
         zeta=zeta,
         candidates=tuple(candidates),
-        certified=certified,
+        certified=_nondecreasing([r for k, r in candidates if k >= argmin_k], rel=1e-12),
         whole_disk=radius >= 1.0,
     )
 

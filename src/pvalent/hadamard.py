@@ -16,11 +16,11 @@ to lambda at beta = alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
-from .classes import ClassParams, check_r_membership, extremal_r
+from .classes import ClassParams, _nondecreasing, _scan_candidates, check_r_membership, extremal_r
 from .errors import DegenerateDenominatorError, ParameterOutOfRangeError
-from .operators import rafid_weight
+from .operators import log_rafid_weight, pow2_product, split_log
 from .series import hadamard_product
 
 _SATURATION_TOL = 1e-10
@@ -36,25 +36,22 @@ class ConvolutionOrderReport:
     saturation_margin: float
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "saturating_k": self.saturating_k,
-            "verified_best": self.verified_best,
-            "phi_increasing": self.phi_increasing,
-            "saturation_margin": self.saturation_margin,
-        }
+        return asdict(self)
 
 
 def _phi_pieces(k: int, cp: ClassParams, beta: float) -> tuple[float, float]:
-    """Numerator and denominator of p - Phi(k) for orders (alpha, beta)."""
+    """Numerator and denominator of p - Phi(k) for orders (alpha, beta).
+
+    w_k enters in log form, scaled once: past double range the denominator
+    saturates to inf (Phi = p) or to -s_a s_b (degenerate), never nan.
+    """
     s_a = cp.scale
     s_b = (cp.A - cp.B) * (cp.p - beta)
-    w = rafid_weight(k, cp.p, cp.rafid)
-    bracket_a = (1.0 - cp.B) * (k - cp.p) + s_a
-    bracket_b = (1.0 - cp.B) * (k - cp.p) + s_b
+    growth = (1.0 - cp.B) * (k - cp.p)
+    m, e = split_log(log_rafid_weight(k, cp.p, cp.rafid))
     # one factor (A-B) total: s_a carries it, the beta side enters as (p-beta)
-    num = (1.0 - cp.B) * (k - cp.p) * s_a * (cp.p - beta)
-    den = bracket_a * bracket_b * w - s_a * s_b
+    num = growth * s_a * (cp.p - beta)
+    den = pow2_product((growth + s_a) * (growth + s_b) * m, e) - s_a * s_b
     return num, den
 
 
@@ -85,36 +82,21 @@ def class_order_candidate(k: int, cp: ClassParams) -> float:
     return mixed_order_candidate(k, cp, cp.alpha)
 
 
-def _saturation(cp_a: ClassParams, beta: float, order: float) -> tuple[float, bool]:
+def _saturation(cp: ClassParams, beta: float, order: float) -> tuple[float, bool]:
     """(margin at the order, fails at order + bump) for the product of extremals."""
-    cp_b = ClassParams(p=cp_a.p, alpha=beta, A=cp_a.A, B=cp_a.B, mu=cp_a.mu, delta=cp_a.delta)
-    product = hadamard_product(extremal_r(cp_a.p + 1, cp_a), extremal_r(cp_b.p + 1, cp_b))
-    at_order = ClassParams(
-        p=cp_a.p, alpha=order, A=cp_a.A, B=cp_a.B, mu=cp_a.mu, delta=cp_a.delta
-    )
-    margin = check_r_membership(product, at_order).margin
+    cp_b = replace(cp, alpha=beta)
+    product = hadamard_product(extremal_r(cp.p + 1, cp), extremal_r(cp.p + 1, cp_b))
+    margin = check_r_membership(product, replace(cp, alpha=order)).margin
     bumped = order + _ORDER_BUMP
-    if bumped >= cp_a.p:
-        fails_above = True  # no admissible higher order exists at all
-    else:
-        above = ClassParams(
-            p=cp_a.p, alpha=bumped, A=cp_a.A, B=cp_a.B, mu=cp_a.mu, delta=cp_a.delta
-        )
-        fails_above = not check_r_membership(product, above).member
-    return margin, fails_above
+    # past p no admissible higher order exists at all
+    fails = bumped >= cp.p or not check_r_membership(product, replace(cp, alpha=bumped)).member
+    return margin, fails
 
 
 def _order_report(cp: ClassParams, beta: float, k_max: int) -> ConvolutionOrderReport:
-    if k_max < cp.p + 1:
-        raise ParameterOutOfRangeError(f"k_max must be at least p+1, got {k_max}")
-    order = mixed_order_candidate(cp.p + 1, cp, beta)
-    values = [order]
-    for k in range(cp.p + 2, k_max + 1):
-        values.append(mixed_order_candidate(k, cp, beta))
-    increasing = all(
-        not math.isnan(a) and not math.isnan(b) and b >= a - 1e-12
-        for a, b in zip(values, values[1:])
-    )
+    scan = _scan_candidates(cp, k_max, lambda k: mixed_order_candidate(k, cp, beta))
+    order = scan[0][1]
+    increasing = _nondecreasing([v for _, v in scan], tol=1e-12)
     if 0.0 <= order < cp.p:
         margin, fails_above = _saturation(cp, beta, order)
         saturated = abs(margin) <= _SATURATION_TOL and fails_above
@@ -136,6 +118,4 @@ def schild_silverman_lambda(cp: ClassParams, k_max: int = 64) -> ConvolutionOrde
 
 def mixed_order_xi(cp: ClassParams, beta: float, k_max: int = 64) -> ConvolutionOrderReport:
     """Order preserved when convolving an order-alpha with an order-beta member."""
-    if not (0.0 <= beta < cp.p):
-        raise ParameterOutOfRangeError(f"beta must lie in [0, p), got {beta}")
     return _order_report(cp, beta, k_max)

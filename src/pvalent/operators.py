@@ -36,6 +36,8 @@ from .errors import (
 from .series import CoefficientSeries, FractionalSeries
 
 _EXACT_GAP = 64  # integer argument gaps up to this use an exact rising product
+_LN2 = math.log(2.0)
+_MIN_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -54,23 +56,23 @@ class RafidParams:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Generalized Gauss-Laguerre rule size for :func:`rafid_quadrature`."""
+
     nodes: int = 64
-    scheme: str = "generalized-laguerre"
 
     def __post_init__(self) -> None:
         if self.nodes < 8:
             raise ParameterOutOfRangeError(f"need at least 8 nodes, got {self.nodes}")
-        if self.scheme != "generalized-laguerre":
-            raise ParameterOutOfRangeError(f"unknown scheme {self.scheme!r}")
 
 
 def gamma_ratio(x: float, y: float) -> float:
-    """Gamma(x)/Gamma(y) for x, y > 0 without forming either Gamma value.
+    """Gamma(x)/Gamma(y) for x, y > 0 as one double, without forming either Gamma value.
 
     Integer gaps |x - y| <= 64 are evaluated as an exact rising product
     (so e.g. gamma_ratio(k+1, k+2) is exactly 1/(k+1)); other gaps go
     through log-gamma differences.  Ratios beyond double range come back
-    as inf rather than raising.
+    as inf or 0.0 rather than raising; the smoothing multiplier therefore
+    takes this linear form only where it stays in range.
     """
     x = float(x)
     y = float(y)
@@ -93,20 +95,56 @@ def gamma_ratio(x: float, y: float) -> float:
         return math.inf
 
 
-def rafid_weight(k: int, p: int, rp: RafidParams) -> float:
-    """Multiplier (1-mu)^(k-p) Gamma(k+delta)/Gamma(p+delta); equals 1 at k = p."""
+def log_rafid_weight(k: int, p: int, rp: RafidParams) -> float:
+    """log w_k at log-gamma cost, finite at every index; the scans over k read this form."""
+    return (k - p) * math.log1p(-rp.mu) + math.lgamma(k + rp.delta) - math.lgamma(p + rp.delta)
+
+
+def split_log(x: float) -> tuple[float, int]:
+    """(m, e) with exp(x) = m 2^e and 1/2 < m <= 1."""
+    e = math.ceil(x / _LN2)
+    return math.exp(x - e * _LN2), e
+
+
+def pow2_product(m: float, e: int, a: float = 1.0) -> float:
+    """m 2^e a, rounded once.
+
+    Inside double range this is the linear product bit for bit; a zero factor
+    gives 0.0, and only true values beyond the range give inf or a subnormal.
+    """
+    ma, ea = math.frexp(a)
+    try:
+        return math.ldexp(m * ma, e + ea)
+    except OverflowError:
+        return math.copysign(math.inf, m * ma)
+
+
+def rafid_multiplier(k: int, p: int, rp: RafidParams) -> tuple[float, int]:
+    """(m, e) with w_k = (1-mu)^(k-p) Gamma(k+delta)/Gamma(p+delta) = m 2^e, never 0 or inf.
+
+    Where (1-mu)^(k-p) and w_k are normal doubles, m 2^e is exactly their
+    linear product; beyond, it comes from :func:`log_rafid_weight`.  Callers
+    fold their factors into m and scale once with :func:`pow2_product`.
+    """
     if k < p:
         raise IndexBelowValenceError(f"index {k} below valence {p}")
     if p < 1:
         raise ParameterOutOfRangeError(f"valence must be positive, got {p}")
-    if rp.delta == 0.0 and min(k, p) < 1:
-        raise NonpositiveArgumentError("delta = 0 needs k, p >= 1")
-    return (1.0 - rp.mu) ** (k - p) * gamma_ratio(k + rp.delta, p + rp.delta)
+    power = (1.0 - rp.mu) ** (k - p)
+    w = power * gamma_ratio(k + rp.delta, p + rp.delta)
+    if power >= _MIN_NORMAL and _MIN_NORMAL <= w < math.inf:
+        return math.frexp(w)
+    return split_log(log_rafid_weight(k, p, rp))
+
+
+def rafid_weight(k: int, p: int, rp: RafidParams) -> float:
+    """w_k as one double: exact where representable, inf or 0.0 only beyond double range."""
+    return pow2_product(*rafid_multiplier(k, p, rp))
 
 
 def apply_rafid(f: CoefficientSeries, rp: RafidParams) -> CoefficientSeries:
-    """Image of f under the smoothing operator; stays in the normal form."""
-    weighted = {k: rafid_weight(k, f.p, rp) * a for k, a in f.coeffs.items()}
+    """Image of f under the smoothing operator; each w_k a_k is rounded once, zeros stay 0.0."""
+    weighted = {k: pow2_product(*rafid_multiplier(k, f.p, rp), a) for k, a in f.coeffs.items()}
     return CoefficientSeries(p=f.p, coeffs=weighted)
 
 

@@ -50,9 +50,6 @@ class CoefficientSeries:
     def coefficient(self, k: int) -> float:
         return self.coeffs.get(k, 0.0)
 
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
-
 
 @dataclass(frozen=True)
 class FractionalSeries:
@@ -88,9 +85,6 @@ class FractionalSeries:
     @property
     def truncation_degree(self) -> int:
         return max(self.terms, default=self.p)
-
-    def exponent(self, k: int) -> float:
-        return k + self.shift
 
     def coefficient(self, k: int) -> float:
         if k == self.p:
@@ -165,14 +159,9 @@ def evaluate(f: CoefficientSeries, z: complex) -> complex:
     return z**f.p * (1.0 + acc * z)
 
 
-def _falling(k: int | float, m: int) -> float:
-    # k (k-1) ... (k-m+1); exact for the integer indices used here
-    if isinstance(k, int):
-        return float(math.perm(k, m))
-    out = 1.0
-    for j in range(m):
-        out *= k - j
-    return out
+def _falling(k: int, m: int) -> float:
+    # k (k-1) ... (k-m+1), exact for the integer indices used here
+    return float(math.perm(k, m))
 
 
 def derivative_m(f: CoefficientSeries | FractionalSeries, m: int) -> FractionalSeries:

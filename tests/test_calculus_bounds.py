@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import pytest
 
 from pvalent import (
@@ -21,7 +22,7 @@ from pvalent import (
     random_member,
     random_params,
 )
-from pvalent.calculus_bounds import THEOREMS
+from pvalent.calculus_bounds import THEOREMS, _multiplier
 from pvalent.errors import ParameterOutOfRangeError, UncertifiedBoundWarning
 
 CANONICAL = ClassParams()
@@ -158,3 +159,23 @@ def test_validation():
         composition_bound(7, CANONICAL, 1.0, 1.0, 1.0)
     with pytest.raises(ParameterOutOfRangeError):
         composition_bound(9, CANONICAL, -0.6, 0.7, 0.5)  # needs c + p - eta > 0
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+@pytest.mark.parametrize("k", [2, 3, 50, 1_000, 10_000])
+def test_composition_multiplier_matches_mpmath(theorem, k, mpref):
+    p, c, eta = 2, 0.7, 0.45
+    with mpmath.workdps(50):
+        c_, eta_ = mpmath.mpf(c), mpmath.mpf(eta)
+
+        def ratio(s):  # Gamma(k+1)/Gamma(k+1+s), the fractional multiplier on z^k
+            return mpmath.exp(mpmath.loggamma(k + 1) - mpmath.loggamma(k + 1 + s))
+
+        want = {
+            7: (c_ + p) / (c_ + k) * ratio(eta_),  # Bernardi, then the integral
+            8: (c_ + p) / (c_ + k) * ratio(-eta_),  # Bernardi, then the derivative
+            9: ratio(-eta_) * (c_ + p) / (c_ + k - eta_),  # derivative, then Bernardi
+            10: ratio(eta_) * (c_ + p) / (c_ + k + eta_),  # integral, then Bernardi
+        }[theorem]
+    got = _multiplier(theorem, p, c, eta, k)
+    assert got == pytest.approx(float(want), rel=mpref.tolerance(math.lgamma(k + 1.0)))

@@ -1,9 +1,13 @@
 """Membership criteria, sharp bounds and extremal functions for both families."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pvalent import (
     ClassParams,
@@ -158,3 +162,125 @@ def test_scale_and_rafid_accessors():
     cp = ClassParams(p=2, alpha=0.5, A=0.8, B=-0.4, mu=0.1, delta=0.6)
     assert cp.scale == pytest.approx((0.8 + 0.4) * (2 - 0.5), rel=1e-15)
     assert cp.rafid.mu == 0.1 and cp.rafid.delta == 0.6
+
+
+@pytest.mark.parametrize(
+    "k, mu",
+    [(172, 0.5), (178, 0.5), (184, 0.5), (190, 0.5), (66, 0.99999)],
+)
+def test_bound_past_double_range_of_the_term(k, mu, mpref):
+    """Finite sharp bounds where the linear term overflows (mu = 1/2) or underflows (mu ~ 1)."""
+    cp = ClassParams(mu=mu)
+    want = -mpref.log_term(k, cp)
+    got = coeff_bound_r(k, cp)
+    assert 0.0 < got < math.inf
+    assert abs(math.log(got) - want) <= mpref.tolerance(want, math.lgamma(k + 1.0))
+
+
+@pytest.mark.parametrize("k0", [171, 180])
+def test_explicit_zero_past_double_range(k0):
+    base = [(2, 0.125), (3, 0.02)]
+    with_zero = check_r_membership(make_series(1, base + [(k0, 0.0)]), CANONICAL)
+    plain = check_r_membership(make_series(1, base), CANONICAL)
+    assert (with_zero.sum, with_zero.member, with_zero.margin) == (
+        plain.sum,
+        plain.member,
+        plain.margin,
+    )
+    assert with_zero.per_term == plain.per_term + ((k0, 0.0),)
+
+
+_DEEP_TERMS = [
+    (2, CANONICAL),
+    (3, CANONICAL),
+    (60, ClassParams(p=2, alpha=0.5, A=0.8, B=-0.4, mu=0.3, delta=0.6)),
+    (170, CANONICAL),  # term just past double range
+    (1_000, ClassParams(p=3, alpha=1.0, A=0.5, B=-0.5, mu=0.997, delta=0.25)),
+    (10_000, ClassParams(p=1, alpha=0.2, A=0.9, B=0.1, mu=0.99973, delta=0.7)),
+    (10_000, ClassParams(p=4, alpha=3.5, A=1.0, B=0.5, mu=0.9996, delta=0.0)),
+]
+
+
+@pytest.mark.parametrize("k, cp", _DEEP_TERMS)
+def test_criterion_terms_match_mpmath(k, cp, mpref):
+    want = mpref.log_term(k, cp)
+    tol = mpref.tolerance(want, math.lgamma(k + cp.delta))
+    assert abs(log_r_criterion_term(k, cp) - want) <= tol
+    term = r_criterion_term(k, cp)
+    if want < 709.0:
+        assert abs(math.log(term) - want) <= tol
+    else:
+        assert term == math.inf
+        # the bound is the reciprocal, down in the subnormals or zero
+        assert coeff_bound_r(k, cp) == pytest.approx(float(mpmath.exp(-want)), rel=1e-12)
+    if abs(want) < 700.0:
+        # per-term values stay finite even where the term alone overflows
+        a = float(mpmath.exp(-want)) / 2.0
+        (_, r_val), = check_r_membership(make_series(cp.p, [(k, a)]), cp).per_term
+        (_, p_val), = check_p_membership(make_series(cp.p, [(k, a)]), cp).per_term
+        with mpmath.workdps(50):
+            r_want = mpmath.exp(want) * a
+        assert r_val == pytest.approx(float(r_want), rel=tol + 1e-15)
+        assert p_val == pytest.approx(float(r_want * k / cp.p), rel=tol + 1e-15)
+
+
+@st.composite
+def class_params(draw):
+    p = draw(st.integers(1, 4))
+    B = draw(st.floats(-1.0, 0.8))
+    return ClassParams(
+        p=p,
+        alpha=draw(st.floats(0.0, 0.95)) * p,
+        A=draw(st.floats(B + 0.05, 1.0)),
+        B=B,
+        mu=draw(st.floats(0.0, 0.95)),
+        delta=draw(st.floats(0.0, 1.0)),
+    )
+
+
+@st.composite
+def members_and_more(draw, cp):
+    """Up to 4 coefficients, each a fraction of its sharp bound, at indices up to p+300."""
+    ks = draw(st.lists(st.integers(cp.p + 1, cp.p + 300), max_size=4, unique=True))
+    return make_series(cp.p, [(k, draw(st.floats(0.0, 0.6)) * coeff_bound_r(k, cp)) for k in ks])
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_membership_monotone_when_coefficients_shrink(data):
+    cp = data.draw(class_params())
+    f = data.draw(members_and_more(cp))
+    shrink = [data.draw(st.floats(0.0, 1.0)) for _ in f.coeffs]
+    g = make_series(cp.p, [(k, t * f.coeffs[k]) for k, t in zip(f.coeffs, shrink)])
+    rep_f, rep_g = check_r_membership(f, cp), check_r_membership(g, cp)
+    assert rep_g.sum <= rep_f.sum
+    assert rep_g.member or not rep_f.member
+
+
+@settings(max_examples=30)
+@given(
+    p=st.integers(1, 3),
+    gap=st.integers(1, 1_000),
+    c=st.floats(2.0, 4.0),
+    delta=st.floats(0.0, 1.0),
+)
+def test_extremal_margin_vanishes_at_every_index(p, gap, c, delta):
+    # mu = 1 - c/gap keeps the sharp bound a normal double out to gap = 1000
+    cp = ClassParams(p=p, mu=min(max(0.0, 1.0 - c / gap), 0.999), delta=delta)
+    k = p + gap
+    assume(sys.float_info.min <= coeff_bound_p(k, cp) and coeff_bound_r(k, cp) < math.inf)
+    assert abs(check_r_membership(extremal_r(k, cp), cp).margin) <= 1e-12
+    assert abs(check_p_membership(extremal_p(k, cp), cp).margin) <= 1e-12
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_p_and_r_correspond_per_term(data):
+    cp = data.draw(class_params())
+    f = data.draw(members_and_more(cp))
+    via_p = check_p_membership(f, cp)
+    via_r = check_r_membership(zf_prime_over_p(f), cp)
+    assert via_p.per_term == via_r.per_term and via_p.sum == via_r.sum
+    for (k, p_val), (_, r_val) in zip(via_p.per_term, check_r_membership(f, cp).per_term):
+        if f.coeffs[k] >= sys.float_info.min:  # z f'/p rounds subnormal coefficients coarsely
+            assert p_val == pytest.approx(k / cp.p * r_val, rel=1e-14, abs=1e-300)

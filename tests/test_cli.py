@@ -1,11 +1,14 @@
 """End-to-end command behavior: JSON reports, CSV curves, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pvalent
 from pvalent.cli import main
 
 CANON = ["--alpha", "0", "--A", "1", "--B", "-1"]
@@ -44,6 +47,16 @@ def test_extremal_check_round_trip(tmp_path, capsys):
         )
         assert code == 0
         assert abs(json.loads(out)["margin"]) <= 1e-10
+
+
+def test_extremal_near_mu_one(capsys):
+    """The k = 66 term underflows in linear space at mu = 0.99999; the bound is ~2.78e230."""
+    code, out, err = run(
+        capsys, ["extremal", "--k", "66", "--class", "r", *CANON, "--mu", "0.99999"]
+    )
+    assert code == 0 and err == ""
+    [[k, a]] = json.loads(out)["coeffs"]
+    assert k == 66 and a == pytest.approx(2.7834e230, rel=1e-4)
 
 
 def test_check_reads_stdin(tmp_path, capsys, monkeypatch):
@@ -199,10 +212,14 @@ def test_selftest_seed_flag_overrides_env(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process found it, installed or not
+    src = str(Path(pvalent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pvalent.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "selftest" in proc.stdout

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import pytest
 
 from pvalent import (
@@ -143,3 +144,23 @@ def test_radius_report_dict_round():
     d = radius_starlike(CANONICAL).to_dict()
     assert d["kind"] == "starlike"
     assert d["argmin_k"] == 2
+
+
+@pytest.mark.parametrize(
+    "radius, kind",
+    [(radius_starlike, "starlike"), (radius_convex, "convex"), (radius_close_to_convex, "ctc")],
+)
+def test_radius_candidates_match_mpmath(radius, kind, mpref):
+    cp = ClassParams(p=2, alpha=0.5, A=0.8, B=-0.4, mu=0.3, delta=0.6)
+    zeta = 0.4
+    candidates = dict(radius(cp, zeta, k_max=10_000).candidates)
+    for k in (3, 4, 50, 171, 1_000, 10_000):
+        with mpmath.workdps(50):
+            p, z = cp.p, mpmath.mpf(zeta)
+            factor = {
+                "starlike": (p - z) / (k - z),
+                "convex": p * (p - z) / (k * (k - z)),
+                "ctc": (p - z) / k,
+            }[kind]
+            want = mpmath.exp((mpref.log_term(k, cp) + mpmath.log(factor)) / (k - p))
+        assert candidates[k] == pytest.approx(float(want), rel=1e-13)

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import mpmath
 import pytest
 
 from pvalent import (
@@ -98,3 +99,19 @@ def test_report_dict_shape():
         "phi_increasing",
         "saturation_margin",
     }
+
+
+def test_deep_order_under_strong_damping(mpref):
+    """Past k ~ 813 at mu = 0.6, w_k leaves double range; Phi must still increase."""
+    cp = ClassParams(mu=0.6)
+    rep = schild_silverman_lambda(cp, k_max=1000)
+    assert rep.phi_increasing and rep.verified_best
+    with mpmath.workdps(50):
+        s = mpmath.mpf(cp.scale)
+        phi = []
+        for k in range(2, 1001):
+            bracket = (1 - mpmath.mpf(cp.B)) * (k - 1) + s
+            w = mpmath.exp(mpref.log_weight(k, 1, cp.mu, cp.delta))
+            phi.append(1 - (1 - mpmath.mpf(cp.B)) * (k - 1) * s / (bracket**2 * w - s**2))
+    assert all(a <= b for a, b in zip(phi, phi[1:]))
+    assert rep.order == pytest.approx(float(phi[0]), rel=1e-13)

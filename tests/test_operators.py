@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,7 @@ from pvalent.errors import (
     ParameterOutOfRangeError,
     QuadratureUnavailableError,
 )
-from pvalent.operators import rafid_weight
+from pvalent.operators import rafid_multiplier, rafid_weight
 
 
 def test_gamma_ratio_integer_gap_exact():
@@ -40,6 +41,38 @@ def test_gamma_ratio_lgamma_path():
     want = math.exp(math.lgamma(200.5) - math.lgamma(100.25))
     assert got == pytest.approx(want, rel=1e-12)
     assert gamma_ratio(1e308, 1.0) == math.inf
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(5.5, 3.25), (3.0, 70.0), (200.5, 100.25), (10_000.0, 9_937.0), (10_000.5, 9_999.75)],
+)
+def test_gamma_ratio_matches_mpmath(x, y, mpref):
+    with mpmath.workdps(50):
+        want = mpmath.loggamma(x) - mpmath.loggamma(y)
+    got = gamma_ratio(x, y)
+    assert abs(math.log(got) - want) <= mpref.tolerance(math.lgamma(x), math.lgamma(y))
+
+
+@pytest.mark.parametrize(
+    "k, p, mu, delta",
+    [
+        (2, 1, 0.0, 1.0),
+        (60, 2, 0.3, 0.6),
+        (171, 1, 0.0, 1.0),  # first canonical index past double range
+        (500, 3, 0.5, 0.25),
+        (1_000, 1, 0.6, 1.0),  # (1-mu)^(k-p) alone underflows
+        (10_000, 1, 0.0, 0.0),
+        (10_000, 4, 0.9997, 0.7),
+    ],
+)
+def test_rafid_multiplier_matches_mpmath(k, p, mu, delta, mpref):
+    m, e = rafid_multiplier(k, p, RafidParams(mu, delta))
+    want = mpref.log_weight(k, p, mu, delta)
+    assert 0.5 <= m <= 1.0
+    with mpmath.workdps(50):
+        got = mpmath.log(m) + e * mpmath.log(2)
+    assert abs(got - want) <= mpref.tolerance(want, math.lgamma(k + delta))
 
 
 def test_rafid_weight_canonical():
@@ -129,7 +162,6 @@ def test_fractional_integral_frozen_example():
     assert fi.shift == 1.0
     assert fi.leading == 0.5
     assert fi.terms[2] == -(0.25 / 3.0)
-    assert fi.exponent(2) == 3.0
 
 
 def test_fractional_derivative_of_monomial():

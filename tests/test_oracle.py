@@ -156,3 +156,13 @@ def test_report_dict_shape():
         "warnings",
     }
     assert set(d["arg_z"]) == {"re", "im"}
+
+
+@pytest.mark.parametrize("k0", [171, 180])
+def test_explicit_zero_past_double_range_passes(k0):
+    """w_k is beyond double range at k0; the zero coefficient must stay zero in the image."""
+    f = make_series(1, [(2, 0.125), (3, 0.02), (k0, 0.0)])
+    rep = subordination_margin(f, CANONICAL)
+    plain = subordination_margin(make_series(1, [(2, 0.125), (3, 0.02)]), CANONICAL)
+    assert rep.passed
+    assert rep.extremum == pytest.approx(plain.extremum, rel=1e-12)

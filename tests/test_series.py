@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvalent import (
     FractionalSeries,
@@ -28,7 +30,6 @@ from pvalent.series import from_json, to_json
 def test_make_series_basic():
     f = make_series(1, [(2, 0.25), (4, 0.0)])
     assert f.p == 1
-    assert f.indices() == (2, 4)
     assert f.truncation_degree == 4
     assert f.coefficient(2) == 0.25
     assert f.coefficient(4) == 0.0
@@ -153,6 +154,22 @@ def test_json_round_trip_keeps_explicit_zeros():
     g = from_json(to_json(f))
     assert g == f
     assert json.loads(to_json(f)) == {"p": 1, "coeffs": [[2, 0.25], [4, 0.0]]}
+
+
+@settings(max_examples=50)
+@given(
+    p=st.integers(1, 6),
+    tail=st.dictionaries(
+        st.integers(1, 500),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        max_size=10,
+    ),
+)
+def test_json_round_trip_property(p, tail):
+    f = make_series(p, [(p + d, a) for d, a in tail.items()])
+    g = from_json(to_json(f))
+    assert g == f
+    assert to_json(g) == to_json(f)
 
 
 def test_from_json_error_split():
