@@ -1,5 +1,9 @@
 """Coefficient criteria, operators, bounds and radii for p-valent series
-with negative coefficients, plus sampling oracles for every closed form."""
+with negative coefficients, plus sampling oracles for every closed form.
+
+The oracle names load :mod:`pvalent.oracle`, and with it numpy, on first
+access, so the closed forms import without numpy.
+"""
 
 from .calculus_bounds import (
     CompositionBound,
@@ -68,17 +72,6 @@ from .operators import (
     rafid_quadrature,
     rafid_weight,
 )
-from .oracle import (
-    OracleReport,
-    SampleGrid,
-    ctc_max_dev,
-    convex_min_re,
-    locate_real_axis_violation,
-    starlike_min_re,
-    subordination_certified,
-    subordination_margin,
-    subordination_ratio_real,
-)
 from .series import (
     CoefficientSeries,
     FractionalSeries,
@@ -92,4 +85,25 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_ORACLE_NAMES = (
+    "OracleReport",
+    "SampleGrid",
+    "ctc_max_dev",
+    "convex_min_re",
+    "locate_real_axis_violation",
+    "starlike_min_re",
+    "subordination_certified",
+    "subordination_margin",
+    "subordination_ratio_real",
+)
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | {"oracle", *_ORACLE_NAMES})
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value

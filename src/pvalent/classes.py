@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import OrderExceedsValenceError, ParameterOutOfRangeError, ValenceMismatchError
 from .operators import RafidParams, log_rafid_weight, pow2_product, rafid_multiplier
 from .series import CoefficientSeries, make_series
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def random_member(
     the membership sum is the target up to a few ulp.
     """
     count = int(rng.integers(1, max_terms + 1))
-    ks = rng.choice(np.arange(cp.p + 1, cp.p + 1 + max_span), size=count, replace=False)
+    ks = cp.p + 1 + rng.choice(max_span, size=count, replace=False)
     u = rng.random(count)
     u = u / u.sum()
     s = float(rng.uniform(0.0, 0.999)) if target_sum is None else float(target_sum)

@@ -49,7 +49,8 @@ class QuadratureUnavailableError(DomainError):
 
 
 class DivergentInputError(DomainError):
-    """Evaluation point outside the open unit disk for an integral transform."""
+    """Evaluation point outside the open unit disk for an integral transform,
+    or a transformed coefficient beyond double range."""
 
 
 class DegenerateDenominatorError(DomainError):

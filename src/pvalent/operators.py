@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import roots_genlaguerre
+from typing import TYPE_CHECKING
 
 from .errors import (
     DivergentInputError,
@@ -34,6 +32,9 @@ from .errors import (
     QuadratureUnavailableError,
 )
 from .series import CoefficientSeries, FractionalSeries
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EXACT_GAP = 64  # integer argument gaps up to this use an exact rising product
 _LN2 = math.log(2.0)
@@ -56,7 +57,11 @@ class RafidParams:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Generalized Gauss-Laguerre rule size for :func:`rafid_quadrature`."""
+    """Size n of the generalized Gauss-Laguerre rule in :func:`rafid_quadrature`.
+
+    The rule is exact for polynomials of degree below 2n; its nodes and
+    weights need numpy alone.  A weight below about 1e-308 comes back as 0.0.
+    """
 
     nodes: int = 64
 
@@ -148,6 +153,44 @@ def apply_rafid(f: CoefficientSeries, rp: RafidParams) -> CoefficientSeries:
     return CoefficientSeries(p=f.p, coeffs=weighted)
 
 
+def _laguerre_rule(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for the weight u^a e^-u on (0, inf), a > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix with
+    diagonal 2i+a+1 and off-diagonal s_i = sqrt(i(i+a)).  Each weight is the
+    Christoffel number 1/sum_i q_i(x)^2 over the orthonormal polynomials
+    q_0..q_{n-1}, which keeps its relative accuracy where the first
+    eigenvector components do not.  Writing q_i = h_i t_i turns the recurrence
+    s_i q_i = (x-2i-a+1) q_{i-1} - s_{i-1} q_{i-2} into
+    t_i = e_i (x-2i-a+1) t_{i-1} - t_{i-2}, two in-place updates per degree.
+    """
+    import numpy as np
+
+    i = np.arange(n)
+    s = np.sqrt(i * (i + a))
+    jacobi = np.diag(2.0 * i + a + 1.0)
+    jacobi.flat[n :: n + 1] = s[1:]
+    x = np.linalg.eigvalsh(jacobi)
+    s = s.tolist()
+    h = [1.0, 1.0]
+    for k in range(2, n):
+        h.append(h[k - 2] * s[k - 1] / s[k])
+    e = [h[k - 1] / (s[k] * h[k]) for k in range(1, n)]
+    t = np.empty((n, n))
+    np.multiply.outer(e, x, out=t[1:])
+    t[1:] -= np.multiply(e, 2.0 * i[1:] + a - 1.0)[:, None]
+    rows = list(t)
+    rows[0][:] = 1.0 / math.sqrt(math.gamma(a + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[1] *= rows[0]
+        for k in range(2, n):
+            rows[k] *= rows[k - 1]
+            rows[k] -= rows[k - 2]
+        total = np.square(h) @ np.square(t)
+    # a sum past double range means a weight below 1/DBL_MAX, about 5.6e-309
+    return x, np.where(np.isfinite(total), 1.0 / total, 0.0)
+
+
 def rafid_quadrature(
     f: CoefficientSeries,
     rp: RafidParams,
@@ -162,8 +205,10 @@ def rafid_quadrature(
         (1-mu)^(-p) / Gamma(p+delta) * int_0^inf u^(delta-1) e^-u f(z (1-mu) u) du,
 
     which an n-node rule with weight u^(delta-1) e^-u integrates exactly for
-    polynomial f of degree < 2n.  delta = 0 has no integrable weight; the
-    closed-form multiplier path answers instead unless the caller insists.
+    polynomial f of degree < 2n.  The rule comes from :func:`_laguerre_rule`,
+    independently of the closed-form multipliers.  delta = 0 has no
+    integrable weight; the closed-form multiplier path answers instead unless
+    the caller insists.
     """
     z = complex(z)
     if abs(z) >= 1.0:
@@ -174,13 +219,16 @@ def rafid_quadrature(
         from .series import evaluate
 
         return evaluate(apply_rafid(f, rp), z)
-    u, w = roots_genlaguerre(q.nodes, rp.delta - 1.0)
-    pts = z * (1.0 - rp.mu) * u.astype(complex)
+    import numpy as np
+
+    u, w = _laguerre_rule(q.nodes, rp.delta - 1.0)
+    pts = z * (1.0 - rp.mu) * u
     vals = np.zeros_like(pts)
     for k in range(f.truncation_degree, f.p, -1):
-        vals = vals * pts - f.coeffs.get(k, 0.0)
+        vals *= pts
+        vals -= f.coeffs.get(k, 0.0)
     vals = pts**f.p * (1.0 + vals * pts)
-    total = complex(np.dot(w.astype(complex), vals))
+    total = complex(np.dot(w, vals))
     return total / ((1.0 - rp.mu) ** f.p * math.gamma(f.p + rp.delta))
 
 

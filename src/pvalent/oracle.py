@@ -27,6 +27,7 @@ import numpy as np
 
 from .classes import ClassParams
 from .errors import (
+    DivergentInputError,
     ParameterOutOfRangeError,
     PoleOnGridError,
     RadiusOutOfRangeError,
@@ -92,6 +93,17 @@ def _power_sum(z: np.ndarray, exps: np.ndarray, coefs: np.ndarray) -> np.ndarray
     return (z[:, None] ** exps[None, :]) @ coefs.astype(complex)
 
 
+def _smoothed(f: CoefficientSeries, cp: ClassParams) -> CoefficientSeries:
+    """The smoothed image g of f; a coefficient of g beyond double range is refused."""
+    g = apply_rafid(f, cp.rafid)
+    for k, a in g.coeffs.items():
+        if not math.isfinite(a):
+            raise DivergentInputError(
+                f"smoothed coefficient at k = {k} (a_k = {f.coeffs[k]!r}) exceeds double range"
+            )
+    return g
+
+
 def _sub_target(cp: ClassParams) -> float:
     return cp.B * cp.p + cp.scale
 
@@ -139,8 +151,7 @@ def subordination_margin(
         raise ParameterOutOfRangeError(
             f"series valence {f.p} != parameter valence {cp.p}"
         )
-    g = apply_rafid(f, cp.rafid)
-    exps, coefs = _term_arrays(g)
+    exps, coefs = _term_arrays(_smoothed(f, cp))
     target = _sub_target(cp)
     best_val = -math.inf
     best_angle_idx = 0
@@ -197,8 +208,7 @@ def subordination_ratio_real(f: CoefficientSeries, cp: ClassParams, r: float) ->
     """Subordination ratio at the single real point z = r."""
     if not (0.0 < r < 1.0):
         raise RadiusOutOfRangeError(f"need 0 < r < 1, got {r}")
-    g = apply_rafid(f, cp.rafid)
-    exps, coefs = _term_arrays(g)
+    exps, coefs = _term_arrays(_smoothed(f, cp))
     return _subordination_ratio_at(complex(r), exps, coefs, cp)
 
 

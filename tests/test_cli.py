@@ -211,15 +211,81 @@ def test_selftest_seed_flag_overrides_env(capsys, monkeypatch):
     assert "(seed 4)" in out
 
 
-def test_module_entry_point():
+def _child(*argv):
     # the child finds the package where this process found it, installed or not
     src = str(Path(pvalent.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pvalent.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _child("-m", "pvalent.cli", "--help")
     assert proc.returncode == 0
     assert "selftest" in proc.stdout
+
+
+IMPORT_FOOTPRINT = """
+import contextlib, io, json, sys
+import pvalent
+assert "scipy" not in sys.modules
+import pvalent.cli
+canon = ["--alpha", "0", "--A", "1", "--B", "-1"]
+calls = [
+    ["check", "-", "--class", "r"],
+    ["extremal", "--k", "3", "--class", "p"],
+    ["radius", "--kind", "starlike"],
+    ["distortion", "--m", "1", "--rmin", "0.1", "--rmax", "0.9", "--steps", "3"],
+    ["hadamard", "--extremal", "--beta", "0.5"],
+    ["fracbound", "--theorem", "7", "--c", "1", "--eta", "1", "--rmin", "0.1", "--rmax", "0.9"],
+]
+sys.stdin = io.StringIO('{"p": 1, "coeffs": [[2, 0.25]]}')
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert pvalent.cli.main(argv + canon) == 0, argv
+    assert out.getvalue(), argv
+print(json.dumps(sorted({"numpy", "scipy"} & set(sys.modules))))
+names = sorted(pvalent.__all__)
+margin = pvalent.subordination_margin(pvalent.make_series(1), pvalent.ClassParams())
+namespace = {}
+exec("from pvalent import *", namespace)
+print(json.dumps([names, margin.passed, callable(namespace["subordination_ratio_real"])]))
+"""
+
+# every public name, the oracle's included although they load on first access
+PUBLIC_NAMES = {
+    "BoundCurve", "ClassParams", "CoefficientSeries", "CompositionBound",
+    "ConvolutionOrderReport", "DegenerateDenominatorError", "DivergentInputError",
+    "DomainError", "DuplicateIndexError", "ExponentUnderflowError", "FractionalSeries",
+    "IndexBelowValenceError", "MembershipReport", "NegativeCoefficientError",
+    "NonpositiveArgumentError", "OracleReport", "OrderExceedsValenceError",
+    "ParameterOutOfRangeError", "PoleOnGridError", "QuadratureConfig",
+    "QuadratureUnavailableError", "RadiusOutOfRangeError", "RadiusReport", "RafidParams",
+    "SampleGrid", "SeriesFormatError", "UncertifiedBoundWarning", "ValenceMismatchError",
+    "apply_rafid", "bernardi", "budget_certified", "calculus_bounds", "check_p_membership",
+    "check_r_membership", "class_order_candidate", "classes", "coeff_bound_p",
+    "coeff_bound_r", "composed_extremal", "composition_bound", "composition_certified",
+    "convex_min_re", "ctc_max_dev", "derivative_m", "distortion_bounds", "distortion_curve",
+    "errors", "evaluate", "extremal_p", "extremal_r", "fractional_derivative",
+    "fractional_integral", "from_json", "gamma_ratio", "geometry", "hadamard",
+    "hadamard_product", "locate_real_axis_violation", "lower_bound_peak", "make_series",
+    "mixed_order_candidate", "mixed_order_xi", "operators", "oracle", "r_criterion_term",
+    "radius_close_to_convex", "radius_convex", "radius_starlike", "rafid_quadrature",
+    "rafid_weight", "random_member", "random_params", "schild_silverman_lambda", "series",
+    "starlike_min_re", "subordination_certified", "subordination_margin",
+    "subordination_ratio_real", "to_json", "zf_prime_over_p",
+}
+
+
+def test_non_sampling_subcommands_run_without_numpy():
+    proc = _child("-c", IMPORT_FOOTPRINT)
+    assert proc.returncode == 0, proc.stderr
+    loaded, rest = proc.stdout.splitlines()
+    assert json.loads(loaded) == []
+    names, passed, star = json.loads(rest)
+    assert set(names) == PUBLIC_NAMES
+    assert passed and star

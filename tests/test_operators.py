@@ -24,7 +24,7 @@ from pvalent.errors import (
     ParameterOutOfRangeError,
     QuadratureUnavailableError,
 )
-from pvalent.operators import rafid_multiplier, rafid_weight
+from pvalent.operators import _laguerre_rule, rafid_multiplier, rafid_weight
 
 
 def test_gamma_ratio_integer_gap_exact():
@@ -115,6 +115,18 @@ def test_quadrature_matches_closed_form(rng):
         exact = evaluate(apply_rafid(f, rp), z)
         quad = rafid_quadrature(f, rp, z, q)
         assert abs(quad - exact) <= 1e-8 * abs(exact)
+
+
+@pytest.mark.parametrize("a", [-0.9, -0.5, 0.0])
+@pytest.mark.parametrize("n", [8, 64, 128])
+def test_laguerre_rule_moments(n, a):
+    """The n-point rule integrates u^d against u^a e^-u to Gamma(a+d+1) for d < 2n (up to 39)."""
+    x, w = _laguerre_rule(n, a)
+    assert np.all(x > 0.0) and np.all(np.diff(x) > 0.0)
+    assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+    for d in range(min(40, 2 * n)):
+        moment = math.fsum(w * x**d)
+        assert moment == pytest.approx(math.gamma(a + d + 1.0), rel=1e-13)
 
 
 def test_quadrature_delta_zero_fallback():

@@ -1,6 +1,7 @@
 """Disk-sampling verification of the defining inequalities."""
 
 import math
+import warnings
 
 import pytest
 
@@ -21,6 +22,7 @@ from pvalent import (
     subordination_ratio_real,
 )
 from pvalent.errors import (
+    DivergentInputError,
     ParameterOutOfRangeError,
     PoleOnGridError,
     RadiusOutOfRangeError,
@@ -166,3 +168,16 @@ def test_explicit_zero_past_double_range_passes(k0):
     plain = subordination_margin(make_series(1, [(2, 0.125), (3, 0.02)]), CANONICAL)
     assert rep.passed
     assert rep.extremum == pytest.approx(plain.extremum, rel=1e-12)
+
+
+def test_smoothed_coefficient_past_double_range_is_refused():
+    """w_200 a_200 is about 1e364 at mu = 0: refused by index, before any sampling."""
+    f = make_series(1, [(200, 1e-10)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: subordination_margin(f, CANONICAL),
+            lambda: subordination_ratio_real(f, CANONICAL, 0.5),
+        ):
+            with pytest.raises(DivergentInputError, match=r"k = 200 .*exceeds double range"):
+                call()
