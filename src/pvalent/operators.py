@@ -156,21 +156,25 @@ def apply_rafid(f: CoefficientSeries, rp: RafidParams) -> CoefficientSeries:
 def _laguerre_rule(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss rule for the weight u^a e^-u on (0, inf), a > -1.
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix with
-    diagonal 2i+a+1 and off-diagonal s_i = sqrt(i(i+a)).  Each weight is the
-    Christoffel number 1/sum_i q_i(x)^2 over the orthonormal polynomials
-    q_0..q_{n-1}, which keeps its relative accuracy where the first
-    eigenvector components do not.  Writing q_i = h_i t_i turns the recurrence
-    s_i q_i = (x-2i-a+1) q_{i-1} - s_{i-1} q_{i-2} into
-    t_i = e_i (x-2i-a+1) t_{i-1} - t_{i-2}, two in-place updates per degree.
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix J with
+    diagonal 2i+a+1 and off-diagonal s_i = sqrt(i(i+a)).  J = B^T B for the
+    upper-bidiagonal B with diagonal sqrt(i+a+1) and superdiagonal sqrt(i+1),
+    and the nodes are taken as the squared singular values of B: these hold
+    every node to a few ulp, where an eigensolver on J loses digits in the
+    small nodes.  Each weight is the Christoffel number 1/sum_i q_i(x)^2 over
+    the orthonormal polynomials q_0..q_{n-1}, which keeps its relative
+    accuracy where the first eigenvector components do not.  Writing
+    q_i = h_i t_i turns the recurrence s_i q_i = (x-2i-a+1) q_{i-1} -
+    s_{i-1} q_{i-2} into t_i = e_i (x-2i-a+1) t_{i-1} - t_{i-2}, two in-place
+    updates per degree.
     """
     import numpy as np
 
     i = np.arange(n)
     s = np.sqrt(i * (i + a))
-    jacobi = np.diag(2.0 * i + a + 1.0)
-    jacobi.flat[n :: n + 1] = s[1:]
-    x = np.linalg.eigvalsh(jacobi)
+    bidiagonal = np.diag(np.sqrt(i + a + 1.0))
+    bidiagonal.flat[1 :: n + 1] = np.sqrt(i[1:])
+    x = np.sort(np.linalg.svd(bidiagonal, compute_uv=False) ** 2)
     s = s.tolist()
     h = [1.0, 1.0]
     for k in range(2, n):

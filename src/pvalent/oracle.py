@@ -1,9 +1,10 @@
 """Brute-force disk sampling for the defining geometric inequalities.
 
-Everything here works from the raw coefficients by direct power sums on
-circles (vectorized), deliberately avoiding the Horner evaluation path and
-the closed-form criteria it is meant to check.  The subordination test for
-the R family bounds, with g the smoothed image of f,
+Everything here works from the raw coefficients, deliberately avoiding the
+Horner evaluation path and the closed-form criteria it is meant to check:
+circles of n equally spaced angles come from one real-input DFT of the
+coefficients times r^k folded by k mod n, single points from direct sums.
+The subordination test for the R family bounds, with g the smoothed image of f,
 
     | (z g'/g - p) / (B z g'/g - [Bp + (A-B)(p-alpha)]) |  <  1
 
@@ -12,14 +13,17 @@ sits on the positive real axis, which is asserted on every run and surfaced
 as a warning when violated rather than assumed.  The criterion implies the
 disk-wide bound only inside the regime described by
 ``subordination_certified``; for B > 0 with support far beyond p the
-implication can fail off the real axis.  Ties between equal maxima
-resolve to the smallest angle, then the smallest radius, so reports are
-deterministic; refinement bisects in angle around the running maximum and
-can only raise the reported extremum.
+implication can fail off the real axis.  Real coefficients give the same
+values at z and at its conjugate, so only the closed upper half of each
+circle is sampled.  Ties between equal maxima resolve to the smallest angle
+there, then the smallest radius, so reports are deterministic; refinement
+bisects in angle around the running maximum and can only raise the reported
+extremum.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -79,18 +83,32 @@ class OracleReport:
         }
 
 
-def _term_arrays(f: CoefficientSeries) -> tuple[np.ndarray, np.ndarray]:
-    exps = [f.p] + sorted(f.coeffs)
-    coefs = [1.0] + [-f.coeffs[k] for k in sorted(f.coeffs)]
-    return np.asarray(exps, dtype=float), np.asarray(coefs, dtype=float)
+def _terms(f: CoefficientSeries) -> tuple[list[int], list[float]]:
+    ks = sorted(f.coeffs)
+    return [f.p] + ks, [1.0] + [-f.coeffs[k] for k in ks]
 
 
-def _circle(r: float, n: int) -> np.ndarray:
-    return r * np.exp(2j * np.pi * np.arange(n) / n)
+def _half_circles(
+    exps: list[int], coefs: list[float], radii: tuple[float, ...], n: int
+) -> np.ndarray:
+    """h = sum c z^e and z h' at z = r exp(2 pi i j/n), j = 0..n//2, for every r in radii.
+
+    On n equally spaced angles a power series is the n-point DFT of its
+    coefficients times r^e, folded by e mod n, which is exact at any degree.
+    The coefficients are real, so the other half circle holds the conjugates.
+    Shape (2, len(radii), n//2 + 1).
+    """
+    e = np.asarray(exps, dtype=np.int64)
+    rows = np.asarray(coefs, dtype=float) * np.stack([np.ones_like(e), e])
+    scaled = rows[:, None, :] * np.power.outer(radii, e)
+    slots = (np.arange(2 * len(radii))[:, None] * n + e % n).ravel()
+    folded = np.bincount(slots, scaled.ravel(), minlength=2 * len(radii) * n)
+    return np.fft.rfft(folded.reshape(2, len(radii), n)).conj()
 
 
-def _power_sum(z: np.ndarray, exps: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    return (z[:, None] ** exps[None, :]) @ coefs.astype(complex)
+def _point(r: float, j: int, n: int) -> complex:
+    """The grid point at angle index j on the circle |z| = r of n angles."""
+    return complex(r * np.exp(2j * np.pi * j / n))
 
 
 def _smoothed(f: CoefficientSeries, cp: ClassParams) -> CoefficientSeries:
@@ -126,12 +144,14 @@ def subordination_certified(f: CoefficientSeries, cp: ClassParams) -> bool:
 
 
 def _subordination_ratio_at(
-    z: complex, exps: np.ndarray, coefs: np.ndarray, cp: ClassParams
+    z: complex, exps: list[int], coefs: list[float], cp: ClassParams
 ) -> float:
-    zz = np.asarray([z], dtype=complex)
-    g = _power_sum(zz, exps, coefs)[0]
-    zgp = _power_sum(zz, exps, exps * coefs)[0]
-    if g == 0 or not np.isfinite(g):
+    g = zgp = 0j
+    for e, c in zip(exps, coefs):
+        term = c * z**e
+        g += term
+        zgp += e * term
+    if g == 0 or not cmath.isfinite(g):
         raise PoleOnGridError(f"smoothed image vanishes at z = {z}")
     w = zgp / g
     den = cp.B * w - _sub_target(cp)
@@ -151,38 +171,35 @@ def subordination_margin(
         raise ParameterOutOfRangeError(
             f"series valence {f.p} != parameter valence {cp.p}"
         )
-    exps, coefs = _term_arrays(_smoothed(f, cp))
-    target = _sub_target(cp)
-    best_val = -math.inf
-    best_angle_idx = 0
-    best_radius = grid.radii[0]
-    best_z = complex(grid.radii[0])
-    warnings_found: list[str] = []
+    exps, coefs = _terms(_smoothed(f, cp))
     n = grid.angles_per_radius
-    for r in grid.radii:
-        z = _circle(r, n)
-        gv = _power_sum(z, exps, coefs)
-        zgp = _power_sum(z, exps, exps * coefs)
-        bad = (gv == 0) | ~np.isfinite(gv)
-        if np.any(bad):
-            raise PoleOnGridError(
-                f"smoothed image vanishes on |z| = {r} at z = {z[np.argmax(bad)]}"
-            )
+    gv, zgp = _half_circles(exps, coefs, grid.radii, n)
+    bad = (gv == 0) | ~np.isfinite(gv)
+    with np.errstate(divide="ignore", invalid="ignore"):
         w = zgp / gv
-        den = cp.B * w - target
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(w - cp.p) / np.abs(den)
-        ratio = np.where(np.abs(den) == 0.0, np.inf, ratio)
-        if np.any(np.isnan(ratio)):
-            raise PoleOnGridError(f"indeterminate ratio on |z| = {r}")
-        idx = int(np.argmax(ratio))  # first occurrence = smallest angle
-        val = float(ratio[idx])
-        if val > best_val or (val == best_val and idx < best_angle_idx):
-            best_val, best_angle_idx, best_radius, best_z = val, idx, r, complex(z[idx])
-        if val > float(ratio[0]) + 1e-12 * max(1.0, val) and idx != 0:
-            warnings_found.append(
-                f"circle maximum off the positive real axis at r = {r} (angle index {idx})"
-            )
+        den = np.abs(cp.B * w - _sub_target(cp))
+        ratio = np.abs(w - cp.p) / den
+    ratio[den == 0.0] = np.inf
+    failed = np.flatnonzero((bad | np.isnan(ratio)).any(axis=1))
+    if failed.size:
+        i = int(failed[0])
+        r = grid.radii[i]
+        if bad[i].any():
+            z = _point(r, int(np.argmax(bad[i])), n)
+            raise PoleOnGridError(f"smoothed image vanishes on |z| = {r} at z = {z}")
+        raise PoleOnGridError(f"indeterminate ratio on |z| = {r}")
+    # each radius's maximum, at its smallest angle; flagged when off the positive real axis
+    top, idx = ratio.max(axis=1), ratio.argmax(axis=1)
+    off_axis = (top > ratio[:, 0] + 1e-12 * np.maximum(1.0, top)) & (idx != 0)
+    warnings_found = tuple(
+        f"circle maximum off the positive real axis at r = {r} (angle index {j})"
+        for r, j, off in zip(grid.radii, idx.tolist(), off_axis)
+        if off
+    )
+    # the grid maximum at the smallest angle, then the smallest radius
+    best_angle_idx, i = divmod(int(np.argmax(ratio.T)), len(grid.radii))
+    best_val, best_radius = float(ratio[i, best_angle_idx]), grid.radii[i]
+    best_z = _point(best_radius, best_angle_idx, n)
     # angle bisection around the running maximum, monotone by construction
     step = 2.0 * math.pi / n
     theta = 2.0 * math.pi * best_angle_idx / n
@@ -200,7 +217,7 @@ def subordination_margin(
         arg_z=best_z,
         passed=best_val < 1.0 - tolerance,
         tolerance=tolerance,
-        warnings=tuple(warnings_found),
+        warnings=warnings_found,
     )
 
 
@@ -208,7 +225,7 @@ def subordination_ratio_real(f: CoefficientSeries, cp: ClassParams, r: float) ->
     """Subordination ratio at the single real point z = r."""
     if not (0.0 < r < 1.0):
         raise RadiusOutOfRangeError(f"need 0 < r < 1, got {r}")
-    exps, coefs = _term_arrays(_smoothed(f, cp))
+    exps, coefs = _terms(_smoothed(f, cp))
     return _subordination_ratio_at(complex(r), exps, coefs, cp)
 
 
@@ -238,24 +255,14 @@ def locate_real_axis_violation(
 
 
 def _extremum_report(
-    check: str,
-    values: np.ndarray,
-    z: np.ndarray,
-    threshold: float,
-    tolerance: float,
+    check: str, values: np.ndarray, r: float, n: int, threshold: float, tolerance: float,
     minimize: bool,
 ) -> OracleReport:
+    """Extremum over a half circle from :func:`_half_circles`, at its smallest angle."""
     idx = int(np.argmin(values) if minimize else np.argmax(values))
     ext = float(values[idx])
     passed = ext >= threshold - tolerance if minimize else ext <= threshold + tolerance
-    return OracleReport(
-        check=check,
-        extremum=ext,
-        threshold=threshold,
-        arg_z=complex(z[idx]),
-        passed=passed,
-        tolerance=tolerance,
-    )
+    return OracleReport(check, ext, threshold, _point(r, idx, n), passed, tolerance)
 
 
 def _require_circle(r: float) -> None:
@@ -272,13 +279,11 @@ def starlike_min_re(
 ) -> OracleReport:
     """Minimum of Re(z f'/f) on |z| = r versus the order zeta."""
     _require_circle(r)
-    exps, coefs = _term_arrays(f)
-    z = _circle(r, n_angles)
-    fv = _power_sum(z, exps, coefs)
+    fv, zfp = _half_circles(*_terms(f), (r,), n_angles)[:, 0]
     if np.any(fv == 0):
         raise PoleOnGridError(f"f vanishes on |z| = {r}")
-    w = _power_sum(z, exps, exps * coefs) / fv
-    return _extremum_report("starlike", w.real, z, float(zeta), tolerance, minimize=True)
+    vals = (zfp / fv).real
+    return _extremum_report("starlike", vals, r, n_angles, float(zeta), tolerance, minimize=True)
 
 
 def convex_min_re(
@@ -288,17 +293,17 @@ def convex_min_re(
     n_angles: int = 256,
     tolerance: float = 1e-9,
 ) -> OracleReport:
-    """Minimum of Re(1 + z f''/f') on |z| = r versus the order zeta."""
+    """Minimum of Re(1 + z f''/f') on |z| = r versus the order zeta.
+
+    1 + z f''/f' is z h'/h for h = z f', whose coefficient at z^e is e times f's.
+    """
     _require_circle(r)
-    exps, coefs = _term_arrays(f)
-    z = _circle(r, n_angles)
-    fp = _power_sum(z, exps - 1.0, exps * coefs)
-    if np.any(fp == 0):
+    exps, coefs = _terms(f)
+    zfp, zzfp = _half_circles(exps, [e * c for e, c in zip(exps, coefs)], (r,), n_angles)[:, 0]
+    if np.any(zfp == 0):
         raise PoleOnGridError(f"f' vanishes on |z| = {r}")
-    # z f'' = sum e (e-1) c z^(e-1)
-    zfpp = _power_sum(z, exps - 1.0, exps * (exps - 1.0) * coefs)
-    vals = 1.0 + (zfpp / fp).real
-    return _extremum_report("convex", vals, z, float(zeta), tolerance, minimize=True)
+    vals = (zzfp / zfp).real
+    return _extremum_report("convex", vals, r, n_angles, float(zeta), tolerance, minimize=True)
 
 
 def ctc_max_dev(
@@ -314,14 +319,9 @@ def ctc_max_dev(
     """
     _require_circle(r)
     p = f.p
-    z = _circle(r, n_angles)
     ks = sorted(f.coeffs)
-    if ks:
-        exps = np.asarray([k - p for k in ks], dtype=float)
-        coefs = np.asarray([-k * f.coeffs[k] for k in ks], dtype=float)
-        dev = np.abs(_power_sum(z, exps, coefs))
-    else:
-        dev = np.zeros(n_angles)
+    poly = _half_circles([k - p for k in ks], [-k * f.coeffs[k] for k in ks], (r,), n_angles)
+    dev = np.abs(poly[0, 0])
     return _extremum_report(
-        "close-to-convex", dev, z, p - float(zeta), tolerance, minimize=False
+        "close-to-convex", dev, r, n_angles, p - float(zeta), tolerance, minimize=False
     )

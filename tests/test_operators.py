@@ -129,6 +129,22 @@ def test_laguerre_rule_moments(n, a):
         assert moment == pytest.approx(math.gamma(a + d + 1.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("a", [-0.9, -0.5])
+def test_laguerre_nodes_match_mpmath(a):
+    """At n = 64 every node is within 1e-14 relative of the 40-digit Jacobi eigenvalues."""
+    n = 64
+    with mpmath.workdps(40):
+        jacobi = mpmath.zeros(n, n)
+        for i in range(n):
+            jacobi[i, i] = 2 * i + mpmath.mpf(a) + 1
+            if i:
+                jacobi[i, i - 1] = jacobi[i - 1, i] = mpmath.sqrt(i * (i + mpmath.mpf(a)))
+        ref = sorted(mpmath.eigsy(jacobi, eigvals_only=True))
+    x, _ = _laguerre_rule(n, a)
+    for node, exact in zip(x, ref):
+        assert float(abs(node - exact) / exact) <= 1e-14
+
+
 def test_quadrature_delta_zero_fallback():
     """delta=0 has no weight function; the closed form takes over unless forbidden."""
     f = make_series(1, [(2, 0.25)])

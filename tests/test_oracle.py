@@ -3,12 +3,15 @@
 import math
 import warnings
 
+import mpmath
 import pytest
 
 from pvalent import (
     ClassParams,
     SampleGrid,
+    apply_rafid,
     check_r_membership,
+    coeff_bound_r,
     convex_min_re,
     ctc_max_dev,
     extremal_r,
@@ -181,3 +184,62 @@ def test_smoothed_coefficient_past_double_range_is_refused():
         ):
             with pytest.raises(DivergentInputError, match=r"k = 200 .*exceeds double range"):
                 call()
+
+
+def _mp_ratio(z, b, cp):
+    """50-digit subordination ratio at z for the smoothed image z^p - sum b[k] z^k."""
+    p = cp.p
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z)
+        g = z**p - mpmath.fsum(bk * z**k for k, bk in b.items())
+        w = (p * z**p - mpmath.fsum(k * bk * z**k for k, bk in b.items())) / g
+        B = mpmath.mpf(cp.B)
+        return abs((w - p) / (B * w - (B * p + mpmath.mpf(cp.scale))))
+
+
+def test_reported_point_lies_in_upper_half_plane():
+    """z - 9e-4 z^5 has equal maxima at the four angles pi/4 + k pi/2; the report takes pi/4."""
+    f = make_series(1, [(5, 9e-4)])
+    rep = subordination_margin(f, ClassParams(B=0.5), SampleGrid(refinement=0))
+    assert rep.arg_z.imag >= 0.0 and abs(rep.arg_z) == 0.99
+    assert rep.arg_z.real > 0.0
+
+
+@pytest.mark.parametrize(
+    "check, k, a, r",
+    [(starlike_min_re, 9, 0.05, 0.9), (convex_min_re, 9, 0.01, 0.9), (ctc_max_dev, 5, 0.001, 0.5)],
+)
+def test_circle_extremum_lies_in_upper_half_plane(check, k, a, r):
+    """z - a z^k attains each circle extremum at k-1 angles, z = r among them."""
+    f = make_series(1, [(k, a)])
+    rep = check(f, 0.0, r)
+    assert rep.arg_z.imag >= 0.0 and abs(rep.arg_z) == pytest.approx(r, rel=1e-15)
+    # the coarse grid holds the same tied extremum
+    coarse = check(f, 0.0, r, n_angles=8)
+    assert rep.extremum == pytest.approx(coarse.extremum, rel=1e-12)
+
+
+def test_folded_indices_match_mpmath_on_eight_angles():
+    """Support to p+30 on 8 angles folds every exponent mod 8 several times."""
+    cp = ClassParams(mu=0.5, delta=0.5)
+    ks = range(2, 32)
+    w = {k: apply_rafid(make_series(1, [(k, 1.0)]), cp.rafid).coeffs[k] for k in ks}
+    f = make_series(1, [(k, 0.3 * 1.5 ** (1 - k) / (30 * w[k])) for k in ks])
+    b = apply_rafid(f, cp.rafid).coeffs
+    rep = subordination_margin(f, cp, SampleGrid(radii=(0.5,), angles_per_radius=8, refinement=0))
+    with mpmath.workdps(50):
+        points = [mpmath.mpf(0.5) * mpmath.expjpi(mpmath.mpf(j) / 4) for j in range(8)]
+        ratio = max(_mp_ratio(z, b, cp) for z in points)
+        fp = [mpmath.fsum(k * a * z ** (k - 1) for k, a in f.coeffs.items()) for z in points]
+        dev = max(abs(v) for v in fp)
+    assert rep.extremum == pytest.approx(float(ratio), rel=1e-12)
+    assert ctc_max_dev(f, 0.0, 0.5, n_angles=8).extremum == pytest.approx(float(dev), rel=1e-12)
+
+
+def test_long_member_matches_mpmath_at_reported_point(mpref):
+    """150 terms on the default grid: the reported ratio is the 50-digit ratio at arg_z."""
+    f = make_series(1, [(k, 0.9 / 150 * coeff_bound_r(k, CANONICAL)) for k in range(2, 152)])
+    rep = subordination_margin(f, CANONICAL)
+    with mpmath.workdps(50):
+        b = {k: mpmath.exp(mpref.log_weight(k, 1, 0.0, 1.0)) * a for k, a in f.coeffs.items()}
+        assert rep.extremum == pytest.approx(float(_mp_ratio(rep.arg_z, b, CANONICAL)), rel=1e-12)
