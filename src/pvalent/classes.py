@@ -158,19 +158,16 @@ def extremal_p(k: int, cp: ClassParams) -> CoefficientSeries:
 
 
 def random_member(
-    cp: ClassParams,
-    rng: np.random.Generator,
-    max_terms: int = 5,
-    max_span: int = 12,
-    target_sum: float | None = None,
+    cp: ClassParams, rng: np.random.Generator, target_sum: float | None = None
 ) -> CoefficientSeries:
     """Random R-family member with criterion sum equal to target (default U(0, 0.999)).
 
-    Coefficients are sharp bounds scaled by a random convex combination, so
-    the membership sum is the target up to a few ulp.
+    It has one to five terms at indices p+1..p+12.  Coefficients are sharp
+    bounds scaled by a random convex combination, so the membership sum is
+    the target up to a few ulp.
     """
-    count = int(rng.integers(1, max_terms + 1))
-    ks = cp.p + 1 + rng.choice(max_span, size=count, replace=False)
+    count = int(rng.integers(1, 6))
+    ks = cp.p + 1 + rng.choice(12, size=count, replace=False)
     u = rng.random(count)
     u = u / u.sum()
     s = float(rng.uniform(0.0, 0.999)) if target_sum is None else float(target_sum)

@@ -149,7 +149,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_all(seed: int = 0, nodes: int = 64) -> list:
+def run_all(seed: int = 0) -> list:
     """:func:`pvalent.selftest.run_all`, imported on the first call, since numpy loads with it.
 
     ``selftest`` calls the battery through this module-level name, which
@@ -157,7 +157,7 @@ def run_all(seed: int = 0, nodes: int = 64) -> list:
     """
     from .selftest import run_all as battery
 
-    return battery(seed=seed, nodes=nodes)
+    return battery(seed=seed)
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
@@ -166,7 +166,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("PVALENT_SEED", "0"))
-    results = run_all(seed=seed, nodes=args.nodes)
+    results = run_all(seed=seed)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -258,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("selftest", help="run the acceptance battery")
     q.add_argument("--seed", type=int, default=None, help="default: $PVALENT_SEED or 0")
-    q.add_argument("--nodes", type=int, default=64, help="quadrature nodes")
     q.set_defaults(func=_cmd_selftest)
     return parser
 

@@ -13,8 +13,11 @@ its multiplier sequence:
 * Riemann-Liouville fractional derivative of order 0 <= eta < 1:
     z^s -> Gamma(s+1)/Gamma(s+1-eta) z^(s-eta).
 
-The first two preserve the negative-coefficient normal form; the fractional
-pair moves into :class:`~pvalent.series.FractionalSeries`.
+The first two preserve the negative-coefficient normal form.  Every image
+that leaves it (the fractional pair, and Bernardi on a generalized series)
+is built by one exponent map, ``series._diagonal``, from its multiplier
+and exponent step, and is read through the one Horner evaluation,
+:meth:`~pvalent.series.FractionalSeries.evaluate`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     ParameterOutOfRangeError,
     QuadratureUnavailableError,
 )
-from .series import CoefficientSeries, FractionalSeries
+from .series import CoefficientSeries, FractionalSeries, _as_fractional, _diagonal
 
 if TYPE_CHECKING:
     import numpy as np
@@ -239,8 +242,9 @@ def rafid_quadrature(
 def bernardi(f: CoefficientSeries | FractionalSeries, c: float) -> CoefficientSeries | FractionalSeries:
     """Bernardi integral (c+p)/z^c int_0^z t^(c-1) f(t) dt, acting as (c+p)/(c+s) per exponent s.
 
-    For the generalized series the antiderivative must converge at the
-    origin, so c plus the smallest exponent has to stay positive.
+    A CoefficientSeries keeps its normal form.  For the generalized series the
+    antiderivative must converge at the origin, so c plus the smallest
+    exponent has to stay positive.
     """
     c = float(c)
     if isinstance(f, CoefficientSeries):
@@ -253,19 +257,15 @@ def bernardi(f: CoefficientSeries | FractionalSeries, c: float) -> CoefficientSe
         raise ParameterOutOfRangeError(
             f"need c + leading exponent > 0, got c = {c}, exponent = {lead_exp}"
         )
-    ratio = (c + f.p) / (c + lead_exp)
-    terms = {k: (c + f.p) / (c + k + f.shift) * v for k, v in f.terms.items()}
-    return FractionalSeries(p=f.p, shift=f.shift, leading=ratio * f.leading, terms=terms)
+    return _diagonal(f, lambda s: (c + f.p) / (c + s), 0.0)
 
 
-def fractional_integral(f: CoefficientSeries, eta: float) -> FractionalSeries:
+def fractional_integral(f: CoefficientSeries | FractionalSeries, eta: float) -> FractionalSeries:
     """Fractional integral of order eta > 0; exponents shift up by eta."""
     eta = float(eta)
     if not (eta > 0.0) or not math.isfinite(eta):
         raise ParameterOutOfRangeError(f"integral order must be positive, got {eta}")
-    lead = gamma_ratio(f.p + 1.0, f.p + 1.0 + eta)
-    terms = {k: -gamma_ratio(k + 1.0, k + 1.0 + eta) * a for k, a in f.coeffs.items()}
-    return FractionalSeries(p=f.p, shift=eta, leading=lead, terms=terms)
+    return _diagonal(_as_fractional(f), lambda s: gamma_ratio(s + 1.0, s + 1.0 + eta), eta)
 
 
 def fractional_derivative(
@@ -280,10 +280,7 @@ def fractional_derivative(
     eta = float(eta)
     if not (0.0 <= eta < 1.0):
         raise ParameterOutOfRangeError(f"derivative order must lie in [0, 1), got {eta}")
-    if isinstance(g, CoefficientSeries):
-        g = FractionalSeries(
-            p=g.p, shift=0.0, leading=1.0, terms={k: -a for k, a in g.coeffs.items()}
-        )
+    g = _as_fractional(g)
     lead_exp = g.p + g.shift
     if lead_exp - eta < 0.0:
         raise ExponentUnderflowError(
@@ -294,9 +291,4 @@ def fractional_derivative(
             raise ExponentUnderflowError(
                 f"exponent {k + g.shift} would not stay positive for order {eta}"
             )
-    lead = gamma_ratio(lead_exp + 1.0, lead_exp + 1.0 - eta) * g.leading
-    terms = {
-        k: gamma_ratio(k + g.shift + 1.0, k + g.shift + 1.0 - eta) * v
-        for k, v in g.terms.items()
-    }
-    return FractionalSeries(p=g.p, shift=g.shift - eta, leading=lead, terms=terms)
+    return _diagonal(g, lambda s: gamma_ratio(s + 1.0, s + 1.0 - eta), -eta)

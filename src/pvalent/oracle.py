@@ -112,7 +112,11 @@ def _point(r: float, j: int, n: int) -> complex:
 
 
 def _smoothed(f: CoefficientSeries, cp: ClassParams) -> CoefficientSeries:
-    """The smoothed image g of f; a coefficient of g beyond double range is refused."""
+    """Smoothed image of f; refuses a valence other than cp.p or a coefficient past double range."""
+    if f.p != cp.p:
+        raise ParameterOutOfRangeError(
+            f"series valence {f.p} != parameter valence {cp.p}"
+        )
     g = apply_rafid(f, cp.rafid)
     for k, a in g.coeffs.items():
         if not math.isfinite(a):
@@ -167,10 +171,6 @@ def subordination_margin(
     tolerance: float = 1e-9,
 ) -> OracleReport:
     """Grid maximum of the subordination ratio; pass iff max < 1 - tolerance."""
-    if f.p != cp.p:
-        raise ParameterOutOfRangeError(
-            f"series valence {f.p} != parameter valence {cp.p}"
-        )
     exps, coefs = _terms(_smoothed(f, cp))
     n = grid.angles_per_radius
     gv, zgp = _half_circles(exps, coefs, grid.radii, n)
@@ -221,10 +221,14 @@ def subordination_margin(
     )
 
 
-def subordination_ratio_real(f: CoefficientSeries, cp: ClassParams, r: float) -> float:
-    """Subordination ratio at the single real point z = r."""
+def _require_real_point(r: float) -> None:
     if not (0.0 < r < 1.0):
         raise RadiusOutOfRangeError(f"need 0 < r < 1, got {r}")
+
+
+def subordination_ratio_real(f: CoefficientSeries, cp: ClassParams, r: float) -> float:
+    """Subordination ratio at the single real point z = r."""
+    _require_real_point(r)
     exps, coefs = _terms(_smoothed(f, cp))
     return _subordination_ratio_at(complex(r), exps, coefs, cp)
 
@@ -240,13 +244,15 @@ def locate_real_axis_violation(
 
     Returns (found, r, ratio at r); for criterion sums above one the ratio
     approaches a limit above one, so the walk finds the violation without
-    ever sampling outside the disk.
+    ever sampling outside the disk.  f is smoothed once for the whole walk.
     """
+    exps, coefs = _terms(_smoothed(f, cp))
     best_r, best_ratio = start, -math.inf
     gap = 1.0 - start
     for j in range(steps):
         r = 1.0 - gap * 0.5**j
-        ratio = subordination_ratio_real(f, cp, r)
+        _require_real_point(r)
+        ratio = _subordination_ratio_at(complex(r), exps, coefs, cp)
         if ratio > best_ratio:
             best_r, best_ratio = r, ratio
         if ratio >= threshold:

@@ -14,11 +14,10 @@ exponent offset ``shift`` and an explicit leading coefficient.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     DuplicateIndexError,
@@ -92,20 +91,19 @@ class FractionalSeries:
         return self.terms.get(k, 0.0)
 
     def evaluate(self, z: complex) -> complex:
-        """Value at z using the principal branch for fractional powers.
+        """Value at z: Horner recursion on the tail, then one multiplication by z^(p+shift).
 
-        ``z^(k+shift)`` is read as ``exp((k+shift) log z)`` with the
-        principal logarithm, so on a circle |z| = r every term has modulus
-        ``|coeff| * r^(k+shift)`` regardless of the argument of z.
+        Python's complex power is the principal branch ``exp((p+shift) log z)``
+        for fractional exponents, so on a circle |z| = r every term has modulus
+        ``|coeff| * r^(k+shift)`` whatever the argument of z; for integral
+        exponents up to 100 it is an exact repeated product.  At z = 0 the
+        value is 0, or the leading coefficient when p+shift = 0.
         """
         z = complex(z)
-        if z == 0:
-            return complex(self.leading) if self.p + self.shift == 0 else 0j
         acc = 0j
         for k in range(self.truncation_degree, self.p, -1):
             acc = acc * z + self.terms.get(k, 0.0)
-        poly = self.leading + acc * z
-        return cmath.exp((self.p + self.shift) * cmath.log(z)) * poly
+        return z ** (self.p + self.shift) * (self.leading + acc * z)
 
 
 def make_series(p: int, coeffs: Iterable[tuple[int, float]] = ()) -> CoefficientSeries:
@@ -145,50 +143,50 @@ def make_series(p: int, coeffs: Iterable[tuple[int, float]] = ()) -> Coefficient
     return CoefficientSeries(p=p, coeffs=tail)
 
 
-def evaluate(f: CoefficientSeries, z: complex) -> complex:
-    """f(z) by Horner recursion in descending index order.
+def _as_fractional(f: CoefficientSeries | FractionalSeries) -> FractionalSeries:
+    """f itself, or z^p - sum a_k z^k as leading 1.0, shift 0.0 and tail values -a_k."""
+    if isinstance(f, FractionalSeries):
+        return f
+    terms = {k: -a for k, a in f.coeffs.items()}
+    return FractionalSeries(p=f.p, shift=0.0, leading=1.0, terms=terms)
 
-    The tail is accumulated as a polynomial in z before the single
-    multiplication by z^p, which keeps the summation order fixed and
-    stable for |z| <= 1.
+
+def _diagonal(g: FractionalSeries, mult: Callable[[float], float], ds: float) -> FractionalSeries:
+    """Image of g under z^s -> mult(s) z^(s+ds), s running over the exponents p+shift and k+shift.
+
+    Every diagonal operator whose image leaves the normal form is this map
+    with its own multiplier and exponent step.
     """
-    z = complex(z)
-    acc = 0j
-    for k in range(f.truncation_degree, f.p, -1):
-        acc = acc * z - f.coeffs.get(k, 0.0)
-    return z**f.p * (1.0 + acc * z)
+    return FractionalSeries(
+        p=g.p,
+        shift=g.shift + ds,
+        leading=mult(g.p + g.shift) * g.leading,
+        terms={k: mult(k + g.shift) * c for k, c in g.terms.items()},
+    )
 
 
-def _falling(k: int, m: int) -> float:
-    # k (k-1) ... (k-m+1), exact for the integer indices used here
-    return float(math.perm(k, m))
+def evaluate(f: CoefficientSeries, z: complex) -> complex:
+    """f(z) through :meth:`FractionalSeries.evaluate`, the one Horner evaluation."""
+    return _as_fractional(f).evaluate(z)
 
 
 def derivative_m(f: CoefficientSeries | FractionalSeries, m: int) -> FractionalSeries:
-    """m-th derivative, m <= p, as a generalized series.
+    """m-th derivative, m <= p + shift, as a generalized series.
 
-    The result keeps the original index set with shift lowered by m:
-    leading coefficient p(p-1)...(p-m+1) at exponent p-m and tail values
-    -k(k-1)...(k-m+1) a_k at exponent k-m.  A FractionalSeries argument is
-    accepted when its shift is an integer (repeated differentiation).
+    The result keeps the original index set with shift lowered by m: each
+    term at exponent s is multiplied by s(s-1)...(s-m+1).  A FractionalSeries
+    argument is accepted when its shift is an integer (repeated
+    differentiation).
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise ParameterOutOfRangeError(f"derivative order must be an integer >= 0, got {m!r}")
-    if isinstance(f, CoefficientSeries):
-        if m > f.p:
-            raise OrderExceedsValenceError(f"order {m} exceeds valence {f.p}")
-        lead = _falling(f.p, m)
-        terms = {k: -_falling(k, m) * a for k, a in f.coeffs.items()}
-        return FractionalSeries(p=f.p, shift=float(-m), leading=lead, terms=terms)
-    if not float(f.shift).is_integer():
+    g = _as_fractional(f)
+    if not float(g.shift).is_integer():
         raise ParameterOutOfRangeError("integer derivative needs integer exponents")
-    if m > f.p + f.shift:
-        raise OrderExceedsValenceError(
-            f"order {m} exceeds leading exponent {f.p + f.shift}"
-        )
-    lead = _falling(f.p + int(f.shift), m) * f.leading
-    terms = {k: _falling(k + int(f.shift), m) * c for k, c in f.terms.items()}
-    return FractionalSeries(p=f.p, shift=f.shift - m, leading=lead, terms=terms)
+    if m > g.p + g.shift:
+        raise OrderExceedsValenceError(f"order {m} exceeds leading exponent {g.p + g.shift}")
+    # s(s-1)...(s-m+1), exact for the integer exponents here
+    return _diagonal(g, lambda s: float(math.perm(int(s), m)), -m)
 
 
 def hadamard_product(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:

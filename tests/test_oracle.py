@@ -186,6 +186,48 @@ def test_smoothed_coefficient_past_double_range_is_refused():
                 call()
 
 
+def test_real_axis_walk_smooths_once(monkeypatch):
+    """One smoothing per walk, with the values of a walk of single real points."""
+    import pvalent.oracle as oracle
+
+    calls = []
+
+    def counting(f, rp):
+        calls.append(f)
+        return apply_rafid(f, rp)
+
+    # criterion sums 0.5 (all 40 steps, nothing found) and 1.2 (found early)
+    for f in (make_series(1, [(2, 0.125)]), make_series(1, [(2, 0.3)])):
+        best_r, best_ratio, expected = 0.9, -math.inf, None
+        for j in range(40):
+            r = 1.0 - 0.1 * 0.5**j
+            ratio = subordination_ratio_real(f, CANONICAL, r)
+            if ratio > best_ratio:
+                best_r, best_ratio = r, ratio
+            if ratio >= 1.0 - 1e-3:
+                expected = (True, r, ratio)
+                break
+        expected = expected or (False, best_r, best_ratio)
+        calls.clear()
+        monkeypatch.setattr(oracle, "apply_rafid", counting)
+        assert locate_real_axis_violation(f, CANONICAL) == expected
+        monkeypatch.undo()
+        assert calls == [f]
+
+
+def test_valence_mismatch_refused_on_every_path():
+    """z^2 - 0.01 z^3 under p = 1 parameters: no ratio is computed anywhere."""
+    f = make_series(2, [(3, 0.01)])
+    cp = ClassParams(p=1)
+    for call in (
+        lambda: subordination_margin(f, cp),
+        lambda: subordination_ratio_real(f, cp, 0.5),
+        lambda: locate_real_axis_violation(f, cp),
+    ):
+        with pytest.raises(ParameterOutOfRangeError, match="valence 2 != parameter valence 1"):
+            call()
+
+
 def _mp_ratio(z, b, cp):
     """50-digit subordination ratio at z for the smoothed image z^p - sum b[k] z^k."""
     p = cp.p

@@ -109,6 +109,19 @@ def test_derivative_order_above_valence_rejected():
         derivative_m(make_series(1, [(2, 0.1)]), 2)
 
 
+@settings(max_examples=200)
+@given(
+    p=st.integers(1, 6),
+    tail=st.dictionaries(st.integers(1, 40), st.floats(0.0, 10.0), max_size=8),
+    r=st.floats(0.0, 1.0, exclude_max=True),
+    theta=st.floats(-math.pi, math.pi),
+)
+def test_order_zero_derivative_evaluates_exactly_as_the_series(p, tail, r, theta):
+    f = make_series(p, [(p + d, a) for d, a in tail.items()])
+    z = r * complex(math.cos(theta), math.sin(theta))
+    assert derivative_m(f, 0).evaluate(z) == evaluate(f, z)
+
+
 def test_fractional_series_principal_branch():
     """|z^s| on a circle equals r^s regardless of angle."""
     fs = FractionalSeries(p=1, shift=0.5, leading=2.0, terms={3: -0.25})
