@@ -13,25 +13,29 @@ per-coefficient term is divided by the right-hand side, so membership is
 ``sum <= 1`` and the sharp bound for a lone coefficient is the reciprocal
 of its term.
 
-Terms are carried as a mantissa and a power of two (see
-:func:`pvalent.operators.rafid_multiplier`) and scaled once, after the product
-with a_k or the reciprocal, so sums, bounds and margins stay finite at every
-index; scans over k read the log form instead.
+Terms are carried as a mantissa and a power of two, read off the running
+product :func:`pvalent.operators.rafid_multipliers`, and scaled once, after the
+product with a_k or the reciprocal, so sums, bounds and margins stay finite at
+every index.  Sums, random members and scans over k make one pass along their
+sorted indices; a lone term or bound at k walks the product from p, in k-p steps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import OrderExceedsValenceError, ParameterOutOfRangeError, ValenceMismatchError
-from .operators import RafidParams, log_rafid_weight, pow2_product, rafid_multiplier
+from .operators import RafidParams, pow2_product, rafid_multiplier, rafid_multipliers
 from .series import CoefficientSeries, make_series
 
 if TYPE_CHECKING:
     import numpy as np
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -79,17 +83,23 @@ class MembershipReport:
         }
 
 
-def _bracket(k: int, cp: ClassParams) -> float:
-    """(1-B)(k-p) + (A-B)(p-alpha), the factor of w_k in the unnormalized criterion."""
+def _term(k: int, cp: ClassParams, m: float, e: int) -> tuple[float, int]:
+    """(t, e) with r_criterion_term(k) = t 2^e, given w_k = m 2^e."""
     if k < cp.p + 1:
         raise ParameterOutOfRangeError(f"criterion terms start at k = p+1, got {k}")
-    return (1.0 - cp.B) * (k - cp.p) + cp.scale
+    return ((1.0 - cp.B) * (k - cp.p) + cp.scale) * m / cp.scale, e
 
 
-def _term(k: int, cp: ClassParams) -> tuple[float, int]:
-    """(t, e) with r_criterion_term(k) = t 2^e."""
-    m, e = rafid_multiplier(k, cp.p, cp.rafid)
-    return _bracket(k, cp) * m / cp.scale, e
+def _log_term(k: int, cp: ClassParams, m: float, e: int) -> float:
+    """log r_criterion_term(k), given w_k = m 2^e; finite at every index."""
+    return math.log(_term(k, cp, m, e)[0]) + e * _LN2
+
+
+def _terms(cp: ClassParams, ks: Iterable[int]) -> Iterator[tuple[int, float, int]]:
+    """(k, t, e) as in :func:`_term` for each k of ks in increasing order, in one pass of w_k."""
+    ks = sorted(ks)
+    for k, (m, e) in zip(ks, rafid_multipliers(cp.p, cp.rafid, ks)):
+        yield k, *_term(k, cp, m, e)
 
 
 def r_criterion_term(k: int, cp: ClassParams) -> float:
@@ -99,21 +109,19 @@ def r_criterion_term(k: int, cp: ClassParams) -> float:
     at mu = 0 and strictly increasing once the smoothing growth takes over.
     Comes back as inf only where the true term exceeds double range.
     """
-    return pow2_product(*_term(k, cp))
+    return pow2_product(*_term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid)))
 
 
 def log_r_criterion_term(k: int, cp: ClassParams) -> float:
-    """log of :func:`r_criterion_term` at log-gamma cost, finite at every index."""
-    return math.log(_bracket(k, cp) / cp.scale) + log_rafid_weight(k, cp.p, cp.rafid)
+    """log of :func:`r_criterion_term`, finite at every index."""
+    return _log_term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid))
 
 
 def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipReport:
     """Exact finite criterion sum; member iff sum <= 1, margin = 1 - sum; zeros add 0.0."""
     if f.p != cp.p:
         raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
-    per_term = tuple(
-        (k, pow2_product(*_term(k, cp), f.coeffs[k])) for k in sorted(f.coeffs)
-    )
+    per_term = tuple((k, pow2_product(t, e, f.coeffs[k])) for k, t, e in _terms(cp, f.coeffs))
     total = math.fsum(c for _, c in per_term)
     return MembershipReport(
         sum=total, member=total <= 1.0, margin=1.0 - total, per_term=per_term
@@ -122,7 +130,7 @@ def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
 
 def coeff_bound_r(k: int, cp: ClassParams) -> float:
     """Largest admissible lone coefficient at index k (sharp)."""
-    t, e = _term(k, cp)
+    t, e = _term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid))
     return pow2_product(1.0 / t, -e)
 
 
@@ -149,7 +157,7 @@ def check_p_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
 
 def coeff_bound_p(k: int, cp: ClassParams) -> float:
     """Sharp lone-coefficient bound for the P family: the R bound shrunk by p/k."""
-    t, e = _term(k, cp)
+    t, e = _term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid))
     return pow2_product(1.0 / ((k / cp.p) * t), -e)
 
 
@@ -167,12 +175,12 @@ def random_member(
     the target up to a few ulp.
     """
     count = int(rng.integers(1, 6))
-    ks = cp.p + 1 + rng.choice(12, size=count, replace=False)
+    ks = [int(k) for k in cp.p + 1 + rng.choice(12, size=count, replace=False)]
     u = rng.random(count)
     u = u / u.sum()
     s = float(rng.uniform(0.0, 0.999)) if target_sum is None else float(target_sum)
-    pairs = [(int(k), s * float(ui) * coeff_bound_r(int(k), cp)) for k, ui in zip(ks, u)]
-    return make_series(cp.p, pairs)
+    bounds = {k: pow2_product(1.0 / t, -e) for k, t, e in _terms(cp, ks)}
+    return make_series(cp.p, [(k, s * float(ui) * bounds[k]) for k, ui in zip(ks, u)])
 
 
 def _certified_scan(cp: ClassParams, shift: float, log_weight: Callable[[int], float]) -> bool:
@@ -182,26 +190,25 @@ def _certified_scan(cp: ClassParams, shift: float, log_weight: Callable[[int], f
     (1-mu)(k+delta)(k+1-shift)/(k+1) reaches one, after which the ratio
     cannot dip; one still running after 200 000 steps is not certified.
     """
-
-    def log_ratio(k: int) -> float:
-        return log_r_criterion_term(k, cp) - log_weight(k)
-
-    base = log_ratio(cp.p + 1)
     k = cp.p + 1
-    while (1.0 - cp.mu) * (k + cp.delta) * (k + 1 - shift) / (k + 1) < 1.0:
+    weights = rafid_multipliers(cp.p, cp.rafid, itertools.count(k))
+    base = _log_term(k, cp, *next(weights)) - log_weight(k)
+    for m, e in weights:
+        if (1.0 - cp.mu) * (k + cp.delta) * (k + 1 - shift) / (k + 1) >= 1.0:
+            return True
         k += 1
-        if k - cp.p > 200_000 or log_ratio(k) - base < -1e-9:
+        if k - cp.p > 200_000 or _log_term(k, cp, m, e) - log_weight(k) - base < -1e-9:
             return False
-    return True
 
 
 def _scan_candidates(
-    cp: ClassParams, k_max: int, candidate: Callable[[int], float]
+    cp: ClassParams, k_max: int, candidate: Callable[[int, float, int], float]
 ) -> list[tuple[int, float]]:
-    """(k, candidate(k)) for k = p+1 .. k_max, the k-scan behind radii and orders."""
+    """(k, candidate(k, m, e)), w_k = m 2^e, for k = p+1 .. k_max: the scan of radii and orders."""
     if k_max < cp.p + 1:
         raise ParameterOutOfRangeError(f"k_max must be at least p+1, got {k_max}")
-    return [(k, candidate(k)) for k in range(cp.p + 1, k_max + 1)]
+    ks = range(cp.p + 1, k_max + 1)
+    return [(k, candidate(k, m, e)) for k, (m, e) in zip(ks, rafid_multipliers(cp.p, cp.rafid, ks))]
 
 
 def _nondecreasing(values: Sequence[float], rel: float = 0.0, tol: float = 0.0) -> bool:

@@ -30,14 +30,13 @@ from typing import Iterable
 
 from .classes import (
     ClassParams,
+    _log_term,
     _nondecreasing,
     _scan_candidates,
     budget_certified,
     coeff_bound_r,
-    log_r_criterion_term,
 )
 from .errors import (
-    OrderExceedsValenceError,
     ParameterOutOfRangeError,
     RadiusOutOfRangeError,
     UncertifiedBoundWarning,
@@ -74,14 +73,11 @@ class RadiusReport:
 
 def distortion_bounds(cp: ClassParams, m: int, r: float) -> tuple[float, float]:
     """(lower, upper) for |f^(m)| on |z| = r, 0 < r < 1, 0 <= m <= p."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ParameterOutOfRangeError(f"order must be an integer >= 0, got {m!r}")
-    if m > cp.p:
-        raise OrderExceedsValenceError(f"order {m} exceeds valence {cp.p}")
+    certified = budget_certified(cp, m)  # refuses an order outside 0..p first
     r = float(r)
     if not (0.0 < r < 1.0):
         raise RadiusOutOfRangeError(f"radius must lie in (0, 1), got {r}")
-    if not budget_certified(cp, m):
+    if not certified:
         warnings.warn(
             f"tail budget not certified for {cp} at order {m}; "
             "admissible members may exceed these bounds",
@@ -112,8 +108,8 @@ def _radius_report(cp: ClassParams, zeta: float, k_max: int, kind: str) -> Radiu
     if not (0.0 <= zeta < cp.p):
         raise ParameterOutOfRangeError(f"zeta must lie in [0, p), got {zeta}")
 
-    def candidate(k: int) -> float:
-        log_r = log_r_criterion_term(k, cp) + _log_factor(kind, k, cp.p, zeta)
+    def candidate(k: int, m: float, e: int) -> float:
+        log_r = _log_term(k, cp, m, e) + _log_factor(kind, k, cp.p, zeta)
         return math.exp(log_r / (k - cp.p))
 
     candidates = _scan_candidates(cp, k_max, candidate)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .classes import ClassParams, _nondecreasing, _scan_candidates, check_r_membership, extremal_r
 from .errors import DegenerateDenominatorError, ParameterOutOfRangeError
-from .operators import log_rafid_weight, pow2_product, split_log
+from .operators import pow2_product, rafid_multiplier
 from .series import hadamard_product
 
 _SATURATION_TOL = 1e-10
@@ -39,22 +39,6 @@ class ConvolutionOrderReport:
         return asdict(self)
 
 
-def _phi_pieces(k: int, cp: ClassParams, beta: float) -> tuple[float, float]:
-    """Numerator and denominator of p - Phi(k) for orders (alpha, beta).
-
-    w_k enters in log form, scaled once: past double range the denominator
-    saturates to inf (Phi = p) or to -s_a s_b (degenerate), never nan.
-    """
-    s_a = cp.scale
-    s_b = (cp.A - cp.B) * (cp.p - beta)
-    growth = (1.0 - cp.B) * (k - cp.p)
-    m, e = split_log(log_rafid_weight(k, cp.p, cp.rafid))
-    # one factor (A-B) total: s_a carries it, the beta side enters as (p-beta)
-    num = growth * s_a * (cp.p - beta)
-    den = pow2_product((growth + s_a) * (growth + s_b) * m, e) - s_a * s_b
-    return num, den
-
-
 def mixed_order_candidate(k: int, cp: ClassParams, beta: float) -> float:
     """Order contributed by index k when convolving orders alpha and beta.
 
@@ -62,11 +46,25 @@ def mixed_order_candidate(k: int, cp: ClassParams, beta: float) -> float:
     smoothing); the k = p+1 case raises instead, since the reported order
     itself would be meaningless.
     """
+    return _phi(k, cp, beta, *rafid_multiplier(k, cp.p, cp.rafid))
+
+
+def _phi(k: int, cp: ClassParams, beta: float, m: float, e: int) -> float:
+    """Phi(k) = p - num/den for orders (alpha, beta), given w_k = m 2^e.
+
+    w_k enters as (m, e), scaled once: past double range the denominator
+    saturates to inf (Phi = p) or to -s_a s_b (degenerate), never nan.
+    """
     if k < cp.p + 1:
         raise ParameterOutOfRangeError(f"candidates start at k = p+1, got {k}")
     if not (0.0 <= beta < cp.p):
         raise ParameterOutOfRangeError(f"beta must lie in [0, p), got {beta}")
-    num, den = _phi_pieces(k, cp, beta)
+    s_a = cp.scale
+    s_b = (cp.A - cp.B) * (cp.p - beta)
+    growth = (1.0 - cp.B) * (k - cp.p)
+    # one factor (A-B) total: s_a carries it, the beta side enters as (p-beta)
+    num = growth * s_a * (cp.p - beta)
+    den = pow2_product((growth + s_a) * (growth + s_b) * m, e) - s_a * s_b
     if den <= 0.0:
         if k == cp.p + 1:
             raise DegenerateDenominatorError(
@@ -94,7 +92,7 @@ def _saturation(cp: ClassParams, beta: float, order: float) -> tuple[float, bool
 
 
 def _order_report(cp: ClassParams, beta: float, k_max: int) -> ConvolutionOrderReport:
-    scan = _scan_candidates(cp, k_max, lambda k: mixed_order_candidate(k, cp, beta))
+    scan = _scan_candidates(cp, k_max, lambda k, m, e: _phi(k, cp, beta, m, e))
     order = scan[0][1]
     increasing = _nondecreasing([v for _, v in scan], tol=1e-12)
     if 0.0 <= order < cp.p:

@@ -4,7 +4,8 @@ All four transforms act diagonally on monomials, so each is determined by
 its multiplier sequence:
 
 * Rafid-type smoothing operator (parameters 0 <= mu < 1, 0 <= delta <= 1):
-    z^k  ->  (1-mu)^(k-p) Gamma(k+delta)/Gamma(p+delta) z^k.
+    z^k  ->  (1-mu)^(k-p) Gamma(k+delta)/Gamma(p+delta) z^k,
+  formed only by :func:`rafid_multipliers` as one running product (a lone k costs k-p steps).
   It arises from the integral kernel t^(delta-1) exp(-t/(1-mu)), which the
   quadrature path integrates directly as an independent cross-check.
 * Bernardi integral (c > -p):  z^k -> (c+p)/(c+k) z^k.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     DivergentInputError,
@@ -40,8 +41,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 _EXACT_GAP = 64  # integer argument gaps up to this use an exact rising product
-_LN2 = math.log(2.0)
-_MIN_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,8 @@ def gamma_ratio(x: float, y: float) -> float:
     Integer gaps |x - y| <= 64 are evaluated as an exact rising product
     (so e.g. gamma_ratio(k+1, k+2) is exactly 1/(k+1)); other gaps go
     through log-gamma differences.  Ratios beyond double range come back
-    as inf or 0.0 rather than raising; the smoothing multiplier therefore
-    takes this linear form only where it stays in range.
+    as inf or 0.0 rather than raising.  The fractional multipliers use it;
+    the smoothing multiplier does not (see :func:`rafid_multipliers`).
     """
     x = float(x)
     y = float(y)
@@ -103,17 +102,6 @@ def gamma_ratio(x: float, y: float) -> float:
         return math.inf
 
 
-def log_rafid_weight(k: int, p: int, rp: RafidParams) -> float:
-    """log w_k at log-gamma cost, finite at every index; the scans over k read this form."""
-    return (k - p) * math.log1p(-rp.mu) + math.lgamma(k + rp.delta) - math.lgamma(p + rp.delta)
-
-
-def split_log(x: float) -> tuple[float, int]:
-    """(m, e) with exp(x) = m 2^e and 1/2 < m <= 1."""
-    e = math.ceil(x / _LN2)
-    return math.exp(x - e * _LN2), e
-
-
 def pow2_product(m: float, e: int, a: float = 1.0) -> float:
     """m 2^e a, rounded once.
 
@@ -127,33 +115,46 @@ def pow2_product(m: float, e: int, a: float = 1.0) -> float:
         return math.copysign(math.inf, m * ma)
 
 
-def rafid_multiplier(k: int, p: int, rp: RafidParams) -> tuple[float, int]:
-    """(m, e) with w_k = (1-mu)^(k-p) Gamma(k+delta)/Gamma(p+delta) = m 2^e, never 0 or inf.
+def rafid_multipliers(p: int, rp: RafidParams, ks: Iterable[int]) -> Iterator[tuple[float, int]]:
+    """(m, e) with w_k = m 2^e and 1/2 <= m < 1, for each index k of the nondecreasing ks.
 
-    Where (1-mu)^(k-p) and w_k are normal doubles, m 2^e is exactly their
-    linear product; beyond, it comes from :func:`log_rafid_weight`.  Callers
-    fold their factors into m and scale once with :func:`pow2_product`.
+    One running product, w_p = 1 and w_(k+1) = w_k (1-mu) (k+delta), renormalized exactly by
+    frexp when it leaves [2^-500, 2^500]: no w_k overflows or underflows, and w_k does not
+    depend on the other indices asked for.  Callers scale once with :func:`pow2_product`.
     """
-    if k < p:
-        raise IndexBelowValenceError(f"index {k} below valence {p}")
     if p < 1:
         raise ParameterOutOfRangeError(f"valence must be positive, got {p}")
-    power = (1.0 - rp.mu) ** (k - p)
-    w = power * gamma_ratio(k + rp.delta, p + rp.delta)
-    if power >= _MIN_NORMAL and _MIN_NORMAL <= w < math.inf:
-        return math.frexp(w)
-    return split_log(log_rafid_weight(k, p, rp))
+    shrink, delta, k, m, e = 1.0 - rp.mu, rp.delta, p, 1.0, 0
+    for target in ks:
+        if target < p:
+            raise IndexBelowValenceError(f"index {target} below valence {p}")
+        if target < k:
+            raise ParameterOutOfRangeError(f"indices must be nondecreasing, got {target} after {k}")
+        while k < target:
+            m = m * shrink * (k + delta)
+            k += 1
+            if not (2.0**-500 <= m <= 2.0**500):
+                m, shift = math.frexp(m)
+                e += shift
+        mantissa, shift = math.frexp(m)
+        yield mantissa, e + shift
+
+
+def rafid_multiplier(k: int, p: int, rp: RafidParams) -> tuple[float, int]:
+    """(m, e) with w_k = m 2^e: the lone-index case of :func:`rafid_multipliers`."""
+    return next(rafid_multipliers(p, rp, (k,)))
 
 
 def rafid_weight(k: int, p: int, rp: RafidParams) -> float:
-    """w_k as one double: exact where representable, inf or 0.0 only beyond double range."""
+    """w_k as one double: inf or 0.0 only beyond double range."""
     return pow2_product(*rafid_multiplier(k, p, rp))
 
 
 def apply_rafid(f: CoefficientSeries, rp: RafidParams) -> CoefficientSeries:
     """Image of f under the smoothing operator; each w_k a_k is rounded once, zeros stay 0.0."""
-    weighted = {k: pow2_product(*rafid_multiplier(k, f.p, rp), a) for k, a in f.coeffs.items()}
-    return CoefficientSeries(p=f.p, coeffs=weighted)
+    ks = sorted(f.coeffs)
+    weights = zip(ks, rafid_multipliers(f.p, rp, ks))
+    return CoefficientSeries(f.p, {k: pow2_product(m, e, f.coeffs[k]) for k, (m, e) in weights})
 
 
 def _laguerre_rule(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:

@@ -221,14 +221,14 @@ def subordination_margin(
     )
 
 
-def _require_real_point(r: float) -> None:
+def _require_radius(r: float) -> None:
     if not (0.0 < r < 1.0):
-        raise RadiusOutOfRangeError(f"need 0 < r < 1, got {r}")
+        raise RadiusOutOfRangeError(f"radius must lie in (0, 1), got {r}")
 
 
 def subordination_ratio_real(f: CoefficientSeries, cp: ClassParams, r: float) -> float:
     """Subordination ratio at the single real point z = r."""
-    _require_real_point(r)
+    _require_radius(r)
     exps, coefs = _terms(_smoothed(f, cp))
     return _subordination_ratio_at(complex(r), exps, coefs, cp)
 
@@ -240,7 +240,7 @@ def locate_real_axis_violation(
     start: float = 0.9,
     steps: int = 40,
 ) -> tuple[bool, float, float]:
-    """Walk z = r -> 1^- along the real axis until the ratio reaches threshold.
+    """Walk z = r -> 1^- on the real axis, to the last r below 1, until the ratio reaches threshold.
 
     Returns (found, r, ratio at r); for criterion sums above one the ratio
     approaches a limit above one, so the walk finds the violation without
@@ -251,7 +251,9 @@ def locate_real_axis_violation(
     gap = 1.0 - start
     for j in range(steps):
         r = 1.0 - gap * 0.5**j
-        _require_real_point(r)
+        if j and r == 1.0:  # the step fell below half an ulp of 1; j = 0 checks start
+            break
+        _require_radius(r)
         ratio = _subordination_ratio_at(complex(r), exps, coefs, cp)
         if ratio > best_ratio:
             best_r, best_ratio = r, ratio
@@ -271,11 +273,6 @@ def _extremum_report(
     return OracleReport(check, ext, threshold, _point(r, idx, n), passed, tolerance)
 
 
-def _require_circle(r: float) -> None:
-    if not (0.0 < r < 1.0):
-        raise RadiusOutOfRangeError(f"circle radius must lie in (0, 1), got {r}")
-
-
 def starlike_min_re(
     f: CoefficientSeries,
     zeta: float,
@@ -284,7 +281,7 @@ def starlike_min_re(
     tolerance: float = 1e-9,
 ) -> OracleReport:
     """Minimum of Re(z f'/f) on |z| = r versus the order zeta."""
-    _require_circle(r)
+    _require_radius(r)
     fv, zfp = _half_circles(*_terms(f), (r,), n_angles)[:, 0]
     if np.any(fv == 0):
         raise PoleOnGridError(f"f vanishes on |z| = {r}")
@@ -303,7 +300,7 @@ def convex_min_re(
 
     1 + z f''/f' is z h'/h for h = z f', whose coefficient at z^e is e times f's.
     """
-    _require_circle(r)
+    _require_radius(r)
     exps, coefs = _terms(f)
     zfp, zzfp = _half_circles(exps, [e * c for e, c in zip(exps, coefs)], (r,), n_angles)[:, 0]
     if np.any(zfp == 0):
@@ -323,7 +320,7 @@ def ctc_max_dev(
 
     f'/z^(p-1) - p is the polynomial -sum k a_k z^(k-p), so no poles exist.
     """
-    _require_circle(r)
+    _require_radius(r)
     p = f.p
     ks = sorted(f.coeffs)
     poly = _half_circles([k - p for k in ks], [-k * f.coeffs[k] for k in ks], (r,), n_angles)

@@ -5,26 +5,32 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvalent import (
+    ClassParams,
     QuadratureConfig,
     RafidParams,
     apply_rafid,
     bernardi,
+    check_r_membership,
     evaluate,
     fractional_derivative,
     fractional_integral,
     gamma_ratio,
     make_series,
+    r_criterion_term,
     rafid_quadrature,
 )
 from pvalent.errors import (
     DivergentInputError,
     ExponentUnderflowError,
+    IndexBelowValenceError,
     ParameterOutOfRangeError,
     QuadratureUnavailableError,
 )
-from pvalent.operators import _laguerre_rule, rafid_multiplier, rafid_weight
+from pvalent.operators import _laguerre_rule, rafid_multiplier, rafid_multipliers, rafid_weight
 
 
 def test_gamma_ratio_integer_gap_exact():
@@ -73,6 +79,55 @@ def test_rafid_multiplier_matches_mpmath(k, p, mu, delta, mpref):
     with mpmath.workdps(50):
         got = mpmath.log(m) + e * mpmath.log(2)
     assert abs(got - want) <= mpref.tolerance(want, math.lgamma(k + delta))
+
+
+def test_multiplier_sequence_matches_mpmath():
+    """Every index p+1..p+80 of one series: w_k a_k within 2(k-p+1) ulp-units of 40 digits."""
+    rng = np.random.default_rng(6)
+    for _ in range(45):
+        p = int(rng.integers(1, 5))
+        mu, delta = float(rng.uniform(0.0, 0.95)), float(rng.uniform(0.0, 1.0))
+        f = make_series(p, [(k, float(rng.uniform(0.5, 1.0))) for k in range(p + 1, p + 81)])
+        g = apply_rafid(f, RafidParams(mu, delta))
+        with mpmath.workdps(40):
+            shrink, rising = 1 - mpmath.mpf(mu), mpmath.mpf(1)
+            for k in range(p + 1, p + 81):
+                rising *= shrink * (k - 1 + mpmath.mpf(delta))
+                want = rising * f.coeffs[k]
+                rel = abs((g.coeffs[k] - want) / want)
+                assert rel <= 2 * (k - p + 1) * 2.0**-52, (p, mu, delta, k, float(rel))
+
+
+@settings(max_examples=60)
+@given(
+    p=st.integers(1, 4),
+    mu=st.floats(0.0, 0.95),
+    delta=st.floats(0.0, 1.0),
+    coeffs=st.dictionaries(st.integers(1, 60), st.floats(1e-3, 1.0), min_size=1, max_size=8),
+)
+def test_sequence_gives_each_lone_value_bit_for_bit(p, mu, delta, coeffs):
+    """One pass over a sorted index set reproduces every lone-index walk exactly."""
+    cp = ClassParams(p=p, mu=mu, delta=delta)
+    f = make_series(p, [(p + gap, a) for gap, a in coeffs.items()])
+    g = apply_rafid(f, cp.rafid)
+    per_term = dict(check_r_membership(f, cp).per_term)
+    for k, a in f.coeffs.items():
+        assert g.coeffs[k] == rafid_weight(k, p, cp.rafid) * a
+        assert per_term[k] == r_criterion_term(k, cp) * a
+    ks = sorted(f.coeffs)
+    lone = [rafid_multiplier(k, p, cp.rafid) for k in ks]
+    assert list(rafid_multipliers(p, cp.rafid, ks)) == lone
+
+
+def test_sequence_refuses_a_decreasing_or_low_index():
+    rp = RafidParams(0.3, 0.7)
+    assert len(list(rafid_multipliers(2, rp, [3, 3, 5]))) == 3
+    with pytest.raises(ParameterOutOfRangeError, match="nondecreasing"):
+        list(rafid_multipliers(2, rp, [5, 4]))
+    with pytest.raises(IndexBelowValenceError):
+        list(rafid_multipliers(2, rp, [3, 1]))
+    with pytest.raises(IndexBelowValenceError):
+        rafid_weight(1, 2, rp)
 
 
 def test_rafid_weight_canonical():

@@ -215,6 +215,22 @@ def test_real_axis_walk_smooths_once(monkeypatch):
         assert calls == [f]
 
 
+def test_long_walk_ends_at_the_last_point_below_one():
+    """Once 1 - gap 2^-j rounds to 1.0 the walk stops at the last r below 1 instead of raising."""
+    f = make_series(1, [(2, 0.125)])
+    best_r, best_ratio = 0.9, -math.inf
+    for r in (1.0 - 0.1 * 0.5**j for j in range(60)):
+        if r == 1.0:
+            break
+        ratio = subordination_ratio_real(f, CANONICAL, r)
+        if ratio > best_ratio:
+            best_r, best_ratio = r, ratio
+    assert best_r < 1.0
+    assert locate_real_axis_violation(f, CANONICAL, steps=60) == (False, best_r, best_ratio)
+    with pytest.raises(RadiusOutOfRangeError):
+        locate_real_axis_violation(f, CANONICAL, start=1.0)
+
+
 def test_valence_mismatch_refused_on_every_path():
     """z^2 - 0.01 z^3 under p = 1 parameters: no ratio is computed anywhere."""
     f = make_series(2, [(3, 0.01)])
