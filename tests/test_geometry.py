@@ -23,6 +23,7 @@ from pvalent import (
     random_params,
     starlike_min_re,
 )
+from pvalent.classes import log_r_criterion_term
 from pvalent.errors import RadiusOutOfRangeError, UncertifiedBoundWarning
 
 CANONICAL = ClassParams()
@@ -164,3 +165,29 @@ def test_radius_candidates_match_mpmath(radius, kind, mpref):
             }[kind]
             want = mpmath.exp((mpref.log_term(k, cp) + mpmath.log(factor)) / (k - p))
         assert candidates[k] == pytest.approx(float(want), rel=1e-13)
+
+
+def _log_factor(kind, k, p, zeta):
+    """log factor(k), summed left to right as the scan sums it."""
+    if kind == "starlike":
+        return math.log(p - zeta) - math.log(k - zeta)
+    if kind == "convex":
+        return math.log(p) + math.log(p - zeta) - math.log(k) - math.log(k - zeta)
+    return math.log(p - zeta) - math.log(k)
+
+
+@pytest.mark.parametrize(
+    "radius, kind",
+    [(radius_starlike, "starlike"), (radius_convex, "convex"), (radius_close_to_convex, "ctc")],
+)
+def test_radius_candidates_bit_exact(radius, kind, rng):
+    """Each candidate is exp((log term(k) + log factor(k)) / (k-p)), rounded in that order."""
+    for draw in range(40):
+        cp = random_params(rng, mu_range=(0.0, 0.0) if draw % 2 else (0.0, 0.95))
+        zeta = float(rng.uniform(0.0, cp.p))
+        candidates = dict(radius(cp, zeta, k_max=300).candidates)
+        assert list(candidates) == list(range(cp.p + 1, 301))
+        # at mu = 0 the term leaves double range from k = 171
+        for k in [*range(cp.p + 1, cp.p + 13), 170, 171, 172, 250, 300]:
+            log_r = log_r_criterion_term(k, cp) + _log_factor(kind, k, cp.p, zeta)
+            assert candidates[k] == math.exp(log_r / (k - cp.p))

@@ -17,7 +17,9 @@ from pvalent import (
     random_params,
     schild_silverman_lambda,
 )
+from pvalent import hadamard
 from pvalent.errors import DegenerateDenominatorError
+from pvalent.operators import rafid_multipliers
 
 CANONICAL = ClassParams()
 
@@ -115,3 +117,57 @@ def test_deep_order_under_strong_damping(mpref):
             phi.append(1 - (1 - mpmath.mpf(cp.B)) * (k - 1) * s / (bracket**2 * w - s**2))
     assert all(a <= b for a, b in zip(phi, phi[1:]))
     assert rep.order == pytest.approx(float(phi[0]), rel=1e-13)
+
+
+def test_stopped_scan_agrees_with_full_scan(rng):
+    """The proved stop never changes order, phi_increasing or verified_best, up to mu = 0.999."""
+    checked = 0
+    for draw in range(300):
+        p = int(rng.integers(1, 5))
+        B = float(rng.uniform(-1.0, 0.999))
+        A = float(rng.uniform(B, 1.0))
+        if not A > B:
+            continue
+        cp = ClassParams(
+            p=p, alpha=float(rng.uniform(0.0, p)), A=A, B=B,
+            mu=float(rng.uniform(0.0, 0.999)), delta=float(rng.uniform(0.0, 1.0)),
+        )
+        beta = cp.alpha if draw % 2 else float(rng.uniform(0.0, p))
+        ks = range(p + 1, 1001)
+        try:
+            full = [hadamard._phi(k, cp, beta, m, e) for k, (m, e) in
+                    zip(ks, rafid_multipliers(p, cp.rafid, ks))]
+        except DegenerateDenominatorError:
+            with pytest.raises(DegenerateDenominatorError):
+                mixed_order_xi(cp, beta)
+            continue
+        order = full[0]
+        if 0.0 <= order < p:
+            margin, fails_above = hadamard._saturation(cp, beta, order)
+            saturated = abs(margin) <= 1e-10 and fails_above
+        else:
+            saturated = False
+        for k_max in (p + 1, p + 2, 64, 1000):
+            head = full[: k_max - p]
+            increasing = all(a - 1e-12 <= b for a, b in zip(head, head[1:]))
+            rep = mixed_order_xi(cp, beta, k_max=k_max)
+            assert rep.order == order
+            assert rep.phi_increasing == increasing
+            assert rep.verified_best == (increasing and saturated)
+        checked += 1
+    assert checked > 250
+
+
+def test_order_scan_stops_at_proved_point(monkeypatch):
+    """At mu = 0.3 Phi is proved nondecreasing after a few indices; a huge k_max costs nothing."""
+    ks = []
+    phi = hadamard._phi
+
+    def counted(k, *args):
+        ks.append(k)
+        return phi(k, *args)
+
+    monkeypatch.setattr(hadamard, "_phi", counted)
+    rep = schild_silverman_lambda(ClassParams(mu=0.3), k_max=10**5)
+    assert len(ks) <= 10
+    assert rep.phi_increasing and rep.verified_best
