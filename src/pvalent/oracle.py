@@ -2,23 +2,25 @@
 
 Everything here works from the raw coefficients, deliberately avoiding the
 Horner evaluation path and the closed-form criteria it is meant to check:
-circles of n equally spaced angles come from one real-input DFT of the
+a circle of n equally spaced angles comes from one real-input DFT of the
 coefficients times r^k folded by k mod n, single points from direct sums.
 The subordination test for the R family bounds, with g the smoothed image of f,
 
     | (z g'/g - p) / (B z g'/g - [Bp + (A-B)(p-alpha)]) |  <  1
 
-over a grid of circles; for negative-coefficient members the circle maximum
-sits on the positive real axis, which is asserted on every run and surfaced
-as a warning when violated rather than assumed.  The criterion implies the
-disk-wide bound only inside the regime described by
-``subordination_certified``; for B > 0 with support far beyond p the
-implication can fail off the real axis.  Real coefficients give the same
-values at z and at its conjugate, so only the closed upper half of each
-circle is sampled.  Ties between equal maxima resolve to the smallest angle
-there, then the smallest radius, so reports are deterministic; refinement
-bisects in angle around the running maximum and can only raise the reported
-extremum.
+on one circle |z| = r.  The ratio is |zH'|/|D| with H = g/z^p and
+D = B zH' - (A-B)(p-alpha) H; once the argument principle, counted on the
+same samples, proves that neither H nor D vanishes in |z| < r, the ratio is
+analytic there and its circle maximum is its disk maximum (maximum modulus).
+For negative-coefficient members that maximum sits on the positive real
+axis, which is asserted on every run and surfaced as a warning when violated
+rather than assumed.  The criterion implies the disk-wide bound only inside
+the regime described by ``subordination_certified``; for B > 0 with support
+far beyond p the implication can fail off the real axis.  Real coefficients
+give the same values at z and at its conjugate, so only the closed upper half
+of the circle is sampled.  Ties between equal maxima resolve to the smallest
+angle, so reports are deterministic; refinement bisects in angle around the
+running maximum and can only raise the reported extremum.
 """
 
 from __future__ import annotations
@@ -42,8 +44,15 @@ from .series import CoefficientSeries
 _DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 
 
+def _require_count(name: str, value: object, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ParameterOutOfRangeError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SampleGrid:
+    """Only radii[-1] is sampled: the zero counts there prove the inner circles redundant."""
+
     radii: tuple[float, ...] = _DEFAULT_RADII
     angles_per_radius: int = 256
     refinement: int = 2
@@ -55,10 +64,8 @@ class SampleGrid:
             raise RadiusOutOfRangeError(f"grid radii must lie in (0, 1): {self.radii}")
         if list(self.radii) != sorted(set(self.radii)):
             raise ParameterOutOfRangeError("grid radii must be strictly increasing")
-        if self.angles_per_radius < 8:
-            raise ParameterOutOfRangeError("need at least 8 angles per radius")
-        if self.refinement < 0:
-            raise ParameterOutOfRangeError("refinement must be >= 0")
+        _require_count("angles per circle", self.angles_per_radius, 8)
+        _require_count("refinement", self.refinement, 0)
 
 
 @dataclass(frozen=True)
@@ -88,22 +95,38 @@ def _terms(f: CoefficientSeries) -> tuple[list[int], list[float]]:
     return [f.p] + ks, [1.0] + [-f.coeffs[k] for k in ks]
 
 
-def _half_circles(
-    exps: list[int], coefs: list[float], radii: tuple[float, ...], n: int
-) -> np.ndarray:
-    """h = sum c z^e and z h' at z = r exp(2 pi i j/n), j = 0..n//2, for every r in radii.
+def _half_circle(exps, coefs, r: float, n: int) -> np.ndarray:
+    """h = sum c z^e (e >= 0) and z h' at z = r exp(2 pi i j/n), j = 0..n//2; shape (2, n//2 + 1).
 
     On n equally spaced angles a power series is the n-point DFT of its
     coefficients times r^e, folded by e mod n, which is exact at any degree.
     The coefficients are real, so the other half circle holds the conjugates.
-    Shape (2, len(radii), n//2 + 1).
     """
+    _require_count("angles per circle", n, 8)
     e = np.asarray(exps, dtype=np.int64)
-    rows = np.asarray(coefs, dtype=float) * np.stack([np.ones_like(e), e])
-    scaled = rows[:, None, :] * np.power.outer(radii, e)
-    slots = (np.arange(2 * len(radii))[:, None] * n + e % n).ravel()
-    folded = np.bincount(slots, scaled.ravel(), minlength=2 * len(radii) * n)
-    return np.fft.rfft(folded.reshape(2, len(radii), n)).conj()
+    c, power, slot = np.asarray(coefs, dtype=float), r**e, e % n
+    rows = np.concatenate([c * power, c * e * power])
+    folded = np.bincount(np.concatenate([slot, slot + n]), rows, 2 * n)
+    return np.fft.rfft(folded.reshape(2, n)).conj()
+
+
+def _zero_count(h: np.ndarray, slack: float) -> int | None:
+    """Zeros in |z| < r of an analytic real-coefficient h from h_j = h(r e^(i theta_j)), j <= n//2.
+
+    theta_j = 2 pi j/n; slack bounds L pi/n plus the rounding of each h_j, with
+    L >= |dh/dtheta|.  Each point of the arc from theta_j to theta_(j+1) lies
+    within slack of h_j or h_(j+1); once min |h_j| > slack neither disk holds
+    0, each half arc turns by less than pi/2 about 0, and the principal angle
+    of h_(j+1)/h_j is the true turn.  Conjugate symmetry doubles the upper
+    half; for odd n the step across theta = pi is conj(h_m)/h_m (1 for even
+    n).  The total turn over 2 pi is the count (argument principle); None
+    when slack is not cleared.
+    """
+    if np.abs(h).min() <= slack:
+        return None
+    q, mid = h[1:] / h[:-1], complex(h[-1])
+    turn = 2.0 * np.arctan2(q.imag, q.real).sum() + cmath.phase(mid.conjugate() / mid)
+    return round(turn / (2.0 * math.pi))
 
 
 def _point(r: float, j: int, n: int) -> complex:
@@ -124,10 +147,6 @@ def _smoothed(f: CoefficientSeries, cp: ClassParams) -> CoefficientSeries:
                 f"smoothed coefficient at k = {k} (a_k = {f.coeffs[k]!r}) exceeds double range"
             )
     return g
-
-
-def _sub_target(cp: ClassParams) -> float:
-    return cp.B * cp.p + cp.scale
 
 
 def subordination_certified(f: CoefficientSeries, cp: ClassParams) -> bool:
@@ -158,7 +177,7 @@ def _subordination_ratio_at(
     if g == 0 or not cmath.isfinite(g):
         raise PoleOnGridError(f"smoothed image vanishes at z = {z}")
     w = zgp / g
-    den = cp.B * w - _sub_target(cp)
+    den = cp.B * w - (cp.B * cp.p + cp.scale)
     if den == 0:
         return math.inf
     return abs((w - cp.p) / den)
@@ -170,55 +189,55 @@ def subordination_margin(
     grid: SampleGrid = SampleGrid(),
     tolerance: float = 1e-9,
 ) -> OracleReport:
-    """Grid maximum of the subordination ratio; pass iff max < 1 - tolerance."""
+    """Maximum of the ratio on |z| = grid.radii[-1]; the disk maximum once H and D have no zeros.
+
+    Passes iff it is below 1 - tolerance and both zero counts are proved 0.
+    A proved zero of H raises; a zero of D (a pole of the ratio) or an
+    unproved count fails with a warning.
+    """
     exps, coefs = _terms(_smoothed(f, cp))
-    n = grid.angles_per_radius
-    gv, zgp = _half_circles(exps, coefs, grid.radii, n)
-    bad = (gv == 0) | ~np.isfinite(gv)
+    r, n = grid.radii[-1], grid.angles_per_radius
+    e = np.asarray(exps, dtype=np.int64) - cp.p
+    hv, zhp = _half_circle(e, coefs, r, n)
+    bad = (hv == 0) | ~np.isfinite(hv)
+    if bad.any():
+        z = _point(r, int(np.argmax(bad)), n)
+        raise PoleOnGridError(f"smoothed image vanishes on |z| = {r} at z = {z}")
+    den = cp.B * zhp - cp.scale * hv
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = zgp / gv
-        den = np.abs(cp.B * w - _sub_target(cp))
-        ratio = np.abs(w - cp.p) / den
-    ratio[den == 0.0] = np.inf
-    failed = np.flatnonzero((bad | np.isnan(ratio)).any(axis=1))
-    if failed.size:
-        i = int(failed[0])
-        r = grid.radii[i]
-        if bad[i].any():
-            z = _point(r, int(np.argmax(bad[i])), n)
-            raise PoleOnGridError(f"smoothed image vanishes on |z| = {r} at z = {z}")
+        ratio = np.abs(zhp) / np.abs(den)
+    if np.isnan(ratio).any():
         raise PoleOnGridError(f"indeterminate ratio on |z| = {r}")
-    # each radius's maximum, at its smallest angle; flagged when off the positive real axis
-    top, idx = ratio.max(axis=1), ratio.argmax(axis=1)
-    off_axis = (top > ratio[:, 0] + 1e-12 * np.maximum(1.0, top)) & (idx != 0)
-    warnings_found = tuple(
-        f"circle maximum off the positive real axis at r = {r} (angle index {j})"
-        for r, j, off in zip(grid.radii, idx.tolist(), off_axis)
-        if off
-    )
-    # the grid maximum at the smallest angle, then the smallest radius
-    best_angle_idx, i = divmod(int(np.argmax(ratio.T)), len(grid.radii))
-    best_val, best_radius = float(ratio[i, best_angle_idx]), grid.radii[i]
-    best_z = _point(best_radius, best_angle_idx, n)
+    # slacks: L pi/n with L = sum e |coefficient| r^e, plus generous DFT rounding
+    mh = np.abs(coefs) * r**e
+    tol = (len(e) + n) * 2.0**-49  # 8 ulp of 1 per term and angle
+    lh, sh, ld = float(e @ mh), float(mh.sum()), float(e @ (np.abs(cp.B * e - cp.scale) * mh))
+    zeros_h = _zero_count(hv, lh * math.pi / n + tol * (lh + sh))
+    zeros_d = _zero_count(den, ld * math.pi / n + tol * (ld + abs(cp.B) * lh + cp.scale * sh))
+    if zeros_h:
+        raise PoleOnGridError(f"smoothed image has {zeros_h} zero(s) inside |z| < {r}")
+    # the maximum at its smallest angle; flagged when off the positive real axis
+    j = int(np.argmax(ratio))
+    best_val, best_z = float(ratio[j]), _point(r, j, n)
+    notes = []
+    if j and best_val > ratio[0] + 1e-12 * max(1.0, best_val):
+        notes.append(f"circle maximum off the positive real axis at r = {r} (angle index {j})")
+    if zeros_h is None or zeros_d is None:
+        notes.append(f"zero counts inside |z| < {r} not proved; no disk bound")
+    elif zeros_d:
+        notes.append(f"ratio has {zeros_d} pole(s) inside |z| < {r}")
     # angle bisection around the running maximum, monotone by construction
     step = 2.0 * math.pi / n
-    theta = 2.0 * math.pi * best_angle_idx / n
+    theta = 2.0 * math.pi * j / n
     for _ in range(grid.refinement):
         step *= 0.5
         for cand in (theta - step, theta + step):
-            z = best_radius * complex(math.cos(cand), math.sin(cand))
+            z = r * complex(math.cos(cand), math.sin(cand))
             val = _subordination_ratio_at(z, exps, coefs, cp)
             if val > best_val:
                 best_val, best_z, theta = val, z, cand
-    return OracleReport(
-        check="subordination",
-        extremum=best_val,
-        threshold=1.0,
-        arg_z=best_z,
-        passed=best_val < 1.0 - tolerance,
-        tolerance=tolerance,
-        warnings=warnings_found,
-    )
+    passed = zeros_h == zeros_d == 0 and best_val < 1.0 - tolerance
+    return OracleReport("subordination", best_val, 1.0, best_z, passed, tolerance, tuple(notes))
 
 
 def _require_radius(r: float) -> None:
@@ -266,7 +285,7 @@ def _extremum_report(
     check: str, values: np.ndarray, r: float, n: int, threshold: float, tolerance: float,
     minimize: bool,
 ) -> OracleReport:
-    """Extremum over a half circle from :func:`_half_circles`, at its smallest angle."""
+    """Extremum over a half circle from :func:`_half_circle`, at its smallest angle."""
     idx = int(np.argmin(values) if minimize else np.argmax(values))
     ext = float(values[idx])
     passed = ext >= threshold - tolerance if minimize else ext <= threshold + tolerance
@@ -282,7 +301,7 @@ def starlike_min_re(
 ) -> OracleReport:
     """Minimum of Re(z f'/f) on |z| = r versus the order zeta."""
     _require_radius(r)
-    fv, zfp = _half_circles(*_terms(f), (r,), n_angles)[:, 0]
+    fv, zfp = _half_circle(*_terms(f), r, n_angles)
     if np.any(fv == 0):
         raise PoleOnGridError(f"f vanishes on |z| = {r}")
     vals = (zfp / fv).real
@@ -302,7 +321,7 @@ def convex_min_re(
     """
     _require_radius(r)
     exps, coefs = _terms(f)
-    zfp, zzfp = _half_circles(exps, [e * c for e, c in zip(exps, coefs)], (r,), n_angles)[:, 0]
+    zfp, zzfp = _half_circle(exps, [e * c for e, c in zip(exps, coefs)], r, n_angles)
     if np.any(zfp == 0):
         raise PoleOnGridError(f"f' vanishes on |z| = {r}")
     vals = (zzfp / zfp).real
@@ -323,8 +342,7 @@ def ctc_max_dev(
     _require_radius(r)
     p = f.p
     ks = sorted(f.coeffs)
-    poly = _half_circles([k - p for k in ks], [-k * f.coeffs[k] for k in ks], (r,), n_angles)
-    dev = np.abs(poly[0, 0])
+    dev = np.abs(_half_circle([k - p for k in ks], [-k * f.coeffs[k] for k in ks], r, n_angles)[0])
     return _extremum_report(
         "close-to-convex", dev, r, n_angles, p - float(zeta), tolerance, minimize=False
     )

@@ -160,6 +160,15 @@ def test_oracle_failure_still_exits_zero(tmp_path, capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("check", ["subordination", "starlike", "convex", "ctc"])
+def test_oracle_too_few_angles_exits_one(tmp_path, capsys, check):
+    path = tmp_path / "f.json"
+    path.write_text('{"p": 1, "coeffs": [[2, 0.1]]}')
+    code, out, err = run(capsys, ["oracle", str(path), "--check", check, "--angles", "0", *CANON])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParameterOutOfRangeError"
+
+
 def test_domain_error_exits_one(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text('{"p": 1, "coeffs": [[2, -0.5]]}')

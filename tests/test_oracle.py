@@ -4,6 +4,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from pvalent import (
@@ -301,3 +302,116 @@ def test_long_member_matches_mpmath_at_reported_point(mpref):
     with mpmath.workdps(50):
         b = {k: mpmath.exp(mpref.log_weight(k, 1, 0.0, 1.0)) * a for k, a in f.coeffs.items()}
         assert rep.extremum == pytest.approx(float(_mp_ratio(rep.arg_z, b, CANONICAL)), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SampleGrid(angles_per_radius=7),
+        lambda: SampleGrid(angles_per_radius=8.5),
+        lambda: SampleGrid(angles_per_radius=True),
+        lambda: SampleGrid(refinement=1.5),
+        lambda: SampleGrid(refinement=-1),
+        lambda: SampleGrid(refinement=False),
+        lambda: starlike_min_re(make_series(1, [(2, 0.1)]), 0.0, 0.5, n_angles=0),
+        lambda: convex_min_re(make_series(1, [(2, 0.1)]), 0.0, 0.5, n_angles=7),
+        lambda: ctc_max_dev(make_series(1, [(2, 0.1)]), 0.0, 0.5, n_angles=16.0),
+    ],
+)
+def test_angle_and_refinement_counts_refused(call):
+    """Every circle takes an integer of at least 8 angles, and refinement an integer >= 0."""
+    with pytest.raises(ParameterOutOfRangeError, match="must be an integer"):
+        call()
+
+
+def _inside(coefs, r):
+    """Zeros of sum coefs[e] z^e in |z| < r, from numpy.roots."""
+    return int((np.abs(np.roots(coefs[::-1])) < r).sum())
+
+
+def test_zero_counts_match_numpy_roots():
+    """H = g/z^p and D = B zH' - (A-B)(p-alpha) H: proved counts against numpy.roots.
+
+    A zero of H raises and names its count; zeros of D are the poles the
+    report names; no count warning means both counts are 0.
+    """
+    rng = np.random.default_rng(3)
+    seen = {"H": 0, "D": 0, "none": 0}
+    for i in range(600):
+        cp = random_params(rng)
+        f = random_member(cp, rng, target_sum=float(rng.uniform(0.0, 8.0)))
+        n, r = (8, 9, 64, 129, 256, 257)[i % 6], 0.99
+        b = apply_rafid(f, cp.rafid).coeffs
+        h = np.zeros(max(b) - cp.p + 1)
+        h[0] = 1.0
+        for k, bk in b.items():
+            h[k - cp.p] -= bk
+        d = (cp.B * np.arange(h.size) - cp.scale) * h
+        try:
+            rep = subordination_margin(f, cp, SampleGrid(radii=(r,), angles_per_radius=n))
+        except PoleOnGridError as exc:
+            assert str(exc) == f"smoothed image has {_inside(h, r)} zero(s) inside |z| < {r}"
+            seen["H"] += 1
+            continue
+        if any("not proved" in w for w in rep.warnings):
+            continue
+        assert _inside(h, r) == 0
+        poles = [w for w in rep.warnings if "pole" in w]
+        assert poles == ([f"ratio has {_inside(d, r)} pole(s) inside |z| < {r}"] if _inside(d, r) else [])
+        assert rep.passed is (not poles and rep.extremum < 1.0 - rep.tolerance)
+        seen["D" if poles else "none"] += 1
+    assert seen["H"] >= 30 and seen["D"] >= 30 and seen["none"] >= 100
+
+
+def test_aliased_zeros_are_not_certified():
+    """g = z - 2 z^9 takes one value on all 8 angles of |z| = 0.95, yet has 8 zeros at |z| = 2^(-1/8)."""
+    f = make_series(1, [(9, 2.0 / 362880.0)])  # w_9 = 9! at the canonical parameters
+    rep = subordination_margin(f, CANONICAL, SampleGrid(radii=(0.95,), angles_per_radius=8))
+    # the 8 samples alone would pass: the ratio is about 0.94 at each of them
+    assert rep.extremum < 1.0 and not rep.passed
+    assert rep.warnings == ("zero counts inside |z| < 0.95 not proved; no disk bound",)
+    with pytest.raises(PoleOnGridError, match=r"has 8 zero\(s\) inside \|z\| < 0.95"):
+        subordination_margin(f, CANONICAL, SampleGrid(radii=(0.95,)))
+
+
+def test_outer_circle_bounds_every_inner_circle(rng):
+    """On certified members the counts are proved 0, so no default radius beats the outer one."""
+    checked = 0
+    while checked < 30:
+        cp = random_params(rng)
+        f = random_member(cp, rng, target_sum=float(rng.choice([0.5, 0.999, 1.0])))
+        if not subordination_certified(f, cp):
+            continue
+        rep = subordination_margin(f, cp, SampleGrid(refinement=0))
+        assert rep.passed is (rep.extremum < 1.0 - rep.tolerance)
+        assert not any("pole" in w or "not proved" in w for w in rep.warnings)
+        inner = [subordination_margin(f, cp, SampleGrid(radii=(r,), refinement=0)) for r in SampleGrid().radii]
+        assert rep.extremum == max(c.extremum for c in inner)
+        checked += 1
+
+
+def test_uncertified_witness_reports_poles():
+    """Draw 474 of seed 8 (criterion sum 0.50, B ~ 0.8): D has 2 zeros inside |z| < 0.99.
+
+    Ten circles found a larger ratio, 9.36, at r = 0.9 near those poles; the
+    one circle reports its own maximum and names the poles instead.
+    """
+    cp = ClassParams(
+        p=2, alpha=0.7407461424369489, A=0.9656433018174384, B=0.7964919601130993,
+        mu=0.45315014421690136, delta=0.3128383369780001,
+    )
+    f = make_series(2, [(6, 0.002440069495678992), (7, 0.0010146684014693684)])
+    assert check_r_membership(f, cp).member and not subordination_certified(f, cp)
+    rep = subordination_margin(f, cp)
+    assert not rep.passed
+    assert "ratio has 2 pole(s) inside |z| < 0.99" in rep.warnings
+    assert abs(rep.arg_z) == pytest.approx(0.99, rel=1e-15)
+    b = apply_rafid(f, cp.rafid).coeffs
+    assert rep.extremum == pytest.approx(float(_mp_ratio(rep.arg_z, b, cp)), rel=1e-12)
+
+
+def test_zero_off_every_grid_circle_raises():
+    """g = z - 1.8 z^2 vanishes at 5/9, between the default circles 0.5 and 0.6."""
+    f = make_series(1, [(2, 0.9)])
+    with pytest.raises(PoleOnGridError, match=r"has 1 zero\(s\) inside \|z\| < 0.99"):
+        subordination_margin(f, CANONICAL)
