@@ -6,7 +6,9 @@ sampling oracles and the acceptance selftest.  Reports are JSON on stdout;
 curves are CSV (headers exactly ``r,lower,upper`` and
 ``r,lower,upper,printed_lower,printed_upper``).  Exit status: 0 on success,
 1 on domain errors (machine-readable JSON on stderr), 2 on I/O or flag
-errors.  Class parameters have no defaults except p=1, mu=0, delta=1.
+errors.  Class parameters have no defaults except p=1, mu=0, delta=1.  Each
+subcommand imports the modules it needs when it runs, so a cold call loads
+only those.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .calculus_bounds import composition_bound
 from .classes import (
     ClassParams,
     check_p_membership,
@@ -27,8 +28,6 @@ from .classes import (
     extremal_r,
 )
 from .errors import DomainError, ParameterOutOfRangeError, SeriesFormatError
-from .geometry import distortion_curve, radius_close_to_convex, radius_convex, radius_starlike
-from .hadamard import mixed_order_xi
 from .series import CoefficientSeries, from_json, hadamard_product, to_json
 
 
@@ -72,6 +71,8 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
+    from .geometry import radius_close_to_convex, radius_convex, radius_starlike
+
     cp = _class_params(args)
     fn = {
         "starlike": radius_starlike,
@@ -83,6 +84,8 @@ def _cmd_radius(args: argparse.Namespace) -> int:
 
 
 def _cmd_distortion(args: argparse.Namespace) -> int:
+    from .geometry import distortion_curve
+
     cp = _class_params(args)
     curve = distortion_curve(cp, args.m, _radii(args))
     print("r,lower,upper")
@@ -92,6 +95,8 @@ def _cmd_distortion(args: argparse.Namespace) -> int:
 
 
 def _cmd_hadamard(args: argparse.Namespace) -> int:
+    from .hadamard import mixed_order_xi
+
     cp = _class_params(args)
     beta = cp.alpha if args.beta is None else args.beta
     rep = mixed_order_xi(cp, beta, k_max=args.kmax)
@@ -116,6 +121,8 @@ def _cmd_hadamard(args: argparse.Namespace) -> int:
 
 
 def _cmd_fracbound(args: argparse.Namespace) -> int:
+    from .calculus_bounds import composition_bound
+
     cp = _class_params(args)
     rows = [
         composition_bound(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
@@ -59,17 +60,19 @@ class RafidParams:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Size n of the generalized Gauss-Laguerre rule in :func:`rafid_quadrature`.
+    """Largest size n of the generalized Gauss-Laguerre rule in :func:`rafid_quadrature`.
 
-    The rule is exact for polynomials of degree below 2n; its nodes and
-    weights need numpy alone.  A weight below about 1e-308 comes back as 0.0.
+    Each call uses the fewest nodes, at least 8 and at most n, that integrate
+    its series exactly; an n-point rule is exact for polynomials of degree
+    below 2n.  Nodes and weights need numpy alone.  A weight below about
+    1e-308 comes back as 0.0.
     """
 
     nodes: int = 64
 
     def __post_init__(self) -> None:
-        if self.nodes < 8:
-            raise ParameterOutOfRangeError(f"need at least 8 nodes, got {self.nodes}")
+        if isinstance(self.nodes, bool) or not isinstance(self.nodes, Integral) or self.nodes < 8:
+            raise ParameterOutOfRangeError(f"nodes must be an integer >= 8, got {self.nodes!r}")
 
 
 def gamma_ratio(x: float, y: float) -> float:
@@ -212,14 +215,16 @@ def rafid_quadrature(
 
         (1-mu)^(-p) / Gamma(p+delta) * int_0^inf u^(delta-1) e^-u f(z (1-mu) u) du,
 
-    which an n-node rule with weight u^(delta-1) e^-u integrates exactly for
-    polynomial f of degree < 2n.  The rule comes from :func:`_laguerre_rule`,
-    independently of the closed-form multipliers.  delta = 0 has no
-    integrable weight; the closed-form multiplier path answers instead unless
-    the caller insists.
+    which an n-node rule with weight u^(delta-1) e^-u integrates exactly when
+    f has degree D < 2n.  D is the highest index with a nonzero coefficient
+    (p if there is none), and n is the smallest size with D < 2n, kept within
+    8 and ``q.nodes``.  Only f's support sets n, and the rule comes from
+    :func:`_laguerre_rule`, so the check stays independent of the closed-form
+    multipliers.  delta = 0 has no integrable weight; the closed-form
+    multiplier path answers instead unless the caller insists.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not (abs(z) < 1.0):
         raise DivergentInputError(f"|z| must be < 1 for the transform, got {abs(z)}")
     if rp.delta == 0.0:
         if require_quadrature:
@@ -229,10 +234,11 @@ def rafid_quadrature(
         return evaluate(apply_rafid(f, rp), z)
     import numpy as np
 
-    u, w = _laguerre_rule(q.nodes, rp.delta - 1.0)
+    degree = max((k for k, a in f.coeffs.items() if a != 0.0), default=f.p)
+    u, w = _laguerre_rule(min(q.nodes, max(8, degree // 2 + 1)), rp.delta - 1.0)
     pts = z * (1.0 - rp.mu) * u
     vals = np.zeros_like(pts)
-    for k in range(f.truncation_degree, f.p, -1):
+    for k in range(degree, f.p, -1):
         vals *= pts
         vals -= f.coeffs.get(k, 0.0)
     vals = pts**f.p * (1.0 + vals * pts)
@@ -248,6 +254,8 @@ def bernardi(f: CoefficientSeries | FractionalSeries, c: float) -> CoefficientSe
     exponent has to stay positive.
     """
     c = float(c)
+    if not math.isfinite(c):
+        raise ParameterOutOfRangeError(f"c must be finite, got {c}")
     if isinstance(f, CoefficientSeries):
         if c <= -f.p:
             raise ParameterOutOfRangeError(f"need c > -p, got c = {c}, p = {f.p}")

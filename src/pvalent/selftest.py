@@ -174,7 +174,7 @@ def check_quadrature_closed_form(seed: int = 0, nodes: int = 64) -> CheckResult:
     return _finish(
         "quadrature-closed-form",
         failures,
-        f"100 draws, worst relative error {worst:.2e} at {nodes} nodes",
+        f"100 draws, worst relative error {worst:.2e} at most {nodes} nodes",
         t0,
     )
 

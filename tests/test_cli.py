@@ -298,3 +298,25 @@ def test_non_sampling_subcommands_run_without_numpy():
     names, passed, star = json.loads(rest)
     assert set(names) == PUBLIC_NAMES
     assert passed and star
+
+
+SUBCOMMAND_FOOTPRINT = """
+import contextlib, io, json, sys
+import pvalent.cli
+sys.stdin = io.StringIO('{"p": 1, "coeffs": [[2, 0.25]]}')
+with contextlib.redirect_stdout(io.StringIO()):
+    assert pvalent.cli.main(sys.argv[1:] + ["--alpha", "0", "--A", "1", "--B", "-1"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("pvalent."))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", [["check", "-", "--class", "r"], ["extremal", "--k", "3", "--class", "p"]]
+)
+def test_check_and_extremal_load_only_their_modules(argv):
+    proc = _child("-c", SUBCOMMAND_FOOTPRINT, *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == [
+        "pvalent.classes", "pvalent.cli", "pvalent.errors", "pvalent.operators", "pvalent.series"
+    ]

@@ -30,6 +30,7 @@ from pvalent.errors import (
     ParameterOutOfRangeError,
     QuadratureUnavailableError,
 )
+from pvalent import operators
 from pvalent.operators import _laguerre_rule, rafid_multiplier, rafid_multipliers, rafid_weight
 
 
@@ -220,6 +221,85 @@ def test_quadrature_config_validation():
         QuadratureConfig(nodes=4)
 
 
+@pytest.mark.parametrize("nodes", [8.5, 64.0, True, "64", None])
+def test_quadrature_config_refuses_non_integer_sizes(nodes):
+    with pytest.raises(ParameterOutOfRangeError):
+        QuadratureConfig(nodes=nodes)
+
+
+def test_quadrature_config_takes_numpy_integers():
+    f = make_series(1, [(2, 0.25)])
+    rp = RafidParams(0.3, 0.7)
+    got = rafid_quadrature(f, rp, 0.4, QuadratureConfig(nodes=np.int64(16)))
+    assert got == pytest.approx(evaluate(apply_rafid(f, rp), 0.4), rel=1e-13)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex(0.5, math.nan), complex(math.inf, 0.0)])
+@pytest.mark.parametrize("delta", [0.7, 0.0])
+def test_quadrature_refuses_non_finite_points(z, delta):
+    f = make_series(1, [(2, 0.25)])
+    with pytest.raises(DivergentInputError):
+        rafid_quadrature(f, RafidParams(0.3, delta), z)
+
+
+@pytest.mark.parametrize(
+    "p, coeffs, nodes, size",
+    [
+        (1, [], 64, 8),  # a bare monomial: D = p
+        (1, [(2, 0.25)], 64, 8),
+        (1, [(15, 0.01)], 64, 8),
+        (1, [(16, 0.01)], 64, 9),
+        (1, [(2, 0.25), (41, 1e-40)], 64, 21),
+        (1, [(2, 0.25), (300, 0.0)], 64, 8),  # an explicit zero does not raise the degree
+        (1, [(2, 0.25), (126, 1e-200)], 64, 64),
+        (1, [(2, 0.25), (127, 1e-200)], 64, 64),  # D >= 127: the cap binds
+        (1, [(2, 0.25), (200, 1e-300)], 64, 64),
+        (1, [(2, 0.25), (200, 1e-300)], 128, 101),
+        (1, [(30, 0.01)], 8, 8),
+        (15, [], 64, 8),
+        (16, [], 64, 9),
+        (40, [], 64, 21),
+    ],
+)
+def test_quadrature_rule_is_sized_to_the_degree(monkeypatch, p, coeffs, nodes, size):
+    """n = min(nodes, max(8, D//2 + 1)) for D the highest index with a nonzero coefficient, else p."""
+    sizes = []
+
+    def spy(n, a):
+        sizes.append(n)
+        return _laguerre_rule(n, a)
+
+    monkeypatch.setattr(operators, "_laguerre_rule", spy)
+    rafid_quadrature(make_series(p, coeffs), RafidParams(0.3, 0.7), 0.4, QuadratureConfig(nodes))
+    assert sizes == [size]
+
+
+def test_quadrature_matches_mpmath_up_to_degree_p_plus_60():
+    """Seeded members up to degree p+60 agree with a 40-digit closed form to 1e-13 relative.
+
+    Image coefficients a_k w_k share a budget below one, so |value| >= (1 - budget) |z|^p
+    and the relative error is well conditioned.
+    """
+    rng = np.random.default_rng(60)
+    for _ in range(100):
+        p = int(rng.integers(1, 5))
+        rp = RafidParams(float(rng.uniform(0.0, 0.9)), float(rng.uniform(0.1, 1.0)))
+        ks = sorted(int(k) for k in p + 1 + rng.choice(60, size=int(rng.integers(1, 7)), replace=False))
+        shares = rng.dirichlet(np.ones(len(ks))) * rng.uniform(0.0, 0.999)
+        z = complex(rng.uniform(0.1, 0.9) * np.exp(1j * rng.uniform(0.0, 2 * math.pi)))
+        with mpmath.workdps(40):
+            mu, delta = mpmath.mpf(rp.mu), mpmath.mpf(rp.delta)
+            w = {
+                k: (1 - mu) ** (k - p) * mpmath.gamma(k + delta) / mpmath.gamma(p + delta)
+                for k in ks
+            }
+            f = make_series(p, [(k, float(share / w[k])) for k, share in zip(ks, shares)])
+            zz = mpmath.mpc(z)
+            exact = zz**p - mpmath.fsum(mpmath.mpf(f.coeffs[k]) * w[k] * zz**k for k in ks)
+            got = rafid_quadrature(f, rp, z)
+            assert abs(mpmath.mpc(got) - exact) <= 1e-13 * abs(exact)
+
+
 def test_bernardi_coefficient_map():
     f = make_series(1, [(2, 0.25)])
     b = bernardi(f, 1.0)
@@ -238,6 +318,14 @@ def test_bernardi_on_fractional_series():
     assert b.terms[2] == pytest.approx(fi.terms[2] * 2.0 / 3.5, rel=1e-15)
     with pytest.raises(ParameterOutOfRangeError):
         bernardi(fi, -1.5)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_bernardi_refuses_non_finite_c(c):
+    f = make_series(1, [(2, 0.25)])
+    for g in (f, fractional_integral(f, 0.5)):
+        with pytest.raises(ParameterOutOfRangeError):
+            bernardi(g, c)
 
 
 def test_fractional_integral_frozen_example():
