@@ -219,6 +219,14 @@ def _log_terms(cp: ClassParams, k_max: int) -> tuple[range, list[float]]:
     return ks, [log((slope * (k - p) + s) * m / s) + e * _LN2 for k, (m, e) in weights]
 
 
+def _require_zeta(zeta: float, p: int) -> float:
+    """zeta as a float; an order of starlikeness, convexity or close-to-convexity lies in [0, p)."""
+    zeta = float(zeta)
+    if not (0.0 <= zeta < p):
+        raise ParameterOutOfRangeError(f"zeta must lie in [0, p), got {zeta}")
+    return zeta
+
+
 def _nondecreasing(values: Sequence[float], rel: float = 0.0, tol: float = 0.0) -> bool:
     """Whether a - tol <= b (1 + rel) for each neighbouring pair; a nan fails."""
     return all(a - tol <= b * (1.0 + rel) for a, b in zip(values, values[1:]))

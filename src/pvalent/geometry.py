@@ -28,12 +28,15 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from .classes import ClassParams, _log_terms, _nondecreasing, budget_certified, coeff_bound_r
-from .errors import (
-    ParameterOutOfRangeError,
-    RadiusOutOfRangeError,
-    UncertifiedBoundWarning,
+from .classes import (
+    ClassParams,
+    _log_terms,
+    _nondecreasing,
+    _require_zeta,
+    budget_certified,
+    coeff_bound_r,
 )
+from .errors import RadiusOutOfRangeError, UncertifiedBoundWarning
 
 
 @dataclass(frozen=True)
@@ -89,9 +92,7 @@ def distortion_curve(cp: ClassParams, m: int, radii: Iterable[float]) -> BoundCu
 
 
 def _radius_report(cp: ClassParams, zeta: float, k_max: int, kind: str) -> RadiusReport:
-    zeta = float(zeta)
-    if not (0.0 <= zeta < cp.p):
-        raise ParameterOutOfRangeError(f"zeta must lie in [0, p), got {zeta}")
+    zeta = _require_zeta(zeta, cp.p)
     ks, log_terms = _log_terms(cp, k_max)
     p, log, exp = cp.p, math.log, math.exp
     # r_k = exp((log term(k) + log factor(k)) / (k-p)), the factor summed left to right

@@ -9,9 +9,12 @@ The subordination test for the R family bounds, with g the smoothed image of f,
     | (z g'/g - p) / (B z g'/g - [Bp + (A-B)(p-alpha)]) |  <  1
 
 on one circle |z| = r.  The ratio is |zH'|/|D| with H = g/z^p and
-D = B zH' - (A-B)(p-alpha) H; once the argument principle, counted on the
-same samples, proves that neither H nor D vanishes in |z| < r, the ratio is
-analytic there and its circle maximum is its disk maximum (maximum modulus).
+D = B zH' - (A-B)(p-alpha) H.  Neither vanishes in |z| <= r when its constant
+term outweighs the sum of its other |coefficient| r^e (the easy case of
+Rouche's theorem, read off the coefficients); for a polynomial that is not so
+dominated the argument principle, counted on the same samples, decides.  Once
+both zero counts are proved 0 the ratio is analytic in the disk and its circle
+maximum is its disk maximum (maximum modulus).
 For negative-coefficient members that maximum sits on the positive real
 axis, which is asserted on every run and surfaced as a warning when violated
 rather than assumed.  The criterion implies the disk-wide bound only inside
@@ -28,10 +31,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .classes import ClassParams
+from .classes import ClassParams, _require_zeta
 from .errors import (
     DivergentInputError,
     ParameterOutOfRangeError,
@@ -47,6 +51,11 @@ _DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 def _require_count(name: str, value: object, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ParameterOutOfRangeError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_tolerance(tolerance: object) -> None:
+    if isinstance(tolerance, bool) or not isinstance(tolerance, Real) or not 0.0 <= tolerance < math.inf:
+        raise ParameterOutOfRangeError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -192,9 +201,13 @@ def subordination_margin(
     """Maximum of the ratio on |z| = grid.radii[-1]; the disk maximum once H and D have no zeros.
 
     Passes iff it is below 1 - tolerance and both zero counts are proved 0.
+    A count is proved 0 from the coefficients when the constant term
+    dominates the rest on the circle, which holds for every certified member
+    and on any number of angles; otherwise it is counted from the samples.
     A proved zero of H raises; a zero of D (a pole of the ratio) or an
-    unproved count fails with a warning.
+    unproved count fails with a warning.  tolerance must be finite and >= 0.
     """
+    _require_tolerance(tolerance)
     exps, coefs = _terms(_smoothed(f, cp))
     r, n = grid.radii[-1], grid.angles_per_radius
     e = np.asarray(exps, dtype=np.int64) - cp.p
@@ -208,12 +221,31 @@ def subordination_margin(
         ratio = np.abs(zhp) / np.abs(den)
     if np.isnan(ratio).any():
         raise PoleOnGridError(f"indeterminate ratio on |z| = {r}")
-    # slacks: L pi/n with L = sum e |coefficient| r^e, plus generous DFT rounding
-    mh = np.abs(coefs) * r**e
-    tol = (len(e) + n) * 2.0**-49  # 8 ulp of 1 per term and angle
-    lh, sh, ld = float(e @ mh), float(mh.sum()), float(e @ (np.abs(cp.B * e - cp.scale) * mh))
-    zeros_h = _zero_count(hv, lh * math.pi / n + tol * (lh + sh))
-    zeros_d = _zero_count(den, ld * math.pi / n + tol * (ld + abs(cp.B) * lh + cp.scale * sh))
+    # Rouche, easy case: a constant term that outweighs its tail on |z| = r leaves no zero
+    # in |z| <= r, so the count is proved 0.  H has constant 1 and D has -scale; th and td
+    # are the float tails sum |c_e| r^e and sum |c_e| |B e - scale| r^e over e > 0.  With
+    # every r^e normal (else no proof), 4 ulp for r^e and 1 per product and addition keep
+    # each tail within eps = (m + 8) 2^-52 relative of its exact value over m terms; B e -
+    # scale adds at most 2^-53 (|B| e + scale) |c_e| r^e, th (big + 1) 2^-52 in all; and a
+    # product that underflows is off by at most 2^-1074 (1 + big), tiny over all m terms.
+    pw = r**e
+    mh = np.abs(coefs) * pw
+    md = np.abs(cp.B * e - cp.scale) * mh
+    m, big = len(e), abs(cp.B) * int(e[-1]) + cp.scale
+    eps, tiny = (m + 8) * 2.0**-52, m * (1.0 + big) * 2.0**-1074
+    th, td = float(mh[1:].sum()), float(md[1:].sum())
+    normal = pw[-1] >= 2.0**-1022
+    zeros_h = 0 if normal and th * (1.0 + eps) + tiny < 1.0 else None
+    td_bound = td * (1.0 + eps) + th * (big + 1.0) * 2.0**-52 + tiny
+    zeros_d = 0 if normal and td_bound < cp.scale else None
+    if zeros_h is None or zeros_d is None:
+        # slacks: L pi/n with L = sum e |coefficient| r^e, plus generous DFT rounding
+        tol = (m + n) * 2.0**-49  # 8 ulp of 1 per term and angle
+        lh, sh, ld = float(e @ mh), float(mh.sum()), float(e @ md)
+        if zeros_h is None:
+            zeros_h = _zero_count(hv, lh * math.pi / n + tol * (lh + sh))
+        if zeros_d is None:
+            zeros_d = _zero_count(den, ld * math.pi / n + tol * (ld + abs(cp.B) * lh + cp.scale * sh))
     if zeros_h:
         raise PoleOnGridError(f"smoothed image has {zeros_h} zero(s) inside |z| < {r}")
     # the maximum at its smallest angle; flagged when off the positive real axis
@@ -300,12 +332,14 @@ def starlike_min_re(
     tolerance: float = 1e-9,
 ) -> OracleReport:
     """Minimum of Re(z f'/f) on |z| = r versus the order zeta."""
+    _require_tolerance(tolerance)
+    zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
     fv, zfp = _half_circle(*_terms(f), r, n_angles)
     if np.any(fv == 0):
         raise PoleOnGridError(f"f vanishes on |z| = {r}")
     vals = (zfp / fv).real
-    return _extremum_report("starlike", vals, r, n_angles, float(zeta), tolerance, minimize=True)
+    return _extremum_report("starlike", vals, r, n_angles, zeta, tolerance, minimize=True)
 
 
 def convex_min_re(
@@ -319,13 +353,15 @@ def convex_min_re(
 
     1 + z f''/f' is z h'/h for h = z f', whose coefficient at z^e is e times f's.
     """
+    _require_tolerance(tolerance)
+    zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
     exps, coefs = _terms(f)
     zfp, zzfp = _half_circle(exps, [e * c for e, c in zip(exps, coefs)], r, n_angles)
     if np.any(zfp == 0):
         raise PoleOnGridError(f"f' vanishes on |z| = {r}")
     vals = (zzfp / zfp).real
-    return _extremum_report("convex", vals, r, n_angles, float(zeta), tolerance, minimize=True)
+    return _extremum_report("convex", vals, r, n_angles, zeta, tolerance, minimize=True)
 
 
 def ctc_max_dev(
@@ -339,10 +375,12 @@ def ctc_max_dev(
 
     f'/z^(p-1) - p is the polynomial -sum k a_k z^(k-p), so no poles exist.
     """
+    _require_tolerance(tolerance)
+    zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
     p = f.p
     ks = sorted(f.coeffs)
     dev = np.abs(_half_circle([k - p for k in ks], [-k * f.coeffs[k] for k in ks], r, n_angles)[0])
     return _extremum_report(
-        "close-to-convex", dev, r, n_angles, p - float(zeta), tolerance, minimize=False
+        "close-to-convex", dev, r, n_angles, p - zeta, tolerance, minimize=False
     )

@@ -169,6 +169,17 @@ def test_oracle_too_few_angles_exits_one(tmp_path, capsys, check):
     assert json.loads(err)["error"] == "ParameterOutOfRangeError"
 
 
+@pytest.mark.parametrize("check", ["starlike", "convex", "ctc"])
+def test_oracle_order_outside_zero_to_p_exits_one(tmp_path, capsys, check):
+    # zeta = 5 at p = 1 once printed a threshold of -4.0 and exited 0
+    path = tmp_path / "f.json"
+    path.write_text('{"p": 1, "coeffs": [[2, 0.26]]}')
+    argv = ["oracle", str(path), "--check", check, "--zeta", "5", "--r", "0.5", *CANON]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterOutOfRangeError", "message": "zeta must lie in [0, p), got 5.0"}
+
+
 def test_domain_error_exits_one(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text('{"p": 1, "coeffs": [[2, -0.5]]}')

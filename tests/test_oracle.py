@@ -329,17 +329,35 @@ def _inside(coefs, r):
     return int((np.abs(np.roots(coefs[::-1])) < r).sum())
 
 
+def _near_threshold_draws(rng, count, r):
+    """Members rescaled so that the tail of H (even i) or of D (odd i) on |z| = r is its
+    constant term times 1 +- delta, delta log-uniform in [1e-12, 1e-6]."""
+    for i in range(count):
+        cp = random_params(rng)
+        f = random_member(cp, rng, target_sum=0.5)
+        b = apply_rafid(f, cp.rafid).coeffs
+        factor = {k: 1.0 if i % 2 == 0 else abs(cp.B * (k - cp.p) - cp.scale) / cp.scale for k in b}
+        tail = math.fsum(factor[k] * bk * r ** (k - cp.p) for k, bk in b.items())
+        target = 1.0 + (-1.0) ** (i // 2) * 10.0 ** rng.uniform(-12.0, -6.0)
+        yield cp, make_series(cp.p, [(k, a * target / tail) for k, a in f.coeffs.items()])
+
+
 def test_zero_counts_match_numpy_roots():
     """H = g/z^p and D = B zH' - (A-B)(p-alpha) H: proved counts against numpy.roots.
 
     A zero of H raises and names its count; zeros of D are the poles the
-    report names; no count warning means both counts are 0.
+    report names; no count warning means both counts are 0.  The near-threshold
+    draws put a tail within 1e-12 to 1e-6 of its constant term, on either side,
+    where only the rounding margin of the dominance test separates the cases.
     """
     rng = np.random.default_rng(3)
-    seen = {"H": 0, "D": 0, "none": 0}
+    draws = []
     for i in range(600):
         cp = random_params(rng)
-        f = random_member(cp, rng, target_sum=float(rng.uniform(0.0, 8.0)))
+        draws.append((cp, random_member(cp, rng, target_sum=float(rng.uniform(0.0, 8.0)))))
+    draws += _near_threshold_draws(np.random.default_rng(4), 120, 0.99)
+    seen = {"H": 0, "D": 0, "none": 0}
+    for i, (cp, f) in enumerate(draws):
         n, r = (8, 9, 64, 129, 256, 257)[i % 6], 0.99
         b = apply_rafid(f, cp.rafid).coeffs
         h = np.zeros(max(b) - cp.p + 1)
@@ -415,3 +433,66 @@ def test_zero_off_every_grid_circle_raises():
     f = make_series(1, [(2, 0.9)])
     with pytest.raises(PoleOnGridError, match=r"has 1 zero\(s\) inside \|z\| < 0.99"):
         subordination_margin(f, CANONICAL)
+
+
+def test_dominated_counts_need_no_argument_principle(monkeypatch, rng):
+    """On a certified member the tails of H and D stay below their constant terms, so the
+    coefficients alone prove both counts 0, on any number of angles."""
+    import pvalent.oracle as oracle
+
+    def refuse(h, slack):
+        raise AssertionError("argument-principle count on a dominated polynomial")
+
+    monkeypatch.setattr(oracle, "_zero_count", refuse)
+    checked = 0
+    while checked < 30:
+        cp = random_params(rng)
+        f = random_member(cp, rng, target_sum=float(rng.choice([0.5, 0.999, 1.0])))
+        if not subordination_certified(f, cp):
+            continue
+        for grid in (SampleGrid(), SampleGrid(radii=(0.95,), angles_per_radius=8)):
+            rep = subordination_margin(f, cp, grid)
+            assert rep.passed is (rep.extremum < 1.0 - rep.tolerance)
+            assert not any("pole" in w or "not proved" in w for w in rep.warnings)
+        checked += 1
+
+
+def test_dominated_member_passes_on_eight_angles():
+    """g = z - 0.11 z^9 (criterion sum 0.99) on 8 angles: L pi/n alone leaves D's count
+    unproved, since the slack 3.2 exceeds min |D| = 0.98, but D's tail 10 (0.11) 0.99^8 is
+    below its constant term 2."""
+    f = make_series(1, [(9, 0.11 / 362880.0)])  # w_9 = 9! at the canonical parameters
+    assert check_r_membership(f, CANONICAL).sum == pytest.approx(0.99, rel=1e-15)
+    rep = subordination_margin(f, CANONICAL, SampleGrid(angles_per_radius=8))
+    assert rep.passed and rep.warnings == ()
+    # z^8 takes one value on all 8 angles, so every sample holds the real-axis ratio
+    b = 0.11 * 0.99**8
+    assert rep.extremum == pytest.approx(8 * b / (2.0 - 10 * b), rel=1e-12)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf, -math.inf, True, "1e-9", None])
+def test_tolerance_outside_its_domain_refused(tolerance):
+    """z - 0.26 z^2 has criterion sum 1.04 and ratio 1.13; tolerance -1 once passed it."""
+    f = make_series(1, [(2, 0.26)])
+    for call in (
+        lambda: subordination_margin(f, CANONICAL, tolerance=tolerance),
+        lambda: starlike_min_re(f, 0.0, 0.5, tolerance=tolerance),
+        lambda: convex_min_re(f, 0.0, 0.5, tolerance=tolerance),
+        lambda: ctc_max_dev(f, 0.0, 0.5, tolerance=tolerance),
+    ):
+        with pytest.raises(ParameterOutOfRangeError, match="tolerance must be a finite number >= 0"):
+            call()
+
+
+@pytest.mark.parametrize("check", [starlike_min_re, convex_min_re, ctc_max_dev])
+@pytest.mark.parametrize("zeta", [-0.1, 2.0, 5.0, math.nan, math.inf])
+def test_circle_order_outside_zero_to_p_refused(check, zeta):
+    """Orders run over [0, p), as for the radii; zeta = 5 once gave a negative threshold."""
+    with pytest.raises(ParameterOutOfRangeError, match=r"zeta must lie in \[0, p\)"):
+        check(make_series(2, [(3, 0.01)]), zeta, 0.5)
+
+
+def test_zero_tolerance_and_order_just_below_p_accepted():
+    f = make_series(2, [(3, 0.01)])
+    assert subordination_margin(f, ClassParams(p=2), tolerance=0).passed
+    assert ctc_max_dev(f, np.nextafter(2.0, 0.0), 0.5, tolerance=np.float64(0.0)).threshold > 0.0
