@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--zeta", type=float, default=0.0)
     q.add_argument("--r", type=float, default=0.9, help="circle radius")
     q.add_argument("--angles", type=int, default=256)
-    q.add_argument("--refine", type=int, default=2)
+    q.add_argument("--refine", type=int, default=2, help="subordination: angle doublings allowed")
     q.set_defaults(func=_cmd_oracle)
 
     q = sub.add_parser("selftest", help="run the acceptance battery")

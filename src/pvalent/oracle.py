@@ -14,7 +14,12 @@ term outweighs the sum of its other |coefficient| r^e (the easy case of
 Rouche's theorem, read off the coefficients); for a polynomial that is not so
 dominated the argument principle, counted on the same samples, decides.  Once
 both zero counts are proved 0 the ratio is analytic in the disk and its circle
-maximum is its disk maximum (maximum modulus).
+maximum is its disk maximum (maximum modulus).  Each angle is within pi/n of a
+sample, |d(zH')/dtheta| <= sum e^2 |c_e| r^e and |dD/dtheta| <= sum e |Be - scale|
+|c_e| r^e; times pi/n, plus DFT rounding, these give a and b, and U = (max |zH'_j|
++ a)/(min |D_j| - b) bounds the ratio on the circle.  While the samples pass and U
+does not, the angles double, at most grid.refinement times, so a pass is never
+more lenient than angle bisection, whose probes lie on those finer circles.
 For negative-coefficient members that maximum sits on the positive real
 axis, which is asserted on every run and surfaced as a warning when violated
 rather than assumed.  The criterion implies the disk-wide bound only inside
@@ -22,8 +27,8 @@ the regime described by ``subordination_certified``; for B > 0 with support
 far beyond p the implication can fail off the real axis.  Real coefficients
 give the same values at z and at its conjugate, so only the closed upper half
 of the circle is sampled.  Ties between equal maxima resolve to the smallest
-angle, so reports are deterministic; refinement bisects in angle around the
-running maximum and can only raise the reported extremum.
+angle, so reports are deterministic.  The starlike and convex checks prove
+f/z^p and f'/z^(p-1) zero-free the same way, so their circle minimum is the disk's.
 """
 
 from __future__ import annotations
@@ -53,14 +58,15 @@ def _require_count(name: str, value: object, least: int) -> None:
         raise ParameterOutOfRangeError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _require_tolerance(tolerance: object) -> None:
-    if isinstance(tolerance, bool) or not isinstance(tolerance, Real) or not 0.0 <= tolerance < math.inf:
-        raise ParameterOutOfRangeError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+def _require_finite(name: str, value: object, least: str = ">=") -> None:
+    finite = not isinstance(value, bool) and isinstance(value, Real) and 0.0 <= value < math.inf
+    if not finite or least == ">" and value == 0.0:
+        raise ParameterOutOfRangeError(f"{name} must be a finite number {least} 0, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Only radii[-1] is sampled: the zero counts there prove the inner circles redundant."""
+    """Only radii[-1] is sampled; refinement caps the angle doublings made while samples pass and U does not."""
 
     radii: tuple[float, ...] = _DEFAULT_RADII
     angles_per_radius: int = 256
@@ -104,16 +110,21 @@ def _terms(f: CoefficientSeries) -> tuple[list[int], list[float]]:
     return [f.p] + ks, [1.0] + [-f.coeffs[k] for k in ks]
 
 
-def _half_circle(exps, coefs, r: float, n: int) -> np.ndarray:
+def _series(exps, coefs, r: float, shift: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponents less shift, coefficients and r^e as arrays, for :func:`_half_circle`."""
+    e = np.asarray(exps, dtype=np.int64) - shift
+    return e, np.asarray(coefs, dtype=float), r**e
+
+
+def _half_circle(e: np.ndarray, c: np.ndarray, power: np.ndarray, n: int) -> np.ndarray:
     """h = sum c z^e (e >= 0) and z h' at z = r exp(2 pi i j/n), j = 0..n//2; shape (2, n//2 + 1).
 
     On n equally spaced angles a power series is the n-point DFT of its
-    coefficients times r^e, folded by e mod n, which is exact at any degree.
+    coefficients times power = r^e, folded by e mod n, which is exact at any degree.
     The coefficients are real, so the other half circle holds the conjugates.
     """
     _require_count("angles per circle", n, 8)
-    e = np.asarray(exps, dtype=np.int64)
-    c, power, slot = np.asarray(coefs, dtype=float), r**e, e % n
+    slot = e % n
     rows = np.concatenate([c * power, c * e * power])
     folded = np.bincount(np.concatenate([slot, slot + n]), rows, 2 * n)
     return np.fft.rfft(folded.reshape(2, n)).conj()
@@ -138,9 +149,24 @@ def _zero_count(h: np.ndarray, slack: float) -> int | None:
     return round(turn / (2.0 * math.pi))
 
 
+def _slack(l: float, size: float, m: int, n: int) -> float:
+    """Move l pi/n of an m-term series with |dh/dtheta| <= l from its nearest of n samples, plus
+    8 ulp of 1 per term and angle of l and size (sum |c| r^e of what the samples came from)."""
+    return l * math.pi / n + (m + n) * 2.0**-49 * (l + size)
+
+
+def _zeros_inside(h: np.ndarray, e: np.ndarray, mag: np.ndarray, n: int, size: float, err: float) -> int | None:
+    """Zeros in 0 < |z| < r of sum b_e z^e (e ascending, mag_e = |b_e| r^e, samples h): 0 when the lowest
+    term outweighs the rest (see subordination_margin), else the sampled count less e[0], or None."""
+    if float(mag[1:].sum()) * (1.0 + (len(e) + 8) * 2.0**-52) + err < mag[0]:
+        return 0
+    count = _zero_count(h, _slack(float(np.dot(e, mag)), size, len(e), n))
+    return None if count is None else count - int(e[0])
+
+
 def _point(r: float, j: int, n: int) -> complex:
     """The grid point at angle index j on the circle |z| = r of n angles."""
-    return complex(r * np.exp(2j * np.pi * j / n))
+    return cmath.rect(r, 2.0 * math.pi * j / n)
 
 
 def _smoothed(f: CoefficientSeries, cp: ClassParams) -> CoefficientSeries:
@@ -198,56 +224,54 @@ def subordination_margin(
     grid: SampleGrid = SampleGrid(),
     tolerance: float = 1e-9,
 ) -> OracleReport:
-    """Maximum of the ratio on |z| = grid.radii[-1]; the disk maximum once H and D have no zeros.
+    """Maximum of the ratio on |z| = grid.radii[-1], its angles doubled while the samples pass but
+    the bound U between them does not; the disk maximum once H and D have no zeros.
 
-    Passes iff it is below 1 - tolerance and both zero counts are proved 0.
-    A count is proved 0 from the coefficients when the constant term
-    dominates the rest on the circle, which holds for every certified member
-    and on any number of angles; otherwise it is counted from the samples.
+    Passes iff it is below 1 - tolerance and both zero counts are proved 0.  A count is proved 0
+    from the coefficients when the constant term dominates the rest on the circle (every certified
+    member, any number of angles), else counted once from the samples of grid.angles_per_radius.
     A proved zero of H raises; a zero of D (a pole of the ratio) or an
     unproved count fails with a warning.  tolerance must be finite and >= 0.
     """
-    _require_tolerance(tolerance)
-    exps, coefs = _terms(_smoothed(f, cp))
+    _require_finite("tolerance", tolerance)
     r, n = grid.radii[-1], grid.angles_per_radius
-    e = np.asarray(exps, dtype=np.int64) - cp.p
-    hv, zhp = _half_circle(e, coefs, r, n)
-    bad = (hv == 0) | ~np.isfinite(hv)
-    if bad.any():
-        z = _point(r, int(np.argmax(bad)), n)
-        raise PoleOnGridError(f"smoothed image vanishes on |z| = {r} at z = {z}")
-    den = cp.B * zhp - cp.scale * hv
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(zhp) / np.abs(den)
-    if np.isnan(ratio).any():
-        raise PoleOnGridError(f"indeterminate ratio on |z| = {r}")
-    # Rouche, easy case: a constant term that outweighs its tail on |z| = r leaves no zero
-    # in |z| <= r, so the count is proved 0.  H has constant 1 and D has -scale; th and td
-    # are the float tails sum |c_e| r^e and sum |c_e| |B e - scale| r^e over e > 0.  With
+    e, c, pw = _series(*_terms(_smoothed(f, cp)), r, cp.p)
+    # Rouche, easy case: a constant term (1 for H, -scale for D) that outweighs its tail, sum
+    # |c_e| r^e or sum |c_e| |B e - scale| r^e over e > 0, leaves no zero in |z| <= r.  With
     # every r^e normal (else no proof), 4 ulp for r^e and 1 per product and addition keep
-    # each tail within eps = (m + 8) 2^-52 relative of its exact value over m terms; B e -
-    # scale adds at most 2^-53 (|B| e + scale) |c_e| r^e, th (big + 1) 2^-52 in all; and a
-    # product that underflows is off by at most 2^-1074 (1 + big), tiny over all m terms.
-    pw = r**e
-    mh = np.abs(coefs) * pw
+    # each tail within (m + 8) 2^-52 relative of its exact value over m terms; B e - scale
+    # adds at most 2^-53 (|B| e + scale) |c_e| r^e, (big + 1) 2^-52 times H's tail in all;
+    # and a product that underflows is off by at most 2^-1074 (1 + big), tiny over m terms.
+    mh = np.abs(c) * pw
     md = np.abs(cp.B * e - cp.scale) * mh
     m, big = len(e), abs(cp.B) * int(e[-1]) + cp.scale
-    eps, tiny = (m + 8) * 2.0**-52, m * (1.0 + big) * 2.0**-1074
-    th, td = float(mh[1:].sum()), float(md[1:].sum())
-    normal = pw[-1] >= 2.0**-1022
-    zeros_h = 0 if normal and th * (1.0 + eps) + tiny < 1.0 else None
-    td_bound = td * (1.0 + eps) + th * (big + 1.0) * 2.0**-52 + tiny
-    zeros_d = 0 if normal and td_bound < cp.scale else None
-    if zeros_h is None or zeros_d is None:
-        # slacks: L pi/n with L = sum e |coefficient| r^e, plus generous DFT rounding
-        tol = (m + n) * 2.0**-49  # 8 ulp of 1 per term and angle
-        lh, sh, ld = float(e @ mh), float(mh.sum()), float(e @ md)
-        if zeros_h is None:
-            zeros_h = _zero_count(hv, lh * math.pi / n + tol * (lh + sh))
-        if zeros_d is None:
-            zeros_d = _zero_count(den, ld * math.pi / n + tol * (ld + abs(cp.B) * lh + cp.scale * sh))
-    if zeros_h:
-        raise PoleOnGridError(f"smoothed image has {zeros_h} zero(s) inside |z| < {r}")
+    tiny = m * (1.0 + big) * 2.0**-1074 if pw[-1] >= 2.0**-1022 else math.inf
+    lh, sh, ld, l2 = float(np.dot(e, mh)), float(mh.sum()), float(np.dot(e, md)), float(np.dot(e * e, mh))
+    size_d = abs(cp.B) * lh + cp.scale * sh  # D's samples are formed from those of zH' and H
+    for doubling in range(grid.refinement + 1):
+        hv, zhp = _half_circle(e, c, pw, n)
+        ah = np.abs(hv)
+        if not 0.0 < ah.min() <= ah.max() < math.inf:
+            z = _point(r, int(np.argmax((ah == 0) | ~np.isfinite(ah))), n)
+            raise PoleOnGridError(f"smoothed image vanishes on |z| = {r} at z = {z}")
+        den = cp.B * zhp - cp.scale * hv
+        azhp, aden = np.abs(zhp), np.abs(den)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = azhp / aden
+        if math.isnan(top := float(ratio.max())):
+            raise PoleOnGridError(f"indeterminate ratio on |z| = {r}")
+        if not doubling:  # the zero counts, once, on the base grid
+            zeros_h = _zeros_inside(hv, e, mh, n, sh, tiny)
+            if zeros_h:
+                raise PoleOnGridError(f"smoothed image has {zeros_h} zero(s) inside |z| < {r}")
+            zeros_d = _zeros_inside(den, e, md, n, size_d, float(mh[1:].sum()) * (big + 1.0) * 2.0**-52 + tiny)
+        # double the angles while the samples pass but the bound U between them does not
+        if doubling == grid.refinement or not (zeros_h == zeros_d == 0 and top < 1.0 - tolerance):
+            break
+        lo = float(aden.min()) - _slack(ld, size_d, m, n)
+        if lo > 0.0 and (float(azhp.max()) + _slack(l2, lh, m, n)) / lo < 1.0 - tolerance:
+            break
+        n *= 2
     # the maximum at its smallest angle; flagged when off the positive real axis
     j = int(np.argmax(ratio))
     best_val, best_z = float(ratio[j]), _point(r, j, n)
@@ -258,16 +282,6 @@ def subordination_margin(
         notes.append(f"zero counts inside |z| < {r} not proved; no disk bound")
     elif zeros_d:
         notes.append(f"ratio has {zeros_d} pole(s) inside |z| < {r}")
-    # angle bisection around the running maximum, monotone by construction
-    step = 2.0 * math.pi / n
-    theta = 2.0 * math.pi * j / n
-    for _ in range(grid.refinement):
-        step *= 0.5
-        for cand in (theta - step, theta + step):
-            z = r * complex(math.cos(cand), math.sin(cand))
-            val = _subordination_ratio_at(z, exps, coefs, cp)
-            if val > best_val:
-                best_val, best_z, theta = val, z, cand
     passed = zeros_h == zeros_d == 0 and best_val < 1.0 - tolerance
     return OracleReport("subordination", best_val, 1.0, best_z, passed, tolerance, tuple(notes))
 
@@ -297,6 +311,8 @@ def locate_real_axis_violation(
     approaches a limit above one, so the walk finds the violation without
     ever sampling outside the disk.  f is smoothed once for the whole walk.
     """
+    _require_finite("threshold", threshold, ">")
+    _require_count("steps", steps, 1)
     exps, coefs = _terms(_smoothed(f, cp))
     best_r, best_ratio = start, -math.inf
     gap = 1.0 - start
@@ -315,13 +331,32 @@ def locate_real_axis_violation(
 
 def _extremum_report(
     check: str, values: np.ndarray, r: float, n: int, threshold: float, tolerance: float,
-    minimize: bool,
+    minimize: bool, notes: tuple[str, ...] = (),
 ) -> OracleReport:
-    """Extremum over a half circle from :func:`_half_circle`, at its smallest angle."""
+    """Extremum over a half circle from :func:`_half_circle`, at its smallest angle; a note fails it."""
     idx = int(np.argmin(values) if minimize else np.argmax(values))
     ext = float(values[idx])
     passed = ext >= threshold - tolerance if minimize else ext <= threshold + tolerance
-    return OracleReport(check, ext, threshold, _point(r, idx, n), passed, tolerance)
+    return OracleReport(check, ext, threshold, _point(r, idx, n), passed and not notes, tolerance, notes)
+
+
+def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int, tolerance: float) -> OracleReport:
+    """Minimum of Re(z h'/h) on |z| = r for h = f (starlike) or z f' (convex), the disk minimum once h/z^p
+    is proved zero-free in |z| <= r, else failed with a note; err: 8 ulp on r^p c, 2^-1074 per underflow."""
+    _require_finite("tolerance", tolerance)
+    zeta = _require_zeta(zeta, f.p)
+    _require_radius(r)
+    e, c, pw = _series(*_terms(f), r)
+    name, c = ("f'", e * c) if check == "convex" else ("f", c)  # z f' has e times f's coefficient at z^e
+    hv, zhp = _half_circle(e, c, pw, n)
+    if np.any(hv == 0):
+        raise PoleOnGridError(f"{name} vanishes on |z| = {r}")
+    mag = np.abs(c) * pw
+    err = mag[0] * 2.0**-50 + len(e) * 2.0**-1074 if pw[-1] >= 2.0**-1022 else math.inf
+    zeros = _zeros_inside(hv, e, mag, n, float(mag.sum()), err)
+    where = f"in 0 < |z| < {r}; no disk bound"
+    note = f"{name} has {zeros} zero(s) {where}" if zeros else f"{name}: zero count not proved {where}"
+    return _extremum_report(check, (zhp / hv).real, r, n, zeta, tolerance, True, () if zeros == 0 else (note,))
 
 
 def starlike_min_re(
@@ -331,15 +366,8 @@ def starlike_min_re(
     n_angles: int = 256,
     tolerance: float = 1e-9,
 ) -> OracleReport:
-    """Minimum of Re(z f'/f) on |z| = r versus the order zeta."""
-    _require_tolerance(tolerance)
-    zeta = _require_zeta(zeta, f.p)
-    _require_radius(r)
-    fv, zfp = _half_circle(*_terms(f), r, n_angles)
-    if np.any(fv == 0):
-        raise PoleOnGridError(f"f vanishes on |z| = {r}")
-    vals = (zfp / fv).real
-    return _extremum_report("starlike", vals, r, n_angles, zeta, tolerance, minimize=True)
+    """Minimum of Re(z f'/f) on |z| = r versus the order zeta; fails unless f/z^p has no zero in |z| <= r."""
+    return _min_re("starlike", f, zeta, r, n_angles, tolerance)
 
 
 def convex_min_re(
@@ -349,19 +377,8 @@ def convex_min_re(
     n_angles: int = 256,
     tolerance: float = 1e-9,
 ) -> OracleReport:
-    """Minimum of Re(1 + z f''/f') on |z| = r versus the order zeta.
-
-    1 + z f''/f' is z h'/h for h = z f', whose coefficient at z^e is e times f's.
-    """
-    _require_tolerance(tolerance)
-    zeta = _require_zeta(zeta, f.p)
-    _require_radius(r)
-    exps, coefs = _terms(f)
-    zfp, zzfp = _half_circle(exps, [e * c for e, c in zip(exps, coefs)], r, n_angles)
-    if np.any(zfp == 0):
-        raise PoleOnGridError(f"f' vanishes on |z| = {r}")
-    vals = (zzfp / zfp).real
-    return _extremum_report("convex", vals, r, n_angles, zeta, tolerance, minimize=True)
+    """Minimum of Re(1 + z f''/f') on |z| = r versus zeta; fails unless f'/z^(p-1) has no zero in |z| <= r."""
+    return _min_re("convex", f, zeta, r, n_angles, tolerance)
 
 
 def ctc_max_dev(
@@ -375,12 +392,10 @@ def ctc_max_dev(
 
     f'/z^(p-1) - p is the polynomial -sum k a_k z^(k-p), so no poles exist.
     """
-    _require_tolerance(tolerance)
+    _require_finite("tolerance", tolerance)
     zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
     p = f.p
     ks = sorted(f.coeffs)
-    dev = np.abs(_half_circle([k - p for k in ks], [-k * f.coeffs[k] for k in ks], r, n_angles)[0])
-    return _extremum_report(
-        "close-to-convex", dev, r, n_angles, p - zeta, tolerance, minimize=False
-    )
+    dev = np.abs(_half_circle(*_series(ks, [-k * f.coeffs[k] for k in ks], r, p), n_angles)[0])
+    return _extremum_report("close-to-convex", dev, r, n_angles, p - zeta, tolerance, minimize=False)

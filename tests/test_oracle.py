@@ -496,3 +496,236 @@ def test_zero_tolerance_and_order_just_below_p_accepted():
     f = make_series(2, [(3, 0.01)])
     assert subordination_margin(f, ClassParams(p=2), tolerance=0).passed
     assert ctc_max_dev(f, np.nextafter(2.0, 0.0), 0.5, tolerance=np.float64(0.0)).threshold > 0.0
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, math.inf, True, "0.5"])
+def test_walk_threshold_outside_its_domain_refused(threshold):
+    """threshold nan once missed z - 0.3 z^2 (ratio 3 near r = 1); -1 flagged the member z - 0.1 z^2."""
+    for f in (make_series(1, [(2, 0.3)]), make_series(1, [(2, 0.1)])):
+        with pytest.raises(ParameterOutOfRangeError, match="threshold must be a finite number > 0"):
+            locate_real_axis_violation(f, CANONICAL, threshold=threshold)
+
+
+@pytest.mark.parametrize("steps", [0, -1, 1.5, True, None])
+def test_walk_steps_below_one_refused(steps):
+    """steps = 0 once returned the ratio -inf."""
+    with pytest.raises(ParameterOutOfRangeError, match="steps must be an integer >= 1"):
+        locate_real_axis_violation(make_series(1, [(2, 0.3)]), CANONICAL, steps=steps)
+
+
+def test_walk_of_one_step_checks_start():
+    assert locate_real_axis_violation(make_series(1, [(2, 0.1)]), CANONICAL, steps=1) == (
+        False, 0.9, subordination_ratio_real(make_series(1, [(2, 0.1)]), CANONICAL, 0.9)
+    )
+
+
+@pytest.mark.parametrize(
+    "check, a, name, circle_min",
+    [(starlike_min_re, 1.8, "f", 1.618320610687023), (convex_min_re, 0.9, "f'", 1.618320610687023)],
+)
+def test_circle_check_fails_on_a_zero_inside(check, a, name, circle_min):
+    """f = z - 1.8 z^2 and f' = 1 - 1.8 z vanish at 5/9: the circle |z| = 0.9 looks fine, the disk is not."""
+    rep = check(make_series(1, [(2, a)]), 0.0, 0.9)
+    assert rep.extremum == pytest.approx(circle_min, rel=1e-12)
+    assert not rep.passed
+    assert rep.warnings == (f"{name} has 1 zero(s) in 0 < |z| < 0.9; no disk bound",)
+    # inside the zero the same check proves the disk and passes
+    inner = check(make_series(1, [(2, a)]), 0.0, 0.5)
+    assert inner.warnings == () and inner.passed is (inner.extremum >= -1e-9)
+
+
+def test_circle_zero_counts_match_numpy_roots():
+    """The starlike and convex notes name the zeros of f/z^p and f'/z^(p-1) in 0 < |z| < r that
+    numpy.roots finds, for tails on |z| = r from 0.2 to 4 times the leading term."""
+    rng = np.random.default_rng(5)
+    seen = {"proved": 0, "zeros": 0}
+    for i in range(400):
+        p, r, n = int(rng.integers(1, 4)), float(rng.uniform(0.3, 0.99)), (8, 64, 256, 257)[i % 4]
+        ks = sorted(int(k) for k in p + 1 + rng.choice(8, size=int(rng.integers(1, 5)), replace=False))
+        a = rng.random(len(ks))
+        a *= rng.uniform(0.2, 4.0) / (a * r ** (np.array(ks) - p)).sum()
+        f = make_series(p, list(zip(ks, a.tolist())))
+        for check, name, weight in ((starlike_min_re, "f", lambda k: 1), (convex_min_re, "f'", lambda k: k)):
+            poly = np.zeros(ks[-1] - p + 1)
+            poly[0] = weight(p)
+            for k, ak in zip(ks, a):
+                poly[k - p] -= weight(k) * ak
+            rep = check(f, 0.0, r, n_angles=n)
+            if any("not proved" in w for w in rep.warnings):
+                continue
+            inside = _inside(poly, r)
+            want = (f"{name} has {inside} zero(s) in 0 < |z| < {r}; no disk bound",) if inside else ()
+            assert rep.warnings == want
+            assert rep.passed is (not inside and rep.extremum >= -rep.tolerance)
+            seen["zeros" if inside else "proved"] += 1
+    assert seen["zeros"] >= 200 and seen["proved"] >= 100
+
+
+def test_dominated_circle_checks_need_no_argument_principle(monkeypatch, rng):
+    """A leading term that outweighs the tail, as for every benchmark circle member, proves the disk alone."""
+    import pvalent.oracle as oracle
+
+    def refuse(h, slack):
+        raise AssertionError("argument-principle count on a dominated polynomial")
+
+    monkeypatch.setattr(oracle, "_zero_count", refuse)
+    checked = 0
+    for _ in range(50):
+        cp = random_params(rng)
+        f = random_member(cp, rng)
+        r = float(rng.uniform(0.1, 0.95))
+        tails = {
+            starlike_min_re: sum(a * r ** (k - f.p) for k, a in f.coeffs.items()),
+            convex_min_re: sum(k / f.p * a * r ** (k - f.p) for k, a in f.coeffs.items()),
+        }
+        for check, tail in tails.items():
+            if tail < 0.9:
+                assert check(f, 0.0, r, n_angles=8).warnings == ()
+                checked += 1
+    assert checked >= 60
+
+
+def _record_angles(monkeypatch):
+    """Angle counts of every circle that subordination_margin samples, in order."""
+    import pvalent.oracle as oracle
+
+    seen = []
+    sample = oracle._half_circle
+
+    def recording(e, c, power, n):
+        seen.append(n)
+        return sample(e, c, power, n)
+
+    monkeypatch.setattr(oracle, "_half_circle", recording)
+    return seen
+
+
+def _circle(cp, f, r, n):
+    """|zH'| and |D| on the closed upper half of the n-angle circle, and the coefficient data."""
+    import pvalent.oracle as oracle
+
+    b = apply_rafid(f, cp.rafid).coeffs
+    e = np.array([0] + [k - cp.p for k in sorted(b)])
+    c = np.array([1.0] + [-b[k] for k in sorted(b)])
+    hv, zhp = oracle._half_circle(e, c, r**e, n)
+    return np.abs(zhp), np.abs(cp.B * zhp - cp.scale * hv), e, np.abs(c) * r**e
+
+
+def _proved_bound(cp, f, r, n):
+    """U = (max |zH'_j| + a)/(min |D_j| - b) from the module docstring, written out here."""
+    azhp, aden, e, mag = _circle(cp, f, r, n)
+    rounding = (len(e) + n) * 2.0**-49
+    lh, sh, l2 = e @ mag, mag.sum(), (e * e) @ mag
+    ld = e @ (np.abs(cp.B * e - cp.scale) * mag)
+    a = l2 * math.pi / n + rounding * (l2 + lh)
+    b = ld * math.pi / n + rounding * (ld + abs(cp.B) * lh + cp.scale * sh)
+    lo = aden.min() - b
+    return (azhp.max() + a) / lo if lo > 0.0 else math.inf
+
+
+def _bisected(cp, f, grid):
+    """Largest ratio found by the angle bisection this check once made, and where it was found."""
+    import pvalent.oracle as oracle
+
+    r, n = grid.radii[-1], grid.angles_per_radius
+    azhp, aden, _, _ = _circle(cp, f, r, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = azhp / aden
+    j = int(np.argmax(ratio))
+    best_val, best_z = float(ratio[j]), complex(r * np.exp(2j * np.pi * j / n))
+    exps, coefs = oracle._terms(apply_rafid(f, cp.rafid))
+    step, theta = 2.0 * math.pi / n, 2.0 * math.pi * j / n
+    for _ in range(grid.refinement):
+        step *= 0.5
+        for cand in (theta - step, theta + step):
+            z = r * complex(math.cos(cand), math.sin(cand))
+            val = oracle._subordination_ratio_at(z, exps, coefs, cp)
+            if val > best_val:
+                best_val, best_z, theta = val, z, cand
+    return best_val, best_z
+
+
+def _bound_draws(seed, count):
+    """Certified and uncertified draws, sums near and below 1, on the default and 8-angle grids."""
+    rng = np.random.default_rng(seed)
+    grids = (SampleGrid(), SampleGrid(angles_per_radius=8), SampleGrid(radii=(0.9,), angles_per_radius=8))
+    for i in range(count):
+        cp = random_params(rng)
+        f = random_member(cp, rng, target_sum=float(rng.uniform(0.0, 0.999) if i % 3 else rng.uniform(0.9, 1.1)))
+        yield cp, f, grids[i % 3]
+
+
+def test_bound_between_samples_holds_on_a_finer_circle(monkeypatch):
+    """A pass before the last doubling rests on U < 1 - tol; the ratio on 16n angles stays below U."""
+    seen = _record_angles(monkeypatch)
+    early, doubled, kinds = 0, 0, set()
+    for cp, f, grid in _bound_draws(6, 1200):
+        seen.clear()
+        try:
+            rep = subordination_margin(f, cp, grid)
+        except PoleOnGridError:
+            continue
+        n = seen[-1]
+        assert seen == [grid.angles_per_radius * 2**i for i in range(len(seen))]
+        if not rep.passed or n == grid.angles_per_radius * 2**grid.refinement:
+            continue
+        bound = _proved_bound(cp, f, grid.radii[-1], n)
+        assert bound < 1.0 - rep.tolerance
+        azhp, aden, _, _ = _circle(cp, f, grid.radii[-1], 16 * n)
+        assert (azhp / aden).max() <= bound
+        early += 1
+        doubled += n > grid.angles_per_radius
+        kinds.add(subordination_certified(f, cp))
+    assert early >= 500 and doubled >= 100 and kinds == {True, False}
+
+
+def test_doubling_is_never_more_lenient_than_bisection():
+    """Every pass is a pass of the bisection it replaced, on the same draws and grids."""
+    passes, kinds = 0, set()
+    for cp, f, grid in _bound_draws(7, 1200):
+        try:
+            rep = subordination_margin(f, cp, grid)
+        except PoleOnGridError:
+            continue
+        if rep.passed:
+            assert _bisected(cp, f, grid)[0] < 1.0 - rep.tolerance
+            passes += 1
+            kinds.add(subordination_certified(f, cp))
+    assert passes >= 700 and kinds == {True, False}
+
+
+def test_certified_members_keep_their_bisected_extremum():
+    """Bisection never raised a certified member's extremum on seed 8, so dropping it moves no bit."""
+    rng = np.random.default_rng(8)
+    checked = 0
+    while checked < 1000:
+        cp = random_params(rng)
+        f = random_member(cp, rng)
+        if not subordination_certified(f, cp):
+            continue
+        rep = subordination_margin(f, cp)
+        assert (rep.extremum, rep.arg_z) == _bisected(cp, f, SampleGrid())
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "terms, circle, passed",
+    [([(3, 0.1 / 6), (6, 0.1 / 720)], 16, False), ([(3, 0.1 / 6), (4, 0.1 / 24)], 32, True)],
+)
+def test_eight_angles_double_until_the_bound_decides(monkeypatch, terms, circle, passed):
+    """Off-axis maxima at B = 1/2 lie between the 8 angles: the 2n and 4n circles find them.
+
+    z - z^3/60 - z^6/7200 passes on its 8 samples (0.71), yet reaches 1.22 on
+    16; z - z^3/60 - z^4/240 passes with its maximum on the 32-angle circle.
+    """
+    seen = _record_angles(monkeypatch)
+    cp, f = ClassParams(B=0.5), make_series(1, terms)
+    grid = SampleGrid(radii=(0.9,), angles_per_radius=8)
+    rep = subordination_margin(f, cp, grid)
+    assert seen[-1] == circle and rep.passed is passed
+    assert rep.extremum > subordination_margin(f, cp, SampleGrid(radii=(0.9,), angles_per_radius=8, refinement=0)).extremum
+    index = math.atan2(rep.arg_z.imag, rep.arg_z.real) * circle / (2.0 * math.pi)
+    assert abs(rep.arg_z) == pytest.approx(0.9, rel=1e-15)
+    assert index == pytest.approx(round(index), abs=1e-9) and round(index) % (circle // 8) != 0
+    b = apply_rafid(f, cp.rafid).coeffs
+    assert rep.extremum == pytest.approx(float(_mp_ratio(rep.arg_z, b, cp)), rel=1e-12)
