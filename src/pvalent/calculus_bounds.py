@@ -65,8 +65,8 @@ def _validate(theorem: int, cp: ClassParams, c: float, eta: float) -> None:
     if not math.isfinite(c) or c <= -cp.p:
         raise ParameterOutOfRangeError(f"need c > -p, got c = {c}")
     if theorem in (7, 10):
-        if not (eta > 0.0):
-            raise ParameterOutOfRangeError(f"integral order must be positive, got {eta}")
+        if not (0.0 < eta < math.inf):
+            raise ParameterOutOfRangeError(f"integral order must be positive and finite, got {eta}")
     else:
         if not (0.0 <= eta < 1.0):
             raise ParameterOutOfRangeError(

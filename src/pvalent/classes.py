@@ -26,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import OrderExceedsValenceError, ParameterOutOfRangeError, ValenceMismatchError
@@ -206,8 +207,8 @@ def _certified_scan(cp: ClassParams, shift: float, log_weight: Callable[[int], f
 
 def _scan_indices(cp: ClassParams, k_max: int) -> range:
     """The indices p+1 .. k_max of a scan of radii or orders."""
-    if k_max < cp.p + 1:
-        raise ParameterOutOfRangeError(f"k_max must be at least p+1, got {k_max}")
+    if isinstance(k_max, bool) or not isinstance(k_max, Integral) or k_max < cp.p + 1:
+        raise ParameterOutOfRangeError(f"k_max must be an integer >= p+1, got {k_max!r}")
     return range(cp.p + 1, k_max + 1)
 
 

@@ -144,7 +144,9 @@ def rafid_multipliers(p: int, rp: RafidParams, ks: Iterable[int]) -> Iterator[tu
 
 
 def rafid_multiplier(k: int, p: int, rp: RafidParams) -> tuple[float, int]:
-    """(m, e) with w_k = m 2^e: the lone-index case of :func:`rafid_multipliers`."""
+    """(m, e) with w_k = m 2^e: the lone-index case of :func:`rafid_multipliers`, integer k only."""
+    if not float(k).is_integer():
+        raise IndexBelowValenceError(f"index {k!r} is not an integer")
     return next(rafid_multipliers(p, rp, (k,)))
 
 

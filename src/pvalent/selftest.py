@@ -3,14 +3,17 @@
 Each numbered check below is one acceptance criterion; the pytest
 acceptance module and the ``selftest`` subcommand call the same functions,
 so the table a user sees and the suite CI runs cannot drift apart.
-Randomized checks take an explicit seed and are deterministic for a fixed
-one.  The whole battery stays under the two-minute budget by a wide margin.
+Each check declares its name and time budget once, in the harness
+:func:`_check`; it gets one generator from the seed, so it is deterministic
+for a fixed one, and a raise or an overrun fails its row under that name.
+The whole battery stays under the two-minute budget by a wide margin.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +62,32 @@ class CheckResult:
     elapsed: float
 
 
-def _finish(name: str, failures: list[str], detail_ok: str, t0: float) -> CheckResult:
-    detail = detail_ok if not failures else "; ".join(failures[:4])
-    return CheckResult(name, not failures, detail, time.perf_counter() - t0)
+def _check(name: str, budget_s: float = math.inf) -> Callable[[Callable[..., str]], Callable]:
+    """Turn a body ``fn(failures, rng, **kwargs) -> detail`` into ``check(seed=0, **kwargs)``.
+
+    The body notes each broken criterion in ``failures`` and returns the detail
+    of a pass.  A raise, or a run of ``budget_s`` seconds or more, fails the row too.
+    """
+
+    def harness(body: Callable[..., str]) -> Callable[..., CheckResult]:
+        def check(seed: int = 0, **kwargs) -> CheckResult:
+            failures: list[str] = []
+            t0 = time.perf_counter()
+            try:
+                detail = body(failures, np.random.default_rng(seed), **kwargs)
+            except Exception as exc:  # a crash is a failed check, not a crash of the table
+                failures.append(f"raised {exc!r}")
+            elapsed = time.perf_counter() - t0
+            if elapsed >= budget_s:
+                failures.append(f"took {elapsed:.1f} s (budget {budget_s:g} s)")
+            detail = "; ".join(failures[:4]) if failures else detail
+            return CheckResult(name, not failures, detail, elapsed)
+
+        check.__name__ = check.__qualname__ = body.__name__
+        check.__doc__ = body.__doc__
+        return check
+
+    return harness
 
 
 def _circle_point(rng: np.random.Generator, r: float) -> complex:
@@ -69,10 +95,9 @@ def _circle_point(rng: np.random.Generator, r: float) -> complex:
     return r * complex(math.cos(theta), math.sin(theta))
 
 
-def check_coefficient_bound(seed: int = 0) -> CheckResult:
+@_check("coefficient-bound")
+def check_coefficient_bound(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 1: sharp canonical bound, saturation, flip, speed."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
     bound = coeff_bound_r(2, CANONICAL)
     if bound != 0.25:
         failures.append(f"coeff_bound_r(2) = {bound!r}, expected exactly 0.25")
@@ -92,19 +117,12 @@ def check_coefficient_bound(seed: int = 0) -> CheckResult:
         best = min(best, time.perf_counter() - t1)
     if best >= 1e-3:
         failures.append(f"canonical check took {best * 1e3:.3f} ms (budget 1 ms)")
-    return _finish(
-        "coefficient-bound",
-        failures,
-        f"bound 0.25 exact, margin {rep.margin:.1e}, flip ok, {best * 1e6:.0f} us/check",
-        t0,
-    )
+    return f"bound 0.25 exact, margin {rep.margin:.1e}, flip ok, {best * 1e6:.0f} us/check"
 
 
-def check_criterion_oracle_agreement(seed: int = 0) -> CheckResult:
+@_check("criterion-oracle-agreement", budget_s=30.0)
+def check_criterion_oracle_agreement(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 2: members pass the sampling oracle, super-extremals fail."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    rng = np.random.default_rng(seed)
     off_axis = 0
     rejected = 0
     for i in range(200):
@@ -137,24 +155,15 @@ def check_criterion_oracle_agreement(seed: int = 0) -> CheckResult:
                 f"best ratio {ratio:.6f} at r = {r_at:.6f}"
             )
             break
-    elapsed = time.perf_counter() - t0
-    if elapsed >= 30.0:
-        failures.append(f"took {elapsed:.1f} s (budget 30 s)")
-    return _finish(
-        "criterion-oracle-agreement",
-        failures,
-        f"200 certified members pass ({rejected} uncertified draws skipped), "
-        f"200 super-extremals caught on the real axis "
-        f"({off_axis} off-axis-max warnings), {elapsed:.1f} s",
-        t0,
+    return (
+        f"200 certified members pass ({rejected} uncertified draws skipped), 200 super-extremals "
+        f"caught on the real axis ({off_axis} off-axis-max warnings)"
     )
 
 
-def check_quadrature_closed_form(seed: int = 0, nodes: int = 64) -> CheckResult:
+@_check("quadrature-closed-form", budget_s=5.0)
+def check_quadrature_closed_form(failures: list[str], rng: np.random.Generator, nodes: int = 64) -> str:
     """Criterion 3: Gauss-Laguerre transform vs diagonal multipliers."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    rng = np.random.default_rng(seed)
     worst = 0.0
     q = QuadratureConfig(nodes=nodes)
     for i in range(100):
@@ -168,22 +177,12 @@ def check_quadrature_closed_form(seed: int = 0, nodes: int = 64) -> CheckResult:
         if rel > 1e-8:
             failures.append(f"draw {i}: relative error {rel:.3e} at z = {z}")
             break
-    elapsed = time.perf_counter() - t0
-    if elapsed >= 5.0:
-        failures.append(f"took {elapsed:.1f} s (budget 5 s)")
-    return _finish(
-        "quadrature-closed-form",
-        failures,
-        f"100 draws, worst relative error {worst:.2e} at most {nodes} nodes",
-        t0,
-    )
+    return f"100 draws, worst relative error {worst:.2e} at most {nodes} nodes"
 
 
-def check_family_correspondence(seed: int = 0) -> CheckResult:
+@_check("p-r-correspondence")
+def check_family_correspondence(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 4: P criterion == R criterion of z f'/p, per term."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    rng = np.random.default_rng(seed)
     for i in range(200):
         cp = random_params(rng)
         f = random_member(cp, rng)  # any series works; membership not needed
@@ -196,20 +195,15 @@ def check_family_correspondence(seed: int = 0) -> CheckResult:
         failures.append(
             f"canonical P bound {coeff_bound_p(2, CANONICAL)!r}, expected 0.125"
         )
-    return _finish(
-        "p-r-correspondence",
-        failures,
+    return (
         "200 draws bit-identical per term (criterion tolerance 1e-14), "
-        "canonical P bound 0.125 exact",
-        t0,
+        "canonical P bound 0.125 exact"
     )
 
 
-def check_distortion(seed: int = 0) -> CheckResult:
+@_check("distortion-bounds")
+def check_distortion(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 5: derivative bounds hold on circles; extremal attains lower."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    rng = np.random.default_rng(seed)
     for i in range(1000):
         cp = random_params(rng, require_budget_orders=(0, 1))
         m = int(rng.integers(0, 2))
@@ -232,19 +226,15 @@ def check_distortion(seed: int = 0) -> CheckResult:
                     f"draw {i}: extremal value {ext!r} vs lower bound {lower!r}"
                 )
                 break
-    return _finish(
-        "distortion-bounds",
-        failures,
+    return (
         "1000 certified draws inside bounds, extremal attains the lower bound "
-        "at real z to 1e-10",
-        t0,
+        "at real z to 1e-10"
     )
 
 
-def check_radii(seed: int = 0) -> CheckResult:
+@_check("radii")
+def check_radii(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 6: canonical candidates, oracle sign change, convex <= starlike."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
     rep = radius_starlike(CANONICAL, 0.0, k_max=60)
     if abs(rep.candidates[0][1] - 2.0) > 1e-12 or abs(
         rep.candidates[1][1] - math.sqrt(6.0)
@@ -257,7 +247,6 @@ def check_radii(seed: int = 0) -> CheckResult:
     firsts = [r for _, r in rep.candidates[:10]]
     if firsts != sorted(firsts):
         failures.append("canonical candidate sequence not increasing")
-    rng = np.random.default_rng(seed)
     confirmed = 0
     attempts = 0
     while confirmed < 50 and attempts < 4000 and not failures:
@@ -285,19 +274,15 @@ def check_radii(seed: int = 0) -> CheckResult:
         confirmed += 1
     if confirmed < 50 and not failures:
         failures.append(f"only {confirmed} radius<1 draws in {attempts} attempts")
-    return _finish(
-        "radii",
-        failures,
+    return (
         f"canonical candidates (2, sqrt 6) argmin 2; {confirmed} random radii "
-        f"confirmed by sign change ({attempts} draws)",
-        t0,
+        f"confirmed by sign change ({attempts} draws)"
     )
 
 
-def check_hadamard_orders(seed: int = 0) -> CheckResult:
+@_check("hadamard-orders")
+def check_hadamard_orders(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 7: canonical lambda and xi, saturation, beta = alpha collapse."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
     rep = schild_silverman_lambda(CANONICAL)
     if abs(rep.order - 6.0 / 7.0) > 1e-12:
         failures.append(f"canonical lambda {rep.order!r} differs from 6/7")
@@ -308,7 +293,6 @@ def check_hadamard_orders(seed: int = 0) -> CheckResult:
     xi = mixed_order_xi(CANONICAL, 0.5)
     if abs(xi.order - 10.0 / 11.0) > 1e-12:
         failures.append(f"canonical xi {xi.order!r} differs from 10/11")
-    rng = np.random.default_rng(seed)
     matched = 0
     degenerate = 0
     while matched < 50 and degenerate < 400 and not failures:
@@ -323,21 +307,16 @@ def check_hadamard_orders(seed: int = 0) -> CheckResult:
             failures.append(f"xi(beta=alpha) = {xi_same!r} differs from lambda {lam!r}")
             break
         matched += 1
-    return _finish(
-        "hadamard-orders",
-        failures,
+    return (
         f"lambda 6/7 and xi 10/11 to 1e-12, saturation margin "
         f"{rep.saturation_margin:.1e}, {matched} beta=alpha collapses "
-        f"({degenerate} degenerate draws skipped)",
-        t0,
+        f"({degenerate} degenerate draws skipped)"
     )
 
 
-def check_fractional_compositions(seed: int = 0) -> CheckResult:
+@_check("fractional-compositions")
+def check_fractional_compositions(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 8: inverse pair, classical eta = 1, containment, sharpness."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    rng = np.random.default_rng(seed)
     for i in range(500):
         p = int(rng.integers(1, 5))
         count = int(rng.integers(1, 7))
@@ -385,12 +364,9 @@ def check_fractional_compositions(seed: int = 0) -> CheckResult:
                     f"containment draw {i}: extremal {ext!r} vs lower {b.lower!r}"
                 )
                 break
-    return _finish(
-        "fractional-compositions",
-        failures,
+    return (
         f"500 roundtrips to 1e-10, eta=1 exact, 500 containments, sharpness gap "
-        f"<= {worst_gap:.1e}",
-        t0,
+        f"<= {worst_gap:.1e}"
     )
 
 
@@ -400,10 +376,9 @@ def _tail_ratio(theorem: int, cp: ClassParams, c: float, eta: float) -> float:
     return (b.printed_upper - b.printed_lower) / (b.upper - b.lower)
 
 
-def check_printed_audit(seed: int = 0) -> CheckResult:
+@_check("printed-form-audit")
+def check_printed_audit(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 9: printed and derived forms diverge exactly where documented."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
     b7 = composition_bound(7, CANONICAL, 1.0, 1.0, 0.5)
     if not math.isclose(b7.printed_lower, b7.upper, rel_tol=1e-15):
         failures.append(
@@ -428,13 +403,10 @@ def check_printed_audit(seed: int = 0) -> CheckResult:
         failures.append(f"T10 p=1 tail ratio {ratio1!r}, expected 4/3")
     if not math.isclose(ratio2, 5.0 / 8.0, rel_tol=1e-12):
         failures.append(f"T10 p=2 tail ratio {ratio2!r}, expected 5/8")
-    return _finish(
-        "printed-form-audit",
-        failures,
+    return (
         "T7 lower sign slip == derived upper; T8 lead and T7/T9 uppers diverge; "
         "T9 prints lower twice; T10 tail ratios 4/3 (p=1) and 5/8 (p=2) pin the "
-        "stray 1/Gamma(p+1)",
-        t0,
+        "stray 1/Gamma(p+1)"
     )
 
 
@@ -476,11 +448,4 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:
-    results = []
-    for fn in ALL_CHECKS:
-        try:
-            results.append(fn(seed=seed))
-        except Exception as exc:  # a crash is a failed check, not a crash of the table
-            name = fn.__name__.removeprefix("check_").replace("_", "-")
-            results.append(CheckResult(name, False, f"raised {exc!r}", 0.0))
-    return results
+    return [fn(seed=seed) for fn in ALL_CHECKS]

@@ -15,11 +15,15 @@ import pytest
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _wrapped() -> dict:
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPPED
+    return module
+
+
+def _wrapped() -> dict:
+    return _spans().WRAPPED
 
 
 @pytest.mark.parametrize(
@@ -43,3 +47,17 @@ def test_hooked_arguments_keep_their_names(name, params):
     from pvalent import oracle
 
     assert params <= set(inspect.signature(getattr(oracle, name)).parameters)
+
+
+def test_selftest_names_are_the_benchmark_metric_names():
+    from pvalent import selftest
+
+    assert tuple(r.name for r in selftest.run_all(seed=0)) == _spans().SELFTEST_NAMES
+
+
+def test_every_check_takes_a_seed_keyword():
+    from pvalent import selftest
+
+    assert len(selftest.ALL_CHECKS) == 9
+    for fn in selftest.ALL_CHECKS:
+        inspect.signature(fn).bind(seed=0)

@@ -179,3 +179,17 @@ def test_composition_multiplier_matches_mpmath(theorem, k, mpref):
         }[theorem]
     got = _multiplier(theorem, p, c, eta, k)
     assert got == pytest.approx(float(want), rel=mpref.tolerance(math.lgamma(k + 1.0)))
+
+
+@pytest.mark.parametrize("theorem", [7, 10])
+def test_integral_compositions_refuse_an_infinite_order(theorem):
+    # eta = inf once gave lower = upper = 0.0, and a nan peak
+    cp = ClassParams()
+    with pytest.raises(ParameterOutOfRangeError):
+        composition_bound(theorem, cp, 1.0, math.inf, 0.5)
+    with pytest.raises(ParameterOutOfRangeError):
+        composition_bound(theorem, cp, 1.0, math.inf, 0.5, include_printed=False)
+    with pytest.raises(ParameterOutOfRangeError):
+        lower_bound_peak(theorem, cp, 1.0, math.inf)
+    with pytest.raises(ParameterOutOfRangeError):
+        composition_certified(theorem, cp, 1.0, math.inf)

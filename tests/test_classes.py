@@ -25,7 +25,7 @@ from pvalent import (
     zf_prime_over_p,
 )
 from pvalent.classes import log_r_criterion_term
-from pvalent.errors import ParameterOutOfRangeError, ValenceMismatchError
+from pvalent.errors import IndexBelowValenceError, ParameterOutOfRangeError, ValenceMismatchError
 from pvalent.series import CoefficientSeries
 
 CANONICAL = ClassParams()
@@ -284,3 +284,19 @@ def test_p_and_r_correspond_per_term(data):
     for (k, p_val), (_, r_val) in zip(via_p.per_term, check_r_membership(f, cp).per_term):
         if f.coeffs[k] >= sys.float_info.min:  # z f'/p rounds subnormal coefficients coarsely
             assert p_val == pytest.approx(k / cp.p * r_val, rel=1e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [r_criterion_term, log_r_criterion_term, coeff_bound_r, coeff_bound_p, extremal_r, extremal_p],
+)
+@pytest.mark.parametrize("k", [2.5, math.inf, math.nan])
+def test_lone_index_names_refuse_a_non_integer_index(fn, k):
+    # 2.5 once gave a value between the neighbours' and inf never returned
+    with pytest.raises(IndexBelowValenceError):
+        fn(k, ClassParams())
+
+
+def test_lone_index_names_take_integer_valued_indices():
+    cp = ClassParams(p=2, alpha=0.5, mu=0.3, delta=0.5)
+    assert coeff_bound_r(4.0, cp) == coeff_bound_r(np.int64(4), cp) == coeff_bound_r(4, cp)

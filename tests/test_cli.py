@@ -331,3 +331,14 @@ def test_check_and_extremal_load_only_their_modules(argv):
     assert loaded == [
         "pvalent.classes", "pvalent.cli", "pvalent.errors", "pvalent.operators", "pvalent.series"
     ]
+
+
+@pytest.mark.parametrize("printed", [[], ["--as-printed"]])
+def test_fracbound_infinite_order_exits_one(capsys, printed):
+    code, out, err = run(
+        capsys,
+        ["fracbound", "--theorem", "7", "--c", "1", "--eta", "inf",
+         "--rmin", "0.5", "--rmax", "0.5", "--steps", "1", *printed, *CANON],
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParameterOutOfRangeError"

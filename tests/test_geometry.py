@@ -24,7 +24,7 @@ from pvalent import (
     starlike_min_re,
 )
 from pvalent.classes import log_r_criterion_term
-from pvalent.errors import RadiusOutOfRangeError, UncertifiedBoundWarning
+from pvalent.errors import ParameterOutOfRangeError, RadiusOutOfRangeError, UncertifiedBoundWarning
 
 CANONICAL = ClassParams()
 
@@ -191,3 +191,11 @@ def test_radius_candidates_bit_exact(radius, kind, rng):
         for k in [*range(cp.p + 1, cp.p + 13), 170, 171, 172, 250, 300]:
             log_r = log_r_criterion_term(k, cp) + _log_factor(kind, k, cp.p, zeta)
             assert candidates[k] == math.exp(log_r / (k - cp.p))
+
+
+@pytest.mark.parametrize("radius", [radius_starlike, radius_convex, radius_close_to_convex])
+@pytest.mark.parametrize("k_max", [2.5, 60.0, True])
+def test_radius_scans_refuse_a_k_max_that_is_not_an_integer(radius, k_max):
+    # 2.5 once raised TypeError from range
+    with pytest.raises(ParameterOutOfRangeError):
+        radius(ClassParams(), k_max=k_max)

@@ -18,7 +18,7 @@ from pvalent import (
     schild_silverman_lambda,
 )
 from pvalent import hadamard
-from pvalent.errors import DegenerateDenominatorError
+from pvalent.errors import DegenerateDenominatorError, IndexBelowValenceError, ParameterOutOfRangeError
 from pvalent.operators import rafid_multipliers
 
 CANONICAL = ClassParams()
@@ -171,3 +171,19 @@ def test_order_scan_stops_at_proved_point(monkeypatch):
     rep = schild_silverman_lambda(ClassParams(mu=0.3), k_max=10**5)
     assert len(ks) <= 10
     assert rep.phi_increasing and rep.verified_best
+
+
+@pytest.mark.parametrize("fn", [mixed_order_candidate, class_order_candidate])
+def test_order_candidates_refuse_a_non_integer_index(fn):
+    args = (0.0,) if fn is mixed_order_candidate else ()
+    with pytest.raises(IndexBelowValenceError):
+        fn(2.5, ClassParams(), *args)
+
+
+@pytest.mark.parametrize(
+    "scan", [schild_silverman_lambda, lambda cp, k_max: mixed_order_xi(cp, 0.5, k_max)]
+)
+@pytest.mark.parametrize("k_max", [2.5, 64.0, True])
+def test_order_scans_refuse_a_k_max_that_is_not_an_integer(scan, k_max):
+    with pytest.raises(ParameterOutOfRangeError):
+        scan(ClassParams(), k_max=k_max)

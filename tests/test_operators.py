@@ -364,3 +364,16 @@ def test_fractional_parameter_validation():
         fractional_derivative(f, 1.0)
     with pytest.raises(ExponentUnderflowError):
         fractional_derivative(fractional_derivative(f, 0.9), 0.9)
+
+
+@pytest.mark.parametrize("k", [2.5, math.inf, math.nan])
+def test_lone_weight_refuses_a_non_integer_index(k):
+    with pytest.raises(IndexBelowValenceError):
+        rafid_weight(k, 1, RafidParams(mu=0.3, delta=0.5))
+    with pytest.raises(IndexBelowValenceError):
+        rafid_multiplier(k, 1, RafidParams())
+
+
+def test_lone_weight_takes_integer_valued_indices():
+    rp = RafidParams(mu=0.3, delta=0.5)
+    assert rafid_weight(5.0, 2, rp) == rafid_weight(np.int64(5), 2, rp) == rafid_weight(5, 2, rp)
