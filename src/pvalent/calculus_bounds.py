@@ -34,8 +34,10 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .classes import ClassParams, _certified_scan, coeff_bound_r, extremal_r
-from .errors import ParameterOutOfRangeError, UncertifiedBoundWarning
-from .operators import bernardi, fractional_derivative, fractional_integral, gamma_ratio
+from .errors import ParameterOutOfRangeError, UncertifiedBoundWarning, _require_radius
+from .operators import (
+    _require_c, _require_eta, bernardi, fractional_derivative, fractional_integral, gamma_ratio,
+)
 from .series import CoefficientSeries, FractionalSeries
 
 THEOREMS = (7, 8, 9, 10)
@@ -62,16 +64,8 @@ class CompositionBound:
 def _validate(theorem: int, cp: ClassParams, c: float, eta: float) -> None:
     if theorem not in THEOREMS:
         raise ParameterOutOfRangeError(f"theorem must be one of {THEOREMS}, got {theorem}")
-    if not math.isfinite(c) or c <= -cp.p:
-        raise ParameterOutOfRangeError(f"need c > -p, got c = {c}")
-    if theorem in (7, 10):
-        if not (0.0 < eta < math.inf):
-            raise ParameterOutOfRangeError(f"integral order must be positive and finite, got {eta}")
-    else:
-        if not (0.0 <= eta < 1.0):
-            raise ParameterOutOfRangeError(
-                f"derivative order must lie in [0, 1), got {eta}"
-            )
+    _require_c(c, cp.p)
+    _require_eta(eta, integral=theorem in (7, 10))
     if theorem == 9 and c + cp.p - eta <= 0.0:
         raise ParameterOutOfRangeError(
             f"composition 9 needs c + p - eta > 0, got {c + cp.p - eta}"
@@ -180,9 +174,7 @@ def composition_bound(
 ) -> CompositionBound:
     """Derived (and optionally as-printed) bounds at radius r in (0, 1)."""
     _validate(theorem, cp, c, eta)
-    r = float(r)
-    if not (0.0 < r < 1.0):
-        raise ParameterOutOfRangeError(f"radius must lie in (0, 1), got {r}")
+    r = _require_radius(r)
     if not composition_certified(theorem, cp, float(c), float(eta)):
         warnings.warn(
             f"tail aggregation not certified for composition {theorem} at {cp}; "

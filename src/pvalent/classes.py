@@ -26,10 +26,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .errors import OrderExceedsValenceError, ParameterOutOfRangeError, ValenceMismatchError
+from .errors import (
+    OrderExceedsValenceError, ParameterOutOfRangeError, ValenceMismatchError, _require_index, _require_int,
+)
 from .operators import RafidParams, pow2_product, rafid_multiplier, rafid_multipliers
 from .series import CoefficientSeries, make_series
 
@@ -55,8 +56,7 @@ class ClassParams:
     scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 1:
-            raise ParameterOutOfRangeError(f"p must be a positive integer, got {self.p!r}")
+        object.__setattr__(self, "p", _require_int("valence p", self.p, 1))
         if not (0.0 <= self.alpha < self.p):
             raise ParameterOutOfRangeError(f"alpha must lie in [0, p), got {self.alpha}")
         if not (-1.0 <= self.B < self.A <= 1.0):
@@ -86,8 +86,8 @@ class MembershipReport:
 
 def _term(k: int, cp: ClassParams, m: float, e: int) -> tuple[float, int]:
     """(t, e) with r_criterion_term(k) = t 2^e, given w_k = m 2^e."""
-    if k < cp.p + 1:
-        raise ParameterOutOfRangeError(f"criterion terms start at k = p+1, got {k}")
+    if k <= cp.p:
+        _require_index(k, cp.p)  # raises
     return ((1.0 - cp.B) * (k - cp.p) + cp.scale) * m / cp.scale, e
 
 
@@ -207,9 +207,7 @@ def _certified_scan(cp: ClassParams, shift: float, log_weight: Callable[[int], f
 
 def _scan_indices(cp: ClassParams, k_max: int) -> range:
     """The indices p+1 .. k_max of a scan of radii or orders."""
-    if isinstance(k_max, bool) or not isinstance(k_max, Integral) or k_max < cp.p + 1:
-        raise ParameterOutOfRangeError(f"k_max must be an integer >= p+1, got {k_max!r}")
-    return range(cp.p + 1, k_max + 1)
+    return range(cp.p + 1, _require_int("k_max", k_max, cp.p + 1) + 1)
 
 
 def _log_terms(cp: ClassParams, k_max: int) -> tuple[range, list[float]]:
@@ -233,7 +231,7 @@ def _nondecreasing(values: Sequence[float], rel: float = 0.0, tol: float = 0.0) 
     return all(a - tol <= b * (1.0 + rel) for a, b in zip(values, values[1:]))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)  # typed: True must not hit the entry of m = 1
 def budget_certified(cp: ClassParams, m: int = 0) -> bool:
     """Whether the k = p+1 multiplier binds the order-m aggregated budget.
 
@@ -247,8 +245,7 @@ def budget_certified(cp: ClassParams, m: int = 0) -> bool:
     The check is the shared log-space scan with weight fallfac(k, m) and
     shift m.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ParameterOutOfRangeError(f"order must be an integer >= 0, got {m!r}")
+    m = _require_int("order", m, 0)
     if m > cp.p:
         raise OrderExceedsValenceError(f"order {m} exceeds valence {cp.p}")
     return _certified_scan(cp, m, lambda k: math.lgamma(k + 1) - math.lgamma(k + 1 - m))

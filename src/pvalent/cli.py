@@ -27,7 +27,7 @@ from .classes import (
     extremal_p,
     extremal_r,
 )
-from .errors import DomainError, ParameterOutOfRangeError, SeriesFormatError
+from .errors import DomainError, SeriesFormatError, _require_int
 from .series import CoefficientSeries, from_json, hadamard_product, to_json
 
 
@@ -43,9 +43,7 @@ def _class_params(args: argparse.Namespace) -> ClassParams:
 
 
 def _radii(args: argparse.Namespace) -> list[float]:
-    if args.steps < 1:
-        raise ParameterOutOfRangeError(f"steps must be >= 1, got {args.steps}")
-    if args.steps == 1:
+    if _require_int("steps", args.steps, 1) == 1:
         return [args.rmin]
     h = (args.rmax - args.rmin) / (args.steps - 1)
     return [args.rmin + i * h for i in range(args.steps)]

@@ -36,7 +36,7 @@ from .classes import (
     budget_certified,
     coeff_bound_r,
 )
-from .errors import RadiusOutOfRangeError, UncertifiedBoundWarning
+from .errors import UncertifiedBoundWarning, _require_int, _require_radius
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,9 @@ class RadiusReport:
 
 def distortion_bounds(cp: ClassParams, m: int, r: float) -> tuple[float, float]:
     """(lower, upper) for |f^(m)| on |z| = r, 0 < r < 1, 0 <= m <= p."""
-    certified = budget_certified(cp, m)  # refuses an order outside 0..p first
-    r = float(r)
-    if not (0.0 < r < 1.0):
-        raise RadiusOutOfRangeError(f"radius must lie in (0, 1), got {r}")
+    m = _require_int("order", m, 0)
+    certified = budget_certified(cp, m)  # refuses an order above p first
+    r = _require_radius(r)
     if not certified:
         warnings.warn(
             f"tail budget not certified for {cp} at order {m}; "

@@ -20,7 +20,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 from .classes import ClassParams, _nondecreasing, _scan_indices, check_r_membership, extremal_r
-from .errors import DegenerateDenominatorError, ParameterOutOfRangeError
+from .errors import DegenerateDenominatorError, ParameterOutOfRangeError, _require_index
 from .operators import pow2_product, rafid_multiplier, rafid_multipliers
 from .series import hadamard_product
 
@@ -56,8 +56,8 @@ def _phi(k: int, cp: ClassParams, beta: float, m: float, e: int) -> float:
     w_k enters as (m, e), scaled once: past double range the denominator
     saturates to inf (Phi = p) or to -s_a s_b (degenerate), never nan.
     """
-    if k < cp.p + 1:
-        raise ParameterOutOfRangeError(f"candidates start at k = p+1, got {k}")
+    if k <= cp.p:
+        _require_index(k, cp.p)  # raises
     if not (0.0 <= beta < cp.p):
         raise ParameterOutOfRangeError(f"beta must lie in [0, p), got {beta}")
     s_a = cp.scale

@@ -25,16 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     DivergentInputError,
     ExponentUnderflowError,
-    IndexBelowValenceError,
     NonpositiveArgumentError,
     ParameterOutOfRangeError,
     QuadratureUnavailableError,
+    _require_index,
+    _require_int,
 )
 from .series import CoefficientSeries, FractionalSeries, _as_fractional, _diagonal
 
@@ -71,8 +71,7 @@ class QuadratureConfig:
     nodes: int = 64
 
     def __post_init__(self) -> None:
-        if isinstance(self.nodes, bool) or not isinstance(self.nodes, Integral) or self.nodes < 8:
-            raise ParameterOutOfRangeError(f"nodes must be an integer >= 8, got {self.nodes!r}")
+        _require_int("nodes", self.nodes, 8)
 
 
 def gamma_ratio(x: float, y: float) -> float:
@@ -125,12 +124,11 @@ def rafid_multipliers(p: int, rp: RafidParams, ks: Iterable[int]) -> Iterator[tu
     frexp when it leaves [2^-500, 2^500]: no w_k overflows or underflows, and w_k does not
     depend on the other indices asked for.  Callers scale once with :func:`pow2_product`.
     """
-    if p < 1:
-        raise ParameterOutOfRangeError(f"valence must be positive, got {p}")
+    p = _require_int("valence p", p, 1)
     shrink, delta, k, m, e = 1.0 - rp.mu, rp.delta, p, 1.0, 0
     for target in ks:
         if target < p:
-            raise IndexBelowValenceError(f"index {target} below valence {p}")
+            _require_index(target, p - 1)  # raises
         if target < k:
             raise ParameterOutOfRangeError(f"indices must be nondecreasing, got {target} after {k}")
         while k < target:
@@ -144,10 +142,9 @@ def rafid_multipliers(p: int, rp: RafidParams, ks: Iterable[int]) -> Iterator[tu
 
 
 def rafid_multiplier(k: int, p: int, rp: RafidParams) -> tuple[float, int]:
-    """(m, e) with w_k = m 2^e: the lone-index case of :func:`rafid_multipliers`, integer k only."""
-    if not float(k).is_integer():
-        raise IndexBelowValenceError(f"index {k!r} is not an integer")
-    return next(rafid_multipliers(p, rp, (k,)))
+    """(m, e) with w_k = m 2^e: the lone-index case of :func:`rafid_multipliers`, k >= p."""
+    p = _require_int("valence p", p, 1)
+    return next(rafid_multipliers(p, rp, (_require_index(k, p - 1),)))  # w_p = 1 is a weight too
 
 
 def rafid_weight(k: int, p: int, rp: RafidParams) -> float:
@@ -248,6 +245,24 @@ def rafid_quadrature(
     return total / ((1.0 - rp.mu) ** f.p * math.gamma(f.p + rp.delta))
 
 
+def _require_c(c: float, lowest: float) -> float:
+    """c as a float: finite, with c + lowest > 0 for the lowest exponent (p for a CoefficientSeries)."""
+    c = float(c)
+    if not (math.isfinite(c) and c + lowest > 0.0):
+        raise ParameterOutOfRangeError(f"need a finite c > -{lowest}, got c = {c}")
+    return c
+
+
+def _require_eta(eta: float, integral: bool) -> float:
+    """eta as a float: a fractional integral order lies in (0, inf), a derivative order in [0, 1)."""
+    eta = float(eta)
+    if integral and not 0.0 < eta < math.inf:
+        raise ParameterOutOfRangeError(f"integral order must be positive and finite, got {eta}")
+    if not integral and not 0.0 <= eta < 1.0:
+        raise ParameterOutOfRangeError(f"derivative order must lie in [0, 1), got {eta}")
+    return eta
+
+
 def bernardi(f: CoefficientSeries | FractionalSeries, c: float) -> CoefficientSeries | FractionalSeries:
     """Bernardi integral (c+p)/z^c int_0^z t^(c-1) f(t) dt, acting as (c+p)/(c+s) per exponent s.
 
@@ -255,27 +270,17 @@ def bernardi(f: CoefficientSeries | FractionalSeries, c: float) -> CoefficientSe
     antiderivative must converge at the origin, so c plus the smallest
     exponent has to stay positive.
     """
-    c = float(c)
-    if not math.isfinite(c):
-        raise ParameterOutOfRangeError(f"c must be finite, got {c}")
     if isinstance(f, CoefficientSeries):
-        if c <= -f.p:
-            raise ParameterOutOfRangeError(f"need c > -p, got c = {c}, p = {f.p}")
+        c = _require_c(c, f.p)
         scaled = {k: (c + f.p) / (c + k) * a for k, a in f.coeffs.items()}
         return CoefficientSeries(p=f.p, coeffs=scaled)
-    lead_exp = f.p + f.shift
-    if c + lead_exp <= 0.0:
-        raise ParameterOutOfRangeError(
-            f"need c + leading exponent > 0, got c = {c}, exponent = {lead_exp}"
-        )
+    c = _require_c(c, f.p + f.shift)
     return _diagonal(f, lambda s: (c + f.p) / (c + s), 0.0)
 
 
 def fractional_integral(f: CoefficientSeries | FractionalSeries, eta: float) -> FractionalSeries:
     """Fractional integral of order eta > 0; exponents shift up by eta."""
-    eta = float(eta)
-    if not (eta > 0.0) or not math.isfinite(eta):
-        raise ParameterOutOfRangeError(f"integral order must be positive, got {eta}")
+    eta = _require_eta(eta, integral=True)
     return _diagonal(_as_fractional(f), lambda s: gamma_ratio(s + 1.0, s + 1.0 + eta), eta)
 
 
@@ -288,9 +293,7 @@ def fractional_derivative(
     (and every Gamma argument stays positive); otherwise the index is
     reported through :class:`ExponentUnderflowError`.
     """
-    eta = float(eta)
-    if not (0.0 <= eta < 1.0):
-        raise ParameterOutOfRangeError(f"derivative order must lie in [0, 1), got {eta}")
+    eta = _require_eta(eta, integral=False)
     g = _as_fractional(g)
     lead_exp = g.p + g.shift
     if lead_exp - eta < 0.0:

@@ -41,21 +41,11 @@ from numbers import Real
 import numpy as np
 
 from .classes import ClassParams, _require_zeta
-from .errors import (
-    DivergentInputError,
-    ParameterOutOfRangeError,
-    PoleOnGridError,
-    RadiusOutOfRangeError,
-)
+from .errors import DivergentInputError, ParameterOutOfRangeError, PoleOnGridError, _require_int, _require_radius
 from .operators import apply_rafid
 from .series import CoefficientSeries
 
 _DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
-
-
-def _require_count(name: str, value: object, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ParameterOutOfRangeError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _require_finite(name: str, value: object, least: str = ">=") -> None:
@@ -75,12 +65,12 @@ class SampleGrid:
     def __post_init__(self) -> None:
         if not self.radii:
             raise ParameterOutOfRangeError("grid needs at least one radius")
-        if any(not (0.0 < r < 1.0) for r in self.radii):
-            raise RadiusOutOfRangeError(f"grid radii must lie in (0, 1): {self.radii}")
+        for r in self.radii:
+            _require_radius(r)
         if list(self.radii) != sorted(set(self.radii)):
             raise ParameterOutOfRangeError("grid radii must be strictly increasing")
-        _require_count("angles per circle", self.angles_per_radius, 8)
-        _require_count("refinement", self.refinement, 0)
+        _require_int("angles per circle", self.angles_per_radius, 8)
+        _require_int("refinement", self.refinement, 0)
 
 
 @dataclass(frozen=True)
@@ -123,7 +113,7 @@ def _half_circle(e: np.ndarray, c: np.ndarray, power: np.ndarray, n: int) -> np.
     coefficients times power = r^e, folded by e mod n, which is exact at any degree.
     The coefficients are real, so the other half circle holds the conjugates.
     """
-    _require_count("angles per circle", n, 8)
+    _require_int("angles per circle", n, 8)
     slot = e % n
     rows = np.concatenate([c * power, c * e * power])
     folded = np.bincount(np.concatenate([slot, slot + n]), rows, 2 * n)
@@ -286,11 +276,6 @@ def subordination_margin(
     return OracleReport("subordination", best_val, 1.0, best_z, passed, tolerance, tuple(notes))
 
 
-def _require_radius(r: float) -> None:
-    if not (0.0 < r < 1.0):
-        raise RadiusOutOfRangeError(f"radius must lie in (0, 1), got {r}")
-
-
 def subordination_ratio_real(f: CoefficientSeries, cp: ClassParams, r: float) -> float:
     """Subordination ratio at the single real point z = r."""
     _require_radius(r)
@@ -312,7 +297,7 @@ def locate_real_axis_violation(
     ever sampling outside the disk.  f is smoothed once for the whole walk.
     """
     _require_finite("threshold", threshold, ">")
-    _require_count("steps", steps, 1)
+    _require_int("steps", steps, 1)
     exps, coefs = _terms(_smoothed(f, cp))
     best_r, best_ratio = start, -math.inf
     gap = 1.0 - start

@@ -21,12 +21,13 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import (
     DuplicateIndexError,
-    IndexBelowValenceError,
     NegativeCoefficientError,
     OrderExceedsValenceError,
     ParameterOutOfRangeError,
     SeriesFormatError,
     ValenceMismatchError,
+    _require_index,
+    _require_int,
 )
 
 
@@ -67,15 +68,14 @@ class FractionalSeries:
     terms: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ParameterOutOfRangeError(f"valence must be positive, got {self.p}")
+        _require_int("valence p", self.p, 1)
         if self.p + self.shift < 0:
             raise ParameterOutOfRangeError(
                 f"leading exponent p+shift = {self.p + self.shift} is negative"
             )
         for k, c in self.terms.items():
-            if k <= self.p:
-                raise IndexBelowValenceError(f"tail index {k} not above p = {self.p}")
+            if type(k) is not int or k <= self.p:
+                _require_index(k, self.p)
             if k + self.shift <= 0:
                 raise ParameterOutOfRangeError(f"tail exponent {k + self.shift} not positive")
             if not math.isfinite(c):
@@ -110,28 +110,20 @@ def make_series(p: int, coeffs: Iterable[tuple[int, float]] = ()) -> Coefficient
     """Validate and build a series from (index, coefficient) pairs.
 
     Args:
-        p: valence, a positive integer.
-        coeffs: pairs (k, a_k) with integer k >= p+1 and finite a_k >= 0.
+        p: valence, a positive integer (numpy integers too; stored as int).
+        coeffs: pairs (k, a_k) with integer k >= p+1, an integer-valued float
+            counting as its int, and finite a_k >= 0.
             Explicit zeros are kept so serialization round-trips exactly.
 
     Raises:
         ParameterOutOfRangeError: bad valence or non-finite coefficient.
         IndexBelowValenceError, DuplicateIndexError, NegativeCoefficientError.
     """
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise ParameterOutOfRangeError(f"valence p must be an integer, got {p!r}")
-    if p < 1:
-        raise ParameterOutOfRangeError(f"valence p must be >= 1, got {p}")
+    p = _require_int("valence p", p, 1)
     tail: dict[int, float] = {}
     for k, a in coeffs:
-        if isinstance(k, float):
-            if not k.is_integer():
-                raise IndexBelowValenceError(f"index {k!r} is not an integer")
-            k = int(k)
-        if not isinstance(k, int):
-            raise IndexBelowValenceError(f"index {k!r} is not an integer")
-        if k < p + 1:
-            raise IndexBelowValenceError(f"index {k} must be at least p+1 = {p + 1}")
+        if type(k) is not int or k <= p:
+            k = _require_index(k, p)
         if k in tail:
             raise DuplicateIndexError(f"index {k} appears more than once")
         a = float(a)
@@ -178,8 +170,7 @@ def derivative_m(f: CoefficientSeries | FractionalSeries, m: int) -> FractionalS
     argument is accepted when its shift is an integer (repeated
     differentiation).
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ParameterOutOfRangeError(f"derivative order must be an integer >= 0, got {m!r}")
+    m = _require_int("derivative order", m, 0)
     g = _as_fractional(f)
     if not float(g.shift).is_integer():
         raise ParameterOutOfRangeError("integer derivative needs integer exponents")
@@ -219,6 +210,6 @@ def from_json(text: str | bytes) -> CoefficientSeries:
         not isinstance(item, (list, tuple)) or len(item) != 2 for item in pairs
     ):
         raise SeriesFormatError('"coeffs" must be a list of [index, coefficient] pairs')
-    if isinstance(p, bool) or not isinstance(p, int):
+    if type(p) is not int:  # json gives int, float, bool or a non-number
         raise SeriesFormatError('"p" must be an integer')
     return make_series(p, [(k, a) for k, a in pairs])

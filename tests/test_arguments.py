@@ -1,0 +1,245 @@
+"""The argument rules: integers, tail indices, radii, fractional orders and the Bernardi c.
+
+Each rule has one home (``pvalent.errors``, or ``pvalent.operators`` for eta
+and c), so every entry point accepts the same inputs and refuses the rest
+with the same error type and message.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from pvalent import (
+    ClassParams,
+    CoefficientSeries,
+    FractionalSeries,
+    QuadratureConfig,
+    RafidParams,
+    SampleGrid,
+    bernardi,
+    budget_certified,
+    check_r_membership,
+    class_order_candidate,
+    coeff_bound_p,
+    coeff_bound_r,
+    composition_bound,
+    convex_min_re,
+    ctc_max_dev,
+    derivative_m,
+    distortion_bounds,
+    distortion_curve,
+    extremal_p,
+    extremal_r,
+    fractional_derivative,
+    fractional_integral,
+    locate_real_axis_violation,
+    make_series,
+    mixed_order_candidate,
+    mixed_order_xi,
+    r_criterion_term,
+    radius_close_to_convex,
+    radius_convex,
+    radius_starlike,
+    rafid_quadrature,
+    rafid_weight,
+    schild_silverman_lambda,
+    starlike_min_re,
+    subordination_margin,
+    subordination_ratio_real,
+)
+from pvalent.classes import log_r_criterion_term
+from pvalent.cli import main
+from pvalent.errors import IndexBelowValenceError, ParameterOutOfRangeError, RadiusOutOfRangeError
+
+CP = ClassParams(p=2, alpha=0.5, mu=0.3, delta=0.5)
+F1 = make_series(1, [(2, 0.1), (4, 0.02)])
+F2 = make_series(2, [(3, 0.05), (5, 0.01)])
+RP = RafidParams(mu=0.3, delta=0.5)
+CANON = ["--alpha", "0", "--A", "1", "--B", "-1"]
+
+
+def _plain(x):
+    """A comparable form of an entry's result: reports as dicts, curves as sample tuples."""
+    if hasattr(x, "to_dict"):
+        return x.to_dict()
+    return x.samples if hasattr(x, "samples") else x
+
+
+# entry name -> (call with the integer argument, a valid value, the documented error type)
+INTEGER_ENTRIES = {
+    "make_series p": (lambda v: make_series(v, [(3, 0.1)]), 2, ParameterOutOfRangeError),
+    "make_series index": (lambda v: make_series(2, [(v, 0.1)]), 4, IndexBelowValenceError),
+    "FractionalSeries p": (
+        lambda v: FractionalSeries(p=v, shift=0.0, leading=1.0, terms={3: -0.1}).evaluate(0.5),
+        2,
+        ParameterOutOfRangeError,
+    ),
+    "ClassParams p": (lambda v: ClassParams(p=v, alpha=0.5), 2, ParameterOutOfRangeError),
+    "derivative_m": (lambda v: derivative_m(F2, v), 1, ParameterOutOfRangeError),
+    "budget_certified": (lambda v: budget_certified(CP, v), 1, ParameterOutOfRangeError),
+    "distortion_bounds": (lambda v: distortion_bounds(CP, v, 0.5), 1, ParameterOutOfRangeError),
+    "distortion_curve": (lambda v: distortion_curve(CP, v, [0.2, 0.5]), 1, ParameterOutOfRangeError),
+    "r_criterion_term": (lambda v: r_criterion_term(v, CP), 4, IndexBelowValenceError),
+    "log_r_criterion_term": (lambda v: log_r_criterion_term(v, CP), 4, IndexBelowValenceError),
+    "coeff_bound_r": (lambda v: coeff_bound_r(v, CP), 4, IndexBelowValenceError),
+    "coeff_bound_p": (lambda v: coeff_bound_p(v, CP), 4, IndexBelowValenceError),
+    "extremal_r": (lambda v: extremal_r(v, CP), 4, IndexBelowValenceError),
+    "extremal_p": (lambda v: extremal_p(v, CP), 4, IndexBelowValenceError),
+    "mixed_order_candidate": (lambda v: mixed_order_candidate(v, CP, 1.0), 4, IndexBelowValenceError),
+    "class_order_candidate": (lambda v: class_order_candidate(v, CP), 4, IndexBelowValenceError),
+    "rafid_weight k": (lambda v: rafid_weight(v, 2, RP), 4, IndexBelowValenceError),
+    "rafid_weight p": (lambda v: rafid_weight(4, v, RP), 2, ParameterOutOfRangeError),
+    "radius_starlike": (lambda v: radius_starlike(CP, 0.5, k_max=v), 40, ParameterOutOfRangeError),
+    "radius_convex": (lambda v: radius_convex(CP, 0.5, k_max=v), 40, ParameterOutOfRangeError),
+    "radius_close_to_convex": (
+        lambda v: radius_close_to_convex(CP, 0.5, k_max=v), 40, ParameterOutOfRangeError
+    ),
+    "schild_silverman_lambda": (
+        lambda v: schild_silverman_lambda(CP, k_max=v), 40, ParameterOutOfRangeError
+    ),
+    "mixed_order_xi": (lambda v: mixed_order_xi(CP, 1.0, k_max=v), 40, ParameterOutOfRangeError),
+    "composition_bound theorem": (
+        lambda v: composition_bound(v, CP, 1.0, 0.5, 0.5), 7, ParameterOutOfRangeError
+    ),
+    "QuadratureConfig": (
+        lambda v: rafid_quadrature(F1, RP, 0.4 + 0.2j, QuadratureConfig(nodes=v)),
+        16,
+        ParameterOutOfRangeError,
+    ),
+    "SampleGrid angles": (
+        lambda v: subordination_margin(F1, ClassParams(), SampleGrid(angles_per_radius=v)),
+        64,
+        ParameterOutOfRangeError,
+    ),
+    "SampleGrid refinement": (
+        lambda v: subordination_margin(F1, ClassParams(), SampleGrid(angles_per_radius=16, refinement=v)),
+        1,
+        ParameterOutOfRangeError,
+    ),
+    "starlike_min_re": (lambda v: starlike_min_re(F1, 0.0, 0.5, n_angles=v), 64, ParameterOutOfRangeError),
+    "convex_min_re": (lambda v: convex_min_re(F1, 0.0, 0.5, n_angles=v), 64, ParameterOutOfRangeError),
+    "ctc_max_dev": (lambda v: ctc_max_dev(F1, 0.0, 0.5, n_angles=v), 64, ParameterOutOfRangeError),
+    "locate_real_axis_violation": (
+        lambda v: locate_real_axis_violation(F1, ClassParams(), steps=v), 5, ParameterOutOfRangeError
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRIES))
+def test_integer_arguments_take_numpy_integers_and_refuse_the_rest(entry):
+    call, valid, error = INTEGER_ENTRIES[entry]
+    assert _plain(call(np.int64(valid))) == _plain(call(valid))
+    for bad in (True, 2.5, None):
+        with pytest.raises(error):
+            call(bad)
+
+
+def test_numpy_valence_gives_plain_results():
+    """A numpy valence is stored as an int, so JSON and reports read the same."""
+    assert repr(ClassParams(p=np.int64(2))) == repr(ClassParams(p=2))
+    assert repr(make_series(np.int64(1), [(np.int64(3), 0.1)])) == repr(make_series(1, [(3, 0.1)]))
+    assert repr(extremal_r(np.int64(3), ClassParams())) == repr(extremal_r(3, ClassParams()))
+    assert schild_silverman_lambda(ClassParams(p=np.int64(2))).to_dict()["saturating_k"] == 3
+
+
+def test_order_refused_as_a_bool_after_its_integer_was_cached():
+    cp = ClassParams(p=2, mu=0.6, delta=0.2)
+    expected = budget_certified(cp, 1)
+    with pytest.raises(ParameterOutOfRangeError):
+        budget_certified(cp, True)
+    assert budget_certified(cp, 1) == expected
+
+
+@pytest.mark.parametrize("p", [1.5, True])
+def test_fractional_series_refuses_a_valence_that_is_not_an_integer(p):
+    # both were once accepted, and evaluate() then raised a bare TypeError
+    with pytest.raises(ParameterOutOfRangeError, match="valence p must be an integer >= 1"):
+        FractionalSeries(p=p, shift=0.0, leading=1.0, terms={3: -0.1})
+
+
+def test_indices_may_be_integer_valued_floats():
+    assert make_series(2, [(4.0, 0.1)]) == make_series(2, [(4, 0.1)])
+    assert coeff_bound_r(4.0, CP) == coeff_bound_r(4, CP)
+    assert extremal_p(4.0, CP) == extremal_p(4, CP)
+    assert class_order_candidate(4.0, CP) == class_order_candidate(4, CP)
+
+
+INDEX_ENTRIES = {
+    "make_series": lambda k, cp: make_series(cp.p, [(k, 0.1)]),
+    "FractionalSeries": lambda k, cp: FractionalSeries(p=cp.p, shift=0.0, leading=1.0, terms={k: -0.1}),
+    "check_r_membership": lambda k, cp: check_r_membership(CoefficientSeries(cp.p, {k: 0.1}), cp),
+    "r_criterion_term": r_criterion_term,
+    "log_r_criterion_term": log_r_criterion_term,
+    "coeff_bound_r": coeff_bound_r,
+    "coeff_bound_p": coeff_bound_p,
+    "extremal_r": extremal_r,
+    "extremal_p": extremal_p,
+    "mixed_order_candidate": lambda k, cp: mixed_order_candidate(k, cp, 0.0),
+    "class_order_candidate": class_order_candidate,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
+@pytest.mark.parametrize("p", [1, 2])
+def test_index_at_the_valence_raises_index_below_valence(entry, p):
+    with pytest.raises(IndexBelowValenceError, match=f"index must be an integer >= {p + 1}, got {p}"):
+        INDEX_ENTRIES[entry](p, ClassParams(p=p))
+
+
+RADIUS_ENTRIES = {
+    "distortion_bounds": lambda r: distortion_bounds(ClassParams(), 1, r),
+    "distortion_curve": lambda r: distortion_curve(ClassParams(), 1, [0.5, r]),
+    "composition_bound": lambda r: composition_bound(7, ClassParams(), 1.0, 0.5, r),
+    "composition_bound derived only": lambda r: composition_bound(
+        8, ClassParams(), 1.0, 0.5, r, include_printed=False
+    ),
+    "SampleGrid": lambda r: SampleGrid(radii=(r,)),
+    "subordination_ratio_real": lambda r: subordination_ratio_real(F1, ClassParams(), r),
+    "locate_real_axis_violation": lambda r: locate_real_axis_violation(F1, ClassParams(), start=r),
+    "starlike_min_re": lambda r: starlike_min_re(F1, 0.0, r),
+    "convex_min_re": lambda r: convex_min_re(F1, 0.0, r),
+    "ctc_max_dev": lambda r: ctc_max_dev(F1, 0.0, r),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RADIUS_ENTRIES))
+@pytest.mark.parametrize("r", [0.0, 1.0, -0.5, math.nan, math.inf])
+def test_radius_outside_the_unit_interval_refused_alike(entry, r):
+    with pytest.raises(RadiusOutOfRangeError, match=r"radius must lie in \(0, 1\)") as info:
+        RADIUS_ENTRIES[entry](r)
+    assert isinstance(info.value, ParameterOutOfRangeError)
+
+
+def _message(call):
+    with pytest.raises(ParameterOutOfRangeError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("c", [-1.0, -3.0, math.nan, math.inf])
+def test_bernardi_constant_refused_alike_by_operator_and_bounds(c):
+    msg = _message(lambda: bernardi(F1, c))
+    assert _message(lambda: composition_bound(7, ClassParams(), c, 0.5, 0.5)) == msg
+
+
+@pytest.mark.parametrize("theorem, eta", [(7, 0.0), (7, math.inf), (10, -1.0), (8, 1.0), (9, math.nan)])
+def test_fractional_order_refused_alike_by_operator_and_bounds(theorem, eta):
+    op = fractional_integral if theorem in (7, 10) else fractional_derivative
+    msg = _message(lambda: op(F1, eta))
+    assert _message(lambda: composition_bound(theorem, ClassParams(), 1.0, eta, 0.5)) == msg
+
+
+def _cli_error(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    return json.loads(out.err)["error"]
+
+
+def test_cli_error_names_follow_the_rules(capsys):
+    bound = ["fracbound", "--theorem", "7", "--c", "1", "--eta", "1", "--rmax", "0.5", *CANON]
+    assert _cli_error(capsys, [*bound, "--rmin", "1", "--steps", "1"]) == "RadiusOutOfRangeError"
+    assert _cli_error(capsys, [*bound, "--rmin", "0.5", "--steps", "0"]) == "ParameterOutOfRangeError"
+    assert _cli_error(capsys, ["extremal", "--k", "1", "--class", "r", *CANON]) == "IndexBelowValenceError"
