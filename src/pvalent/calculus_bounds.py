@@ -1,13 +1,13 @@
 """Modulus bounds for fractional calculus composed with the Bernardi integral.
 
-Four compositions are covered (numbered as exposed on the CLI):
-
-    7:  D^-eta (J_c f)      8:  D^eta (J_c f)
-    9:  J_c (D^eta f)      10:  J_c (D^-eta f)
+Four compositions of a fractional integral or derivative of order eta with
+the Bernardi integral J_c are covered, numbered as the CLI theorems and each
+declared once, in ``_COMPOSITIONS``: the sign of the fractional order and
+whether J_c acts last.  Validation, shifts, multipliers, certificate and the
+composed extremal all read that table.
 
 Each composition acts diagonally, so with A0 the composed multiplier on z^p,
-A1 the one on z^(p+1), e0 = p +- eta and the aggregated tail budget
-T = (A-B)(p-alpha) / ([(1-B)+(A-B)(p-alpha)](1-mu)(p+delta)),
+A1 the one on z^(p+1), e0 = p +- eta and T the sharp k = p+1 coefficient bound,
 
     lower(r) = A0 r^e0 - A1 T r^(e0+1),    upper(r) = A0 r^e0 + A1 T r^(e0+1).
 
@@ -18,29 +18,38 @@ prefactors that only match at p = 1), so every bound can also be evaluated
 "as printed" for audit; the two sets are reported side by side and their
 divergence is asserted by the acceptance suite, never patched over.
 
-The budget T shares the certification caveat of the distortion bounds, and
-the derivative compositions (8, 9) add one of their own: their multiplier
-Gamma(k+1)/Gamma(k+1-eta) grows in k, so even an order-0 certified budget
-can under-aggregate the tail.  :func:`composition_certified` scans the
-combined ratio; bounds evaluated outside the certified regime raise a
-warning because admissible members really do escape them there.
+Like the distortion bounds, these replace every tail multiplier by the
+k = p+1 one, which holds only where the one certificate of
+:mod:`pvalent.classes` does; :func:`composition_certified` runs it on the
+composed multiplier, whose Gamma(k+1)/Gamma(k+1-eta) grows in k for the
+derivative compositions, so even an order-0 certified budget can
+under-aggregate the tail.  Outside the certificate the bounds carry that
+module's one warning, because admissible members really do escape them.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from .classes import ClassParams, _certified_scan, coeff_bound_r, extremal_r
-from .errors import ParameterOutOfRangeError, UncertifiedBoundWarning, _require_radius
+from .classes import ClassParams, _certified_scan, _warn_uncertified, coeff_bound_r, extremal_r
+from .errors import DomainError, ParameterOutOfRangeError, _require_int, _require_radius
 from .operators import (
     _require_c, _require_eta, bernardi, fractional_derivative, fractional_integral, gamma_ratio,
 )
-from .series import CoefficientSeries, FractionalSeries
+from .series import FractionalSeries
 
-THEOREMS = (7, 8, 9, 10)
+# theorem -> (sign of the fractional order, whether the Bernardi integral J_c acts last):
+#   7: D^-eta (J_c f)    8: D^eta (J_c f)    9: J_c (D^eta f)    10: J_c (D^-eta f)
+_COMPOSITIONS = {7: (1, False), 8: (-1, False), 9: (-1, True), 10: (1, True)}
+THEOREMS = tuple(_COMPOSITIONS)
+
+# The printed forms of 8-10 keep their literal Gamma arithmetic, which carries the
+# audit-table bits, up to this p: Gamma(p+1) Gamma(p+eta+2) stays below 1e242 there,
+# leaving room for the c and class factors.  Above it they are evaluated as ratios.
+_LITERAL_P_MAX = 80
+_GAMMA_PIVOT = 170.0  # math.gamma is finite up to about 171.6
 
 
 @dataclass(frozen=True)
@@ -61,36 +70,39 @@ class CompositionBound:
         return out
 
 
-def _validate(theorem: int, cp: ClassParams, c: float, eta: float) -> None:
-    if theorem not in THEOREMS:
+def _validate(theorem: int, cp: ClassParams, c: float, eta: float) -> int:
+    """theorem as an int, once eta and c pass the rules of the operators it composes."""
+    theorem = _require_int("theorem", theorem, THEOREMS[0])
+    if theorem not in _COMPOSITIONS:
         raise ParameterOutOfRangeError(f"theorem must be one of {THEOREMS}, got {theorem}")
-    _require_c(c, cp.p)
-    _require_eta(eta, integral=theorem in (7, 10))
-    if theorem == 9 and c + cp.p - eta <= 0.0:
-        raise ParameterOutOfRangeError(
-            f"composition 9 needs c + p - eta > 0, got {c + cp.p - eta}"
-        )
+    _require_eta(eta, integral=_COMPOSITIONS[theorem][0] > 0)
+    _, b = _shifts(theorem, eta)
+    # c + p > 0, tightened to c + (p - eta) > 0 when J_c acts last on a derivative (9)
+    _require_c(c, min(cp.p, cp.p + b))  # min keeps an int p an int in the message
+    if c + cp.p + b <= 0.0:  # A0's denominator, 0 where c + 1 rounds to eta though c + (1 - eta) > 0
+        raise ParameterOutOfRangeError(f"the derived bounds divide by (c + p) - eta = 0 at c = {c}, eta = {eta}")
+    return theorem
 
 
 def _shifts(theorem: int, eta: float) -> tuple[float, float]:
     """(s, b) with composed multiplier (c+p)/(c+k+b) * Gamma(k+1)/Gamma(k+1+s) on z^k.
 
-    s = +eta for the integral compositions (7, 10) and -eta for the
-    derivative ones (8, 9); the Bernardi factor sees the shifted exponent
-    (b = s) when it acts last (9, 10) and the plain index (b = 0) otherwise.
+    s = +eta for an integral, -eta for a derivative; a Bernardi integral acting
+    last sees the shifted exponent (b = s), acting first the plain index (b = 0).
     """
-    s = eta if theorem in (7, 10) else -eta
-    return s, (s if theorem in (9, 10) else 0.0)
+    sign, bernardi_last = _COMPOSITIONS[theorem]
+    s = sign * eta
+    return s, (s if bernardi_last else 0.0)
 
 
 def _multiplier(theorem: int, p: int, c: float, eta: float, k: int) -> float:
-    """Composed multiplier on z^k, in each theorem's own order of operations."""
+    """Composed multiplier on z^k, in each composition's own order of operations."""
     s, b = _shifts(theorem, eta)
     g = gamma_ratio(k + 1.0, k + 1.0 + s)
     # (c+p) + (k-p) rather than c+k: A0 and A1 keep the bits of the audit table
-    if theorem in (7, 8):
-        return (c + p) / (c + p + (k - p)) * g
-    return g * (c + p) / (c + p + (k - p) + b)
+    if _COMPOSITIONS[theorem][1]:  # the Bernardi integral acts last
+        return g * (c + p) / (c + p + (k - p) + b)
+    return (c + p) / (c + p + (k - p)) * g
 
 
 def _leading(theorem: int, p: int, c: float, eta: float) -> tuple[float, float, float]:
@@ -99,89 +111,78 @@ def _leading(theorem: int, p: int, c: float, eta: float) -> tuple[float, float, 
     return _multiplier(theorem, p, c, eta, p), _multiplier(theorem, p, c, eta, p + 1), p + s
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)  # typed: a float theorem must not hit its integer's entry
 def composition_certified(theorem: int, cp: ClassParams, c: float, eta: float) -> bool:
     """Whether the k = p+1 composed multiplier binds the aggregated tail.
 
     The bounds need  term(k) * mult(p+1) / mult(k) >= term(p+1)  for every
-    k > p: the shared log-space scan of :mod:`pvalent.classes` with weight
-    mult(k) and shift eta for the derivative compositions (8, 9), 0 otherwise.
+    k > p: the certificate scan of :mod:`pvalent.classes` on mult(k).
     """
-    _validate(theorem, cp, float(c), float(eta))
+    theorem = _validate(theorem, cp, float(c), float(eta))
     s, b = _shifts(theorem, eta)
-
-    def log_mult(k: int) -> float:
-        # the constant log(c+p) cancels in the ratio; lgamma stays finite where mult(k) underflows
-        return math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + s) - math.log(c + k + b)
-
-    return _certified_scan(cp, max(-s, 0.0), log_mult)
+    return _certified_scan(cp, s, c, b)
 
 
-def _printed(
-    theorem: int, cp: ClassParams, c: float, eta: float, r: float
-) -> tuple[float, float]:
-    """Literal transcription of the source inequalities, slips included."""
+def _printed(theorem: int, cp: ClassParams, c: float, eta: float, r: float) -> tuple[float, float]:
+    """Literal transcription of the source inequalities, slips included.
+
+    A printed denominator of 0 raises :class:`DomainError`; above
+    ``_LITERAL_P_MAX`` the Gamma values are carried as ratios, so only true
+    values beyond double range read 0.0.
+    """
     p = cp.p
     d_den = ((1.0 - cp.B) + cp.scale) * (1.0 - cp.mu) * (p + cp.delta)
     if theorem == 7:
         lead = gamma_ratio(p + 1.0, p + 1.0 + eta)
         # lower line carries (B-A) where (A-B) is meant, flipping the sign
-        tail_low = (
-            (c + p)
-            * gamma_ratio(p + 2.0, p + eta + 2.0)
-            * (cp.B - cp.A)
-            * (p - cp.alpha)
-            / ((c + p + 1.0) * d_den)
+        tail_low = (c + p) * gamma_ratio(p + 2.0, p + eta + 2.0) * (cp.B - cp.A) * (p - cp.alpha) / (
+            (c + p + 1.0) * d_den
         )
         # upper line prints Gamma(p-eta+2) in place of Gamma(p+eta+2)
-        tail_up = (
-            (c + p)
-            * gamma_ratio(p + 2.0, p - eta + 2.0)
-            * cp.scale
-            / ((c + p + 1.0) * d_den)
-        )
+        tail_up = (c + p) * gamma_ratio(p + 2.0, p - eta + 2.0) * cp.scale / ((c + p + 1.0) * d_den)
         scale = r ** (p + eta)
         return (lead - tail_low * r) * scale, (lead + tail_up * r) * scale
+
     # compositions 8, 9, 10 share one printed tail, carrying a stray
     # Gamma(p+1) and a +eta Gamma argument even in the derivative cases
-    tail = (
-        (c + p)
-        * math.gamma(p + 2.0)
-        * cp.scale
-        / ((c + p + 1.0) * math.gamma(p + 1.0) * math.gamma(p + eta + 2.0) * d_den)
-    )
-    if theorem == 8:
-        lead = gamma_ratio(p + 1.0, p + 1.0 + eta)  # +eta printed for a derivative
-        scale = r ** (p - eta)
-        return (lead - tail * r) * scale, (lead + tail * r) * scale
-    if theorem == 9:
-        lead = (c + p) / ((c - eta + 1.0) * math.gamma(p + 1.0 - eta))
-        scale = r ** (p - eta)
-        # both printed lines subtract; the upper bound's sign is a slip
-        return (lead - tail * r) * scale, (lead - tail * r) * scale
-    lead = (c + p) / ((c + eta + 1.0) * math.gamma(p + 1.0 + eta))
-    scale = r ** (p + eta)
-    return (lead - tail * r) * scale, (lead + tail * r) * scale
+    s, _ = _shifts(theorem, eta)
+    den = c + s + 1.0  # c -+ eta + 1, under the leads of 9 and 10
+    if theorem != 8 and den == 0.0:
+        raise DomainError(
+            f"printed denominator c {'+' if s > 0 else '-'} eta + 1 of composition {theorem} is 0 "
+            f"at c = {c}, eta = {eta}; pass include_printed=False (no --as-printed) for the derived bounds"
+        )
+    literal = p <= _LITERAL_P_MAX
+    if literal:
+        tail = (c + p) * math.gamma(p + 2.0) * cp.scale / (
+            (c + p + 1.0) * math.gamma(p + 1.0) * math.gamma(p + eta + 2.0) * d_den
+        )
+    else:
+        # the same values as Gamma ratios, with 1/Gamma(p+1) = gamma_ratio(h, p+1)/Gamma(h)
+        # applied last, so only true values outside double range read 0.0
+        h = min(p + 1.0, _GAMMA_PIVOT)
+        tail = (c + p) * gamma_ratio(p + 2.0, p + eta + 2.0) * cp.scale / ((c + p + 1.0) * d_den)
+        tail = tail * gamma_ratio(h, p + 1.0) / math.gamma(h)
+    if theorem == 8:  # prints +eta for a derivative
+        lead = gamma_ratio(p + 1.0, p + 1.0 + eta)
+    elif literal:
+        lead = (c + p) / (den * math.gamma(p + 1.0 + s))
+    else:
+        lead = (c + p) * gamma_ratio(p + 1.0, p + 1.0 + s) / den * gamma_ratio(h, p + 1.0) / math.gamma(h)
+    scale = r ** (p + s)
+    lower = (lead - tail * r) * scale
+    # 9 prints its upper line with a minus too: a sign slip
+    return lower, (lower if theorem == 9 else (lead + tail * r) * scale)
 
 
 def composition_bound(
-    theorem: int,
-    cp: ClassParams,
-    c: float,
-    eta: float,
-    r: float,
-    include_printed: bool = True,
+    theorem: int, cp: ClassParams, c: float, eta: float, r: float, include_printed: bool = True
 ) -> CompositionBound:
     """Derived (and optionally as-printed) bounds at radius r in (0, 1)."""
-    _validate(theorem, cp, c, eta)
+    theorem = _validate(theorem, cp, c, eta)
     r = _require_radius(r)
     if not composition_certified(theorem, cp, float(c), float(eta)):
-        warnings.warn(
-            f"tail aggregation not certified for composition {theorem} at {cp}; "
-            "admissible functions may exceed these bounds",
-            UncertifiedBoundWarning,
-            stacklevel=2,
-        )
+        _warn_uncertified(f"composition {theorem}", cp)
     a0, a1, e0 = _leading(theorem, cp.p, c, eta)
     budget = coeff_bound_r(cp.p + 1, cp)
     lower = a0 * r**e0 - a1 * budget * r ** (e0 + 1.0)
@@ -189,39 +190,23 @@ def composition_bound(
     printed_lower = printed_upper = None
     if include_printed:
         printed_lower, printed_upper = _printed(theorem, cp, c, eta, r)
-    return CompositionBound(
-        theorem=theorem,
-        c=float(c),
-        eta=float(eta),
-        r=r,
-        lower=lower,
-        upper=upper,
-        printed_lower=printed_lower,
-        printed_upper=printed_upper,
-    )
+    return CompositionBound(theorem, float(c), float(eta), r, lower, upper, printed_lower, printed_upper)
 
 
 def lower_bound_peak(theorem: int, cp: ClassParams, c: float, eta: float) -> float:
     """Radius where the derived lower bound turns over: A0 e0 = A1 T (e0+1) r."""
-    _validate(theorem, cp, c, eta)
+    theorem = _validate(theorem, cp, c, eta)
     a0, a1, e0 = _leading(theorem, cp.p, c, eta)
     return a0 * e0 / (a1 * coeff_bound_r(cp.p + 1, cp) * (e0 + 1.0))
 
 
-def composed_extremal(
-    theorem: int, cp: ClassParams, c: float, eta: float
-) -> FractionalSeries:
+def composed_extremal(theorem: int, cp: ClassParams, c: float, eta: float) -> FractionalSeries:
     """Image of the k = p+1 extremal under the actual operator composition.
 
     Evaluated at real r this attains the derived lower bound exactly, which
     the tests use as the sharpness witness.
     """
-    _validate(theorem, cp, c, eta)
-    f0: CoefficientSeries = extremal_r(cp.p + 1, cp)
-    if theorem == 7:
-        return fractional_integral(bernardi(f0, c), eta)
-    if theorem == 8:
-        return fractional_derivative(bernardi(f0, c), eta)
-    if theorem == 9:
-        return bernardi(fractional_derivative(f0, eta), c)
-    return bernardi(fractional_integral(f0, eta), c)
+    sign, bernardi_last = _COMPOSITIONS[_validate(theorem, cp, c, eta)]
+    fractional = fractional_integral if sign > 0 else fractional_derivative
+    f = extremal_r(cp.p + 1, cp)
+    return bernardi(fractional(f, eta), c) if bernardi_last else fractional(bernardi(f, c), eta)

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
-    OrderExceedsValenceError, ParameterOutOfRangeError, ValenceMismatchError, _require_index, _require_int,
+    OrderExceedsValenceError, ParameterOutOfRangeError, UncertifiedBoundWarning, ValenceMismatchError,
+    _require_index, _require_int,
 )
 from .operators import RafidParams, pow2_product, rafid_multiplier, rafid_multipliers
 from .series import CoefficientSeries, make_series
@@ -187,22 +189,32 @@ def random_member(
     return make_series(cp.p, [(k, s * float(ui) * bounds[k]) for k, ui in zip(ks, u)])
 
 
-def _certified_scan(cp: ClassParams, shift: float, log_weight: Callable[[int], float]) -> bool:
+def _certified_scan(cp: ClassParams, s: float, c: float | None = None, b: float = 0.0) -> bool:
     """Whether term(k) / weight(k) stays at or above its k = p+1 value for all k > p.
 
+    weight(k) = Gamma(k+1)/Gamma(k+1+s), over c+k+b when a Bernardi factor acts:
+    the tail multiplier of an order-m derivative (s = -m) or of a composition.
     Log space, tolerance 1e-9.  The scan stops once the growth factor
-    (1-mu)(k+delta)(k+1-shift)/(k+1) reaches one, after which the ratio
-    cannot dip; one still running after 200 000 steps is not certified.
+    (1-mu)(k+delta)(k+1-shift)/(k+1), shift = max(-s, 0), reaches one, after
+    which the ratio cannot dip; one still running after 200 000 steps is not certified.
     """
-    k = cp.p + 1
-    weights = rafid_multipliers(cp.p, cp.rafid, itertools.count(k))
-    base = _log_term(k, cp, *next(weights)) - log_weight(k)
-    for m, e in weights:
+    k, shift = cp.p + 1, max(-s, 0.0)
+    for m, e in rafid_multipliers(cp.p, cp.rafid, itertools.count(k)):
+        # lgamma stays finite where the weight underflows; the constant c+p cancels in the ratio
+        w = math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + s)
+        ratio = _log_term(k, cp, m, e) - (w if c is None else w - math.log(c + k + b))
+        base = ratio if k == cp.p + 1 else base
+        if k - cp.p > 200_000 or ratio - base < -1e-9:
+            return False
         if (1.0 - cp.mu) * (k + cp.delta) * (k + 1 - shift) / (k + 1) >= 1.0:
             return True
         k += 1
-        if k - cp.p > 200_000 or _log_term(k, cp, m, e) - log_weight(k) - base < -1e-9:
-            return False
+
+
+def _warn_uncertified(what: str, cp: ClassParams) -> None:
+    """The one warning of a tail-aggregated bound evaluated outside its certificate."""
+    msg = f"tail aggregation not certified for {what} at {cp}; admissible members may exceed these bounds"
+    warnings.warn(msg, UncertifiedBoundWarning, stacklevel=3)
 
 
 def _scan_indices(cp: ClassParams, k_max: int) -> range:
@@ -242,13 +254,12 @@ def budget_certified(cp: ClassParams, m: int = 0) -> bool:
 
     This always holds at mu = 0 but fails for strong smoothing (large mu,
     small delta), where admissible functions genuinely escape those bounds.
-    The check is the shared log-space scan with weight fallfac(k, m) and
-    shift m.
+    The check is the shared log-space scan at s = -m, where the weight is fallfac(k, m).
     """
     m = _require_int("order", m, 0)
     if m > cp.p:
         raise OrderExceedsValenceError(f"order {m} exceeds valence {cp.p}")
-    return _certified_scan(cp, m, lambda k: math.lgamma(k + 1) - math.lgamma(k + 1 - m))
+    return _certified_scan(cp, -m)
 
 
 def random_params(

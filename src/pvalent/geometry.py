@@ -4,11 +4,11 @@ Distortion: for R-family members and m <= p,
 
     [fallfac(p,m) -+ T fallfac(p+1,m) r] r^(p-m)  bounds  |f^(m)(z)|,  |z| = r,
 
-with T = (A-B)(p-alpha) / ([(1-B)+(A-B)(p-alpha)](1-mu)(p+delta)), the sharp
-k = p+1 coefficient bound.  The aggregation step behind T is only valid in
-the certified budget regime (see classes.budget_certified); outside it the
-bounds are still reported but a warning is raised, because admissible
-members can exceed them.
+with T the sharp k = p+1 coefficient bound, the tail budget shared with the
+composition bounds of :mod:`pvalent.calculus_bounds`.  Replacing every tail
+multiplier by the k = p+1 one is valid only where the one certificate of
+:mod:`pvalent.classes` holds (``budget_certified``); outside it the bounds are
+still reported, with that module's one warning, since members can exceed them.
 
 Radii: the family property holds in |z| < r* with
 
@@ -24,7 +24,6 @@ past the argmin: a sampled certificate of the truncation, up to k_max only.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -33,10 +32,11 @@ from .classes import (
     _log_terms,
     _nondecreasing,
     _require_zeta,
+    _warn_uncertified,
     budget_certified,
     coeff_bound_r,
 )
-from .errors import UncertifiedBoundWarning, _require_int, _require_radius
+from .errors import _require_int, _require_radius
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,7 @@ def distortion_bounds(cp: ClassParams, m: int, r: float) -> tuple[float, float]:
     certified = budget_certified(cp, m)  # refuses an order above p first
     r = _require_radius(r)
     if not certified:
-        warnings.warn(
-            f"tail budget not certified for {cp} at order {m}; "
-            "admissible members may exceed these bounds",
-            UncertifiedBoundWarning,
-            stacklevel=2,
-        )
+        _warn_uncertified(f"distortion order {m}", cp)
     lead = float(math.perm(cp.p, m))
     # the sharp k = p+1 bound, reused as the aggregated tail budget
     tail = coeff_bound_r(cp.p + 1, cp) * float(math.perm(cp.p + 1, m)) * r

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus_bounds import composed_extremal, composition_bound
+from .calculus_bounds import _COMPOSITIONS, THEOREMS, composed_extremal, composition_bound
 from .classes import (
     ClassParams,
     check_p_membership,
@@ -415,8 +415,8 @@ def audit_rows(c: float = 1.0, r: float = 0.5) -> list[dict]:
     rows = []
     for p in (1, 2):
         cp = ClassParams(p=p)
-        for theorem in (7, 8, 9, 10):
-            eta = 1.0 if theorem in (7, 10) else 0.5
+        for theorem in THEOREMS:
+            eta = 1.0 if _COMPOSITIONS[theorem][0] > 0 else 0.5  # integral order 1, derivative 1/2
             b = composition_bound(theorem, cp, c, eta, r)
             rows.append(
                 {

@@ -79,3 +79,17 @@ def test_total_runtime_budget():
     elapsed = time.perf_counter() - t0
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
     assert elapsed < 120.0
+
+
+def test_audit_table_is_frozen():
+    """Every audit value prints as in tests/audit_table.csv, the rows `selftest` prints."""
+    import csv
+    from pathlib import Path
+
+    with open(Path(__file__).with_name("audit_table.csv"), newline="") as fh:
+        frozen = list(csv.DictReader(fh))
+    rows = audit_rows()
+    assert len(rows) == len(frozen) == 8
+    for row, want in zip(rows, frozen):
+        for key, text in want.items():
+            assert repr(row[key]) == text, (row["theorem"], row["p"], key)

@@ -193,3 +193,133 @@ def test_integral_compositions_refuse_an_infinite_order(theorem):
         lower_bound_peak(theorem, cp, 1.0, math.inf)
     with pytest.raises(ParameterOutOfRangeError):
         composition_certified(theorem, cp, 1.0, math.inf)
+
+
+# p = 2: (c + p) - eta rounds above 0 here, while the Bernardi integral's own c + (p - eta) does not
+WITNESS_9 = dict(eta=0.36995516654807925, c=-1.6300448334519206)
+
+
+def test_composition_9_refuses_through_the_bernardi_rule():
+    cp, c, eta = ClassParams(p=2), WITNESS_9["c"], WITNESS_9["eta"]
+    with pytest.raises(ParameterOutOfRangeError) as bernardi_error:
+        bernardi(fractional_derivative(make_series(2, [(3, 0.1)]), eta), c)
+    for call in (
+        lambda: composition_bound(9, cp, c, eta, 0.5),
+        lambda: composition_bound(9, cp, c, eta, 0.5, include_printed=False),
+        lambda: lower_bound_peak(9, cp, c, eta),
+        lambda: composed_extremal(9, cp, c, eta),
+        lambda: composition_certified(9, cp, c, eta),
+    ):
+        with pytest.raises(ParameterOutOfRangeError) as err:
+            call()
+        assert str(err.value) == str(bernardi_error.value)
+
+
+def test_composition_9_refuses_where_its_leading_denominator_is_zero():
+    # c + (1 - eta) = 2^-55 passes the Bernardi rule, but the derived bounds
+    # divide by (c + 1) - eta, where c + 1 rounds to eta
+    eta = 0.75
+    c = math.nextafter(eta - 1.0, 0.0)
+    assert c + (1.0 - eta) > 0.0 and (c + 1.0) - eta == 0.0
+    bernardi(fractional_derivative(make_series(1, [(2, 0.1)]), eta), c)  # the operator accepts it
+    for call in (
+        lambda: composition_bound(9, CANONICAL, c, eta, 0.5, include_printed=False),
+        lambda: lower_bound_peak(9, CANONICAL, c, eta),
+        lambda: composed_extremal(9, CANONICAL, c, eta),
+    ):
+        with pytest.raises(ParameterOutOfRangeError):
+            call()
+
+
+@pytest.mark.parametrize("theorem", [7.0, 8.0, True, "7", None])
+def test_theorem_must_be_an_integer(theorem):
+    cp = ClassParams()
+    for cached in THEOREMS:
+        composition_certified(cached, cp, 1.0, 0.5)
+    for call in (
+        lambda: composition_bound(theorem, cp, 1.0, 0.5, 0.5),
+        lambda: lower_bound_peak(theorem, cp, 1.0, 0.5),
+        lambda: composed_extremal(theorem, cp, 1.0, 0.5),
+        lambda: composition_certified(theorem, cp, 1.0, 0.5),  # an equal integer's entry is cached
+    ):
+        with pytest.raises(ParameterOutOfRangeError, match="theorem must be an integer >= 7"):
+            call()
+
+
+def test_numpy_theorem_is_stored_as_a_plain_int():
+    import json
+
+    import numpy as np
+
+    b = composition_bound(np.int64(8), CANONICAL, 1.0, 0.5, 0.5)
+    assert type(b.theorem) is int and b == composition_bound(8, CANONICAL, 1.0, 0.5, 0.5)
+    assert json.loads(json.dumps(b.to_dict()))["theorem"] == 8
+
+
+@pytest.mark.parametrize("theorem, c, sign", [(9, -0.5, "-"), (10, -1.5, "+")])
+def test_zero_printed_denominator_is_a_domain_error(theorem, c, sign):
+    from pvalent.errors import DomainError
+
+    cp = ClassParams(p=2)
+    message = rf"printed denominator c \{sign} eta \+ 1 .* include_printed=False"
+    with pytest.raises(DomainError, match=message):
+        composition_bound(theorem, cp, c, 0.5, 0.5)
+    b = composition_bound(theorem, cp, c, 0.5, 0.5, include_printed=False)
+    assert 0.0 < b.lower < b.upper < math.inf
+
+
+def _printed_mp(theorem, cp, c, eta, r):
+    """The printed forms of 8, 9 and 10 at 50 digits, slips included."""
+    with mpmath.workdps(50):
+        p, c, eta, r = cp.p, mpmath.mpf(c), mpmath.mpf(eta), mpmath.mpf(r)
+        scale = mpmath.mpf(cp.scale)
+        d_den = ((1 - mpmath.mpf(cp.B)) + scale) * (1 - mpmath.mpf(cp.mu)) * (p + mpmath.mpf(cp.delta))
+        g = mpmath.gamma
+        tail = (c + p) * g(p + 2) * scale / ((c + p + 1) * g(p + 1) * g(p + eta + 2) * d_den)
+        s = eta if theorem == 10 else -eta
+        lead = g(p + 1) / g(p + 1 + eta) if theorem == 8 else (c + p) / ((c + s + 1) * g(p + 1 + s))
+        lower = (lead - tail * r) * r ** (p + s)
+        upper = lower if theorem == 9 else (lead + tail * r) * r ** (p + s)
+        return lower, upper
+
+
+@pytest.mark.parametrize("theorem", [8, 9, 10])
+@pytest.mark.parametrize("p", [80, 81, 120, 169, 170, 171, 175, 180, 400])
+@pytest.mark.parametrize("c", [1.0, 1e5])
+def test_printed_forms_past_double_range(theorem, p, c):
+    # Gamma(p+1) Gamma(p+eta+2) leaves double range from p ~ 100 and math.gamma from p ~ 170
+    # (p = 80 and 81 straddle the switch from the literal arithmetic to the ratio form);
+    # the printed values stay within reach of the 50-digit reference, and read 0.0 only below the range
+    cp = ClassParams(p=p, alpha=0.5, A=0.5, B=-0.5, mu=0.5, delta=0.5)
+    eta = 0.4
+    b = composition_bound(theorem, cp, c, eta, 0.9)
+    for got, want in zip((b.printed_lower, b.printed_upper), _printed_mp(theorem, cp, c, eta, 0.9)):
+        if abs(want) < 2.0**-1074:
+            assert got == 0.0
+        elif abs(want) < 2.0**-1022:  # subnormal: a few units of the last place
+            assert got == pytest.approx(float(want), abs=2.0**-1070)
+        else:
+            assert got == pytest.approx(float(want), rel=1e-11, abs=0.0)
+
+
+def test_printed_forms_keep_their_bits_below_the_range():
+    # p = 60: no Gamma value or product leaves double range, so the literal arithmetic stands
+    cp = ClassParams(p=60)
+    b = composition_bound(10, cp, 1.0, 1.0, 0.5)
+    lead = (1.0 + 60) / ((1.0 + 1.0 + 1.0) * math.gamma(60 + 1.0 + 1.0))
+    d_den = ((1.0 - cp.B) + cp.scale) * (1.0 - cp.mu) * (60 + cp.delta)
+    tail = (1.0 + 60) * math.gamma(62.0) * cp.scale / (
+        (1.0 + 60 + 1.0) * math.gamma(61.0) * math.gamma(63.0) * d_den
+    )
+    assert b.printed_lower == (lead - tail * 0.5) * 0.5 ** (60 + 1.0)
+
+
+def test_one_warning_text_for_every_tail_aggregated_bound():
+    from pvalent import distortion_bounds
+
+    cp = ClassParams(mu=0.75)
+    text = "^tail aggregation not certified for {} at ClassParams"
+    with pytest.warns(UncertifiedBoundWarning, match=text.format("composition 8")):
+        composition_bound(8, cp, 2.0, 0.9, 0.5)
+    with pytest.warns(UncertifiedBoundWarning, match=text.format("distortion order 1")):
+        distortion_bounds(ClassParams(mu=0.9, delta=0.0), 1, 0.5)

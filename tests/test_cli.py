@@ -1,6 +1,7 @@
 """End-to-end command behavior: JSON reports, CSV curves, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -342,3 +343,29 @@ def test_fracbound_infinite_order_exits_one(capsys, printed):
     )
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ParameterOutOfRangeError"
+
+
+@pytest.mark.parametrize("theorem, c", [("9", "-0.5"), ("10", "-1.5")])
+def test_fracbound_zero_printed_denominator_exits_one(capsys, theorem, c):
+    argv = ["fracbound", "--theorem", theorem, "--c", c, "--eta", "0.5", "--rmin", "0.2", "--rmax", "0.8",
+            "--p", "2", *CANON]
+    code, out, err = run(capsys, [*argv, "--as-printed"])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError" and "include_printed=False" in payload["message"]
+    code, out, err = run(capsys, argv)  # the derived bounds alone are defined there
+    assert code == 0 and err == "" and out.startswith("r,lower,upper\n")
+
+
+@pytest.mark.parametrize("theorem", ["8", "9", "10"])
+def test_fracbound_as_printed_past_double_range(capsys, theorem):
+    code, out, err = run(
+        capsys,
+        ["fracbound", "--theorem", theorem, "--c", "1", "--eta", "0.5", "--rmin", "0.2", "--rmax", "0.8",
+         "--steps", "3", "--as-printed", "--p", "200", *CANON],
+    )
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "r,lower,upper,printed_lower,printed_upper" and len(lines) == 4
+    for line in lines[1:]:
+        assert all(math.isfinite(float(v)) for v in line.split(","))
