@@ -11,6 +11,11 @@ A1 the one on z^(p+1), e0 = p +- eta and T the sharp k = p+1 coefficient bound,
 
     lower(r) = A0 r^e0 - A1 T r^(e0+1),    upper(r) = A0 r^e0 + A1 T r^(e0+1).
 
+Everything here but the powers of r depends only on (theorem, class, c, eta), so
+one record, ``_composition``, holds it for the last parameter set: the validated
+theorem, the certificate verdict, A0, e0, A1 T and the printed constants.  The
+bounds of one curve, and :func:`lower_bound_peak`, read it.
+
 These derived bounds are what the package stands behind.  The source
 formulas they descend from contain several transcription slips (a flipped
 sign, a stray Gamma(p+1), reversed eta signs in Gamma arguments, and
@@ -46,8 +51,8 @@ _COMPOSITIONS = {7: (1, False), 8: (-1, False), 9: (-1, True), 10: (1, True)}
 THEOREMS = tuple(_COMPOSITIONS)
 
 # The printed forms of 8-10 keep their literal Gamma arithmetic, which carries the
-# audit-table bits, up to this p: Gamma(p+1) Gamma(p+eta+2) stays below 1e242 there,
-# leaving room for the c and class factors.  Above it they are evaluated as ratios.
+# audit-table bits, up to this p, wherever Gamma(p+1) Gamma(p+eta+2) and the class factor
+# stay in range (below 1e242 times it for eta <= 1).  Elsewhere they are evaluated as ratios.
 _LITERAL_P_MAX = 80
 _GAMMA_PIVOT = 170.0  # math.gamma is finite up to about 171.6
 
@@ -105,12 +110,6 @@ def _multiplier(theorem: int, p: int, c: float, eta: float, k: int) -> float:
     return (c + p) / (c + p + (k - p)) * g
 
 
-def _leading(theorem: int, p: int, c: float, eta: float) -> tuple[float, float, float]:
-    """(A0, A1, e0): the multipliers on z^p and z^(p+1) and the leading exponent."""
-    s, _ = _shifts(theorem, eta)
-    return _multiplier(theorem, p, c, eta, p), _multiplier(theorem, p, c, eta, p + 1), p + s
-
-
 @lru_cache(maxsize=4096, typed=True)  # typed: a float theorem must not hit its integer's entry
 def composition_certified(theorem: int, cp: ClassParams, c: float, eta: float) -> bool:
     """Whether the k = p+1 composed multiplier binds the aggregated tail.
@@ -123,25 +122,38 @@ def composition_certified(theorem: int, cp: ClassParams, c: float, eta: float) -
     return _certified_scan(cp, s, c, b)
 
 
-def _printed(theorem: int, cp: ClassParams, c: float, eta: float, r: float) -> tuple[float, float]:
-    """Literal transcription of the source inequalities, slips included.
+def _c_quotient(a: float, top: tuple[float, ...], b: float, bottom: tuple[float, ...]) -> float:
+    """a top_1 top_2 ... / (b bottom_1 ...), with a and b the sums in c of a printed form.
 
-    A printed denominator of 0 raises :class:`DomainError`; above
-    ``_LITERAL_P_MAX`` the Gamma values are carried as ratios, so only true
-    values beyond double range read 0.0.
+    Multiplied left to right, as printed, where both products are finite; otherwise a/b
+    is formed first, so that a huge c cannot carry them out of double range.
+    """
+    num, den = math.prod(top, start=a), math.prod(bottom, start=b)
+    if math.isfinite(num) and math.isfinite(den):
+        return num / den
+    return math.prod(top, start=a / b) / math.prod(bottom)
+
+
+def _printed(theorem: int, cp: ClassParams, c: float, eta: float) -> tuple[float, float, float]:
+    """Literal transcription of the source inequalities, slips included, as (lead, low, up):
+
+        printed lower = (lead - low r) r^e0,    printed upper = (lead + up r) r^e0.
+
+    A printed denominator of 0 raises :class:`DomainError`.  Past ``_LITERAL_P_MAX``,
+    or where the Gamma product leaves double range, the Gamma values are carried as
+    ratios, and past the range of the printed products the c factors are formed first
+    (:func:`_c_quotient`), so only true values beyond double range read 0.0.
     """
     p = cp.p
     d_den = ((1.0 - cp.B) + cp.scale) * (1.0 - cp.mu) * (p + cp.delta)
     if theorem == 7:
         lead = gamma_ratio(p + 1.0, p + 1.0 + eta)
         # lower line carries (B-A) where (A-B) is meant, flipping the sign
-        tail_low = (c + p) * gamma_ratio(p + 2.0, p + eta + 2.0) * (cp.B - cp.A) * (p - cp.alpha) / (
-            (c + p + 1.0) * d_den
-        )
+        gamma_low = gamma_ratio(p + 2.0, p + eta + 2.0)
+        low = _c_quotient(c + p, (gamma_low, cp.B - cp.A, p - cp.alpha), c + p + 1.0, (d_den,))
         # upper line prints Gamma(p-eta+2) in place of Gamma(p+eta+2)
-        tail_up = (c + p) * gamma_ratio(p + 2.0, p - eta + 2.0) * cp.scale / ((c + p + 1.0) * d_den)
-        scale = r ** (p + eta)
-        return (lead - tail_low * r) * scale, (lead + tail_up * r) * scale
+        up = _c_quotient(c + p, (gamma_ratio(p + 2.0, p - eta + 2.0), cp.scale), c + p + 1.0, (d_den,))
+        return lead, low, up
 
     # compositions 8, 9, 10 share one printed tail, carrying a stray
     # Gamma(p+1) and a +eta Gamma argument even in the derivative cases
@@ -152,52 +164,72 @@ def _printed(theorem: int, cp: ClassParams, c: float, eta: float, r: float) -> t
             f"printed denominator c {'+' if s > 0 else '-'} eta + 1 of composition {theorem} is 0 "
             f"at c = {c}, eta = {eta}; pass include_printed=False (no --as-printed) for the derived bounds"
         )
-    literal = p <= _LITERAL_P_MAX
+    try:
+        bottom = (math.gamma(p + 1.0), math.gamma(p + eta + 2.0), d_den)
+    except OverflowError:  # math.gamma past about 171.6
+        bottom = (math.inf,)
+    literal = p <= _LITERAL_P_MAX and math.isfinite(math.prod(bottom))
     if literal:
-        tail = (c + p) * math.gamma(p + 2.0) * cp.scale / (
-            (c + p + 1.0) * math.gamma(p + 1.0) * math.gamma(p + eta + 2.0) * d_den
-        )
+        tail = _c_quotient(c + p, (math.gamma(p + 2.0), cp.scale), c + p + 1.0, bottom)
     else:
         # the same values as Gamma ratios, with 1/Gamma(p+1) = gamma_ratio(h, p+1)/Gamma(h)
         # applied last, so only true values outside double range read 0.0
         h = min(p + 1.0, _GAMMA_PIVOT)
-        tail = (c + p) * gamma_ratio(p + 2.0, p + eta + 2.0) * cp.scale / ((c + p + 1.0) * d_den)
+        tail = _c_quotient(c + p, (gamma_ratio(p + 2.0, p + eta + 2.0), cp.scale), c + p + 1.0, (d_den,))
         tail = tail * gamma_ratio(h, p + 1.0) / math.gamma(h)
     if theorem == 8:  # prints +eta for a derivative
         lead = gamma_ratio(p + 1.0, p + 1.0 + eta)
     elif literal:
-        lead = (c + p) / (den * math.gamma(p + 1.0 + s))
+        lead = _c_quotient(c + p, (), den, (math.gamma(p + 1.0 + s),))
     else:
-        lead = (c + p) * gamma_ratio(p + 1.0, p + 1.0 + s) / den * gamma_ratio(h, p + 1.0) / math.gamma(h)
-    scale = r ** (p + s)
-    lower = (lead - tail * r) * scale
+        lead = _c_quotient(c + p, (gamma_ratio(p + 1.0, p + 1.0 + s),), den, ())
+        lead = lead * gamma_ratio(h, p + 1.0) / math.gamma(h)
     # 9 prints its upper line with a minus too: a sign slip
-    return lower, (lower if theorem == 9 else (lead + tail * r) * scale)
+    return lead, tail, (-tail if theorem == 9 else tail)
+
+
+@lru_cache(maxsize=1, typed=True)  # typed, as composition_certified: 7.0 and c = 1 keep entries of their own
+def _composition(
+    theorem: int, cp: ClassParams, c: float, eta: float, include_printed: bool
+) -> tuple[int, bool, float, float, float, tuple[float, float, float] | None]:
+    """(theorem, certified, A0, e0, A1 T, printed): all a bound needs but r, once per curve.
+
+    The theorem is validated, the certificate consulted, and printed is
+    :func:`_printed`'s (lead, low, up) with include_printed, None without.  It holds
+    plain floats: a ClassParams with numpy fields equals, and hashes as, its float twin,
+    so a hit must not hand one of them the other's numpy scalars.
+    """
+    theorem = _validate(theorem, cp, c, eta)
+    certified = composition_certified(theorem, cp, float(c), float(eta))
+    s, _ = _shifts(theorem, eta)
+    a0, a1 = _multiplier(theorem, cp.p, c, eta, cp.p), _multiplier(theorem, cp.p, c, eta, cp.p + 1)
+    printed = tuple(map(float, _printed(theorem, cp, c, eta))) if include_printed else None
+    return theorem, certified, a0, cp.p + s, a1 * coeff_bound_r(cp.p + 1, cp), printed
 
 
 def composition_bound(
     theorem: int, cp: ClassParams, c: float, eta: float, r: float, include_printed: bool = True
 ) -> CompositionBound:
     """Derived (and optionally as-printed) bounds at radius r in (0, 1)."""
-    theorem = _validate(theorem, cp, c, eta)
+    theorem, certified, a0, e0, a1_t, printed = _composition(theorem, cp, c, eta, include_printed)
     r = _require_radius(r)
-    if not composition_certified(theorem, cp, float(c), float(eta)):
+    if not certified:
         _warn_uncertified(f"composition {theorem}", cp)
-    a0, a1, e0 = _leading(theorem, cp.p, c, eta)
-    budget = coeff_bound_r(cp.p + 1, cp)
-    lower = a0 * r**e0 - a1 * budget * r ** (e0 + 1.0)
-    upper = a0 * r**e0 + a1 * budget * r ** (e0 + 1.0)
+    scale = r**e0
+    lead, tail = a0 * scale, a1_t * r ** (e0 + 1.0)
     printed_lower = printed_upper = None
-    if include_printed:
-        printed_lower, printed_upper = _printed(theorem, cp, c, eta, r)
-    return CompositionBound(theorem, float(c), float(eta), r, lower, upper, printed_lower, printed_upper)
+    if printed is not None:
+        printed_lead, low, up = printed
+        printed_lower, printed_upper = (printed_lead - low * r) * scale, (printed_lead + up * r) * scale
+    return CompositionBound(
+        theorem, float(c), float(eta), r, lead - tail, lead + tail, printed_lower, printed_upper
+    )
 
 
 def lower_bound_peak(theorem: int, cp: ClassParams, c: float, eta: float) -> float:
     """Radius where the derived lower bound turns over: A0 e0 = A1 T (e0+1) r."""
-    theorem = _validate(theorem, cp, c, eta)
-    a0, a1, e0 = _leading(theorem, cp.p, c, eta)
-    return a0 * e0 / (a1 * coeff_bound_r(cp.p + 1, cp) * (e0 + 1.0))
+    _, _, a0, e0, a1_t, _ = _composition(theorem, cp, c, eta, False)
+    return a0 * e0 / (a1_t * (e0 + 1.0))
 
 
 def composed_extremal(theorem: int, cp: ClassParams, c: float, eta: float) -> FractionalSeries:

@@ -222,12 +222,16 @@ def _scan_indices(cp: ClassParams, k_max: int) -> range:
     return range(cp.p + 1, _require_int("k_max", k_max, cp.p + 1) + 1)
 
 
-def _log_terms(cp: ClassParams, k_max: int) -> tuple[range, list[float]]:
-    """The indices p+1 .. k_max and :func:`_log_term` at each, from one pass of w_k."""
+@lru_cache(maxsize=1, typed=True)  # typed: k_max = 3.0 must be refused, not hit the entry of 3
+def _log_terms(cp: ClassParams, k_max: int) -> tuple[range, tuple[float, ...]]:
+    """The indices p+1 .. k_max and :func:`_log_term` at each, from one pass of w_k.
+
+    Kept for the last (cp, k_max), so the three radius kinds of one class share the pass.
+    """
     ks = _scan_indices(cp, k_max)
     p, slope, s, log = cp.p, 1.0 - cp.B, cp.scale, math.log
     weights = zip(ks, rafid_multipliers(p, cp.rafid, ks))
-    return ks, [log((slope * (k - p) + s) * m / s) + e * _LN2 for k, (m, e) in weights]
+    return ks, tuple(log((slope * (k - p) + s) * m / s) + e * _LN2 for k, (m, e) in weights)
 
 
 def _require_zeta(zeta: float, p: int) -> float:

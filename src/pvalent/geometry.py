@@ -9,6 +9,8 @@ composition bounds of :mod:`pvalent.calculus_bounds`.  Replacing every tail
 multiplier by the k = p+1 one is valid only where the one certificate of
 :mod:`pvalent.classes` holds (``budget_certified``); outside it the bounds are
 still reported, with that module's one warning, since members can exceed them.
+The certificate verdict and the two falling factorials, T included, are kept for
+the last (class, m), so the sample points of one curve compute them once.
 
 Radii: the family property holds in |z| < r* with
 
@@ -19,12 +21,14 @@ convex and (p-z)/k for close-to-convex.  The report lists every candidate
 k = p+1..k_max, evaluated in log space from one pass of the multiplier sequence
 so that term(k) cannot overflow, and records whether they are nondecreasing
 past the argmin: a sampled certificate of the truncation, up to k_max only.
+The pass is kept for the last (class, k_max), so the three kinds of one class share it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .classes import (
@@ -67,17 +71,23 @@ class RadiusReport:
         }
 
 
-def distortion_bounds(cp: ClassParams, m: int, r: float) -> tuple[float, float]:
-    """(lower, upper) for |f^(m)| on |z| = r, 0 < r < 1, 0 <= m <= p."""
+@lru_cache(maxsize=1, typed=True)  # typed: m = True must be refused, not hit the entry of 1
+def _distortion(cp: ClassParams, m: int) -> tuple[bool, float, float, int]:
+    """(certified, fallfac(p, m), T fallfac(p+1, m), p - m): what the bounds of one curve share."""
     m = _require_int("order", m, 0)
     certified = budget_certified(cp, m)  # refuses an order above p first
+    # the sharp k = p+1 bound, reused as the aggregated tail budget
+    tail = coeff_bound_r(cp.p + 1, cp) * float(math.perm(cp.p + 1, m))
+    return certified, float(math.perm(cp.p, m)), tail, cp.p - m
+
+
+def distortion_bounds(cp: ClassParams, m: int, r: float) -> tuple[float, float]:
+    """(lower, upper) for |f^(m)| on |z| = r, 0 < r < 1, 0 <= m <= p."""
+    certified, lead, tail, e = _distortion(cp, m)
     r = _require_radius(r)
     if not certified:
         _warn_uncertified(f"distortion order {m}", cp)
-    lead = float(math.perm(cp.p, m))
-    # the sharp k = p+1 bound, reused as the aggregated tail budget
-    tail = coeff_bound_r(cp.p + 1, cp) * float(math.perm(cp.p + 1, m)) * r
-    scale = r ** (cp.p - m)
+    tail, scale = tail * r, r**e
     return ((lead - tail) * scale, (lead + tail) * scale)
 
 

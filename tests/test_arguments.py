@@ -207,6 +207,7 @@ RADIUS_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(RADIUS_ENTRIES))
 @pytest.mark.parametrize("r", [0.0, 1.0, -0.5, math.nan, math.inf])
 def test_radius_outside_the_unit_interval_refused_alike(entry, r):
+    RADIUS_ENTRIES[entry](0.5)  # a call that fills the per-parameter memo does not let a bad r through
     with pytest.raises(RadiusOutOfRangeError, match=r"radius must lie in \(0, 1\)") as info:
         RADIUS_ENTRIES[entry](r)
     assert isinstance(info.value, ParameterOutOfRangeError)

@@ -22,7 +22,7 @@ from pvalent import (
     random_member,
     random_params,
 )
-from pvalent.calculus_bounds import THEOREMS, _multiplier
+from pvalent.calculus_bounds import THEOREMS, _composition, _multiplier
 from pvalent.errors import ParameterOutOfRangeError, UncertifiedBoundWarning
 
 CANONICAL = ClassParams()
@@ -262,19 +262,27 @@ def test_zero_printed_denominator_is_a_domain_error(theorem, c, sign):
 
     cp = ClassParams(p=2)
     message = rf"printed denominator c \{sign} eta \+ 1 .* include_printed=False"
-    with pytest.raises(DomainError, match=message):
-        composition_bound(theorem, cp, c, 0.5, 0.5)
-    b = composition_bound(theorem, cp, c, 0.5, 0.5, include_printed=False)
-    assert 0.0 < b.lower < b.upper < math.inf
+    # the derived-only record of the same parameters, cached either side, does not stand in
+    for _ in range(2):
+        b = composition_bound(theorem, cp, c, 0.5, 0.5, include_printed=False)
+        assert 0.0 < b.lower < b.upper < math.inf
+        with pytest.raises(DomainError, match=message):
+            composition_bound(theorem, cp, c, 0.5, 0.5)
 
 
 def _printed_mp(theorem, cp, c, eta, r):
-    """The printed forms of 8, 9 and 10 at 50 digits, slips included."""
+    """The printed forms at 50 digits, slips included."""
     with mpmath.workdps(50):
         p, c, eta, r = cp.p, mpmath.mpf(c), mpmath.mpf(eta), mpmath.mpf(r)
         scale = mpmath.mpf(cp.scale)
         d_den = ((1 - mpmath.mpf(cp.B)) + scale) * (1 - mpmath.mpf(cp.mu)) * (p + mpmath.mpf(cp.delta))
         g = mpmath.gamma
+        if theorem == 7:  # (B-A) on the lower line, Gamma(p-eta+2) on the upper one
+            lead = g(p + 1) / g(p + 1 + eta)
+            low = (c + p) * g(p + 2) / g(p + eta + 2) * (mpmath.mpf(cp.B) - cp.A) * (p - mpmath.mpf(cp.alpha))
+            up = (c + p) * g(p + 2) / g(p - eta + 2) * scale
+            low, up = low / ((c + p + 1) * d_den), up / ((c + p + 1) * d_den)
+            return (lead - low * r) * r ** (p + eta), (lead + up * r) * r ** (p + eta)
         tail = (c + p) * g(p + 2) * scale / ((c + p + 1) * g(p + 1) * g(p + eta + 2) * d_den)
         s = eta if theorem == 10 else -eta
         lead = g(p + 1) / g(p + 1 + eta) if theorem == 8 else (c + p) / ((c + s + 1) * g(p + 1 + s))
@@ -283,23 +291,47 @@ def _printed_mp(theorem, cp, c, eta, r):
         return lower, upper
 
 
-@pytest.mark.parametrize("theorem", [8, 9, 10])
-@pytest.mark.parametrize("p", [80, 81, 120, 169, 170, 171, 175, 180, 400])
-@pytest.mark.parametrize("c", [1.0, 1e5])
-def test_printed_forms_past_double_range(theorem, p, c):
-    # Gamma(p+1) Gamma(p+eta+2) leaves double range from p ~ 100 and math.gamma from p ~ 170
-    # (p = 80 and 81 straddle the switch from the literal arithmetic to the ratio form);
-    # the printed values stay within reach of the 50-digit reference, and read 0.0 only below the range
-    cp = ClassParams(p=p, alpha=0.5, A=0.5, B=-0.5, mu=0.5, delta=0.5)
-    eta = 0.4
-    b = composition_bound(theorem, cp, c, eta, 0.9)
-    for got, want in zip((b.printed_lower, b.printed_upper), _printed_mp(theorem, cp, c, eta, 0.9)):
+def _assert_printed_near_mp(theorem, cp, c, eta, r):
+    # within reach of the 50-digit reference, and 0.0 only below the range
+    b = composition_bound(theorem, cp, c, eta, r)
+    for got, want in zip((b.printed_lower, b.printed_upper), _printed_mp(theorem, cp, c, eta, r)):
         if abs(want) < 2.0**-1074:
             assert got == 0.0
         elif abs(want) < 2.0**-1022:  # subnormal: a few units of the last place
             assert got == pytest.approx(float(want), abs=2.0**-1070)
         else:
             assert got == pytest.approx(float(want), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("theorem", [8, 9, 10])
+@pytest.mark.parametrize("p", [80, 81, 120, 169, 170, 171, 175, 180, 400])
+@pytest.mark.parametrize("c", [1.0, 1e5])
+def test_printed_forms_past_double_range(theorem, p, c):
+    # Gamma(p+1) Gamma(p+eta+2) leaves double range from p ~ 100 and math.gamma from p ~ 170
+    # (p = 80 and 81 straddle the switch from the literal arithmetic to the ratio form)
+    cp = ClassParams(p=p, alpha=0.5, A=0.5, B=-0.5, mu=0.5, delta=0.5)
+    _assert_printed_near_mp(theorem, cp, c, 0.4, 0.9)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+@pytest.mark.parametrize("p", [1, 2, 80, 81])
+@pytest.mark.parametrize("c", [1e70, 1e150, 1e300, 1e307])
+def test_printed_forms_at_huge_c(theorem, p, c):
+    # the printed products leave double range with c, where the c factors are formed first:
+    # at p = 80 and c = 1e70 the tail of 10 once read 0.0 (printed lower == upper), and the
+    # pair of 8 at p = 2 and c = 1e307 read nan
+    for cp, eta in [
+        (ClassParams(p=p), 1.0 if theorem in (7, 10) else 0.5),
+        (ClassParams(p=p, alpha=0.5, A=0.5, B=-0.5, mu=0.5, delta=0.5), 0.4),
+    ]:
+        _assert_printed_near_mp(theorem, cp, c, eta, 0.5)
+
+
+@pytest.mark.parametrize("p", [1, 2, 80])
+@pytest.mark.parametrize("eta", [60.0, 150.0, 400.0])
+def test_printed_form_10_past_the_gamma_range(p, eta):
+    # Gamma(p+eta+2) is past math.gamma's range here, which once raised OverflowError
+    _assert_printed_near_mp(10, ClassParams(p=p), 1.0, eta, 0.9)
 
 
 def test_printed_forms_keep_their_bits_below_the_range():
@@ -312,6 +344,15 @@ def test_printed_forms_keep_their_bits_below_the_range():
         (1.0 + 60 + 1.0) * math.gamma(61.0) * math.gamma(63.0) * d_den
     )
     assert b.printed_lower == (lead - tail * 0.5) * 0.5 ** (60 + 1.0)
+    # p = 2 and c = 1e300: every literal product is still finite, so a huge c keeps the literal bits
+    cp, c = ClassParams(p=2), 1e300
+    b = composition_bound(9, cp, c, 0.5, 0.5)
+    lead = (c + 2) / ((c - 0.5 + 1.0) * math.gamma(2 + 1.0 - 0.5))
+    d_den = ((1.0 - cp.B) + cp.scale) * (1.0 - cp.mu) * (2 + cp.delta)
+    tail = (c + 2) * math.gamma(4.0) * cp.scale / (
+        (c + 2 + 1.0) * math.gamma(3.0) * math.gamma(2 + 0.5 + 2.0) * d_den
+    )
+    assert b.printed_lower == b.printed_upper == (lead - tail * 0.5) * 0.5 ** (2 - 0.5)
 
 
 def test_one_warning_text_for_every_tail_aggregated_bound():
@@ -319,7 +360,54 @@ def test_one_warning_text_for_every_tail_aggregated_bound():
 
     cp = ClassParams(mu=0.75)
     text = "^tail aggregation not certified for {} at ClassParams"
-    with pytest.warns(UncertifiedBoundWarning, match=text.format("composition 8")):
-        composition_bound(8, cp, 2.0, 0.9, 0.5)
-    with pytest.warns(UncertifiedBoundWarning, match=text.format("distortion order 1")):
-        distortion_bounds(ClassParams(mu=0.9, delta=0.0), 1, 0.5)
+    for _ in range(2):  # the second, identical call reads the memo and still warns
+        with pytest.warns(UncertifiedBoundWarning, match=text.format("composition 8")):
+            composition_bound(8, cp, 2.0, 0.9, 0.5)
+        with pytest.warns(UncertifiedBoundWarning, match=text.format("distortion order 1")):
+            distortion_bounds(ClassParams(mu=0.9, delta=0.0), 1, 0.5)
+
+
+def test_composition_memo_hits_equal_cold_calls(rng):
+    """The record kept per (theorem, class, c, eta, include_printed) moves no bit."""
+    radii = [0.1, 0.5, 0.9]
+    curves = []
+    for cp in [random_params(rng) for _ in range(3)]:
+        for theorem in THEOREMS:
+            c, eta = float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.05, 0.95))
+            curves += [(theorem, cp, c, eta, printed) for printed in (True, False)]
+    curves += [curves[i] for i in rng.permutation(len(curves))]
+    hits = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UncertifiedBoundWarning)
+        for theorem, cp, c, eta, printed in curves:
+            warm = [composition_bound(theorem, cp, c, eta, r, include_printed=printed) for r in radii]
+            hits += _composition.cache_info().hits
+            peak = lower_bound_peak(theorem, cp, c, eta)
+            cold = []
+            for r in radii:
+                _composition.cache_clear()
+                cold.append(composition_bound(theorem, cp, c, eta, r, include_printed=printed))
+            _composition.cache_clear()
+            assert repr(cold) == repr(warm)
+            assert repr(lower_bound_peak(theorem, cp, c, eta)) == repr(peak)
+    assert hits >= 2 * len(curves)
+
+
+def test_composition_memo_keeps_typed_entries():
+    # 7.0 == 7 and 1 == 1.0 hash alike: the memo is typed, as composition_certified is
+    cp = ClassParams()
+    composition_bound(7, cp, 1.0, 0.5, 0.5)
+    with pytest.raises(ParameterOutOfRangeError, match="theorem must be an integer"):
+        composition_bound(7.0, cp, 1.0, 0.5, 0.5)
+    composition_bound(7, cp, 1.0, 0.5, 0.5)
+    misses = _composition.cache_info().misses
+    b = composition_bound(7, cp, 1, 0.5, 0.5)
+    assert _composition.cache_info().misses == misses + 1
+    assert b == composition_bound(7, cp, 1.0, 0.5, 0.5) and type(b.c) is float
+    # a ClassParams with numpy fields equals, and hashes as, its float twin: the record holds plain floats
+    import numpy as np
+
+    composition_bound(8, ClassParams(alpha=np.float64(0.5)), 1.0, 0.5, 0.5)
+    warm = composition_bound(8, ClassParams(alpha=0.5), 1.0, 0.5, 0.5)
+    _composition.cache_clear()
+    assert repr(warm) == repr(composition_bound(8, ClassParams(alpha=0.5), 1.0, 0.5, 0.5))

@@ -312,6 +312,28 @@ def test_non_sampling_subcommands_run_without_numpy():
     assert passed and star
 
 
+PARSER_FOOTPRINT = """
+import json, sys
+import pvalent.cli
+parser = pvalent.cli.build_parser()
+loaded = "pvalent.calculus_bounds" in sys.modules
+fracbound = parser._subparsers._group_actions[0].choices["fracbound"]
+theorem = next(a for a in fracbound._actions if a.dest == "theorem")
+print(json.dumps([loaded, list(theorem.choices)]))
+"""
+
+
+def test_fracbound_theorem_choices_are_the_composition_table():
+    # the parser spells the set out so that building it does not import calculus_bounds (cold start)
+    from pvalent.calculus_bounds import THEOREMS
+
+    proc = _child("-c", PARSER_FOOTPRINT)
+    assert proc.returncode == 0, proc.stderr
+    loaded, choices = json.loads(proc.stdout)
+    assert not loaded
+    assert tuple(choices) == THEOREMS
+
+
 SUBCOMMAND_FOOTPRINT = """
 import contextlib, io, json, sys
 import pvalent.cli

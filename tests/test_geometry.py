@@ -196,6 +196,54 @@ def test_radius_candidates_bit_exact(radius, kind, rng):
 @pytest.mark.parametrize("radius", [radius_starlike, radius_convex, radius_close_to_convex])
 @pytest.mark.parametrize("k_max", [2.5, 60.0, True])
 def test_radius_scans_refuse_a_k_max_that_is_not_an_integer(radius, k_max):
-    # 2.5 once raised TypeError from range
+    # 2.5 once raised TypeError from range; 60.0 must not hit the memo entry of 60
+    radius(ClassParams(), k_max=60)
     with pytest.raises(ParameterOutOfRangeError):
         radius(ClassParams(), k_max=k_max)
+
+
+KINDS = (radius_starlike, radius_convex, radius_close_to_convex)
+
+
+def test_memo_hits_equal_cold_calls(rng):
+    """The records kept per parameter set (the radius pass, the distortion constants) move no bit."""
+    from pvalent.classes import _log_terms
+    from pvalent.geometry import _distortion
+
+    calls = []
+    for cp in [random_params(rng, max_p=3) for _ in range(4)]:
+        zeta = float(rng.uniform(0.0, cp.p))
+        for k_max in (cp.p + 1, 50, 200):
+            calls += [(kind, cp, zeta, k_max) for kind in KINDS]
+    # runs of one (class, k_max) hit the memo; the shuffled copy interleaves kinds, classes and k_max
+    calls += [calls[i] for i in rng.permutation(len(calls))]
+    hits = 0
+    for kind, cp, zeta, k_max in calls:
+        warm = kind(cp, zeta, k_max)
+        hits += _log_terms.cache_info().hits
+        _log_terms.cache_clear()
+        assert repr(kind(cp, zeta, k_max)) == repr(warm)
+    assert hits >= len(calls) // 2
+
+    radii = [0.1, 0.5, 0.9]
+    curves = list({(cp, int(rng.integers(0, cp.p + 1))) for _, cp, _, _ in calls})
+    curves += [curves[i] for i in rng.permutation(len(curves))]
+    hits = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UncertifiedBoundWarning)
+        for cp, m in curves:
+            warm = distortion_curve(cp, m, radii)
+            hits += _distortion.cache_info().hits
+            cold = []
+            for r in radii:
+                _distortion.cache_clear()
+                cold.append((r, *distortion_bounds(cp, m, r)))
+            assert repr(tuple(cold)) == repr(warm.samples)
+    assert hits >= 2 * len(curves)
+
+
+def test_distortion_order_refused_right_after_a_memo_hit():
+    # True == 1 and hashes alike: the memo is typed, so True is refused, not served the entry of 1
+    distortion_bounds(CANONICAL, 1, 0.5)
+    with pytest.raises(ParameterOutOfRangeError, match="order must be an integer"):
+        distortion_bounds(CANONICAL, True, 0.5)
