@@ -24,8 +24,8 @@ _EXPORTS = {
         "DegenerateDenominatorError", "DivergentInputError", "DomainError", "DuplicateIndexError",
         "ExponentUnderflowError", "IndexBelowValenceError", "NegativeCoefficientError",
         "NonpositiveArgumentError", "OrderExceedsValenceError", "ParameterOutOfRangeError",
-        "PoleOnGridError", "QuadratureUnavailableError", "RadiusOutOfRangeError",
-        "SeriesFormatError", "UncertifiedBoundWarning", "ValenceMismatchError",
+        "PoleOnGridError", "RadiusOutOfRangeError", "SeriesFormatError", "UncertifiedBoundWarning",
+        "ValenceMismatchError",
     ),
     "geometry": (
         "BoundCurve", "RadiusReport", "distortion_bounds", "distortion_curve",
@@ -36,8 +36,8 @@ _EXPORTS = {
         "mixed_order_xi", "schild_silverman_lambda",
     ),
     "operators": (
-        "QuadratureConfig", "RafidParams", "apply_rafid", "bernardi", "fractional_derivative",
-        "fractional_integral", "gamma_ratio", "rafid_quadrature", "rafid_weight",
+        "RafidParams", "apply_rafid", "bernardi", "fractional_derivative", "fractional_integral",
+        "gamma_ratio", "rafid_quadrature", "rafid_weight",
     ),
     "series": (
         "CoefficientSeries", "FractionalSeries", "derivative_m", "evaluate", "from_json",

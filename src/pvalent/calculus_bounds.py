@@ -139,14 +139,20 @@ def _printed(theorem: int, cp: ClassParams, c: float, eta: float) -> tuple[float
 
         printed lower = (lead - low r) r^e0,    printed upper = (lead + up r) r^e0.
 
-    A printed denominator of 0 raises :class:`DomainError`.  Past ``_LITERAL_P_MAX``,
-    or where the Gamma product leaves double range, the Gamma values are carried as
-    ratios, and past the range of the printed products the c factors are formed first
-    (:func:`_c_quotient`), so only true values beyond double range read 0.0.
+    A printed denominator of 0, or theorem 7's Gamma(p - eta + 2) at eta >= p + 2, raises
+    :class:`DomainError`.  Past ``_LITERAL_P_MAX``, or where the Gamma product leaves
+    double range, the Gamma values are carried as ratios, and past the range of the
+    printed products the c factors are formed first (:func:`_c_quotient`), so only
+    true values beyond double range read 0.0.
     """
     p = cp.p
     d_den = ((1.0 - cp.B) + cp.scale) * (1.0 - cp.mu) * (p + cp.delta)
     if theorem == 7:
+        if not p - eta + 2.0 > 0.0:
+            raise DomainError(
+                f"the printed upper line of composition 7 needs Gamma(p - eta + 2) with eta < p + 2, got "
+                f"p = {p}, eta = {eta}; pass include_printed=False (no --as-printed) for the derived bounds"
+            )
         lead = gamma_ratio(p + 1.0, p + 1.0 + eta)
         # lower line carries (B-A) where (A-B) is meant, flipping the sign
         gamma_low = gamma_ratio(p + 2.0, p + eta + 2.0)
@@ -227,9 +233,15 @@ def composition_bound(
 
 
 def lower_bound_peak(theorem: int, cp: ClassParams, c: float, eta: float) -> float:
-    """Radius where the derived lower bound turns over: A0 e0 = A1 T (e0+1) r."""
-    _, _, a0, e0, a1_t, _ = _composition(theorem, cp, c, eta, False)
-    return a0 * e0 / (a1_t * (e0 + 1.0))
+    """Radius where the derived lower bound turns over: A0 e0 = A1 T (e0+1) r.
+
+    A0/A1 = (p+1+s)/(p+1) (c+p+1+b)/(c+p+b) is formed directly (see :func:`_shifts`),
+    since A0 and A1 T both underflow at a large integral order.
+    """
+    theorem, _, _, e0, _, _ = _composition(theorem, cp, c, eta, False)
+    s, b = _shifts(theorem, eta)
+    p, t = cp.p, coeff_bound_r(cp.p + 1, cp)
+    return (p + 1.0 + s) / (p + 1.0) * (c + p + 1.0 + b) / (c + p + b) * e0 / (t * (e0 + 1.0))
 
 
 def composed_extremal(theorem: int, cp: ClassParams, c: float, eta: float) -> FractionalSeries:

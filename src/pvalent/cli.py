@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -168,10 +167,7 @@ def run_all(seed: int = 0) -> list:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from .selftest import audit_rows
 
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("PVALENT_SEED", "0"))
-    results = run_all(seed=seed)
+    results = run_all(seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -186,7 +182,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         )
     passed = sum(r.passed for r in results)
     print()
-    print(f"{passed}/{len(results)} checks passed (seed {seed})")
+    print(f"{passed}/{len(results)} checks passed (seed {args.seed})")
     return 0 if passed == len(results) else 1
 
 
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_oracle)
 
     q = sub.add_parser("selftest", help="run the acceptance battery")
-    q.add_argument("--seed", type=int, default=None, help="default: $PVALENT_SEED or 0")
+    q.add_argument("--seed", type=int, default=0, help="integer >= 0 for the checks' generators (default 0)")
     q.set_defaults(func=_cmd_selftest)
     return parser
 

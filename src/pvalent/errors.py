@@ -58,10 +58,6 @@ class ExponentUnderflowError(DomainError):
     """Fractional differentiation would push an exponent to zero or below."""
 
 
-class QuadratureUnavailableError(DomainError):
-    """delta = 0 has no integrable Laguerre weight; only the closed form exists."""
-
-
 class DivergentInputError(DomainError):
     """Evaluation point outside the open unit disk for an integral transform,
     or a transformed coefficient beyond double range."""

@@ -32,7 +32,6 @@ from .errors import (
     ExponentUnderflowError,
     NonpositiveArgumentError,
     ParameterOutOfRangeError,
-    QuadratureUnavailableError,
     _require_index,
     _require_int,
 )
@@ -42,6 +41,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _EXACT_GAP = 64  # integer argument gaps up to this use an exact rising product
+_QUADRATURE_NODES = 64  # largest Gauss-Laguerre rule of rafid_quadrature: exact below degree 128
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,6 @@ class RafidParams:
             raise ParameterOutOfRangeError(f"mu must lie in [0, 1), got {self.mu}")
         if not (0.0 <= self.delta <= 1.0):
             raise ParameterOutOfRangeError(f"delta must lie in [0, 1], got {self.delta}")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Largest size n of the generalized Gauss-Laguerre rule in :func:`rafid_quadrature`.
-
-    Each call uses the fewest nodes, at least 8 and at most n, that integrate
-    its series exactly; an n-point rule is exact for polynomials of degree
-    below 2n.  Nodes and weights need numpy alone.  A weight below about
-    1e-308 comes back as 0.0.
-    """
-
-    nodes: int = 64
-
-    def __post_init__(self) -> None:
-        _require_int("nodes", self.nodes, 8)
 
 
 def gamma_ratio(x: float, y: float) -> float:
@@ -201,13 +185,7 @@ def _laguerre_rule(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return x, np.where(np.isfinite(total), 1.0 / total, 0.0)
 
 
-def rafid_quadrature(
-    f: CoefficientSeries,
-    rp: RafidParams,
-    z: complex,
-    q: QuadratureConfig = QuadratureConfig(),
-    require_quadrature: bool = False,
-) -> complex:
+def rafid_quadrature(f: CoefficientSeries, rp: RafidParams, z: complex) -> complex:
     """Smoothing-operator value at z through generalized Gauss-Laguerre nodes.
 
     After the substitution u = t/(1-mu) the operator reads
@@ -217,24 +195,22 @@ def rafid_quadrature(
     which an n-node rule with weight u^(delta-1) e^-u integrates exactly when
     f has degree D < 2n.  D is the highest index with a nonzero coefficient
     (p if there is none), and n is the smallest size with D < 2n, kept within
-    8 and ``q.nodes``.  Only f's support sets n, and the rule comes from
+    8 and 64.  Only f's support sets n, and the rule comes from
     :func:`_laguerre_rule`, so the check stays independent of the closed-form
-    multipliers.  delta = 0 has no integrable weight; the closed-form
-    multiplier path answers instead unless the caller insists.
+    multipliers; a weight below about 1e-308 comes back as 0.0.  delta = 0 has
+    no integrable weight; the closed-form multiplier path answers instead.
     """
     z = complex(z)
     if not (abs(z) < 1.0):
         raise DivergentInputError(f"|z| must be < 1 for the transform, got {abs(z)}")
     if rp.delta == 0.0:
-        if require_quadrature:
-            raise QuadratureUnavailableError("delta = 0 admits no Laguerre weight")
         from .series import evaluate
 
         return evaluate(apply_rafid(f, rp), z)
     import numpy as np
 
     degree = max((k for k, a in f.coeffs.items() if a != 0.0), default=f.p)
-    u, w = _laguerre_rule(min(q.nodes, max(8, degree // 2 + 1)), rp.delta - 1.0)
+    u, w = _laguerre_rule(min(_QUADRATURE_NODES, max(8, degree // 2 + 1)), rp.delta - 1.0)
     pts = z * (1.0 - rp.mu) * u
     vals = np.zeros_like(pts)
     for k in range(degree, f.p, -1):

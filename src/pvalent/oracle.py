@@ -20,6 +20,7 @@ sample, |d(zH')/dtheta| <= sum e^2 |c_e| r^e and |dD/dtheta| <= sum e |Be - scal
 + a)/(min |D_j| - b) bounds the ratio on the circle.  While the samples pass and U
 does not, the angles double, at most grid.refinement times, so a pass is never
 more lenient than angle bisection, whose probes lie on those finer circles.
+Every check passes within 1e-9 of its threshold, the ``tolerance`` of its report.
 For negative-coefficient members that maximum sits on the positive real
 axis, which is asserted on every run and surfaced as a warning when violated
 rather than assumed.  The criterion implies the disk-wide bound only inside
@@ -36,7 +37,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -46,12 +46,9 @@ from .operators import apply_rafid
 from .series import CoefficientSeries
 
 _DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
-
-
-def _require_finite(name: str, value: object, least: str = ">=") -> None:
-    finite = not isinstance(value, bool) and isinstance(value, Real) and 0.0 <= value < math.inf
-    if not finite or least == ">" and value == 0.0:
-        raise ParameterOutOfRangeError(f"{name} must be a finite number {least} 0, got {value!r}")
+_TOLERANCE = 1e-9  # every check's pass margin, reported as OracleReport.tolerance
+# the real-axis walk: r = 1 - 0.1 2^-j for j < 40, from 0.9 up to 1 - 1.8e-13, so every r lies in (0, 1)
+_WALK_THRESHOLD, _WALK_START, _WALK_STEPS = 1.0 - 1e-3, 0.9, 40
 
 
 @dataclass(frozen=True)
@@ -208,22 +205,16 @@ def _subordination_ratio_at(
     return abs((w - cp.p) / den)
 
 
-def subordination_margin(
-    f: CoefficientSeries,
-    cp: ClassParams,
-    grid: SampleGrid = SampleGrid(),
-    tolerance: float = 1e-9,
-) -> OracleReport:
+def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid = SampleGrid()) -> OracleReport:
     """Maximum of the ratio on |z| = grid.radii[-1], its angles doubled while the samples pass but
     the bound U between them does not; the disk maximum once H and D have no zeros.
 
-    Passes iff it is below 1 - tolerance and both zero counts are proved 0.  A count is proved 0
+    Passes iff it is below 1 - 1e-9 and both zero counts are proved 0.  A count is proved 0
     from the coefficients when the constant term dominates the rest on the circle (every certified
     member, any number of angles), else counted once from the samples of grid.angles_per_radius.
     A proved zero of H raises; a zero of D (a pole of the ratio) or an
-    unproved count fails with a warning.  tolerance must be finite and >= 0.
+    unproved count fails with a warning.
     """
-    _require_finite("tolerance", tolerance)
     r, n = grid.radii[-1], grid.angles_per_radius
     e, c, pw = _series(*_terms(_smoothed(f, cp)), r, cp.p)
     # Rouche, easy case: a constant term (1 for H, -scale for D) that outweighs its tail, sum
@@ -256,10 +247,10 @@ def subordination_margin(
                 raise PoleOnGridError(f"smoothed image has {zeros_h} zero(s) inside |z| < {r}")
             zeros_d = _zeros_inside(den, e, md, n, size_d, float(mh[1:].sum()) * (big + 1.0) * 2.0**-52 + tiny)
         # double the angles while the samples pass but the bound U between them does not
-        if doubling == grid.refinement or not (zeros_h == zeros_d == 0 and top < 1.0 - tolerance):
+        if doubling == grid.refinement or not (zeros_h == zeros_d == 0 and top < 1.0 - _TOLERANCE):
             break
         lo = float(aden.min()) - _slack(ld, size_d, m, n)
-        if lo > 0.0 and (float(azhp.max()) + _slack(l2, lh, m, n)) / lo < 1.0 - tolerance:
+        if lo > 0.0 and (float(azhp.max()) + _slack(l2, lh, m, n)) / lo < 1.0 - _TOLERANCE:
             break
         n *= 2
     # the maximum at its smallest angle; flagged when off the positive real axis
@@ -272,8 +263,8 @@ def subordination_margin(
         notes.append(f"zero counts inside |z| < {r} not proved; no disk bound")
     elif zeros_d:
         notes.append(f"ratio has {zeros_d} pole(s) inside |z| < {r}")
-    passed = zeros_h == zeros_d == 0 and best_val < 1.0 - tolerance
-    return OracleReport("subordination", best_val, 1.0, best_z, passed, tolerance, tuple(notes))
+    passed = zeros_h == zeros_d == 0 and best_val < 1.0 - _TOLERANCE
+    return OracleReport("subordination", best_val, 1.0, best_z, passed, _TOLERANCE, tuple(notes))
 
 
 def subordination_ratio_real(f: CoefficientSeries, cp: ClassParams, r: float) -> float:
@@ -283,52 +274,39 @@ def subordination_ratio_real(f: CoefficientSeries, cp: ClassParams, r: float) ->
     return _subordination_ratio_at(complex(r), exps, coefs, cp)
 
 
-def locate_real_axis_violation(
-    f: CoefficientSeries,
-    cp: ClassParams,
-    threshold: float = 1.0 - 1e-3,
-    start: float = 0.9,
-    steps: int = 40,
-) -> tuple[bool, float, float]:
-    """Walk z = r -> 1^- on the real axis, to the last r below 1, until the ratio reaches threshold.
+def locate_real_axis_violation(f: CoefficientSeries, cp: ClassParams) -> tuple[bool, float, float]:
+    """Walk z = r -> 1^- on the real axis, r = 1 - 0.1 2^-j for j < 40, until the ratio reaches 1 - 1e-3.
 
     Returns (found, r, ratio at r); for criterion sums above one the ratio
     approaches a limit above one, so the walk finds the violation without
     ever sampling outside the disk.  f is smoothed once for the whole walk.
     """
-    _require_finite("threshold", threshold, ">")
-    _require_int("steps", steps, 1)
     exps, coefs = _terms(_smoothed(f, cp))
-    best_r, best_ratio = start, -math.inf
-    gap = 1.0 - start
-    for j in range(steps):
+    best_r, best_ratio = _WALK_START, -math.inf
+    gap = 1.0 - _WALK_START
+    for j in range(_WALK_STEPS):
         r = 1.0 - gap * 0.5**j
-        if j and r == 1.0:  # the step fell below half an ulp of 1; j = 0 checks start
-            break
-        _require_radius(r)
         ratio = _subordination_ratio_at(complex(r), exps, coefs, cp)
         if ratio > best_ratio:
             best_r, best_ratio = r, ratio
-        if ratio >= threshold:
+        if ratio >= _WALK_THRESHOLD:
             return True, r, ratio
     return False, best_r, best_ratio
 
 
 def _extremum_report(
-    check: str, values: np.ndarray, r: float, n: int, threshold: float, tolerance: float,
-    minimize: bool, notes: tuple[str, ...] = (),
+    check: str, values: np.ndarray, r: float, n: int, threshold: float, minimize: bool, notes: tuple[str, ...] = ()
 ) -> OracleReport:
     """Extremum over a half circle from :func:`_half_circle`, at its smallest angle; a note fails it."""
     idx = int(np.argmin(values) if minimize else np.argmax(values))
     ext = float(values[idx])
-    passed = ext >= threshold - tolerance if minimize else ext <= threshold + tolerance
-    return OracleReport(check, ext, threshold, _point(r, idx, n), passed and not notes, tolerance, notes)
+    passed = ext >= threshold - _TOLERANCE if minimize else ext <= threshold + _TOLERANCE
+    return OracleReport(check, ext, threshold, _point(r, idx, n), passed and not notes, _TOLERANCE, notes)
 
 
-def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int, tolerance: float) -> OracleReport:
+def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int) -> OracleReport:
     """Minimum of Re(z h'/h) on |z| = r for h = f (starlike) or z f' (convex), the disk minimum once h/z^p
     is proved zero-free in |z| <= r, else failed with a note; err: 8 ulp on r^p c, 2^-1074 per underflow."""
-    _require_finite("tolerance", tolerance)
     zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
     e, c, pw = _series(*_terms(f), r)
@@ -341,46 +319,27 @@ def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int, tol
     zeros = _zeros_inside(hv, e, mag, n, float(mag.sum()), err)
     where = f"in 0 < |z| < {r}; no disk bound"
     note = f"{name} has {zeros} zero(s) {where}" if zeros else f"{name}: zero count not proved {where}"
-    return _extremum_report(check, (zhp / hv).real, r, n, zeta, tolerance, True, () if zeros == 0 else (note,))
+    return _extremum_report(check, (zhp / hv).real, r, n, zeta, True, () if zeros == 0 else (note,))
 
 
-def starlike_min_re(
-    f: CoefficientSeries,
-    zeta: float,
-    r: float,
-    n_angles: int = 256,
-    tolerance: float = 1e-9,
-) -> OracleReport:
+def starlike_min_re(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256) -> OracleReport:
     """Minimum of Re(z f'/f) on |z| = r versus the order zeta; fails unless f/z^p has no zero in |z| <= r."""
-    return _min_re("starlike", f, zeta, r, n_angles, tolerance)
+    return _min_re("starlike", f, zeta, r, n_angles)
 
 
-def convex_min_re(
-    f: CoefficientSeries,
-    zeta: float,
-    r: float,
-    n_angles: int = 256,
-    tolerance: float = 1e-9,
-) -> OracleReport:
+def convex_min_re(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256) -> OracleReport:
     """Minimum of Re(1 + z f''/f') on |z| = r versus zeta; fails unless f'/z^(p-1) has no zero in |z| <= r."""
-    return _min_re("convex", f, zeta, r, n_angles, tolerance)
+    return _min_re("convex", f, zeta, r, n_angles)
 
 
-def ctc_max_dev(
-    f: CoefficientSeries,
-    zeta: float,
-    r: float,
-    n_angles: int = 256,
-    tolerance: float = 1e-9,
-) -> OracleReport:
+def ctc_max_dev(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256) -> OracleReport:
     """Maximum of |f'(z)/z^(p-1) - p| on |z| = r versus p - zeta.
 
     f'/z^(p-1) - p is the polynomial -sum k a_k z^(k-p), so no poles exist.
     """
-    _require_finite("tolerance", tolerance)
     zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
     p = f.p
     ks = sorted(f.coeffs)
     dev = np.abs(_half_circle(*_series(ks, [-k * f.coeffs[k] for k in ks], r, p), n_angles)[0])
-    return _extremum_report("close-to-convex", dev, r, n_angles, p - zeta, tolerance, minimize=False)
+    return _extremum_report("close-to-convex", dev, r, n_angles, p - zeta, minimize=False)

@@ -31,11 +31,10 @@ from .classes import (
     random_params,
     zf_prime_over_p,
 )
-from .errors import DegenerateDenominatorError
+from .errors import DegenerateDenominatorError, _require_int
 from .geometry import distortion_bounds, radius_convex, radius_starlike
 from .hadamard import mixed_order_xi, schild_silverman_lambda
 from .operators import (
-    QuadratureConfig,
     apply_rafid,
     bernardi,
     fractional_derivative,
@@ -63,18 +62,20 @@ class CheckResult:
 
 
 def _check(name: str, budget_s: float = math.inf) -> Callable[[Callable[..., str]], Callable]:
-    """Turn a body ``fn(failures, rng, **kwargs) -> detail`` into ``check(seed=0, **kwargs)``.
+    """Turn a body ``fn(failures, rng) -> detail`` into ``check(seed=0)``.
 
     The body notes each broken criterion in ``failures`` and returns the detail
     of a pass.  A raise, or a run of ``budget_s`` seconds or more, fails the row too.
+    A seed that is not an integer >= 0 is refused before the body runs.
     """
 
     def harness(body: Callable[..., str]) -> Callable[..., CheckResult]:
-        def check(seed: int = 0, **kwargs) -> CheckResult:
+        def check(seed: int = 0) -> CheckResult:
+            rng = np.random.default_rng(_require_int("seed", seed, 0))
             failures: list[str] = []
             t0 = time.perf_counter()
             try:
-                detail = body(failures, np.random.default_rng(seed), **kwargs)
+                detail = body(failures, rng)
             except Exception as exc:  # a crash is a failed check, not a crash of the table
                 failures.append(f"raised {exc!r}")
             elapsed = time.perf_counter() - t0
@@ -162,22 +163,21 @@ def check_criterion_oracle_agreement(failures: list[str], rng: np.random.Generat
 
 
 @_check("quadrature-closed-form", budget_s=5.0)
-def check_quadrature_closed_form(failures: list[str], rng: np.random.Generator, nodes: int = 64) -> str:
+def check_quadrature_closed_form(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 3: Gauss-Laguerre transform vs diagonal multipliers."""
     worst = 0.0
-    q = QuadratureConfig(nodes=nodes)
     for i in range(100):
         cp = random_params(rng, mu_range=(0.0, 0.9), delta_range=(0.1, 1.0))
         f = random_member(cp, rng)
         z = _circle_point(rng, float(rng.uniform(0.1, 0.9)))
         exact = evaluate(apply_rafid(f, cp.rafid), z)
-        quad = rafid_quadrature(f, cp.rafid, z, q)
+        quad = rafid_quadrature(f, cp.rafid, z)
         rel = abs(quad - exact) / abs(exact)
         worst = max(worst, rel)
         if rel > 1e-8:
             failures.append(f"draw {i}: relative error {rel:.3e} at z = {z}")
             break
-    return f"100 draws, worst relative error {worst:.2e} at most {nodes} nodes"
+    return f"100 draws, worst relative error {worst:.2e} at most 64 nodes"
 
 
 @_check("p-r-correspondence")
@@ -410,9 +410,9 @@ def check_printed_audit(failures: list[str], rng: np.random.Generator) -> str:
     )
 
 
-def audit_rows(c: float = 1.0, r: float = 0.5) -> list[dict]:
-    """Derived vs printed bounds for every composition at p = 1 and p = 2."""
-    rows = []
+def audit_rows() -> list[dict]:
+    """Derived vs printed bounds for every composition at p = 1 and p = 2, with c = 1 and r = 0.5."""
+    c, r, rows = 1.0, 0.5, []
     for p in (1, 2):
         cp = ClassParams(p=p)
         for theorem in THEOREMS:

@@ -37,7 +37,7 @@ def test_criterion_2_criterion_matches_oracle():
 
 
 def test_criterion_3_quadrature_matches_closed_form():
-    _require(check_quadrature_closed_form(SEED, nodes=64))
+    _require(check_quadrature_closed_form(SEED))
 
 
 def test_criterion_4_family_correspondence():

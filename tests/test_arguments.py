@@ -15,7 +15,6 @@ from pvalent import (
     ClassParams,
     CoefficientSeries,
     FractionalSeries,
-    QuadratureConfig,
     RafidParams,
     SampleGrid,
     bernardi,
@@ -34,7 +33,6 @@ from pvalent import (
     extremal_r,
     fractional_derivative,
     fractional_integral,
-    locate_real_axis_violation,
     make_series,
     mixed_order_candidate,
     mixed_order_xi,
@@ -42,7 +40,6 @@ from pvalent import (
     radius_close_to_convex,
     radius_convex,
     radius_starlike,
-    rafid_quadrature,
     rafid_weight,
     schild_silverman_lambda,
     starlike_min_re,
@@ -103,11 +100,6 @@ INTEGER_ENTRIES = {
     "composition_bound theorem": (
         lambda v: composition_bound(v, CP, 1.0, 0.5, 0.5), 7, ParameterOutOfRangeError
     ),
-    "QuadratureConfig": (
-        lambda v: rafid_quadrature(F1, RP, 0.4 + 0.2j, QuadratureConfig(nodes=v)),
-        16,
-        ParameterOutOfRangeError,
-    ),
     "SampleGrid angles": (
         lambda v: subordination_margin(F1, ClassParams(), SampleGrid(angles_per_radius=v)),
         64,
@@ -121,9 +113,6 @@ INTEGER_ENTRIES = {
     "starlike_min_re": (lambda v: starlike_min_re(F1, 0.0, 0.5, n_angles=v), 64, ParameterOutOfRangeError),
     "convex_min_re": (lambda v: convex_min_re(F1, 0.0, 0.5, n_angles=v), 64, ParameterOutOfRangeError),
     "ctc_max_dev": (lambda v: ctc_max_dev(F1, 0.0, 0.5, n_angles=v), 64, ParameterOutOfRangeError),
-    "locate_real_axis_violation": (
-        lambda v: locate_real_axis_violation(F1, ClassParams(), steps=v), 5, ParameterOutOfRangeError
-    ),
 }
 
 
@@ -197,7 +186,6 @@ RADIUS_ENTRIES = {
     ),
     "SampleGrid": lambda r: SampleGrid(radii=(r,)),
     "subordination_ratio_real": lambda r: subordination_ratio_real(F1, ClassParams(), r),
-    "locate_real_axis_violation": lambda r: locate_real_axis_violation(F1, ClassParams(), start=r),
     "starlike_min_re": lambda r: starlike_min_re(F1, 0.0, r),
     "convex_min_re": lambda r: convex_min_re(F1, 0.0, r),
     "ctc_max_dev": lambda r: ctc_max_dev(F1, 0.0, r),

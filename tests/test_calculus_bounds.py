@@ -23,7 +23,7 @@ from pvalent import (
     random_params,
 )
 from pvalent.calculus_bounds import THEOREMS, _composition, _multiplier
-from pvalent.errors import ParameterOutOfRangeError, UncertifiedBoundWarning
+from pvalent.errors import DomainError, ParameterOutOfRangeError, UncertifiedBoundWarning
 
 CANONICAL = ClassParams()
 
@@ -152,6 +152,35 @@ def test_lower_bound_peak_is_a_turnover():
     assert lower_at(r_star) >= lower_at(r_star + eps)
 
 
+@pytest.mark.parametrize("theorem", [7, 10])
+@pytest.mark.parametrize("eta", [170.0, 180.0, 200.0])
+def test_lower_bound_peak_at_a_large_integral_order(theorem, eta, mpref):
+    # A0 and A1 T both underflow here, and A0 e0 / (A1 T (e0+1)) once raised ZeroDivisionError
+    for cp, c in [(ClassParams(), 1.0), (ClassParams(p=3, alpha=0.5, A=0.5, B=-0.5, mu=0.6, delta=0.3), 0.25)]:
+        p = cp.p
+        with mpmath.workdps(50):
+            c_, eta_ = mpmath.mpf(c), mpmath.mpf(eta)
+
+            def mult(k):  # 7: Bernardi, then the integral; 10: the integral, then Bernardi
+                shift = eta_ if theorem == 10 else 0
+                return (c_ + p) / (c_ + k + shift) * mpmath.gamma(k + 1) / mpmath.gamma(k + 1 + eta_)
+
+            t = mpmath.exp(-mpref.log_term(p + 1, cp))
+            want = mult(p) * (p + eta_) / (mult(p + 1) * t * (p + eta_ + 1))
+        assert lower_bound_peak(theorem, cp, c, eta) == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_printed_form_7_needs_eta_below_p_plus_2(p):
+    # Gamma(p - eta + 2) once raised "gamma_ratio needs positive arguments", naming an internal function
+    cp = ClassParams(p=p)
+    assert composition_bound(7, cp, 1.0, math.nextafter(p + 2.0, 0.0), 0.5).printed_upper > 0.0
+    for eta in (p + 2.0, 200.0):
+        assert composition_bound(7, cp, 1.0, eta, 0.5, include_printed=False).printed_upper is None
+        with pytest.raises(DomainError, match=r"Gamma\(p - eta \+ 2\) with eta < p \+ 2.*include_printed=False"):
+            composition_bound(7, cp, 1.0, eta, 0.5)
+
+
 def test_validation():
     with pytest.raises(ParameterOutOfRangeError):
         composition_bound(6, CANONICAL, 1.0, 1.0, 0.5)
@@ -258,8 +287,6 @@ def test_numpy_theorem_is_stored_as_a_plain_int():
 
 @pytest.mark.parametrize("theorem, c, sign", [(9, -0.5, "-"), (10, -1.5, "+")])
 def test_zero_printed_denominator_is_a_domain_error(theorem, c, sign):
-    from pvalent.errors import DomainError
-
     cp = ClassParams(p=2)
     message = rf"printed denominator c \{sign} eta \+ 1 .* include_printed=False"
     # the derived-only record of the same parameters, cached either side, does not stand in

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pvalent
-from pvalent.cli import main
+from pvalent.cli import build_parser, main
 
 CANON = ["--alpha", "0", "--A", "1", "--B", "-1"]
 
@@ -150,6 +150,7 @@ def test_oracle_subordination_json(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["pass"] is True
     assert set(rep) == {"check", "extremum", "threshold", "arg_z", "pass", "tolerance", "warnings"}
+    assert rep["tolerance"] == 1e-9
 
 
 def test_oracle_failure_still_exits_zero(tmp_path, capsys):
@@ -217,19 +218,21 @@ def test_bad_flag_exits_two():
     assert exc.value.code == 2
 
 
-def test_selftest_runs_clean(capsys, monkeypatch):
-    monkeypatch.setenv("PVALENT_SEED", "11")
-    code, out, _ = run(capsys, ["selftest"])
+def test_selftest_runs_clean(capsys):
+    code, out, _ = run(capsys, ["selftest", "--seed", "11"])
     assert code == 0
     assert "9/9 checks passed (seed 11)" in out
     assert "printed-vs-derived audit" in out
 
 
-def test_selftest_seed_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("PVALENT_SEED", "11")
-    code, out, _ = run(capsys, ["selftest", "--seed", "4"])
-    assert code == 0
-    assert "(seed 4)" in out
+def test_selftest_refuses_a_negative_seed(capsys):
+    # -1 once failed all nine rows with the generator's ValueError, as if the package were broken
+    assert build_parser().parse_args(["selftest"]).seed == 0
+    code, out, err = run(capsys, ["selftest", "--seed", "-1"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ParameterOutOfRangeError", "message": "seed must be an integer >= 0, got -1"
+    }
 
 
 def _child(*argv):
@@ -284,9 +287,8 @@ PUBLIC_NAMES = {
     "DomainError", "DuplicateIndexError", "ExponentUnderflowError", "FractionalSeries",
     "IndexBelowValenceError", "MembershipReport", "NegativeCoefficientError",
     "NonpositiveArgumentError", "OracleReport", "OrderExceedsValenceError",
-    "ParameterOutOfRangeError", "PoleOnGridError", "QuadratureConfig",
-    "QuadratureUnavailableError", "RadiusOutOfRangeError", "RadiusReport", "RafidParams",
-    "SampleGrid", "SeriesFormatError", "UncertifiedBoundWarning", "ValenceMismatchError",
+    "ParameterOutOfRangeError", "PoleOnGridError", "RadiusOutOfRangeError", "RadiusReport",
+    "RafidParams", "SampleGrid", "SeriesFormatError", "UncertifiedBoundWarning", "ValenceMismatchError",
     "apply_rafid", "bernardi", "budget_certified", "calculus_bounds", "check_p_membership",
     "check_r_membership", "class_order_candidate", "classes", "coeff_bound_p",
     "coeff_bound_r", "composed_extremal", "composition_bound", "composition_certified",
@@ -367,9 +369,10 @@ def test_fracbound_infinite_order_exits_one(capsys, printed):
     assert json.loads(err)["error"] == "ParameterOutOfRangeError"
 
 
-@pytest.mark.parametrize("theorem, c", [("9", "-0.5"), ("10", "-1.5")])
-def test_fracbound_zero_printed_denominator_exits_one(capsys, theorem, c):
-    argv = ["fracbound", "--theorem", theorem, "--c", c, "--eta", "0.5", "--rmin", "0.2", "--rmax", "0.8",
+@pytest.mark.parametrize("theorem, c, eta", [("9", "-0.5", "0.5"), ("10", "-1.5", "0.5"), ("7", "1", "4")])
+def test_fracbound_undefined_printed_form_exits_one(capsys, theorem, c, eta):
+    # 9 and 10: a printed denominator c -+ eta + 1 of 0; 7: Gamma(p - eta + 2) at eta = p + 2
+    argv = ["fracbound", "--theorem", theorem, "--c", c, "--eta", eta, "--rmin", "0.2", "--rmax", "0.8",
             "--p", "2", *CANON]
     code, out, err = run(capsys, [*argv, "--as-printed"])
     assert code == 1 and out == ""

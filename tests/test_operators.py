@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pvalent import (
     ClassParams,
-    QuadratureConfig,
     RafidParams,
     apply_rafid,
     bernardi,
@@ -28,7 +27,6 @@ from pvalent.errors import (
     ExponentUnderflowError,
     IndexBelowValenceError,
     ParameterOutOfRangeError,
-    QuadratureUnavailableError,
 )
 from pvalent import operators
 from pvalent.operators import _laguerre_rule, rafid_multiplier, rafid_multipliers, rafid_weight
@@ -160,7 +158,6 @@ def test_apply_rafid_is_a_coefficient_map():
 
 
 def test_quadrature_matches_closed_form(rng):
-    q = QuadratureConfig(nodes=64)
     for _ in range(40):
         p = int(rng.integers(1, 5))
         ks = rng.choice(np.arange(p + 1, p + 13), size=3, replace=False)
@@ -169,7 +166,7 @@ def test_quadrature_matches_closed_form(rng):
         theta = float(rng.uniform(0, 2 * math.pi))
         z = float(rng.uniform(0.1, 0.9)) * complex(math.cos(theta), math.sin(theta))
         exact = evaluate(apply_rafid(f, rp), z)
-        quad = rafid_quadrature(f, rp, z, q)
+        quad = rafid_quadrature(f, rp, z)
         assert abs(quad - exact) <= 1e-8 * abs(exact)
 
 
@@ -202,36 +199,16 @@ def test_laguerre_nodes_match_mpmath(a):
 
 
 def test_quadrature_delta_zero_fallback():
-    """delta=0 has no weight function; the closed form takes over unless forbidden."""
+    """delta=0 has no weight function; the closed form takes over."""
     f = make_series(1, [(2, 0.25)])
     rp = RafidParams(0.3, 0.0)
     assert rafid_quadrature(f, rp, 0.4) == evaluate(apply_rafid(f, rp), 0.4)
-    with pytest.raises(QuadratureUnavailableError):
-        rafid_quadrature(f, rp, 0.4, require_quadrature=True)
 
 
 def test_quadrature_rejects_boundary():
     f = make_series(1, [(2, 0.25)])
     with pytest.raises(DivergentInputError):
         rafid_quadrature(f, RafidParams(0.0, 1.0), 1.0)
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ParameterOutOfRangeError):
-        QuadratureConfig(nodes=4)
-
-
-@pytest.mark.parametrize("nodes", [8.5, 64.0, True, "64", None])
-def test_quadrature_config_refuses_non_integer_sizes(nodes):
-    with pytest.raises(ParameterOutOfRangeError):
-        QuadratureConfig(nodes=nodes)
-
-
-def test_quadrature_config_takes_numpy_integers():
-    f = make_series(1, [(2, 0.25)])
-    rp = RafidParams(0.3, 0.7)
-    got = rafid_quadrature(f, rp, 0.4, QuadratureConfig(nodes=np.int64(16)))
-    assert got == pytest.approx(evaluate(apply_rafid(f, rp), 0.4), rel=1e-13)
 
 
 @pytest.mark.parametrize("z", [complex("nan"), complex(0.5, math.nan), complex(math.inf, 0.0)])
@@ -243,26 +220,24 @@ def test_quadrature_refuses_non_finite_points(z, delta):
 
 
 @pytest.mark.parametrize(
-    "p, coeffs, nodes, size",
+    "p, coeffs, size",
     [
-        (1, [], 64, 8),  # a bare monomial: D = p
-        (1, [(2, 0.25)], 64, 8),
-        (1, [(15, 0.01)], 64, 8),
-        (1, [(16, 0.01)], 64, 9),
-        (1, [(2, 0.25), (41, 1e-40)], 64, 21),
-        (1, [(2, 0.25), (300, 0.0)], 64, 8),  # an explicit zero does not raise the degree
-        (1, [(2, 0.25), (126, 1e-200)], 64, 64),
-        (1, [(2, 0.25), (127, 1e-200)], 64, 64),  # D >= 127: the cap binds
-        (1, [(2, 0.25), (200, 1e-300)], 64, 64),
-        (1, [(2, 0.25), (200, 1e-300)], 128, 101),
-        (1, [(30, 0.01)], 8, 8),
-        (15, [], 64, 8),
-        (16, [], 64, 9),
-        (40, [], 64, 21),
+        (1, [], 8),  # a bare monomial: D = p
+        (1, [(2, 0.25)], 8),
+        (1, [(15, 0.01)], 8),
+        (1, [(16, 0.01)], 9),
+        (1, [(2, 0.25), (41, 1e-40)], 21),
+        (1, [(2, 0.25), (300, 0.0)], 8),  # an explicit zero does not raise the degree
+        (1, [(2, 0.25), (126, 1e-200)], 64),
+        (1, [(2, 0.25), (127, 1e-200)], 64),  # D >= 127: the cap binds
+        (1, [(2, 0.25), (200, 1e-300)], 64),
+        (15, [], 8),
+        (16, [], 9),
+        (40, [], 21),
     ],
 )
-def test_quadrature_rule_is_sized_to_the_degree(monkeypatch, p, coeffs, nodes, size):
-    """n = min(nodes, max(8, D//2 + 1)) for D the highest index with a nonzero coefficient, else p."""
+def test_quadrature_rule_is_sized_to_the_degree(monkeypatch, p, coeffs, size):
+    """n = min(64, max(8, D//2 + 1)) for D the highest index with a nonzero coefficient, else p."""
     sizes = []
 
     def spy(n, a):
@@ -270,7 +245,7 @@ def test_quadrature_rule_is_sized_to_the_degree(monkeypatch, p, coeffs, nodes, s
         return _laguerre_rule(n, a)
 
     monkeypatch.setattr(operators, "_laguerre_rule", spy)
-    rafid_quadrature(make_series(p, coeffs), RafidParams(0.3, 0.7), 0.4, QuadratureConfig(nodes))
+    rafid_quadrature(make_series(p, coeffs), RafidParams(0.3, 0.7), 0.4)
     assert sizes == [size]
 
 

@@ -216,20 +216,22 @@ def test_real_axis_walk_smooths_once(monkeypatch):
         assert calls == [f]
 
 
-def test_long_walk_ends_at_the_last_point_below_one():
-    """Once 1 - gap 2^-j rounds to 1.0 the walk stops at the last r below 1 instead of raising."""
-    f = make_series(1, [(2, 0.125)])
-    best_r, best_ratio = 0.9, -math.inf
-    for r in (1.0 - 0.1 * 0.5**j for j in range(60)):
-        if r == 1.0:
-            break
-        ratio = subordination_ratio_real(f, CANONICAL, r)
-        if ratio > best_ratio:
-            best_r, best_ratio = r, ratio
-    assert best_r < 1.0
-    assert locate_real_axis_violation(f, CANONICAL, steps=60) == (False, best_r, best_ratio)
-    with pytest.raises(RadiusOutOfRangeError):
-        locate_real_axis_violation(f, CANONICAL, start=1.0)
+def test_walk_radii_increase_strictly_below_one(monkeypatch):
+    """The walk's 40 fixed radii start at 0.9, increase strictly and never reach 1."""
+    import pvalent.oracle as oracle
+
+    radii = []
+
+    def spy(z, *args):
+        radii.append(z)
+        return 0.0  # never reaches the threshold, so every radius is visited
+
+    monkeypatch.setattr(oracle, "_subordination_ratio_at", spy)
+    assert locate_real_axis_violation(make_series(1, [(2, 0.125)]), CANONICAL) == (False, 0.9, 0.0)
+    assert len(radii) == 40 and all(z.imag == 0.0 for z in radii)
+    radii = [z.real for z in radii]
+    assert radii[0] == 0.9 and radii[-1] < 1.0
+    assert all(a < b for a, b in zip(radii, radii[1:]))
 
 
 def test_valence_mismatch_refused_on_every_path():
@@ -470,20 +472,6 @@ def test_dominated_member_passes_on_eight_angles():
     assert rep.extremum == pytest.approx(8 * b / (2.0 - 10 * b), rel=1e-12)
 
 
-@pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf, -math.inf, True, "1e-9", None])
-def test_tolerance_outside_its_domain_refused(tolerance):
-    """z - 0.26 z^2 has criterion sum 1.04 and ratio 1.13; tolerance -1 once passed it."""
-    f = make_series(1, [(2, 0.26)])
-    for call in (
-        lambda: subordination_margin(f, CANONICAL, tolerance=tolerance),
-        lambda: starlike_min_re(f, 0.0, 0.5, tolerance=tolerance),
-        lambda: convex_min_re(f, 0.0, 0.5, tolerance=tolerance),
-        lambda: ctc_max_dev(f, 0.0, 0.5, tolerance=tolerance),
-    ):
-        with pytest.raises(ParameterOutOfRangeError, match="tolerance must be a finite number >= 0"):
-            call()
-
-
 @pytest.mark.parametrize("check", [starlike_min_re, convex_min_re, ctc_max_dev])
 @pytest.mark.parametrize("zeta", [-0.1, 2.0, 5.0, math.nan, math.inf])
 def test_circle_order_outside_zero_to_p_refused(check, zeta):
@@ -492,31 +480,8 @@ def test_circle_order_outside_zero_to_p_refused(check, zeta):
         check(make_series(2, [(3, 0.01)]), zeta, 0.5)
 
 
-def test_zero_tolerance_and_order_just_below_p_accepted():
-    f = make_series(2, [(3, 0.01)])
-    assert subordination_margin(f, ClassParams(p=2), tolerance=0).passed
-    assert ctc_max_dev(f, np.nextafter(2.0, 0.0), 0.5, tolerance=np.float64(0.0)).threshold > 0.0
-
-
-@pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, math.inf, True, "0.5"])
-def test_walk_threshold_outside_its_domain_refused(threshold):
-    """threshold nan once missed z - 0.3 z^2 (ratio 3 near r = 1); -1 flagged the member z - 0.1 z^2."""
-    for f in (make_series(1, [(2, 0.3)]), make_series(1, [(2, 0.1)])):
-        with pytest.raises(ParameterOutOfRangeError, match="threshold must be a finite number > 0"):
-            locate_real_axis_violation(f, CANONICAL, threshold=threshold)
-
-
-@pytest.mark.parametrize("steps", [0, -1, 1.5, True, None])
-def test_walk_steps_below_one_refused(steps):
-    """steps = 0 once returned the ratio -inf."""
-    with pytest.raises(ParameterOutOfRangeError, match="steps must be an integer >= 1"):
-        locate_real_axis_violation(make_series(1, [(2, 0.3)]), CANONICAL, steps=steps)
-
-
-def test_walk_of_one_step_checks_start():
-    assert locate_real_axis_violation(make_series(1, [(2, 0.1)]), CANONICAL, steps=1) == (
-        False, 0.9, subordination_ratio_real(make_series(1, [(2, 0.1)]), CANONICAL, 0.9)
-    )
+def test_order_just_below_p_accepted():
+    assert ctc_max_dev(make_series(2, [(3, 0.01)]), np.nextafter(2.0, 0.0), 0.5).threshold > 0.0
 
 
 @pytest.mark.parametrize(

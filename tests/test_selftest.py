@@ -3,8 +3,10 @@
 import time
 
 import numpy as np
+import pytest
 
 from pvalent import selftest
+from pvalent.errors import ParameterOutOfRangeError
 
 # the first helper each check calls, so that raising in all of them makes every check raise
 HELPERS = (
@@ -39,16 +41,27 @@ def test_a_body_past_its_budget_fails_with_the_note():
     assert result.elapsed >= 0.01
 
 
-def test_the_body_gets_the_seeded_generator_and_the_keywords():
-    def body(failures, rng, scale=1.0):
+def test_the_body_gets_the_seeded_generator():
+    def body(failures, rng):
         """A pass that reports its draw."""
-        return repr(scale * rng.random())
+        return repr(rng.random())
 
     check = selftest._check("draw")(body)
-    result = check(7, scale=2.0)
+    result = check(7)
     assert result.passed and result.name == "draw"
-    assert result.detail == repr(2.0 * np.random.default_rng(7).random())
+    assert result.detail == repr(np.random.default_rng(7).random())
     assert check.__name__ == "body" and check.__doc__ == "A pass that reports its draw."
+    assert check(np.int64(7)).detail == result.detail
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, None])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused_once(seed):
+    """selftest --seed -1 once printed nine FAIL rows, each with the generator's ValueError."""
+    calls = []
+    check = selftest._check("draw")(lambda failures, rng: calls.append(rng) or "drawn")
+    with pytest.raises(ParameterOutOfRangeError, match="seed must be an integer >= 0"):
+        check(seed)
+    assert calls == []
 
 
 def test_failures_fail_the_row_and_replace_the_detail():
