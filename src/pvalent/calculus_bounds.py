@@ -13,8 +13,8 @@ A1 the one on z^(p+1), e0 = p +- eta and T the sharp k = p+1 coefficient bound,
 
 Everything here but the powers of r depends only on (theorem, class, c, eta), so
 one record, ``_composition``, holds it for the last parameter set: the validated
-theorem, the certificate verdict, A0, e0, A1 T and the printed constants.  The
-bounds of one curve, and :func:`lower_bound_peak`, read it.
+theorem, the warning text outside the certificate, A0, e0, A1 T and the printed
+constants.  The bounds of one curve, and :func:`lower_bound_peak`, read it.
 
 These derived bounds are what the package stands behind.  The source
 formulas they descend from contain several transcription slips (a flipped
@@ -38,7 +38,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from .classes import ClassParams, _certified_scan, _warn_uncertified, coeff_bound_r, extremal_r
+from .classes import ClassParams, _certified_scan, _uncertified_text, _warn_uncertified, coeff_bound_r, extremal_r
 from .errors import DomainError, ParameterOutOfRangeError, _require_int, _require_radius
 from .operators import (
     _require_c, _require_eta, bernardi, fractional_derivative, fractional_integral, gamma_ratio,
@@ -197,30 +197,30 @@ def _printed(theorem: int, cp: ClassParams, c: float, eta: float) -> tuple[float
 @lru_cache(maxsize=1, typed=True)  # typed, as composition_certified: 7.0 and c = 1 keep entries of their own
 def _composition(
     theorem: int, cp: ClassParams, c: float, eta: float, include_printed: bool
-) -> tuple[int, bool, float, float, float, tuple[float, float, float] | None]:
-    """(theorem, certified, A0, e0, A1 T, printed): all a bound needs but r, once per curve.
+) -> tuple[int, str | None, float, float, float, tuple[float, float, float] | None]:
+    """(theorem, warning, A0, e0, A1 T, printed): all a bound needs but r, once per curve.
 
-    The theorem is validated, the certificate consulted, and printed is
+    The theorem is validated, the certificate consulted (warning is None inside it), and printed is
     :func:`_printed`'s (lead, low, up) with include_printed, None without.  It holds
     plain floats: a ClassParams with numpy fields equals, and hashes as, its float twin,
-    so a hit must not hand one of them the other's numpy scalars.
+    so a hit must not hand one of them the other's numpy scalars (the warning names the one that missed).
     """
     theorem = _validate(theorem, cp, c, eta)
     certified = composition_certified(theorem, cp, float(c), float(eta))
+    warning = None if certified else _uncertified_text(f"composition {theorem}", cp)
     s, _ = _shifts(theorem, eta)
     a0, a1 = _multiplier(theorem, cp.p, c, eta, cp.p), _multiplier(theorem, cp.p, c, eta, cp.p + 1)
     printed = tuple(map(float, _printed(theorem, cp, c, eta))) if include_printed else None
-    return theorem, certified, a0, cp.p + s, a1 * coeff_bound_r(cp.p + 1, cp), printed
+    return theorem, warning, a0, cp.p + s, a1 * coeff_bound_r(cp.p + 1, cp), printed
 
 
 def composition_bound(
     theorem: int, cp: ClassParams, c: float, eta: float, r: float, include_printed: bool = True
 ) -> CompositionBound:
     """Derived (and optionally as-printed) bounds at radius r in (0, 1)."""
-    theorem, certified, a0, e0, a1_t, printed = _composition(theorem, cp, c, eta, include_printed)
+    theorem, warning, a0, e0, a1_t, printed = _composition(theorem, cp, c, eta, include_printed)
     r = _require_radius(r)
-    if not certified:
-        _warn_uncertified(f"composition {theorem}", cp)
+    _warn_uncertified(warning)
     scale = r**e0
     lead, tail = a0 * scale, a1_t * r ** (e0 + 1.0)
     printed_lower = printed_upper = None

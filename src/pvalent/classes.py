@@ -134,7 +134,7 @@ def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
 def coeff_bound_r(k: int, cp: ClassParams) -> float:
     """Largest admissible lone coefficient at index k (sharp).
 
-    Walks w_k from p in k-p steps, no cap: about 0.09 µs a step, 86 ms at k = 10^6 (README).
+    Walks w_k from p in k-p steps, no cap: about 0.09 µs a step, 90 ms at k = 10^6 (README).
     """
     t, e = _term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid))
     return pow2_product(1.0 / t, -e)
@@ -211,27 +211,20 @@ def _certified_scan(cp: ClassParams, s: float, c: float | None = None, b: float 
         k += 1
 
 
-def _warn_uncertified(what: str, cp: ClassParams) -> None:
-    """The one warning of a tail-aggregated bound evaluated outside its certificate."""
-    msg = f"tail aggregation not certified for {what} at {cp}; admissible members may exceed these bounds"
-    warnings.warn(msg, UncertifiedBoundWarning, stacklevel=3)
+def _uncertified_text(what: str, cp: ClassParams) -> str:
+    """The text of :func:`_warn_uncertified`, formed once per record of a bound's constants."""
+    return f"tail aggregation not certified for {what} at {cp}; admissible members may exceed these bounds"
+
+
+def _warn_uncertified(text: str | None) -> None:
+    """The one warning of a tail-aggregated bound evaluated outside its certificate (text None inside it)."""
+    if text is not None:
+        warnings.warn(text, UncertifiedBoundWarning, stacklevel=3)
 
 
 def _scan_indices(cp: ClassParams, k_max: int) -> range:
     """The indices p+1 .. k_max of a scan of radii or orders."""
     return range(cp.p + 1, _require_int("k_max", k_max, cp.p + 1) + 1)
-
-
-@lru_cache(maxsize=1, typed=True)  # typed: k_max = 3.0 must be refused, not hit the entry of 3
-def _log_terms(cp: ClassParams, k_max: int) -> tuple[range, tuple[float, ...]]:
-    """The indices p+1 .. k_max and :func:`_log_term` at each, from one pass of w_k.
-
-    Kept for the last (cp, k_max), so the three radius kinds of one class share the pass.
-    """
-    ks = _scan_indices(cp, k_max)
-    p, slope, s, log = cp.p, 1.0 - cp.B, cp.scale, math.log
-    weights = zip(ks, rafid_multipliers(p, cp.rafid, ks))
-    return ks, tuple(log((slope * (k - p) + s) * m / s) + e * _LN2 for k, (m, e) in weights)
 
 
 def _require_zeta(zeta: float, p: int) -> float:

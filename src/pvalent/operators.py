@@ -109,19 +109,19 @@ def rafid_multipliers(p: int, rp: RafidParams, ks: Iterable[int]) -> Iterator[tu
     depend on the other indices asked for.  Callers scale once with :func:`pow2_product`.
     """
     p = _require_int("valence p", p, 1)
-    shrink, delta, k, m, e = 1.0 - rp.mu, rp.delta, p, 1.0, 0
+    shrink, delta, k, m, e, frexp = 1.0 - rp.mu, rp.delta, p, 1.0, 0, math.frexp
     for target in ks:
-        if target < p:
-            _require_index(target, p - 1)  # raises
-        if target < k:
+        if target < k:  # k >= p, so an index below p lands here too
+            if target < p:
+                _require_index(target, p - 1)  # raises
             raise ParameterOutOfRangeError(f"indices must be nondecreasing, got {target} after {k}")
         while k < target:
             m = m * shrink * (k + delta)
             k += 1
             if not (2.0**-500 <= m <= 2.0**500):
-                m, shift = math.frexp(m)
+                m, shift = frexp(m)
                 e += shift
-        mantissa, shift = math.frexp(m)
+        mantissa, shift = frexp(m)
         yield mantissa, e + shift
 
 

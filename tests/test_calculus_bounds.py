@@ -394,6 +394,19 @@ def test_one_warning_text_for_every_tail_aggregated_bound():
             distortion_bounds(ClassParams(mu=0.9, delta=0.0), 1, 0.5)
 
 
+def test_uncertified_composition_warns_once_per_call_at_its_caller():
+    cp = ClassParams(mu=0.75)
+    text = f"tail aggregation not certified for composition 8 at {cp}"
+    text += "; admissible members may exceed these bounds"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i in range(50):  # every call after the first reads the record
+            composition_bound(8, cp, 2.0, 0.9, 0.01 * (i + 1))
+    assert len(caught) == 50
+    assert all(w.category is UncertifiedBoundWarning and str(w.message) == text for w in caught)
+    assert {w.filename for w in caught} == {__file__}
+
+
 def test_composition_memo_hits_equal_cold_calls(rng):
     """The record kept per (theorem, class, c, eta, include_printed) moves no bit."""
     radii = [0.1, 0.5, 0.9]

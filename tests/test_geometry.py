@@ -24,7 +24,9 @@ from pvalent import (
     starlike_min_re,
 )
 from pvalent.classes import log_r_criterion_term
-from pvalent.errors import ParameterOutOfRangeError, RadiusOutOfRangeError, UncertifiedBoundWarning
+from pvalent.errors import (
+    OrderExceedsValenceError, ParameterOutOfRangeError, RadiusOutOfRangeError, UncertifiedBoundWarning,
+)
 
 CANONICAL = ClassParams()
 
@@ -70,6 +72,43 @@ def test_distortion_curve_shape():
     assert curve.m == 1
     assert len(curve.samples) == 3
     assert curve.samples[2] == (0.5, 0.75, 1.25)
+
+
+@pytest.mark.parametrize(
+    "m, error", [(99, OrderExceedsValenceError), (-1, ParameterOutOfRangeError), (True, ParameterOutOfRangeError)]
+)
+def test_distortion_curve_checks_the_order_with_no_radii(m, error):
+    with pytest.raises(error):
+        distortion_curve(CANONICAL, m, [])
+
+
+def test_uncertified_curve_warns_once_per_sample_at_its_caller():
+    cp = ClassParams(mu=0.9, delta=0.0)
+    radii = [0.01 * (i + 1) for i in range(50)]
+    text = f"tail aggregation not certified for distortion order 1 at {cp}"
+    text += "; admissible members may exceed these bounds"
+    for _ in range(2):  # the second curve reads the record the first one left
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            distortion_curve(cp, 1, radii)
+        assert len(caught) == 50
+        assert all(w.category is UncertifiedBoundWarning and str(w.message) == text for w in caught)
+        assert {w.filename for w in caught} == {__file__}
+
+
+def test_numpy_twin_shares_the_distortion_record_and_its_warning_text():
+    # a ClassParams with numpy fields equals, and hashes as, its float twin, so the twin that
+    # misses first forms the record's warning text and the other one's warning names it
+    import numpy as np
+
+    from pvalent.geometry import _distortion
+
+    _distortion.cache_clear()
+    twin = ClassParams(mu=np.float64(0.9), delta=0.0)
+    with pytest.warns(UncertifiedBoundWarning, match=r"mu=np\.float64\(0\.9\)"):
+        distortion_bounds(twin, 1, 0.5)
+    with pytest.warns(UncertifiedBoundWarning, match=r"mu=np\.float64\(0\.9\)"):
+        assert distortion_bounds(ClassParams(mu=0.9, delta=0.0), 1, 0.5) == distortion_bounds(twin, 1, 0.5)
 
 
 def test_uncertified_budget_has_a_violating_member():
@@ -185,10 +224,12 @@ def test_radius_candidates_bit_exact(radius, kind, rng):
     for draw in range(40):
         cp = random_params(rng, mu_range=(0.0, 0.0) if draw % 2 else (0.0, 0.95))
         zeta = float(rng.uniform(0.0, cp.p))
-        candidates = dict(radius(cp, zeta, k_max=300).candidates)
-        assert list(candidates) == list(range(cp.p + 1, 301))
+        k_max = 2000 if draw % 4 < 2 else 300
+        candidates = dict(radius(cp, zeta, k_max=k_max).candidates)
+        assert list(candidates) == list(range(cp.p + 1, k_max + 1))
         # at mu = 0 the term leaves double range from k = 171
-        for k in [*range(cp.p + 1, cp.p + 13), 170, 171, 172, 250, 300]:
+        deep = (1000, 1999, 2000) if k_max == 2000 else ()
+        for k in [*range(cp.p + 1, cp.p + 13), 170, 171, 172, 250, 300, *deep]:
             log_r = log_r_criterion_term(k, cp) + _log_factor(kind, k, cp.p, zeta)
             assert candidates[k] == math.exp(log_r / (k - cp.p))
 
@@ -206,39 +247,49 @@ KINDS = (radius_starlike, radius_convex, radius_close_to_convex)
 
 
 def test_memo_hits_equal_cold_calls(rng):
-    """The records kept per parameter set (the radius pass, the distortion constants) move no bit."""
-    from pvalent.classes import _log_terms
-    from pvalent.geometry import _distortion
+    """The records kept per parameter set (the radius scan, the distortion constants) move no bit."""
+    from pvalent.geometry import _distortion, _radius_scan
 
     calls = []
     for cp in [random_params(rng, max_p=3) for _ in range(4)]:
         zeta = float(rng.uniform(0.0, cp.p))
         for k_max in (cp.p + 1, 50, 200):
             calls += [(kind, cp, zeta, k_max) for kind in KINDS]
-    # runs of one (class, k_max) hit the memo; the shuffled copy interleaves kinds, classes and k_max
+        # consecutive calls that change only zeta, then only k_max, must miss and still match
+        other = float(rng.uniform(0.0, cp.p))
+        calls += [(radius_convex, cp, zeta, 50), (radius_convex, cp, other, 50), (radius_convex, cp, other, 51)]
+    # runs of one (class, zeta, k_max) hit the memo; the shuffled copy interleaves kinds, classes and k_max
+    ordered = len(calls)
     calls += [calls[i] for i in rng.permutation(len(calls))]
-    hits = 0
-    for kind, cp, zeta, k_max in calls:
+    _radius_scan.cache_clear()  # count this test's hits only
+    hits, last = 0, None
+    for i, (kind, cp, zeta, k_max) in enumerate(calls):
         warm = kind(cp, zeta, k_max)
-        hits += _log_terms.cache_info().hits
-        _log_terms.cache_clear()
+        # one entry: a call hits exactly when the one before it had the same (class, zeta, k_max)
+        hit = _radius_scan.cache_info().hits
+        assert hit == ((cp, zeta, k_max) == last)
+        hits += hit if i < ordered else 0
+        _radius_scan.cache_clear()
         assert repr(kind(cp, zeta, k_max)) == repr(warm)
-    assert hits >= len(calls) // 2
+        last = (cp, zeta, k_max)
+    assert hits >= ordered // 2
 
     radii = [0.1, 0.5, 0.9]
     curves = list({(cp, int(rng.integers(0, cp.p + 1))) for _, cp, _, _ in calls})
     curves += [curves[i] for i in rng.permutation(len(curves))]
+    _distortion.cache_clear()
     hits = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UncertifiedBoundWarning)
         for cp, m in curves:
-            warm = distortion_curve(cp, m, radii)
+            warm = distortion_curve(cp, m, radii)  # consults the record once
+            points = [(r, *distortion_bounds(cp, m, r)) for r in radii]  # each reads the curve's record
             hits += _distortion.cache_info().hits
             cold = []
             for r in radii:
                 _distortion.cache_clear()
                 cold.append((r, *distortion_bounds(cp, m, r)))
-            assert repr(tuple(cold)) == repr(warm.samples)
+            assert repr(tuple(cold)) == repr(warm.samples) == repr(tuple(points))
     assert hits >= 2 * len(curves)
 
 
