@@ -4,7 +4,8 @@ Everything here works from the raw coefficients, deliberately avoiding the
 Horner evaluation path and the closed-form criteria it is meant to check:
 a circle of n equally spaced angles comes from one real-input DFT of the
 coefficients times r^k folded by k mod n, single points from direct sums.
-The subordination test for the R family bounds, with g the smoothed image of f,
+The subordination test for the R family bounds, with g the smoothed image of f
+(its coefficients from one pass of the smoothing multipliers, as in apply_rafid),
 
     | (z g'/g - p) / (B z g'/g - [Bp + (A-B)(p-alpha)]) |  <  1
 
@@ -20,6 +21,7 @@ sample, |d(zH')/dtheta| <= sum e^2 |c_e| r^e and |dD/dtheta| <= sum e |Be - scal
 + a)/(min |D_j| - b) bounds the ratio on the circle.  While the samples pass and U
 does not, the angles double, at most grid.refinement times, so a pass is never
 more lenient than angle bisection, whose probes lie on those finer circles.
+Every report names in n_angles the angle count of the last circle it sampled.
 Every check passes within 1e-9 of its threshold, the ``tolerance`` of its report.
 For negative-coefficient members that maximum sits on the positive real
 axis, which is asserted on every run and surfaced as a warning when violated
@@ -42,7 +44,7 @@ import numpy as np
 
 from .classes import ClassParams, _require_zeta
 from .errors import DivergentInputError, ParameterOutOfRangeError, PoleOnGridError, _require_int, _require_radius
-from .operators import apply_rafid
+from .operators import pow2_product, rafid_multipliers
 from .series import CoefficientSeries
 
 _DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
@@ -78,6 +80,7 @@ class OracleReport:
     arg_z: complex
     passed: bool
     tolerance: float
+    n_angles: int
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -88,18 +91,14 @@ class OracleReport:
             "arg_z": {"re": self.arg_z.real, "im": self.arg_z.imag},
             "pass": self.passed,
             "tolerance": self.tolerance,
+            "n_angles": self.n_angles,
             "warnings": list(self.warnings),
         }
 
 
-def _terms(f: CoefficientSeries) -> tuple[list[int], list[float]]:
-    ks = sorted(f.coeffs)
-    return [f.p] + ks, [1.0] + [-f.coeffs[k] for k in ks]
-
-
-def _series(exps, coefs, r: float, shift: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponents less shift, coefficients and r^e as arrays, for :func:`_half_circle`."""
-    e = np.asarray(exps, dtype=np.int64) - shift
+def _series(exps, coefs, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponents, coefficients and r^e as arrays, for :func:`_half_circle`."""
+    e = np.asarray(exps, dtype=np.int64)
     return e, np.asarray(coefs, dtype=float), r**e
 
 
@@ -110,11 +109,11 @@ def _half_circle(e: np.ndarray, c: np.ndarray, power: np.ndarray, n: int) -> np.
     coefficients times power = r^e, folded by e mod n, which is exact at any degree.
     The coefficients are real, so the other half circle holds the conjugates.
     """
-    _require_int("angles per circle", n, 8)
     slot = e % n
-    rows = np.concatenate([c * power, c * e * power])
-    folded = np.bincount(np.concatenate([slot, slot + n]), rows, 2 * n)
-    return np.fft.rfft(folded.reshape(2, n)).conj()
+    folded = np.empty((2, n))
+    folded[0] = np.bincount(slot, c * power, n)
+    folded[1] = np.bincount(slot, c * e * power, n)
+    return np.fft.rfft(folded).conj()
 
 
 def _zero_count(h: np.ndarray, slack: float) -> int | None:
@@ -142,10 +141,12 @@ def _slack(l: float, size: float, m: int, n: int) -> float:
     return l * math.pi / n + (m + n) * 2.0**-49 * (l + size)
 
 
-def _zeros_inside(h: np.ndarray, e: np.ndarray, mag: np.ndarray, n: int, size: float, err: float) -> int | None:
-    """Zeros in 0 < |z| < r of sum b_e z^e (e ascending, mag_e = |b_e| r^e, samples h): 0 when the lowest
-    term outweighs the rest (see subordination_margin), else the sampled count less e[0], or None."""
-    if float(mag[1:].sum()) * (1.0 + (len(e) + 8) * 2.0**-52) + err < mag[0]:
+def _zeros_inside(
+    h: np.ndarray, e: np.ndarray, mag: np.ndarray, tail: float, n: int, size: float, err: float
+) -> int | None:
+    """Zeros in 0 < |z| < r of sum b_e z^e (e ascending, mag_e = |b_e| r^e, tail = sum mag[1:], samples h): 0
+    when the lowest term outweighs the rest (see subordination_margin), else the sampled count less e[0], or None."""
+    if tail * (1.0 + (len(e) + 8) * 2.0**-52) + err < mag[0]:
         return 0
     count = _zero_count(h, _slack(float(np.dot(e, mag)), size, len(e), n))
     return None if count is None else count - int(e[0])
@@ -156,19 +157,22 @@ def _point(r: float, j: int, n: int) -> complex:
     return cmath.rect(r, 2.0 * math.pi * j / n)
 
 
-def _smoothed(f: CoefficientSeries, cp: ClassParams) -> CoefficientSeries:
-    """Smoothed image of f; refuses a valence other than cp.p or a coefficient past double range."""
+def _smoothed(f: CoefficientSeries, cp: ClassParams) -> tuple[list[int], list[float]]:
+    """Exponents less p and coefficients of g/z^p, g the smoothed image of f, from one multiplier pass
+    as in apply_rafid; refuses a valence other than cp.p or a coefficient past double range."""
     if f.p != cp.p:
         raise ParameterOutOfRangeError(
             f"series valence {f.p} != parameter valence {cp.p}"
         )
-    g = apply_rafid(f, cp.rafid)
-    for k, a in g.coeffs.items():
-        if not math.isfinite(a):
-            raise DivergentInputError(
-                f"smoothed coefficient at k = {k} (a_k = {f.coeffs[k]!r}) exceeds double range"
-            )
-    return g
+    p, a, ks = f.p, f.coeffs, sorted(f.coeffs)
+    exps, coefs = [0], [1.0]
+    for k, (m, e) in zip(ks, rafid_multipliers(p, cp.rafid, ks)):
+        b = pow2_product(m, e, a[k])
+        if not math.isfinite(b):
+            raise DivergentInputError(f"smoothed coefficient at k = {k} (a_k = {a[k]!r}) exceeds double range")
+        exps.append(k - p)
+        coefs.append(-b)
+    return exps, coefs
 
 
 def subordination_certified(f: CoefficientSeries, cp: ClassParams) -> bool:
@@ -215,8 +219,8 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
     A proved zero of H raises; a zero of D (a pole of the ratio) or an
     unproved count fails with a warning.
     """
-    r, n = grid.radii[-1], grid.angles_per_radius
-    e, c, pw = _series(*_terms(_smoothed(f, cp)), r, cp.p)
+    r, n = grid.radii[-1], int(grid.angles_per_radius)
+    e, c, pw = _series(*_smoothed(f, cp), r)
     # Rouche, easy case: a constant term (1 for H, -scale for D) that outweighs its tail, sum
     # |c_e| r^e or sum |c_e| |B e - scale| r^e over e > 0, leaves no zero in |z| <= r.  With
     # every r^e normal (else no proof), 4 ulp for r^e and 1 per product and addition keep
@@ -237,41 +241,46 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
             raise PoleOnGridError(f"smoothed image vanishes on |z| = {r} at z = {z}")
         den = cp.B * zhp - cp.scale * hv
         azhp, aden = np.abs(zhp), np.abs(den)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # |D_j| < 2 size_d unless a product overflowed (numpy warns), so when no |D_j| is 0 the
+        # quotient raises no divide or invalid flag and needs no errstate
+        if (dmin := float(aden.min())) > 0.0 and size_d < 2.0**1022:
             ratio = azhp / aden
-        if math.isnan(top := float(ratio.max())):
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = azhp / aden
+        j = int(ratio.argmax())  # the first nan if any, so top is nan iff some sample is
+        if math.isnan(top := float(ratio[j])):
             raise PoleOnGridError(f"indeterminate ratio on |z| = {r}")
         if not doubling:  # the zero counts, once, on the base grid
-            zeros_h = _zeros_inside(hv, e, mh, n, sh, tiny)
+            tail = float(mh[1:].sum())
+            zeros_h = _zeros_inside(hv, e, mh, tail, n, sh, tiny)
             if zeros_h:
                 raise PoleOnGridError(f"smoothed image has {zeros_h} zero(s) inside |z| < {r}")
-            zeros_d = _zeros_inside(den, e, md, n, size_d, float(mh[1:].sum()) * (big + 1.0) * 2.0**-52 + tiny)
+            zeros_d = _zeros_inside(den, e, md, float(md[1:].sum()), n, size_d, tail * (big + 1.0) * 2.0**-52 + tiny)
         # double the angles while the samples pass but the bound U between them does not
         if doubling == grid.refinement or not (zeros_h == zeros_d == 0 and top < 1.0 - _TOLERANCE):
             break
-        lo = float(aden.min()) - _slack(ld, size_d, m, n)
+        lo = dmin - _slack(ld, size_d, m, n)
         if lo > 0.0 and (float(azhp.max()) + _slack(l2, lh, m, n)) / lo < 1.0 - _TOLERANCE:
             break
         n *= 2
     # the maximum at its smallest angle; flagged when off the positive real axis
-    j = int(np.argmax(ratio))
-    best_val, best_z = float(ratio[j]), _point(r, j, n)
     notes = []
-    if j and best_val > ratio[0] + 1e-12 * max(1.0, best_val):
+    if j and top > ratio[0] + 1e-12 * max(1.0, top):
         notes.append(f"circle maximum off the positive real axis at r = {r} (angle index {j})")
     if zeros_h is None or zeros_d is None:
         notes.append(f"zero counts inside |z| < {r} not proved; no disk bound")
     elif zeros_d:
         notes.append(f"ratio has {zeros_d} pole(s) inside |z| < {r}")
-    passed = zeros_h == zeros_d == 0 and best_val < 1.0 - _TOLERANCE
-    return OracleReport("subordination", best_val, 1.0, best_z, passed, _TOLERANCE, tuple(notes))
+    passed = zeros_h == zeros_d == 0 and top < 1.0 - _TOLERANCE
+    return OracleReport("subordination", top, 1.0, _point(r, j, n), passed, _TOLERANCE, n, tuple(notes))
 
 
 def subordination_ratio_real(f: CoefficientSeries, cp: ClassParams, r: float) -> float:
     """Subordination ratio at the single real point z = r."""
     _require_radius(r)
-    exps, coefs = _terms(_smoothed(f, cp))
-    return _subordination_ratio_at(complex(r), exps, coefs, cp)
+    exps, coefs = _smoothed(f, cp)
+    return _subordination_ratio_at(complex(r), [e + cp.p for e in exps], coefs, cp)
 
 
 def locate_real_axis_violation(f: CoefficientSeries, cp: ClassParams) -> tuple[bool, float, float]:
@@ -281,7 +290,8 @@ def locate_real_axis_violation(f: CoefficientSeries, cp: ClassParams) -> tuple[b
     approaches a limit above one, so the walk finds the violation without
     ever sampling outside the disk.  f is smoothed once for the whole walk.
     """
-    exps, coefs = _terms(_smoothed(f, cp))
+    exps, coefs = _smoothed(f, cp)
+    exps = [e + cp.p for e in exps]
     best_r, best_ratio = _WALK_START, -math.inf
     gap = 1.0 - _WALK_START
     for j in range(_WALK_STEPS):
@@ -301,7 +311,7 @@ def _extremum_report(
     idx = int(np.argmin(values) if minimize else np.argmax(values))
     ext = float(values[idx])
     passed = ext >= threshold - _TOLERANCE if minimize else ext <= threshold + _TOLERANCE
-    return OracleReport(check, ext, threshold, _point(r, idx, n), passed and not notes, _TOLERANCE, notes)
+    return OracleReport(check, ext, threshold, _point(r, idx, n), passed and not notes, _TOLERANCE, n, notes)
 
 
 def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int) -> OracleReport:
@@ -309,14 +319,16 @@ def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int) -> 
     is proved zero-free in |z| <= r, else failed with a note; err: 8 ulp on r^p c, 2^-1074 per underflow."""
     zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
-    e, c, pw = _series(*_terms(f), r)
+    n = _require_int("angles per circle", n, 8)
+    ks = sorted(f.coeffs)
+    e, c, pw = _series([f.p] + ks, [1.0] + [-f.coeffs[k] for k in ks], r)
     name, c = ("f'", e * c) if check == "convex" else ("f", c)  # z f' has e times f's coefficient at z^e
     hv, zhp = _half_circle(e, c, pw, n)
     if np.any(hv == 0):
         raise PoleOnGridError(f"{name} vanishes on |z| = {r}")
     mag = np.abs(c) * pw
     err = mag[0] * 2.0**-50 + len(e) * 2.0**-1074 if pw[-1] >= 2.0**-1022 else math.inf
-    zeros = _zeros_inside(hv, e, mag, n, float(mag.sum()), err)
+    zeros = _zeros_inside(hv, e, mag, float(mag[1:].sum()), n, float(mag.sum()), err)
     where = f"in 0 < |z| < {r}; no disk bound"
     note = f"{name} has {zeros} zero(s) {where}" if zeros else f"{name}: zero count not proved {where}"
     return _extremum_report(check, (zhp / hv).real, r, n, zeta, True, () if zeros == 0 else (note,))
@@ -339,7 +351,6 @@ def ctc_max_dev(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256
     """
     zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
-    p = f.p
-    ks = sorted(f.coeffs)
-    dev = np.abs(_half_circle(*_series(ks, [-k * f.coeffs[k] for k in ks], r, p), n_angles)[0])
-    return _extremum_report("close-to-convex", dev, r, n_angles, p - zeta, minimize=False)
+    n, p, ks = _require_int("angles per circle", n_angles, 8), f.p, sorted(f.coeffs)
+    dev = np.abs(_half_circle(*_series([k - p for k in ks], [-k * f.coeffs[k] for k in ks], r), n)[0])
+    return _extremum_report("close-to-convex", dev, r, n, p - zeta, minimize=False)

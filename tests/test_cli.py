@@ -149,8 +149,9 @@ def test_oracle_subordination_json(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["pass"] is True
-    assert set(rep) == {"check", "extremum", "threshold", "arg_z", "pass", "tolerance", "warnings"}
+    assert set(rep) == {"check", "extremum", "threshold", "arg_z", "pass", "tolerance", "n_angles", "warnings"}
     assert rep["tolerance"] == 1e-9
+    assert rep["n_angles"] == 512  # the samples of 256 angles pass, but U between them needs one doubling
 
 
 def test_oracle_failure_still_exits_zero(tmp_path, capsys):

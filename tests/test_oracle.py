@@ -121,9 +121,42 @@ def test_starlike_frozen_value():
 
 
 def test_starlike_and_convex_on_monomial():
+    """z^p alone: one term for starlike and convex, none at all for close-to-convex, on any angle count."""
     f = make_series(3)
-    assert starlike_min_re(f, 0.0, 0.5).extremum == pytest.approx(3.0, rel=1e-12)
-    assert convex_min_re(f, 0.0, 0.5).extremum == pytest.approx(3.0, rel=1e-12)
+    for n in (8, 9, 256):
+        for check, extremum in ((starlike_min_re, 3.0), (convex_min_re, 3.0), (ctc_max_dev, 0.0)):
+            rep = check(f, 0.0, 0.5, n_angles=n)
+            assert rep.passed and rep.warnings == () and rep.n_angles == n
+            assert rep.extremum == pytest.approx(extremum, rel=1e-12, abs=1e-12)
+
+
+def _reference_fold(e, c, power, n):
+    """The fold as one bincount over the concatenated slots, then the conjugated rfft."""
+    slot = e % n
+    rows = np.concatenate([c * power, c * e * power])
+    folded = np.bincount(np.concatenate([slot, slot + n]), rows, 2 * n)
+    return np.fft.rfft(folded.reshape(2, n)).conj()
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize(
+    "e, c",
+    [
+        ([0, 1, 5, 8, 9, 13, 16, 17, 40], [1.0, -0.3, -0.01, -2e-3, -1e-3, -5e-4, -1e-4, -3e-5, -1e-9]),
+        ([0, 3, 8, 9, 11, 17], [1.0, -0.0, -0.0, -0.2, -0.0, -0.1]),  # zeros give -0.0 products
+        ([0, 8, 16, 24], [-0.0, -0.0, -0.0, -0.0]),
+        ([], []),
+    ],
+)
+def test_half_circle_matches_the_reference_fold_bit_for_bit(n, e, c):
+    """Degree past n with colliding slots, -0.0 products and no terms at all fold as the reference does."""
+    import pvalent.oracle as oracle
+
+    e, c = np.asarray(e, dtype=np.int64), np.asarray(c, dtype=float)
+    power = 0.93**e
+    got, want = oracle._half_circle(e, c, power, n), _reference_fold(e, c, power, n)
+    assert got.shape == want.shape == (2, n // 2 + 1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_convex_detects_curvature_loss():
@@ -159,9 +192,11 @@ def test_report_dict_shape():
         "arg_z",
         "pass",
         "tolerance",
+        "n_angles",
         "warnings",
     }
     assert set(d["arg_z"]) == {"re", "im"}
+    assert d["n_angles"] == 256
 
 
 @pytest.mark.parametrize("k0", [171, 180])
@@ -188,14 +223,15 @@ def test_smoothed_coefficient_past_double_range_is_refused():
 
 
 def test_real_axis_walk_smooths_once(monkeypatch):
-    """One smoothing per walk, with the values of a walk of single real points."""
+    """One multiplier pass per walk, with the values of a walk of single real points."""
     import pvalent.oracle as oracle
 
-    calls = []
+    passes = []
+    multipliers = oracle.rafid_multipliers
 
-    def counting(f, rp):
-        calls.append(f)
-        return apply_rafid(f, rp)
+    def counting(p, rp, ks):
+        passes.append(list(ks))
+        return multipliers(p, rp, ks)
 
     # criterion sums 0.5 (all 40 steps, nothing found) and 1.2 (found early)
     for f in (make_series(1, [(2, 0.125)]), make_series(1, [(2, 0.3)])):
@@ -209,11 +245,11 @@ def test_real_axis_walk_smooths_once(monkeypatch):
                 expected = (True, r, ratio)
                 break
         expected = expected or (False, best_r, best_ratio)
-        calls.clear()
-        monkeypatch.setattr(oracle, "apply_rafid", counting)
+        passes.clear()
+        monkeypatch.setattr(oracle, "rafid_multipliers", counting)
         assert locate_real_axis_violation(f, CANONICAL) == expected
         monkeypatch.undo()
-        assert calls == [f]
+        assert passes == [sorted(f.coeffs)]
 
 
 def test_walk_radii_increase_strictly_below_one(monkeypatch):
@@ -598,7 +634,8 @@ def _bisected(cp, f, grid):
         ratio = azhp / aden
     j = int(np.argmax(ratio))
     best_val, best_z = float(ratio[j]), complex(r * np.exp(2j * np.pi * j / n))
-    exps, coefs = oracle._terms(apply_rafid(f, cp.rafid))
+    exps, coefs = oracle._smoothed(f, cp)
+    exps = [e + cp.p for e in exps]
     step, theta = 2.0 * math.pi / n, 2.0 * math.pi * j / n
     for _ in range(grid.refinement):
         step *= 0.5
@@ -632,6 +669,7 @@ def test_bound_between_samples_holds_on_a_finer_circle(monkeypatch):
             continue
         n = seen[-1]
         assert seen == [grid.angles_per_radius * 2**i for i in range(len(seen))]
+        assert rep.n_angles == n
         if not rep.passed or n == grid.angles_per_radius * 2**grid.refinement:
             continue
         bound = _proved_bound(cp, f, grid.radii[-1], n)
@@ -687,7 +725,7 @@ def test_eight_angles_double_until_the_bound_decides(monkeypatch, terms, circle,
     cp, f = ClassParams(B=0.5), make_series(1, terms)
     grid = SampleGrid(radii=(0.9,), angles_per_radius=8)
     rep = subordination_margin(f, cp, grid)
-    assert seen[-1] == circle and rep.passed is passed
+    assert seen[-1] == rep.n_angles == circle and rep.passed is passed
     assert rep.extremum > subordination_margin(f, cp, SampleGrid(radii=(0.9,), angles_per_radius=8, refinement=0)).extremum
     index = math.atan2(rep.arg_z.imag, rep.arg_z.real) * circle / (2.0 * math.pi)
     assert abs(rep.arg_z) == pytest.approx(0.9, rel=1e-15)
