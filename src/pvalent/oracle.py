@@ -1,37 +1,37 @@
 """Brute-force disk sampling for the defining geometric inequalities.
 
-Everything here works from the raw coefficients, deliberately avoiding the
-Horner evaluation path and the closed-form criteria it is meant to check:
-a circle of n equally spaced angles comes from one real-input DFT of the
-coefficients times r^k folded by k mod n, single points from direct sums.
-The subordination test for the R family bounds, with g the smoothed image of f
-(its coefficients from one pass of the smoothing multipliers, as in apply_rafid),
+Everything here works from the raw coefficients, deliberately avoiding the Horner
+evaluation path and the closed-form criteria it is meant to check.  Each call makes
+one pass over the sorted coefficients in plain floats, which smooths them and sums
+the bounds below; numpy serves only r^e and the sampled circle: n equally spaced
+angles are one real-input DFT of the coefficients times r^e folded by e mod n, then
+per-sample moduli, ratio and maximum.  The pass reads numpy's r^e (Python's r**e can
+differ in the last bit), so bounds and samples share one r^e.  Single points are
+direct sums.  With g the smoothed image of f (the multipliers of apply_rafid), the
+subordination test for the R family bounds
 
     | (z g'/g - p) / (B z g'/g - [Bp + (A-B)(p-alpha)]) |  <  1
 
-on one circle |z| = r.  The ratio is |zH'|/|D| with H = g/z^p and
-D = B zH' - (A-B)(p-alpha) H.  Neither vanishes in |z| <= r when its constant
-term outweighs the sum of its other |coefficient| r^e (the easy case of
-Rouche's theorem, read off the coefficients); for a polynomial that is not so
-dominated the argument principle, counted on the same samples, decides.  Once
-both zero counts are proved 0 the ratio is analytic in the disk and its circle
-maximum is its disk maximum (maximum modulus).  Each angle is within pi/n of a
-sample, |d(zH')/dtheta| <= sum e^2 |c_e| r^e and |dD/dtheta| <= sum e |Be - scale|
-|c_e| r^e; times pi/n, plus DFT rounding, these give a and b, and U = (max |zH'_j|
-+ a)/(min |D_j| - b) bounds the ratio on the circle.  While the samples pass and U
-does not, the angles double, at most grid.refinement times, so a pass is never
-more lenient than angle bisection, whose probes lie on those finer circles.
-Every report names in n_angles the angle count of the last circle it sampled.
-Every check passes within 1e-9 of its threshold, the ``tolerance`` of its report.
-For negative-coefficient members that maximum sits on the positive real
-axis, which is asserted on every run and surfaced as a warning when violated
-rather than assumed.  The criterion implies the disk-wide bound only inside
-the regime described by ``subordination_certified``; for B > 0 with support
-far beyond p the implication can fail off the real axis.  Real coefficients
-give the same values at z and at its conjugate, so only the closed upper half
-of the circle is sampled.  Ties between equal maxima resolve to the smallest
-angle, so reports are deterministic.  The starlike and convex checks prove
-f/z^p and f'/z^(p-1) zero-free the same way, so their circle minimum is the disk's.
+on one circle |z| = r.  The ratio is |zH'|/|D| with H = g/z^p and D = B zH' -
+(A-B)(p-alpha) H.  Neither vanishes in |z| <= r when its constant term outweighs
+the sum of its other |coefficient| r^e (Rouche's theorem, easy case); else the
+argument principle, counted on the same samples, decides.  Once both zero counts
+are proved 0 the ratio is analytic in the disk and its circle maximum is its disk
+maximum.  Each angle is within pi/n of a sample, |d(zH')/dtheta| <= sum e^2 |c_e|
+r^e and |dD/dtheta| <= sum e |Be - scale| |c_e| r^e; times pi/n, plus DFT rounding,
+these give a and b, and U = (max |zH'_j| + a)/(min |D_j| - b) bounds the ratio on
+the circle.  While the samples pass and U does not, the angles double, at most
+grid.refinement times, so a pass is never more lenient than angle bisection, whose
+probes lie on those finer circles.  Every report names in n_angles the angle count
+of the last circle it sampled, and passes within 1e-9 of its threshold, its
+``tolerance``.  For negative-coefficient members the maximum sits on the positive
+real axis, which is checked on every run and surfaced as a warning when violated.
+The criterion implies the disk-wide bound only inside the regime of
+``subordination_certified``; for B > 0 with support far beyond p it can fail off
+the real axis.  Real coefficients give conjugate values at conjugate points, so only
+the closed upper half circle is sampled; ties resolve to the smallest angle.  The
+starlike and convex checks prove f/z^p and f'/z^(p-1) zero-free the same way, so
+their circle minimum is the disk's.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .classes import ClassParams, _require_zeta
 from .errors import DivergentInputError, ParameterOutOfRangeError, PoleOnGridError, _require_int, _require_radius
-from .operators import pow2_product, rafid_multipliers
+from .operators import rafid_multipliers
 from .series import CoefficientSeries
 
 _DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
@@ -96,18 +96,12 @@ class OracleReport:
         }
 
 
-def _series(exps, coefs, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponents, coefficients and r^e as arrays, for :func:`_half_circle`."""
-    e = np.asarray(exps, dtype=np.int64)
-    return e, np.asarray(coefs, dtype=float), r**e
-
-
 def _half_circle(e: np.ndarray, c: np.ndarray, power: np.ndarray, n: int) -> np.ndarray:
     """h = sum c z^e (e >= 0) and z h' at z = r exp(2 pi i j/n), j = 0..n//2; shape (2, n//2 + 1).
 
-    On n equally spaced angles a power series is the n-point DFT of its
-    coefficients times power = r^e, folded by e mod n, which is exact at any degree.
-    The coefficients are real, so the other half circle holds the conjugates.
+    On n equally spaced angles a power series is the n-point DFT of its coefficients times power = r^e,
+    folded by e mod n, exact at any degree; the coefficients are real, so the other half holds the conjugates.
+    z h' folds (c e) r^e; c and power passed swapped fold c (e r^e), finite where c e overflows.
     """
     slot = e % n
     folded = np.empty((2, n))
@@ -141,15 +135,10 @@ def _slack(l: float, size: float, m: int, n: int) -> float:
     return l * math.pi / n + (m + n) * 2.0**-49 * (l + size)
 
 
-def _zeros_inside(
-    h: np.ndarray, e: np.ndarray, mag: np.ndarray, tail: float, n: int, size: float, err: float
-) -> int | None:
-    """Zeros in 0 < |z| < r of sum b_e z^e (e ascending, mag_e = |b_e| r^e, tail = sum mag[1:], samples h): 0
-    when the lowest term outweighs the rest (see subordination_margin), else the sampled count less e[0], or None."""
-    if tail * (1.0 + (len(e) + 8) * 2.0**-52) + err < mag[0]:
-        return 0
-    count = _zero_count(h, _slack(float(np.dot(e, mag)), size, len(e), n))
-    return None if count is None else count - int(e[0])
+def _dominates(lead: float, tail: float, m: int, err: float) -> bool:
+    """Rouche, easy case: an m-term sum has no zero in |z| <= r but its lowest term's when that term's |b| r^e, lead,
+    outweighs tail, the sum of the other |b_e| r^e, by more than its rounding and err."""
+    return tail * (1.0 + (m + 8) * 2.0**-52) + err < lead
 
 
 def _point(r: float, j: int, n: int) -> complex:
@@ -157,22 +146,33 @@ def _point(r: float, j: int, n: int) -> complex:
     return cmath.rect(r, 2.0 * math.pi * j / n)
 
 
-def _smoothed(f: CoefficientSeries, cp: ClassParams) -> tuple[list[int], list[float]]:
-    """Exponents less p and coefficients of g/z^p, g the smoothed image of f, from one multiplier pass
-    as in apply_rafid; refuses a valence other than cp.p or a coefficient past double range."""
+def _smoothed_sums(f: CoefficientSeries, cp: ClassParams, ks: list[int], xs: list[float]) -> tuple:
+    """One pass over f's sorted indices ks: H = g/z^p's coefficients c_e, 1 first (apply_rafid's multipliers and
+    pow2_product's rounding; refuses a valence other than cp.p or a coefficient past double range), and with xs the
+    r^e of e = k - p: H's and D's tails sum |c_e| r^e and sum |B e - scale| |c_e| r^e, lh = sum e |c_e| r^e,
+    l2 = sum e^2 |c_e| r^e, ld = sum e |B e - scale| |c_e| r^e, and whether some |c_e| e overflows."""
     if f.p != cp.p:
-        raise ParameterOutOfRangeError(
-            f"series valence {f.p} != parameter valence {cp.p}"
-        )
-    p, a, ks = f.p, f.coeffs, sorted(f.coeffs)
-    exps, coefs = [0], [1.0]
-    for k, (m, e) in zip(ks, rafid_multipliers(p, cp.rafid, ks)):
-        b = pow2_product(m, e, a[k])
-        if not math.isfinite(b):
-            raise DivergentInputError(f"smoothed coefficient at k = {k} (a_k = {a[k]!r}) exceeds double range")
-        exps.append(k - p)
-        coefs.append(-b)
-    return exps, coefs
+        raise ParameterOutOfRangeError(f"series valence {f.p} != parameter valence {cp.p}")
+    p, a, B, scale, less_p, ldexp = f.p, f.coeffs, cp.B, cp.scale, -float(f.p), math.ldexp
+    lim = 2.0**1023 / max(ks[-1] - p, 1) if ks else 0.0
+    coefs, th, lh, l2, td, ld, wide = [1.0], 0.0, 0.0, 0.0, 0.0, 0.0, False
+    try:
+        for k, x, (mk, sk) in zip(ks, xs, rafid_multipliers(p, cp.rafid, ks)):
+            # pow2_product(mk, sk, a_k) inline: 1/2 <= mk < 1, so a normal mk a_k is its mk ma times 2^ea exactly
+            t = mk * a[k]
+            if t < 2.0**-1022:  # zero or subnormal: pow2_product's own order
+                ma, ea = math.frexp(a[k])
+                t, sk = mk * ma, sk + ea
+            coefs.append(-(b := ldexp(t, sk)))
+            ek, mh = less_p + k, b * x  # e = k - p as a float
+            md = abs(scale - B * ek) * mh
+            th, lh, l2 = th + mh, lh + ek * mh, l2 + ek * ek * mh
+            td, ld = td + md, ld + ek * md
+            if b > lim:  # only here can b e overflow
+                wide = wide or b * ek == math.inf
+    except OverflowError:
+        raise DivergentInputError(f"smoothed coefficient at k = {k} (a_k = {a[k]!r}) exceeds double range") from None
+    return coefs, th, lh, l2, td, ld, wide
 
 
 def subordination_certified(f: CoefficientSeries, cp: ClassParams) -> bool:
@@ -192,9 +192,7 @@ def subordination_certified(f: CoefficientSeries, cp: ClassParams) -> bool:
     return cp.B * span <= cp.scale
 
 
-def _subordination_ratio_at(
-    z: complex, exps: list[int], coefs: list[float], cp: ClassParams
-) -> float:
+def _subordination_ratio_at(z: complex, exps: list[int], coefs: list[float], cp: ClassParams) -> float:
     g = zgp = 0j
     for e, c in zip(exps, coefs):
         term = c * z**e
@@ -216,34 +214,31 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
     Passes iff it is below 1 - 1e-9 and both zero counts are proved 0.  A count is proved 0
     from the coefficients when the constant term dominates the rest on the circle (every certified
     member, any number of angles), else counted once from the samples of grid.angles_per_radius.
-    A proved zero of H raises; a zero of D (a pole of the ratio) or an
-    unproved count fails with a warning.
+    A proved zero of H raises; a zero of D (a pole of the ratio) or an unproved count fails with a warning.
     """
-    r, n = grid.radii[-1], int(grid.angles_per_radius)
-    e, c, pw = _series(*_smoothed(f, cp), r)
-    # Rouche, easy case: a constant term (1 for H, -scale for D) that outweighs its tail, sum
-    # |c_e| r^e or sum |c_e| |B e - scale| r^e over e > 0, leaves no zero in |z| <= r.  With
-    # every r^e normal (else no proof), 4 ulp for r^e and 1 per product and addition keep
-    # each tail within (m + 8) 2^-52 relative of its exact value over m terms; B e - scale
-    # adds at most 2^-53 (|B| e + scale) |c_e| r^e, (big + 1) 2^-52 times H's tail in all;
-    # and a product that underflows is off by at most 2^-1074 (1 + big), tiny over m terms.
-    mh = np.abs(c) * pw
-    md = np.abs(cp.B * e - cp.scale) * mh
-    m, big = len(e), abs(cp.B) * int(e[-1]) + cp.scale
-    tiny = m * (1.0 + big) * 2.0**-1074 if pw[-1] >= 2.0**-1022 else math.inf
-    lh, sh, ld, l2 = float(np.dot(e, mh)), float(mh.sum()), float(np.dot(e, md)), float(np.dot(e * e, mh))
+    r, n, ks = grid.radii[-1], int(grid.angles_per_radius), sorted(f.coeffs)
+    e = np.array([f.p, *ks]) - f.p
+    xs = (pw := r**e).tolist()
+    coefs, tail, lh, l2, tail_d, ld, wide = _smoothed_sums(f, cp, ks, xs[1:])
+    # Rouche for H (constant 1) and D (constant -scale).  With every r^e normal (else no proof), 4 ulp for r^e and
+    # 1 per product and addition keep each tail within (m + 8) 2^-52 relative of its exact value, in any order; B e -
+    # scale adds (big + 1) 2^-52 of H's tail in all; an underflowed product is off by at most 2^-1074 (1 + big).
+    m, big, c = len(coefs), abs(cp.B) * int(e[-1]) + cp.scale, np.array(coefs)
+    tiny = m * (1.0 + big) * 2.0**-1074 if xs[-1] >= 2.0**-1022 else math.inf
+    dom_h, dom_d = _dominates(1.0, tail, m, tiny), _dominates(cp.scale, tail_d, m, tail * (big + 1.0) * 2.0**-52 + tiny)
+    fold, sh = ((e, pw, c) if wide else (e, c, pw)), 1.0 + tail  # c (e r^e) where c e overflows
     size_d = abs(cp.B) * lh + cp.scale * sh  # D's samples are formed from those of zH' and H
     for doubling in range(grid.refinement + 1):
-        hv, zhp = _half_circle(e, c, pw, n)
-        ah = np.abs(hv)
-        if not 0.0 < ah.min() <= ah.max() < math.inf:
+        hv, zhp = _half_circle(*fold, n)
+        ah = np.abs(hv)  # extrema below by arg index, which numpy finds with less overhead and the same nan rule
+        if not 0.0 < ah[ah.argmin()] <= ah[ah.argmax()] < math.inf:
             z = _point(r, int(np.argmax((ah == 0) | ~np.isfinite(ah))), n)
             raise PoleOnGridError(f"smoothed image vanishes on |z| = {r} at z = {z}")
         den = cp.B * zhp - cp.scale * hv
         azhp, aden = np.abs(zhp), np.abs(den)
         # |D_j| < 2 size_d unless a product overflowed (numpy warns), so when no |D_j| is 0 the
         # quotient raises no divide or invalid flag and needs no errstate
-        if (dmin := float(aden.min())) > 0.0 and size_d < 2.0**1022:
+        if (dmin := float(aden[aden.argmin()])) > 0.0 and size_d < 2.0**1022:
             ratio = azhp / aden
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -252,16 +247,15 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
         if math.isnan(top := float(ratio[j])):
             raise PoleOnGridError(f"indeterminate ratio on |z| = {r}")
         if not doubling:  # the zero counts, once, on the base grid
-            tail = float(mh[1:].sum())
-            zeros_h = _zeros_inside(hv, e, mh, tail, n, sh, tiny)
+            zeros_h = 0 if dom_h else _zero_count(hv, _slack(lh, sh, m, n))
             if zeros_h:
                 raise PoleOnGridError(f"smoothed image has {zeros_h} zero(s) inside |z| < {r}")
-            zeros_d = _zeros_inside(den, e, md, float(md[1:].sum()), n, size_d, tail * (big + 1.0) * 2.0**-52 + tiny)
+            zeros_d = 0 if dom_d else _zero_count(den, _slack(ld, size_d, m, n))
         # double the angles while the samples pass but the bound U between them does not
         if doubling == grid.refinement or not (zeros_h == zeros_d == 0 and top < 1.0 - _TOLERANCE):
             break
         lo = dmin - _slack(ld, size_d, m, n)
-        if lo > 0.0 and (float(azhp.max()) + _slack(l2, lh, m, n)) / lo < 1.0 - _TOLERANCE:
+        if lo > 0.0 and (float(azhp[azhp.argmax()]) + _slack(l2, lh, m, n)) / lo < 1.0 - _TOLERANCE:
             break
         n *= 2
     # the maximum at its smallest angle; flagged when off the positive real axis
@@ -279,8 +273,8 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
 def subordination_ratio_real(f: CoefficientSeries, cp: ClassParams, r: float) -> float:
     """Subordination ratio at the single real point z = r."""
     _require_radius(r)
-    exps, coefs = _smoothed(f, cp)
-    return _subordination_ratio_at(complex(r), [e + cp.p for e in exps], coefs, cp)
+    ks = sorted(f.coeffs)
+    return _subordination_ratio_at(complex(r), [cp.p, *ks], _smoothed_sums(f, cp, ks, [0.0] * len(ks))[0], cp)
 
 
 def locate_real_axis_violation(f: CoefficientSeries, cp: ClassParams) -> tuple[bool, float, float]:
@@ -290,8 +284,8 @@ def locate_real_axis_violation(f: CoefficientSeries, cp: ClassParams) -> tuple[b
     approaches a limit above one, so the walk finds the violation without
     ever sampling outside the disk.  f is smoothed once for the whole walk.
     """
-    exps, coefs = _smoothed(f, cp)
-    exps = [e + cp.p for e in exps]
+    ks = sorted(f.coeffs)
+    exps, coefs = [cp.p, *ks], _smoothed_sums(f, cp, ks, [0.0] * len(ks))[0]
     best_r, best_ratio = _WALK_START, -math.inf
     gap = 1.0 - _WALK_START
     for j in range(_WALK_STEPS):
@@ -304,9 +298,8 @@ def locate_real_axis_violation(f: CoefficientSeries, cp: ClassParams) -> tuple[b
     return False, best_r, best_ratio
 
 
-def _extremum_report(
-    check: str, values: np.ndarray, r: float, n: int, threshold: float, minimize: bool, notes: tuple[str, ...] = ()
-) -> OracleReport:
+def _extremum_report(check: str, values: np.ndarray, r: float, n: int, threshold: float, minimize: bool,
+                     notes: tuple[str, ...] = ()) -> OracleReport:
     """Extremum over a half circle from :func:`_half_circle`, at its smallest angle; a note fails it."""
     idx = int(np.argmin(values) if minimize else np.argmax(values))
     ext = float(values[idx])
@@ -320,15 +313,23 @@ def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int) -> 
     zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
     n = _require_int("angles per circle", n, 8)
-    ks = sorted(f.coeffs)
-    e, c, pw = _series([f.p] + ks, [1.0] + [-f.coeffs[k] for k in ks], r)
-    name, c = ("f'", e * c) if check == "convex" else ("f", c)  # z f' has e times f's coefficient at z^e
-    hv, zhp = _half_circle(e, c, pw, n)
+    p, a, ks, convex = f.p, f.coeffs, sorted(f.coeffs), check == "convex"
+    e = np.array([p, *ks])
+    xs = (pw := r**e).tolist()
+    name, coefs = ("f'", [float(p)]) if convex else ("f", [1.0])
+    lead, tail, l = coefs[0] * xs[0], 0.0, 0.0
+    for k, x in zip(ks, xs[1:]):  # one pass as in _smoothed_sums; z f' has e times f's coefficient at z^e
+        b = a[k] * k if convex else a[k]
+        coefs.append(-b)
+        tail += (mag := b * x)
+        l += mag * k
+    hv, zhp = _half_circle(e, np.array(coefs), pw, n)
     if np.any(hv == 0):
         raise PoleOnGridError(f"{name} vanishes on |z| = {r}")
-    mag = np.abs(c) * pw
-    err = mag[0] * 2.0**-50 + len(e) * 2.0**-1074 if pw[-1] >= 2.0**-1022 else math.inf
-    zeros = _zeros_inside(hv, e, mag, float(mag[1:].sum()), n, float(mag.sum()), err)
+    m = len(coefs)
+    err = lead * 2.0**-50 + m * 2.0**-1074 if xs[-1] >= 2.0**-1022 else math.inf
+    zeros = p if _dominates(lead, tail, m, err) else _zero_count(hv, _slack(l + p * lead, lead + tail, m, n))
+    zeros = None if zeros is None else zeros - p  # less the p at the origin
     where = f"in 0 < |z| < {r}; no disk bound"
     note = f"{name} has {zeros} zero(s) {where}" if zeros else f"{name}: zero count not proved {where}"
     return _extremum_report(check, (zhp / hv).real, r, n, zeta, True, () if zeros == 0 else (note,))
@@ -345,12 +346,10 @@ def convex_min_re(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 2
 
 
 def ctc_max_dev(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256) -> OracleReport:
-    """Maximum of |f'(z)/z^(p-1) - p| on |z| = r versus p - zeta.
-
-    f'/z^(p-1) - p is the polynomial -sum k a_k z^(k-p), so no poles exist.
-    """
+    """Maximum of |f'(z)/z^(p-1) - p| on |z| = r versus p - zeta; that is the polynomial -sum k a_k z^(k-p)."""
     zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
     n, p, ks = _require_int("angles per circle", n_angles, 8), f.p, sorted(f.coeffs)
-    dev = np.abs(_half_circle(*_series([k - p for k in ks], [-k * f.coeffs[k] for k in ks], r), n)[0])
+    e = np.array(ks, dtype=np.int64) - p
+    dev = np.abs(_half_circle(e, np.array([-k * f.coeffs[k] for k in ks], dtype=float), r**e, n)[0])
     return _extremum_report("close-to-convex", dev, r, n, p - zeta, minimize=False)

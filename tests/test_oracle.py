@@ -6,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from pvalent import (
     ClassParams,
@@ -634,8 +636,8 @@ def _bisected(cp, f, grid):
         ratio = azhp / aden
     j = int(np.argmax(ratio))
     best_val, best_z = float(ratio[j]), complex(r * np.exp(2j * np.pi * j / n))
-    exps, coefs = oracle._smoothed(f, cp)
-    exps = [e + cp.p for e in exps]
+    b = apply_rafid(f, cp.rafid).coeffs
+    exps, coefs = [cp.p, *sorted(b)], [1.0] + [-b[k] for k in sorted(b)]
     step, theta = 2.0 * math.pi / n, 2.0 * math.pi * j / n
     for _ in range(grid.refinement):
         step *= 0.5
@@ -732,3 +734,99 @@ def test_eight_angles_double_until_the_bound_decides(monkeypatch, terms, circle,
     assert index == pytest.approx(round(index), abs=1e-9) and round(index) % (circle // 8) != 0
     b = apply_rafid(f, cp.rafid).coeffs
     assert rep.extremum == pytest.approx(float(_mp_ratio(rep.arg_z, b, cp)), rel=1e-12)
+
+
+def test_coefficient_times_exponent_overflow_folds_without_warning(monkeypatch):
+    """a_13 = 1.7e308 at p = 5 gives c_8 e = 8 c_8 past double range while c_8 e r^e is not: zH' folds as
+    c (e r^e), so under warnings-as-errors the report fails on its unproved zero counts with ratio 8/18."""
+    import pvalent.oracle as oracle
+
+    swapped, sample = [], oracle._half_circle
+
+    def recording(e, c, power, n):
+        swapped.append(bool(c[-1] > 0.0))  # H's top coefficient is negative, r^e positive
+        return sample(e, c, power, n)
+
+    monkeypatch.setattr(oracle, "_half_circle", recording)
+    cp, f = ClassParams(p=5, mu=0.905, delta=0.0), make_series(5, [(13, 1.7e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = subordination_margin(f, cp, SampleGrid(radii=(0.113,), angles_per_radius=8))
+        ordinary = subordination_margin(make_series(5, [(13, 0.1)]), cp, SampleGrid(radii=(0.113,), angles_per_radius=8))
+    assert not rep.passed and rep.n_angles == 8 and rep.arg_z == 0.113
+    assert rep.extremum == pytest.approx(8.0 / 18.0, rel=1e-12)
+    assert rep.warnings == ("zero counts inside |z| < 0.113 not proved; no disk bound",)
+    assert ordinary.passed and swapped == [True, False]
+    b = apply_rafid(f, cp.rafid).coeffs[13]
+    assert math.isinf(8.0 * b) and math.isfinite(8.0 * (b * 0.113**8))
+
+
+def _sum_draws(data):
+    """Parameters (B > 0 in about half), 0 to 200 indices up to p + 200 or p + 400, coefficients 0, subnormal,
+    moderate or up to 2^997, and radii down to 0.01, where r^e of the top index is subnormal or 0."""
+    p, mu = data.draw(st.sampled_from([1, 2, 3, 5])), data.draw(st.sampled_from([0.9, 0.99]))
+    B = data.draw(st.sampled_from([-1.0, -0.5, -0.1, 0.1, 0.5, 0.9]))
+    A = B + (1.0 - B) * data.draw(st.floats(0.05, 1.0))
+    alpha, delta = data.draw(st.floats(0.0, 0.99)) * p, data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    span, m = 400 if mu == 0.99 else 200, data.draw(st.sampled_from([0, 1, 3, 10, 50, 120, 200]))
+    ks = sorted(int(k) for k in rng.choice(np.arange(p + 1, p + span + 1), m, replace=False))
+    kind = rng.choice(3, m, p=[0.1, 0.1, 0.8])
+    low, high = np.array([[0.0, 0.0], [-1074.0, -1023.0], [-60.0, -10.0]])[kind].T
+    a = np.where(kind > 0, 2.0 ** rng.uniform(low, high), 0.0)
+    if m and data.draw(st.booleans()):
+        a[rng.integers(m)] = 2.0 ** rng.uniform(900.0, 997.0)
+    f = make_series(p, zip(ks, a.tolist()))
+    return ClassParams(p, alpha, A, B, mu, delta), f, ks, data.draw(st.sampled_from([0.01, 0.05, 0.3, 0.9, 0.999]))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_one_pass_sums_stay_within_the_stated_slack(data):
+    """The pass's tails and derivative sums are within (m + 8) 2^-52 relative of math.fsum over the same products
+    (numpy's r**e and the array forms of |c| r^e), its coefficients are apply_rafid's bit for bit, and every
+    dominance verdict outside the slack is the exact one (mpmath at 60 digits, exact r^e)."""
+    import pvalent.oracle as oracle
+
+    cp, f, ks, r = _sum_draws(data)
+    e = np.array([cp.p, *ks]) - cp.p
+    pw = r**e
+    try:
+        coefs, th, lh, l2, td, ld, _ = oracle._smoothed_sums(f, cp, ks, pw[1:].tolist())
+    except DivergentInputError:
+        reject()
+    b = apply_rafid(f, cp.rafid).coeffs
+    assert coefs == [1.0] + [-b[k] for k in ks]
+    slack = (len(coefs) + 8) * 2.0**-52
+    with np.errstate(over="ignore"):  # a product past double range is inf in the pass as well
+        mh = np.abs(np.array(coefs)) * pw
+        md = np.abs(cp.B * e - cp.scale) * mh
+        products = (th, mh[1:]), (lh, e * mh), (l2, e * e * mh), (td, md[1:]), (ld, e * md)
+    for got, terms in products:
+        try:
+            exact = math.fsum(terms)
+        except OverflowError:  # finite terms whose sum is past double range
+            exact = math.inf
+        assert abs(got - exact) <= slack * exact or got == exact
+    verdicts, dominates = [], oracle._dominates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_dominates", lambda *a: verdicts.append((*a, dominates(*a))) or verdicts[-1][-1])
+        try:  # the verdicts come before any sample; what the circle makes of the draw does not matter here
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                subordination_margin(f, cp, SampleGrid(radii=(r,), angles_per_radius=8, refinement=0))
+        except PoleOnGridError:
+            pass
+    (lead_h, _, _, err_h, dom_h), (lead_d, _, _, err_d, dom_d) = verdicts
+    with mpmath.workdps(60):
+        powers = [mpmath.mpf(r) ** int(x) for x in e[1:]]
+        tail_h = mpmath.fsum(abs(mpmath.mpf(c)) * w for c, w in zip(coefs[1:], powers))
+        factor = [abs(mpmath.mpf(cp.B) * int(x) - mpmath.mpf(cp.scale)) for x in e[1:]]
+        tail_d = mpmath.fsum(abs(mpmath.mpf(c)) * w * g for c, w, g in zip(coefs[1:], powers, factor))
+        for lead, tail, err, dom in ((lead_h, tail_h, err_h, dom_h), (lead_d, tail_d, err_d, dom_d)):
+            if tail >= lead:
+                assert not dom
+            elif tail * (1 + 2 * slack) + err < lead:
+                assert dom
+    if pw[-1] < 2.0**-1022:
+        assert not dom_h and not dom_d  # no proof past a subnormal r^e
