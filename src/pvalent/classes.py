@@ -27,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     OrderExceedsValenceError, ParameterOutOfRangeError, UncertifiedBoundWarning, ValenceMismatchError,
@@ -98,13 +98,6 @@ def _log_term(k: int, cp: ClassParams, m: float, e: int) -> float:
     return math.log(_term(k, cp, m, e)[0]) + e * _LN2
 
 
-def _terms(cp: ClassParams, ks: Iterable[int]) -> Iterator[tuple[int, float, int]]:
-    """(k, t, e) as in :func:`_term` for each k of ks in increasing order, in one pass of w_k."""
-    ks = sorted(ks)
-    for k, (m, e) in zip(ks, rafid_multipliers(cp.p, cp.rafid, ks)):
-        yield k, *_term(k, cp, m, e)
-
-
 def r_criterion_term(k: int, cp: ClassParams) -> float:
     """Normalized criterion multiplier of a_k for the R family.
 
@@ -124,11 +117,19 @@ def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
     """Exact finite criterion sum; member iff sum <= 1, margin = 1 - sum; zeros add 0.0."""
     if f.p != cp.p:
         raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
-    per_term = tuple((k, pow2_product(t, e, f.coeffs[k])) for k, t, e in _terms(cp, f.coeffs))
-    total = math.fsum(c for _, c in per_term)
-    return MembershipReport(
-        sum=total, member=total <= 1.0, margin=1.0 - total, per_term=per_term
-    )
+    p, a, slope, s, ks, cs = cp.p, f.coeffs, 1.0 - cp.B, cp.scale, sorted(f.coeffs), []
+    inf, ldexp = math.inf, math.ldexp
+    for k, (m, e) in zip(ks, rafid_multipliers(p, cp.rafid, ks)):
+        if k <= p:
+            _require_index(k, p)  # raises
+        # pow2_product(*_term(k, cp, m, e), a_k) inline: a t a_k rounded into (2^-1022, inf) is t ma 2^ea rounded
+        c = (t := (slope * (k - p) + s) * m / s) * a[k]
+        try:
+            cs.append(ldexp(c, e) if 2.0**-1022 < c < inf else pow2_product(t, e, a[k]))
+        except OverflowError:  # only a positive c reaches ldexp
+            cs.append(inf)
+    total = math.fsum(cs)
+    return MembershipReport(sum=total, member=total <= 1.0, margin=1.0 - total, per_term=tuple(zip(ks, cs)))
 
 
 def coeff_bound_r(k: int, cp: ClassParams) -> float:
@@ -185,8 +186,7 @@ def random_member(
     u = rng.random(count)
     u = u / u.sum()
     s = float(rng.uniform(0.0, 0.999)) if target_sum is None else float(target_sum)
-    bounds = {k: pow2_product(1.0 / t, -e) for k, t, e in _terms(cp, ks)}
-    return make_series(cp.p, [(k, s * float(ui) * bounds[k]) for k, ui in zip(ks, u)])
+    return make_series(cp.p, [(k, s * float(ui) * coeff_bound_r(k, cp)) for k, ui in zip(ks, u)])
 
 
 def _certified_scan(cp: ClassParams, s: float, c: float | None = None, b: float = 0.0) -> bool:

@@ -24,12 +24,12 @@ so that term(k) cannot overflow, and records whether they are nondecreasing
 past the argmin: a sampled certificate of the truncation, up to k_max only.
 One record per (class, z, k_max), kept for the last, holds the indices, log term(k),
 log(k - z) and log k: the three kinds share its passes and each adds one pass of exp.
+It slices log k from a module table, one float per index up to the largest k_max asked.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -41,6 +41,7 @@ from .classes import (
 from .errors import _require_int, _require_radius
 from .operators import rafid_multipliers
 
+_LOG_K = [-math.inf]  # math.log(k) at index k; regrown as a new list, never extended in place
 
 @dataclass(frozen=True)
 class BoundCurve:
@@ -108,12 +109,15 @@ def distortion_curve(cp: ClassParams, m: int, radii: Iterable[float]) -> BoundCu
 
 @lru_cache(maxsize=1, typed=True)  # typed: k_max = 3.0 must be refused, not hit the entry of 3
 def _radius_scan(cp: ClassParams, zeta: float, k_max: int) -> tuple[range, tuple[float, ...], ...]:
-    """The indices p+1 .. k_max with log term(k), from one pass of w_k, log(k - zeta) and log k."""
+    """The indices p+1 .. k_max with log term(k), from one pass of w_k, log(k - zeta) and log k (from _LOG_K)."""
+    global _LOG_K
     ks = _scan_indices(cp, k_max)
-    p, slope, s, log = cp.p, 1.0 - cp.B, cp.scale, math.log
+    p, slope, s, log, log_k = cp.p, 1.0 - cp.B, cp.scale, math.log, _LOG_K
+    if len(log_k) < ks.stop:  # a racing reader keeps the list it read, which is long enough for it
+        _LOG_K = log_k = log_k + [log(k) for k in range(len(log_k), ks.stop)]
     weights = zip(ks, rafid_multipliers(p, cp.rafid, ks))
     log_terms = tuple([log((slope * (k - p) + s) * m / s) + e * _LN2 for k, (m, e) in weights])
-    return ks, log_terms, tuple([log(k - zeta) for k in ks]), tuple(map(log, ks))
+    return ks, log_terms, tuple([log(k - zeta) for k in ks]), tuple(log_k[ks.start : ks.stop])
 
 
 def _radius_report(cp: ClassParams, zeta: float, k_max: int, kind: str) -> RadiusReport:
@@ -137,8 +141,8 @@ def _radius_report(cp: ClassParams, zeta: float, k_max: int, kind: str) -> Radiu
         argmin_k=ks[i],
         zeta=zeta,
         candidates=tuple(zip(ks, radii)),
-        # radii are >= 0, so a strict pass implies the tolerant one and skips it when it holds
-        certified=all(map(operator.le, tail, tail[1:])) or _nondecreasing(tail, rel=1e-12),
+        # radii are finite and >= 0: sorted leaves tail as is iff nondecreasing, which implies the tolerant pass
+        certified=sorted(tail) == tail or _nondecreasing(tail, rel=1e-12),
         whole_disk=radius >= 1.0,
     )
 

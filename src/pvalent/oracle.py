@@ -120,9 +120,9 @@ def _zero_count(h: np.ndarray, slack: float) -> int | None:
     of h_(j+1)/h_j is the true turn.  Conjugate symmetry doubles the upper
     half; for odd n the step across theta = pi is conj(h_m)/h_m (1 for even
     n).  The total turn over 2 pi is the count (argument principle); None
-    when slack is not cleared.
+    when min |h_j| is nan or below slack or 2^-1021, where rounding stops being relative.
     """
-    if np.abs(h).min() <= slack:
+    if not np.abs(h).min() > max(slack, 2.0**-1021):
         return None
     q, mid = h[1:] / h[:-1], complex(h[-1])
     turn = 2.0 * np.arctan2(q.imag, q.real).sum() + cmath.phase(mid.conjugate() / mid)
@@ -213,8 +213,8 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
 
     Passes iff it is below 1 - 1e-9 and both zero counts are proved 0.  A count is proved 0
     from the coefficients when the constant term dominates the rest on the circle (every certified
-    member, any number of angles), else counted once from the samples of grid.angles_per_radius.
-    A proved zero of H raises; a zero of D (a pole of the ratio) or an unproved count fails with a warning.
+    member, any number of angles), else counted once from the samples of grid.angles_per_radius.  Samples that can reach
+    2^1023 and a proved zero of H raise; a zero of D (a pole of the ratio) or an unproved count fails with a warning.
     """
     r, n, ks = grid.radii[-1], int(grid.angles_per_radius), sorted(f.coeffs)
     e = np.array([f.p, *ks]) - f.p
@@ -228,6 +228,8 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
     dom_h, dom_d = _dominates(1.0, tail, m, tiny), _dominates(cp.scale, tail_d, m, tail * (big + 1.0) * 2.0**-52 + tiny)
     fold, sh = ((e, pw, c) if wide else (e, c, pw)), 1.0 + tail  # c (e r^e) where c e overflows
     size_d = abs(cp.B) * lh + cp.scale * sh  # D's samples are formed from those of zH' and H
+    if not sh + lh + size_d < 2.0**1023:  # they bound |H_j|, |zH'_j| and |D_j|; nan too
+        raise DivergentInputError(f"smoothed image on |z| = {r} reaches double range")
     for doubling in range(grid.refinement + 1):
         hv, zhp = _half_circle(*fold, n)
         ah = np.abs(hv)  # extrema below by arg index, which numpy finds with less overhead and the same nan rule
@@ -236,12 +238,12 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
             raise PoleOnGridError(f"smoothed image vanishes on |z| = {r} at z = {z}")
         den = cp.B * zhp - cp.scale * hv
         azhp, aden = np.abs(zhp), np.abs(den)
-        # |D_j| < 2 size_d unless a product overflowed (numpy warns), so when no |D_j| is 0 the
-        # quotient raises no divide or invalid flag and needs no errstate
-        if (dmin := float(aden[aden.argmin()])) > 0.0 and size_d < 2.0**1022:
+        # |zH'_j| < 2 lh, so when no |D_j| is 0 and lh / min |D_j| stays below 2^1023 the quotient
+        # raises no flag and needs no errstate
+        if (dmin := float(aden[aden.argmin()])) > 0.0 and lh < dmin * 2.0**1023:
             ratio = azhp / aden
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 ratio = azhp / aden
         j = int(ratio.argmax())  # the first nan if any, so top is nan iff some sample is
         if math.isnan(top := float(ratio[j])):
@@ -308,8 +310,9 @@ def _extremum_report(check: str, values: np.ndarray, r: float, n: int, threshold
 
 
 def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int) -> OracleReport:
-    """Minimum of Re(z h'/h) on |z| = r for h = f (starlike) or z f' (convex), the disk minimum once h/z^p
-    is proved zero-free in |z| <= r, else failed with a note; err: 8 ulp on r^p c, 2^-1074 per underflow."""
+    """Minimum of Re(z h'/h) on |z| = r for h = f (starlike) or z f' (convex), the disk minimum once h/z^p is
+    proved zero-free in |z| <= r, else failed with a note, and refused past sum e |c_e| r^e >= 2^1023, which bounds
+    the samples of z h'; err: 8 ulp on r^p c, 2^-1074 per underflow."""
     zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
     n = _require_int("angles per circle", n, 8)
@@ -317,13 +320,17 @@ def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int) -> 
     e = np.array([p, *ks])
     xs = (pw := r**e).tolist()
     name, coefs = ("f'", [float(p)]) if convex else ("f", [1.0])
-    lead, tail, l = coefs[0] * xs[0], 0.0, 0.0
+    lead, tail, l, wide, lim = coefs[0] * xs[0], 0.0, 0.0, False, 2.0**1023 / ks[-1] if ks else 0.0
     for k, x in zip(ks, xs[1:]):  # one pass as in _smoothed_sums; z f' has e times f's coefficient at z^e
         b = a[k] * k if convex else a[k]
         coefs.append(-b)
         tail += (mag := b * x)
         l += mag * k
-    hv, zhp = _half_circle(e, np.array(coefs), pw, n)
+        wide = wide or b > lim and b * k == math.inf  # only past lim can b e overflow
+    if not p * lead + l < 2.0**1023:  # nan too, where an infinite k a_k meets an underflowed r^k
+        raise DivergentInputError(f"{name} on |z| = {r} reaches double range: sum e |c_e| r^e = {p * lead + l!r}")
+    c = np.array(coefs)
+    hv, zhp = _half_circle(e, pw, c, n) if wide else _half_circle(e, c, pw, n)  # c (e r^e) where c e overflows
     if np.any(hv == 0):
         raise PoleOnGridError(f"{name} vanishes on |z| = {r}")
     m = len(coefs)
@@ -346,10 +353,14 @@ def convex_min_re(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 2
 
 
 def ctc_max_dev(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256) -> OracleReport:
-    """Maximum of |f'(z)/z^(p-1) - p| on |z| = r versus p - zeta; that is the polynomial -sum k a_k z^(k-p)."""
+    """Maximum of |f'(z)/z^(p-1) - p| on |z| = r versus p - zeta; that is the polynomial -sum k a_k z^(k-p).
+    Refused once sum k a_k r^(k-p), which bounds the samples (row 0 of _half_circle, folded alone), reaches 2^1023."""
     zeta = _require_zeta(zeta, f.p)
     _require_radius(r)
     n, p, ks = _require_int("angles per circle", n_angles, 8), f.p, sorted(f.coeffs)
     e = np.array(ks, dtype=np.int64) - p
-    dev = np.abs(_half_circle(e, np.array([-k * f.coeffs[k] for k in ks], dtype=float), r**e, n)[0])
+    c, pw = [-k * f.coeffs[k] for k in ks], r**e
+    if not -sum(c) < 2.0**1023 and not -sum(b * x for b, x in zip(c, pw.tolist())) < 2.0**1023:
+        raise DivergentInputError(f"f'/z^(p-1) - p on |z| = {r} reaches double range")
+    dev = np.abs(np.fft.rfft(np.bincount(e % n, np.array(c, dtype=float) * pw, n)))
     return _extremum_report("close-to-convex", dev, r, n, p - zeta, minimize=False)

@@ -300,3 +300,46 @@ def test_lone_index_names_refuse_a_non_integer_index(fn, k):
 def test_lone_index_names_take_integer_valued_indices():
     cp = ClassParams(p=2, alpha=0.5, mu=0.3, delta=0.5)
     assert coeff_bound_r(4.0, cp) == coeff_bound_r(np.int64(4), cp) == coeff_bound_r(4, cp)
+
+
+@st.composite
+def one_pass_series(draw):
+    """A class with mu up to 0.99, and up to 12 coefficients at indices up to p+400: 0.0, subnormal, normal, or
+    large enough that the contribution leaves double range."""
+    p = draw(st.integers(1, 6))
+    B = draw(st.floats(-1.0, 0.8))
+    cp = ClassParams(
+        p=p, alpha=draw(st.floats(0.0, 0.95)) * p, A=draw(st.floats(B + 0.05, 1.0)), B=B,
+        mu=draw(st.floats(0.0, 0.99)), delta=draw(st.floats(0.0, 1.0)),
+    )
+    ks = draw(st.lists(st.integers(p + 1, p + 400), max_size=12, unique=True))
+    coefficient = st.one_of(
+        st.just(0.0),
+        st.floats(5e-324, sys.float_info.min, exclude_max=True),
+        st.floats(1e-300, 1e300),
+        st.floats(1e300, sys.float_info.max),
+    )
+    return cp, make_series(p, [(k, draw(coefficient)) for k in ks])
+
+
+@settings(max_examples=200)
+@given(data=one_pass_series())
+def test_one_pass_sum_rounds_each_term_as_the_lone_product(data):
+    """Each per-term value of the one-pass sum has the bits of the lone term times a_k, rounded once."""
+    from pvalent.classes import _term
+    from pvalent.operators import pow2_product, rafid_multiplier
+
+    cp, f = data
+    rep = check_r_membership(f, cp)
+    assert [k for k, _ in rep.per_term] == sorted(f.coeffs)
+    for k, c in rep.per_term:
+        want = pow2_product(*_term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid)), f.coeffs[k])
+        assert c.hex() == want.hex()
+    assert repr(rep.sum) == repr(math.fsum(c for _, c in rep.per_term))
+    assert repr(check_p_membership(f, cp)) == repr(check_r_membership(zf_prime_over_p(f), cp))
+
+
+def test_one_pass_sum_refuses_an_index_at_p():
+    cp = ClassParams(p=2)
+    with pytest.raises(IndexBelowValenceError):
+        check_r_membership(CoefficientSeries(p=2, coeffs={3: 0.1, 2: 0.1}), cp)

@@ -298,3 +298,68 @@ def test_distortion_order_refused_right_after_a_memo_hit():
     distortion_bounds(CANONICAL, 1, 0.5)
     with pytest.raises(ParameterOutOfRangeError, match="order must be an integer"):
         distortion_bounds(CANONICAL, True, 0.5)
+
+
+_TRIPLE = (("starlike", radius_starlike), ("convex", radius_convex), ("ctc", radius_close_to_convex))
+
+
+def test_log_k_table_grown_and_sliced(rng, monkeypatch):
+    """k_max 3000 scanned before and after 300: the log k table is grown from empty and sliced, or grown twice,
+    and every candidate keeps its bits."""
+    from pvalent import geometry
+
+    for draw in range(4):
+        cp = random_params(rng, max_p=4, mu_range=(0.0, 0.0) if draw % 2 else (0.0, 0.95))
+        zeta = float(rng.uniform(0.0, cp.p))
+        runs = {}
+        for order in ((3000, 300), (300, 3000)):
+            monkeypatch.setattr(geometry, "_LOG_K", [-math.inf])
+            geometry._radius_scan.cache_clear()
+            for k_max in order:
+                for kind, radius in _TRIPLE:
+                    runs.setdefault((kind, k_max), []).append(repr(radius(cp, zeta, k_max).candidates))
+            assert len(geometry._LOG_K) == 3001
+        for kind, radius in _TRIPLE:
+            (long_a, long_b), (short_a, short_b) = runs[(kind, 3000)], runs[(kind, 300)]
+            assert long_a == long_b and short_a == short_b
+            long = radius(cp, zeta, 3000).candidates
+            assert repr(long[: 300 - cp.p]) == short_a
+            for k in [*range(cp.p + 1, cp.p + 13), 299, 300, 301, 1500, 2999, 3000]:
+                log_r = log_r_criterion_term(k, cp) + _log_factor(kind, k, cp.p, zeta)
+                assert long[k - cp.p - 1] == (k, math.exp(log_r / (k - cp.p)))
+
+
+def test_log_k_table_under_racing_threads(rng, monkeypatch):
+    """Four threads scanning different k_max in a loop, one of them emptying the table each time so the others
+    regrow it, get the serial candidates."""
+    import sys
+    import threading
+
+    from pvalent import geometry
+
+    jobs = []
+    for k_max in (400, 2500, 1200, 3100):
+        cp = random_params(rng, max_p=3)
+        jobs.append((cp, float(rng.uniform(0.0, cp.p)), k_max))
+    serial = [repr(radius_convex(*job).candidates) for job in jobs]
+    monkeypatch.setattr(geometry, "_LOG_K", geometry._LOG_K)  # restored after the test
+    results: list[list[str]] = [[] for _ in jobs]
+
+    def scan(i):
+        for _ in range(20):
+            if i == 0:
+                geometry._LOG_K = [-math.inf]
+            results[i].append(repr(radius_convex(*jobs[i]).candidates))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=scan, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[want] * 20 for want in serial]

@@ -815,7 +815,7 @@ def test_one_pass_sums_stay_within_the_stated_slack(data):
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("ignore")
                 subordination_margin(f, cp, SampleGrid(radii=(r,), angles_per_radius=8, refinement=0))
-        except PoleOnGridError:
+        except (PoleOnGridError, DivergentInputError):  # the refusal of samples past double range comes after too
             pass
     (lead_h, _, _, err_h, dom_h), (lead_d, _, _, err_d, dom_d) = verdicts
     with mpmath.workdps(60):
@@ -830,3 +830,32 @@ def test_one_pass_sums_stay_within_the_stated_slack(data):
                 assert dom
     if pw[-1] < 2.0**-1022:
         assert not dom_h and not dom_d  # no proof past a subnormal r^e
+
+
+@pytest.mark.filterwarnings("error")
+def test_circle_checks_refuse_samples_past_double_range():
+    # k a_k = 3e308 once gave a ValueError from round(nan) in the zero count (convex) and a nan with no note (ctc)
+    f = make_series(1, [(30, 1e307)])
+    with pytest.raises(DivergentInputError, match=r"f' on \|z\| = 0.99 reaches double range"):
+        convex_min_re(f, 0.0, 0.99)
+    with pytest.raises(DivergentInputError, match=r"p on \|z\| = 0.99 reaches double range"):
+        ctc_max_dev(f, 0.0, 0.99)
+    # samples that do fit: 13 a_13 overflows alone, so z f' is folded as a_13 (13 r^13); once a nan extremum
+    rep = starlike_min_re(make_series(1, [(13, 1.7e308)]), 0.0, 0.5)
+    # f = z (1 - a z^12) has its other 12 zeros at |z| = a^(-1/12), and z f'/f is about 13 on |z| = 0.5
+    assert rep.extremum == pytest.approx(13.0, rel=1e-12) and not rep.passed
+    assert rep.warnings == ("f has 12 zero(s) in 0 < |z| < 0.5; no disk bound",)
+    with pytest.raises(DivergentInputError, match=r"f on \|z\| = 0.99 reaches double range"):
+        starlike_min_re(make_series(1, [(2, 1e308)]), 0.0, 0.99)
+
+
+@pytest.mark.filterwarnings("error")
+def test_subordination_raises_no_numpy_flag_at_the_ends_of_double_range():
+    grid = SampleGrid(radii=(0.3,), angles_per_radius=8)
+    # a subnormal scale makes every |D_j| subnormal: the quotient overflowed outside the errstate guard
+    rep = subordination_margin(make_series(1, [(2, 0.3)]), ClassParams(A=0.0, B=-2.225073858507e-311), grid)
+    assert rep.extremum == math.inf and not rep.passed
+    assert rep.warnings == ("zero counts inside |z| < 0.3 not proved; no disk bound",)
+    # samples of D past double range once overflowed into an extremum of 0.0
+    with pytest.raises(DivergentInputError, match=r"smoothed image on \|z\| = 0.9 reaches double range"):
+        subordination_margin(make_series(1, [(2, 8e307)]), CANONICAL, SampleGrid(radii=(0.9,), angles_per_radius=8))
