@@ -11,10 +11,9 @@ A1 the one on z^(p+1), e0 = p +- eta and T the sharp k = p+1 coefficient bound,
 
     lower(r) = A0 r^e0 - A1 T r^(e0+1),    upper(r) = A0 r^e0 + A1 T r^(e0+1).
 
-Everything here but the powers of r depends only on (theorem, class, c, eta), so
-one record, ``_composition``, holds it for the last parameter set: the validated
-theorem, the warning text outside the certificate, A0, e0, A1 T and the printed
-constants.  The bounds of one curve, and :func:`lower_bound_peak`, read it.
+These are the tail-aggregated bounds of :mod:`pvalent.classes`, evaluated by its one
+rule.  One record, ``_composition``, kept for the last (theorem, class, c, eta), holds
+the validated theorem, that module's record of (A0, e0, A1 T) and the printed constants.
 
 These derived bounds are what the package stands behind.  The source
 formulas they descend from contain several transcription slips (a flipped
@@ -23,13 +22,11 @@ prefactors that only match at p = 1), so every bound can also be evaluated
 "as printed" for audit; the two sets are reported side by side and their
 divergence is asserted by the acceptance suite, never patched over.
 
-Like the distortion bounds, these replace every tail multiplier by the
-k = p+1 one, which holds only where the one certificate of
-:mod:`pvalent.classes` does; :func:`composition_certified` runs it on the
-composed multiplier, whose Gamma(k+1)/Gamma(k+1-eta) grows in k for the
-derivative compositions, so even an order-0 certified budget can
-under-aggregate the tail.  Outside the certificate the bounds carry that
-module's one warning, because admissible members really do escape them.
+Like the distortion bounds, these replace every tail multiplier by the k = p+1
+one, valid only where the one certificate scan of :mod:`pvalent.classes` holds on the
+composed multiplier (:func:`composition_certified`).  Its Gamma(k+1)/Gamma(k+1-eta)
+grows in k for the derivative compositions, so even an order-0 certified budget can
+under-aggregate the tail; outside the certificate admissible members do escape the bounds.
 """
 
 from __future__ import annotations
@@ -38,8 +35,8 @@ import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from .classes import ClassParams, _certified_scan, _uncertified_text, _warn_uncertified, coeff_bound_r, extremal_r
-from .errors import DomainError, ParameterOutOfRangeError, _require_int, _require_radius
+from .classes import ClassParams, _certified_scan, _tail_bounds, _tail_record, coeff_bound_r, extremal_r
+from .errors import DomainError, ParameterOutOfRangeError, _require_int
 from .operators import (
     _require_c, _require_eta, bernardi, fractional_derivative, fractional_integral, gamma_ratio,
 )
@@ -197,39 +194,30 @@ def _printed(theorem: int, cp: ClassParams, c: float, eta: float) -> tuple[float
 @lru_cache(maxsize=1, typed=True)  # typed, as composition_certified: 7.0 and c = 1 keep entries of their own
 def _composition(
     theorem: int, cp: ClassParams, c: float, eta: float, include_printed: bool
-) -> tuple[int, str | None, float, float, float, tuple[float, float, float] | None]:
-    """(theorem, warning, A0, e0, A1 T, printed): all a bound needs but r, once per curve.
-
-    The theorem is validated, the certificate consulted (warning is None inside it), and printed is
-    :func:`_printed`'s (lead, low, up) with include_printed, None without.  It holds
-    plain floats: a ClassParams with numpy fields equals, and hashes as, its float twin,
-    so a hit must not hand one of them the other's numpy scalars (the warning names the one that missed).
-    """
+) -> tuple[int, tuple, tuple[float, float, float] | None]:
+    """(theorem, record, printed): the validated theorem, the :func:`_tail_record` of (A0, e0, A1 T), and
+    :func:`_printed`'s (lead, low, up) with include_printed, else None.  Plain floats: a ClassParams with numpy
+    fields equals, and hashes as, its float twin, so a hit must not hand one the other's numpy scalars."""
     theorem = _validate(theorem, cp, c, eta)
     certified = composition_certified(theorem, cp, float(c), float(eta))
-    warning = None if certified else _uncertified_text(f"composition {theorem}", cp)
     s, _ = _shifts(theorem, eta)
     a0, a1 = _multiplier(theorem, cp.p, c, eta, cp.p), _multiplier(theorem, cp.p, c, eta, cp.p + 1)
     printed = tuple(map(float, _printed(theorem, cp, c, eta))) if include_printed else None
-    return theorem, warning, a0, cp.p + s, a1 * coeff_bound_r(cp.p + 1, cp), printed
+    record = _tail_record(f"composition {theorem}", cp, certified, a0, cp.p + s, a1 * coeff_bound_r(cp.p + 1, cp))
+    return theorem, record, printed
 
 
 def composition_bound(
     theorem: int, cp: ClassParams, c: float, eta: float, r: float, include_printed: bool = True
 ) -> CompositionBound:
     """Derived (and optionally as-printed) bounds at radius r in (0, 1)."""
-    theorem, warning, a0, e0, a1_t, printed = _composition(theorem, cp, c, eta, include_printed)
-    r = _require_radius(r)
-    _warn_uncertified(warning)
-    scale = r**e0
-    lead, tail = a0 * scale, a1_t * r ** (e0 + 1.0)
+    theorem, record, printed = _composition(theorem, cp, c, eta, include_printed)
+    r, lower, upper, scale = _tail_bounds(record, r)
     printed_lower = printed_upper = None
     if printed is not None:
-        printed_lead, low, up = printed
-        printed_lower, printed_upper = (printed_lead - low * r) * scale, (printed_lead + up * r) * scale
-    return CompositionBound(
-        theorem, float(c), float(eta), r, lead - tail, lead + tail, printed_lower, printed_upper
-    )
+        lead, low, up = printed
+        printed_lower, printed_upper = (lead - low * r) * scale, (lead + up * r) * scale
+    return CompositionBound(theorem, float(c), float(eta), r, lower, upper, printed_lower, printed_upper)
 
 
 def lower_bound_peak(theorem: int, cp: ClassParams, c: float, eta: float) -> float:
@@ -238,7 +226,7 @@ def lower_bound_peak(theorem: int, cp: ClassParams, c: float, eta: float) -> flo
     A0/A1 = (p+1+s)/(p+1) (c+p+1+b)/(c+p+b) is formed directly (see :func:`_shifts`),
     since A0 and A1 T both underflow at a large integral order.
     """
-    theorem, _, _, e0, _, _ = _composition(theorem, cp, c, eta, False)
+    theorem, (_, _, e0, _), _ = _composition(theorem, cp, c, eta, False)
     s, b = _shifts(theorem, eta)
     p, t = cp.p, coeff_bound_r(cp.p + 1, cp)
     return (p + 1.0 + s) / (p + 1.0) * (c + p + 1.0 + b) / (c + p + b) * e0 / (t * (e0 + 1.0))

@@ -30,8 +30,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
-    OrderExceedsValenceError, ParameterOutOfRangeError, UncertifiedBoundWarning, ValenceMismatchError,
-    _require_index, _require_int,
+    DivergentInputError, OrderExceedsValenceError, ParameterOutOfRangeError, UncertifiedBoundWarning,
+    ValenceMismatchError, _require_index, _require_int, _require_radius,
 )
 from .operators import RafidParams, pow2_product, rafid_multiplier, rafid_multipliers
 from .series import CoefficientSeries, make_series
@@ -196,7 +196,9 @@ def _certified_scan(cp: ClassParams, s: float, c: float | None = None, b: float 
     the tail multiplier of an order-m derivative (s = -m) or of a composition.
     Log space, tolerance 1e-9.  The scan stops once the growth factor
     (1-mu)(k+delta)(k+1-shift)/(k+1), shift = max(-s, 0), reaches one, after
-    which the ratio cannot dip; one still running after 200 000 steps is not certified.
+    which the ratio cannot dip.  That stop is finite for every mu < 1 but unbounded (near
+    k = 1/(1-mu), so p near 1/(1-mu) walks about 1/(1-mu) - p steps, without limit as mu -> 1):
+    a scan still running after 200 000 steps stops there, not certified.
     """
     k, shift = cp.p + 1, max(-s, 0.0)
     for m, e in rafid_multipliers(cp.p, cp.rafid, itertools.count(k)):
@@ -211,15 +213,25 @@ def _certified_scan(cp: ClassParams, s: float, c: float | None = None, b: float 
         k += 1
 
 
-def _uncertified_text(what: str, cp: ClassParams) -> str:
-    """The text of :func:`_warn_uncertified`, formed once per record of a bound's constants."""
-    return f"tail aggregation not certified for {what} at {cp}; admissible members may exceed these bounds"
+def _tail_record(what: str, cp: ClassParams, certified: bool, a0: float, e0: float, a1_t: float) -> tuple:
+    """(warning, A0, e0, A1 T) of the bounds A0 r^e0 -+ A1 T r^(e0+1) of ``what``; the one home of the warning text."""
+    if not (a0 < math.inf and a1_t < math.inf):  # the bounds would read inf - inf
+        raise DivergentInputError(f"{what} has constants past double range: A0 = {a0!r}, A1 T = {a1_t!r}")
+    warning = None if certified else (
+        f"tail aggregation not certified for {what} at {cp}; admissible members may exceed these bounds"
+    )
+    return warning, a0, e0, a1_t
 
 
-def _warn_uncertified(text: str | None) -> None:
-    """The one warning of a tail-aggregated bound evaluated outside its certificate (text None inside it)."""
-    if text is not None:
-        warnings.warn(text, UncertifiedBoundWarning, stacklevel=3)
+def _tail_bounds(record: tuple, r: float) -> tuple[float, float, float, float]:
+    """(r, lower, upper, r^e0) from a :func:`_tail_record`: r is checked, then the warning names the caller's caller."""
+    warning, a0, e0, a1_t = record
+    r = _require_radius(r)
+    if warning is not None:
+        warnings.warn(warning, UncertifiedBoundWarning, stacklevel=3)
+    scale = r**e0
+    lead, tail = a0 * scale, a1_t * r ** (e0 + 1.0)
+    return r, lead - tail, lead + tail, scale
 
 
 def _scan_indices(cp: ClassParams, k_max: int) -> range:

@@ -2,16 +2,12 @@
 
 Distortion: for R-family members and m <= p,
 
-    [fallfac(p,m) -+ T fallfac(p+1,m) r] r^(p-m)  bounds  |f^(m)(z)|,  |z| = r,
+    fallfac(p,m) r^(p-m) -+ T fallfac(p+1,m) r^(p-m+1)  bounds  |f^(m)(z)|,  |z| = r,
 
-with T the sharp k = p+1 coefficient bound, the tail budget shared with the
-composition bounds of :mod:`pvalent.calculus_bounds`.  Replacing every tail
-multiplier by the k = p+1 one is valid only where the one certificate of
-:mod:`pvalent.classes` holds (``budget_certified``); outside it the bounds are
-still reported, with that module's one warning, since members can exceed them.
-The warning text (None inside the certificate) and the two falling factorials,
-T included, are kept for the last (class, m), so the sample points of one curve
-compute them once.
+with T the sharp k = p+1 coefficient bound and the falling factorials of the derivative
+multiplier of :mod:`pvalent.series`: the tail-aggregated bound of :mod:`pvalent.classes`,
+warned outside ``budget_certified``, where members can exceed it.  Its record is kept
+for the last (class, m), so the sample points of one curve form it once.
 
 Radii: the family property holds in |z| < r* with
 
@@ -35,11 +31,12 @@ from functools import lru_cache
 from typing import Iterable
 
 from .classes import (
-    _LN2, ClassParams, _nondecreasing, _require_zeta, _scan_indices, _uncertified_text, _warn_uncertified,
-    budget_certified, coeff_bound_r,
+    _LN2, ClassParams, _nondecreasing, _require_zeta, _scan_indices, _tail_bounds, _tail_record, budget_certified,
+    coeff_bound_r,
 )
-from .errors import _require_int, _require_radius
+from .errors import _require_int
 from .operators import rafid_multipliers
+from .series import _falling
 
 _LOG_K = [-math.inf]  # math.log(k) at index k; regrown as a new list, never extended in place
 
@@ -72,38 +69,26 @@ class RadiusReport:
 
 
 @lru_cache(maxsize=1, typed=True)  # typed: m = True must be refused, not hit the entry of 1
-def _distortion(cp: ClassParams, m: int) -> tuple[str | None, float, float, int]:
-    """(warning, fallfac(p, m), T fallfac(p+1, m), p - m): what the bounds of one curve share."""
+def _distortion(cp: ClassParams, m: int) -> tuple:
+    """The :func:`_tail_record` of order m: A0 = fallfac(p, m), e0 = p - m, A1 T = fallfac(p+1, m) T."""
     m = _require_int("order", m, 0)
-    # budget_certified refuses an order above p first
-    warning = None if budget_certified(cp, m) else _uncertified_text(f"distortion order {m}", cp)
-    # the sharp k = p+1 bound, reused as the aggregated tail budget
-    tail = coeff_bound_r(cp.p + 1, cp) * float(math.perm(cp.p + 1, m))
-    return warning, float(math.perm(cp.p, m)), tail, cp.p - m
-
-
-def _distortion_sample(record: tuple[str | None, float, float, int], r: float) -> tuple[float, float, float]:
-    """(r, lower, upper) from a :func:`_distortion` record; r is checked, the warning left to the caller."""
-    _, lead, tail, e = record
-    r = _require_radius(r)
-    tail, scale = tail * r, r**e
-    return r, (lead - tail) * scale, (lead + tail) * scale
+    certified = budget_certified(cp, m)  # refuses an order above p first
+    # the sharp k = p+1 bound, reused as the aggregated tail budget, under the derivative multiplier
+    a1_t = _falling(cp.p + 1, m, coeff_bound_r(cp.p + 1, cp))
+    return _tail_record(f"distortion order {m}", cp, certified, _falling(cp.p, m), cp.p - m, a1_t)
 
 
 def distortion_bounds(cp: ClassParams, m: int, r: float) -> tuple[float, float]:
     """(lower, upper) for |f^(m)| on |z| = r, 0 < r < 1, 0 <= m <= p."""
-    record = _distortion(cp, m)
-    _, lower, upper = _distortion_sample(record, r)
-    _warn_uncertified(record[0])
+    _, lower, upper, _ = _tail_bounds(_distortion(cp, m), r)
     return lower, upper
 
 
 def distortion_curve(cp: ClassParams, m: int, radii: Iterable[float]) -> BoundCurve:
     """distortion_bounds at each radius, one warning per sample; the order is checked even with no radii."""
     record, samples = _distortion(cp, m), []
-    for r in radii:
-        samples.append(_distortion_sample(record, r))
-        _warn_uncertified(record[0])
+    for r in radii:  # a loop, not a comprehension: the warning must name the caller on 3.10 and 3.11 too
+        samples.append(_tail_bounds(record, r)[:3])
     return BoundCurve(m=m, samples=tuple(samples))
 
 

@@ -251,13 +251,13 @@ def bernardi(f: CoefficientSeries | FractionalSeries, c: float) -> CoefficientSe
         scaled = {k: (c + f.p) / (c + k) * a for k, a in f.coeffs.items()}
         return CoefficientSeries(p=f.p, coeffs=scaled)
     c = _require_c(c, f.p + f.shift)
-    return _diagonal(f, lambda s: (c + f.p) / (c + s), 0.0)
+    return _diagonal(f, lambda s, a: (c + f.p) / (c + s) * a, 0.0)
 
 
 def fractional_integral(f: CoefficientSeries | FractionalSeries, eta: float) -> FractionalSeries:
     """Fractional integral of order eta > 0; exponents shift up by eta."""
     eta = _require_eta(eta, integral=True)
-    return _diagonal(_as_fractional(f), lambda s: gamma_ratio(s + 1.0, s + 1.0 + eta), eta)
+    return _diagonal(_as_fractional(f), lambda s, a: gamma_ratio(s + 1.0, s + 1.0 + eta) * a, eta)
 
 
 def fractional_derivative(
@@ -281,4 +281,4 @@ def fractional_derivative(
             raise ExponentUnderflowError(
                 f"exponent {k + g.shift} would not stay positive for order {eta}"
             )
-    return _diagonal(g, lambda s: gamma_ratio(s + 1.0, s + 1.0 - eta), -eta)
+    return _diagonal(g, lambda s, a: gamma_ratio(s + 1.0, s + 1.0 - eta) * a, -eta)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
+    DivergentInputError,
     DuplicateIndexError,
     NegativeCoefficientError,
     OrderExceedsValenceError,
@@ -143,17 +144,17 @@ def _as_fractional(f: CoefficientSeries | FractionalSeries) -> FractionalSeries:
     return FractionalSeries(p=f.p, shift=0.0, leading=1.0, terms=terms)
 
 
-def _diagonal(g: FractionalSeries, mult: Callable[[float], float], ds: float) -> FractionalSeries:
-    """Image of g under z^s -> mult(s) z^(s+ds), s running over the exponents p+shift and k+shift.
+def _diagonal(g: FractionalSeries, image: Callable[[float, float], float], ds: float) -> FractionalSeries:
+    """Image of g under c z^s -> image(s, c) z^(s+ds), s running over the exponents p+shift and k+shift.
 
     Every diagonal operator whose image leaves the normal form is this map
-    with its own multiplier and exponent step.
+    with its own multiplier, applied to c by ``image``, and exponent step.
     """
     return FractionalSeries(
         p=g.p,
         shift=g.shift + ds,
-        leading=mult(g.p + g.shift) * g.leading,
-        terms={k: mult(k + g.shift) * c for k, c in g.terms.items()},
+        leading=image(g.p + g.shift, g.leading),
+        terms={k: image(k + g.shift, c) for k, c in g.terms.items()},
     )
 
 
@@ -176,8 +177,21 @@ def derivative_m(f: CoefficientSeries | FractionalSeries, m: int) -> FractionalS
         raise ParameterOutOfRangeError("integer derivative needs integer exponents")
     if m > g.p + g.shift:
         raise OrderExceedsValenceError(f"order {m} exceeds leading exponent {g.p + g.shift}")
-    # s(s-1)...(s-m+1), exact for the integer exponents here
-    return _diagonal(g, lambda s: float(math.perm(int(s), m)), -m)
+    return _diagonal(g, lambda s, c: _falling(int(s), m, c), -m)
+
+
+def _falling(s: int, m: int, c: float = 1.0) -> float:
+    """c s(s-1)...(s-m+1), the order-m derivative multiplier on z^s applied to c: float(s!/(s-m)!) c,
+    or past the range of that factorial the exact product rounded once, which raises past double range."""
+    n = math.perm(s, m)
+    try:
+        return float(n) * c
+    except OverflowError:
+        num, den = c.as_integer_ratio()
+        try:
+            return c and n * num / den  # the int division rounds once; 0.0 and -0.0 stay as they are
+        except OverflowError:
+            raise DivergentInputError(f"order-{m} derivative of z^{s} times {c!r} exceeds double range") from None
 
 
 def hadamard_product(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -343,3 +344,69 @@ def test_one_pass_sum_refuses_an_index_at_p():
     cp = ClassParams(p=2)
     with pytest.raises(IndexBelowValenceError):
         check_r_membership(CoefficientSeries(p=2, coeffs={3: 0.1, 2: 0.1}), cp)
+
+
+def test_certificate_scan_stops_at_its_step_cap():
+    """The proved stop lies near k = 1/(1-mu): about 10^6 steps past p here, so the 200 000-step cap
+    decides, in one call, and its verdict is False (the uncapped walk certifies, after about 2.7 s)."""
+    p = 10**11
+    cp = ClassParams(p=p, alpha=math.nextafter(p, 0), A=1.0, B=-1.0, mu=1.0 - 0.99999 / (p + 1), delta=1.0)
+    assert budget_certified(cp, 0) is False
+
+
+@st.composite
+def tail_bound_draws(draw):
+    """(cp, m or None, theorem or None, c, eta, r) over the documented domain: p in 1..6 and 169..171,
+    every m <= p, theorems 7-10 under their c and eta rules (README "Arguments"), mu up to 0.99."""
+    p = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 169, 170, 171]))
+    B = draw(st.floats(-1.0, 1.0, exclude_max=True))
+    cp = ClassParams(
+        p=p, alpha=draw(st.floats(0.0, p, exclude_max=True)), A=draw(st.floats(B, 1.0, exclude_min=True)), B=B,
+        mu=draw(st.floats(0.0, 0.99)), delta=draw(st.floats(0.0, 1.0)),
+    )
+    r = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    theorem = draw(st.sampled_from([None, 7, 8, 9, 10]))
+    if theorem is None:
+        return cp, draw(st.integers(0, p)), None, None, None, r
+    integral = st.floats(0.0, 4.0, exclude_min=True)
+    eta = draw(integral if theorem in (7, 10) else st.floats(0.0, 1.0, exclude_max=True))
+    return cp, None, theorem, draw(st.floats(-p, 4.0, exclude_min=True)), eta, r
+
+
+@settings(max_examples=300, derandomize=True)
+@given(draw=tail_bound_draws())
+def test_every_tail_aggregated_bound_follows_the_one_rule(draw):
+    """Distortion and compositions 7-10: a DomainError, or lower <= upper with no nan, one warning per sample
+    exactly outside the certificate, naming this file, and the image of the k = p+1 extremal at r on lower."""
+    from pvalent import composed_extremal, composition_bound, composition_certified, derivative_m
+    from pvalent import distortion_bounds, distortion_curve
+    from pvalent.calculus_bounds import _composition
+    from pvalent.errors import DomainError, UncertifiedBoundWarning
+    from pvalent.geometry import _distortion
+
+    cp, m, theorem, c, eta, r = draw
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        warnings.simplefilter("always", UncertifiedBoundWarning)
+        try:
+            if theorem is None:
+                certified = budget_certified(cp, m)
+                samples = [(r, *distortion_bounds(cp, m, r)), *distortion_curve(cp, m, [r, r]).samples]
+                _, a0, e0, a1_t = _distortion(cp, m)
+                image = derivative_m(extremal_r(cp.p + 1, cp), m)
+            else:
+                certified = composition_certified(theorem, cp, c, eta)
+                b = composition_bound(theorem, cp, c, eta, r, include_printed=False)
+                samples = [(b.r, b.lower, b.upper)]
+                _, a0, e0, a1_t = _composition(theorem, cp, c, eta, False)[1]
+                image = composed_extremal(theorem, cp, c, eta)
+        except DomainError:
+            return
+    assert all(s == samples[0] for s in samples)
+    _, lower, upper = samples[0]
+    assert lower <= upper  # nan fails
+    assert all(w.category is UncertifiedBoundWarning for w in caught)
+    assert len(caught) == (0 if certified else len(samples))
+    assert {w.filename for w in caught} <= {__file__}
+    size = max(abs(a0 * r**e0), abs(a1_t * r ** (e0 + 1.0)))
+    assert abs(image.evaluate(r).real - lower) <= 1e-13 * size

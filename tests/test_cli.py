@@ -90,6 +90,18 @@ def test_distortion_csv_header(capsys):
     assert (r, lo, up) == (0.5, 0.75, 1.25)
 
 
+def test_distortion_past_the_factorial_range(capsys):
+    # fallfac(171, 170) = 171! is no double, yet both bounds are: a CSV row, not a traceback
+    argv = ["distortion", "--p", "170", "--m", "170", *CANON, "--rmin", "0.5", "--rmax", "0.5", "--steps", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["r,lower,upper", "0.5,3.649928321149052e+306,1.0864902909466946e+307"]
+    # at p = 171, A0 = 171! itself is past double range: exit 1 with the JSON error line
+    code, out, err = run(capsys, [argv[0], "--p", "171", "--m", "171", *argv[5:]])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DivergentInputError"
+
+
 def test_fracbound_csv_with_printed_columns(capsys):
     code, out, _ = run(
         capsys,

@@ -25,7 +25,8 @@ from pvalent import (
 )
 from pvalent.classes import log_r_criterion_term
 from pvalent.errors import (
-    OrderExceedsValenceError, ParameterOutOfRangeError, RadiusOutOfRangeError, UncertifiedBoundWarning,
+    DivergentInputError, OrderExceedsValenceError, ParameterOutOfRangeError, RadiusOutOfRangeError,
+    UncertifiedBoundWarning,
 )
 
 CANONICAL = ClassParams()
@@ -34,6 +35,32 @@ CANONICAL = ClassParams()
 def test_canonical_distortion_frozen():
     assert distortion_bounds(CANONICAL, 0, 0.5) == (0.4375, 0.5625)
     assert distortion_bounds(CANONICAL, 1, 0.5) == (0.75, 1.25)
+
+
+@pytest.mark.parametrize("m", [168, 169, 170])
+def test_distortion_past_the_factorial_range_matches_mpmath(m):
+    """At p = 170 fallfac(171, m) is no double from m = 168, yet the bounds are: 50-digit reference."""
+    cp, r = ClassParams(p=170), 0.5
+    lower, upper = distortion_bounds(cp, m, r)
+    assert distortion_curve(cp, m, [r]).samples == ((r, lower, upper),)
+    with mpmath.workdps(50):
+        scale = (mpmath.mpf(cp.A) - cp.B) * (cp.p - mpmath.mpf(cp.alpha))
+        t = scale / ((1 - mpmath.mpf(cp.B) + scale) * (1 - mpmath.mpf(cp.mu)) * (cp.p + mpmath.mpf(cp.delta)))
+        lead = mpmath.mpf(math.perm(170, m)) * mpmath.mpf(r) ** (170 - m)
+        tail = mpmath.mpf(math.perm(171, m)) * t * mpmath.mpf(r) ** (171 - m)
+        want = (float(lead - tail), float(lead + tail))
+    assert lower == pytest.approx(want[0], rel=1e-14) and upper == pytest.approx(want[1], rel=1e-14)
+    if m == 170:
+        assert (lower, upper) == pytest.approx((3.6499283211490522e306, 1.0864902909466946e307), rel=1e-14)
+
+
+def test_distortion_constants_past_double_range_are_refused():
+    # A0 = 171! and A1 T = 172! T: returning inf would give inf - inf = nan
+    with pytest.raises(DivergentInputError, match="order-171 derivative"):
+        distortion_bounds(ClassParams(p=171), 171, 0.5)
+    # fallfac(172, 165) = 4.2e307 is a double, but its product with T = 58.1 at mu = 0.9999 is not
+    with pytest.raises(DivergentInputError, match="distortion order 165 has constants past double range"):
+        distortion_bounds(ClassParams(p=171, mu=0.9999, delta=0.0), 165, 0.5)
 
 
 def test_distortion_contains_members(rng):

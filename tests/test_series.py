@@ -16,6 +16,7 @@ from pvalent import (
     make_series,
 )
 from pvalent.errors import (
+    DivergentInputError,
     DuplicateIndexError,
     IndexBelowValenceError,
     NegativeCoefficientError,
@@ -107,6 +108,22 @@ def test_derivative_shift_composes(rng):
 def test_derivative_order_above_valence_rejected():
     with pytest.raises(OrderExceedsValenceError):
         derivative_m(make_series(1, [(2, 0.1)]), 2)
+
+
+def test_derivative_past_the_factorial_range_rounds_the_exact_product_once():
+    """From s = 171 the falling factorial is no double: a coefficient inside double range comes back
+    finite, rounded once from the exact product, and one past it raises a DomainError."""
+    from fractions import Fraction
+
+    for m in (168, 169, 170):
+        d = derivative_m(make_series(170, [(171, 1e-300), (172, 0.0)]), m)
+        assert d.leading == float(math.perm(170, m))  # a double: the bits of float(perm) * 1.0
+        assert d.terms[171] == float(-math.perm(171, m) * Fraction(1e-300))
+        assert math.copysign(1.0, d.terms[172]) == -1.0 and d.terms[172] == 0.0  # -0.0, as below s = 171
+    with pytest.raises(DivergentInputError, match="order-171 derivative of z\\^171"):
+        derivative_m(make_series(171), 171)
+    with pytest.raises(DivergentInputError, match="order-170 derivative of z\\^171 times -1.0"):
+        derivative_m(make_series(170, [(171, 1.0)]), 170)
 
 
 @settings(max_examples=200)
