@@ -22,12 +22,11 @@ sorted indices; a lone term or bound at k walks the product from p, in k-p steps
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     DivergentInputError, OrderExceedsValenceError, ParameterOutOfRangeError, UncertifiedBoundWarning,
@@ -93,9 +92,10 @@ def _term(k: int, cp: ClassParams, m: float, e: int) -> tuple[float, int]:
     return ((1.0 - cp.B) * (k - cp.p) + cp.scale) * m / cp.scale, e
 
 
-def _log_term(k: int, cp: ClassParams, m: float, e: int) -> float:
-    """log r_criterion_term(k), given w_k = m 2^e; finite at every index."""
-    return math.log(_term(k, cp, m, e)[0]) + e * _LN2
+def _log_terms(cp: ClassParams, ks: Iterable[int]) -> Iterator[float]:
+    """log r_criterion_term(k), finite, for each k > p of ks: one pass of w_k, zipped with ks, so ks re-iterable."""
+    p, slope, s, log = cp.p, 1.0 - cp.B, cp.scale, math.log
+    return (log((slope * (k - p) + s) * m / s) + e * _LN2 for k, (m, e) in zip(ks, rafid_multipliers(p, cp.rafid, ks)))
 
 
 def r_criterion_term(k: int, cp: ClassParams) -> float:
@@ -109,8 +109,9 @@ def r_criterion_term(k: int, cp: ClassParams) -> float:
 
 
 def log_r_criterion_term(k: int, cp: ClassParams) -> float:
-    """log of :func:`r_criterion_term`, finite at every index."""
-    return _log_term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid))
+    """log of :func:`r_criterion_term`, finite at every index: :func:`_log_terms` over the one index."""
+    k = _require_index(k, cp.p - 1)  # k < p is refused as a weight index, as by rafid_multiplier, k = p as a term index
+    return next(_log_terms(cp, (_require_index(k, cp.p),)))
 
 
 def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipReport:
@@ -122,10 +123,11 @@ def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
     for k, (m, e) in zip(ks, rafid_multipliers(p, cp.rafid, ks)):
         if k <= p:
             _require_index(k, p)  # raises
-        # pow2_product(*_term(k, cp, m, e), a_k) inline: a t a_k rounded into (2^-1022, inf) is t ma 2^ea rounded
+        # pow2_product(*_term(k, cp, m, e), a_k) inline: a t a_k rounded into (2^-1022, inf) is t ma 2^ea rounded;
+        # a zero a_k adds itself, also where a subnormal scale makes t inf
         c = (t := (slope * (k - p) + s) * m / s) * a[k]
         try:
-            cs.append(ldexp(c, e) if 2.0**-1022 < c < inf else pow2_product(t, e, a[k]))
+            cs.append(ldexp(c, e) if 2.0**-1022 < c < inf else a[k] and pow2_product(t, e, a[k]))
         except OverflowError:  # only a positive c reaches ldexp
             cs.append(inf)
     total = math.fsum(cs)
@@ -189,28 +191,37 @@ def random_member(
     return make_series(cp.p, [(k, s * float(ui) * coeff_bound_r(k, cp)) for k, ui in zip(ks, u)])
 
 
+def _grows_past(cp: ClassParams, k: int, target: float, shift: float | None = None) -> bool:
+    """Whether w_(j+1)/w_j = (1-mu)(j+delta), times (j+1-shift)/(j+1) given a shift, is >= target for all j >= k.
+
+    Both factors are positive and nondecreasing in j (0 <= shift <= p < j+1), so true at k stays true.  As
+    term(j+1)/term(j) is that ratio times a bracket ratio >= 1, target 1 with shift max(-s, 0) keeps the ratio of
+    :func:`_certified_scan` from dipping (its weight ratio is at most (j+1)/(j+1-shift)), and target 2 keeps
+    den(j+1) >= 2 den(j) >= den(j) num(j+1)/num(j) once den(k) > 0, so Phi of :mod:`pvalent.hadamard` rises.
+    """
+    growth = (1.0 - cp.mu) * (k + cp.delta)
+    return (growth if shift is None else growth * (k + 1 - shift) / (k + 1)) >= target
+
+
 def _certified_scan(cp: ClassParams, s: float, c: float | None = None, b: float = 0.0) -> bool:
     """Whether term(k) / weight(k) stays at or above its k = p+1 value for all k > p.
 
-    weight(k) = Gamma(k+1)/Gamma(k+1+s), over c+k+b when a Bernardi factor acts:
-    the tail multiplier of an order-m derivative (s = -m) or of a composition.
-    Log space, tolerance 1e-9.  The scan stops once the growth factor
-    (1-mu)(k+delta)(k+1-shift)/(k+1), shift = max(-s, 0), reaches one, after
-    which the ratio cannot dip.  That stop is finite for every mu < 1 but unbounded (near
-    k = 1/(1-mu), so p near 1/(1-mu) walks about 1/(1-mu) - p steps, without limit as mu -> 1):
-    a scan still running after 200 000 steps stops there, not certified.
+    weight(k) = Gamma(k+1)/Gamma(k+1+s), over c+k+b when a Bernardi factor acts: the tail multiplier of an
+    order-m derivative (s = -m) or of a composition.  Log space, tolerance 1e-9.  It stops at :func:`_grows_past`
+    with target 1, finite for every mu < 1 but unbounded (near k = 1/(1-mu), so p near 1/(1-mu) walks about
+    1/(1-mu) - p steps, without limit as mu -> 1): a scan that walks 200 000 steps without it stops, not certified.
     """
-    k, shift = cp.p + 1, max(-s, 0.0)
-    for m, e in rafid_multipliers(cp.p, cp.rafid, itertools.count(k)):
+    ks, shift = range(cp.p + 1, cp.p + 200_001), max(-s, 0.0)
+    for k, log_term in zip(ks, _log_terms(cp, ks)):
         # lgamma stays finite where the weight underflows; the constant c+p cancels in the ratio
         w = math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + s)
-        ratio = _log_term(k, cp, m, e) - (w if c is None else w - math.log(c + k + b))
+        ratio = log_term - (w if c is None else w - math.log(c + k + b))
         base = ratio if k == cp.p + 1 else base
-        if k - cp.p > 200_000 or ratio - base < -1e-9:
+        if ratio - base < -1e-9:
             return False
-        if (1.0 - cp.mu) * (k + cp.delta) * (k + 1 - shift) / (k + 1) >= 1.0:
+        if _grows_past(cp, k, 1.0, shift):
             return True
-        k += 1
+    return False
 
 
 def _tail_record(what: str, cp: ClassParams, certified: bool, a0: float, e0: float, a1_t: float) -> tuple:
@@ -239,12 +250,11 @@ def _scan_indices(cp: ClassParams, k_max: int) -> range:
     return range(cp.p + 1, _require_int("k_max", k_max, cp.p + 1) + 1)
 
 
-def _require_zeta(zeta: float, p: int) -> float:
-    """zeta as a float; an order of starlikeness, convexity or close-to-convexity lies in [0, p)."""
-    zeta = float(zeta)
-    if not (0.0 <= zeta < p):
-        raise ParameterOutOfRangeError(f"zeta must lie in [0, p), got {zeta}")
-    return zeta
+def _require_order(name: str, value: float, p: int) -> float:
+    """value as given; an order of starlikeness, convexity, close-to-convexity or a product factor lies in [0, p)."""
+    if not (0.0 <= value < p):
+        raise ParameterOutOfRangeError(f"{name} must lie in [0, p), got {value}")
+    return value
 
 
 def _nondecreasing(values: Sequence[float], rel: float = 0.0, tol: float = 0.0) -> bool:

@@ -15,12 +15,11 @@ Radii: the family property holds in |z| < r* with
 
 where factor is (p-z)/(k-z) for starlike of order z, p(p-z)/(k(k-z)) for
 convex and (p-z)/k for close-to-convex.  The report lists every candidate
-k = p+1..k_max, evaluated in log space from one pass of the multiplier sequence
-so that term(k) cannot overflow, and records whether they are nondecreasing
-past the argmin: a sampled certificate of the truncation, up to k_max only.
-One record per (class, z, k_max), kept for the last, holds the indices, log term(k),
-log(k - z) and log k: the three kinds share its passes and each adds one pass of exp.
-It slices log k from a module table, one float per index up to the largest k_max asked.
+k = p+1..k_max, in log space so that term(k) cannot overflow, and records whether
+they are nondecreasing past the argmin: a sampled certificate of the truncation, up
+to k_max only.  One record per (class, z, k_max), kept for the last, holds the indices,
+log term(k) from :func:`pvalent.classes._log_terms`, log(k - z) and log k, sliced from a
+module table up to the largest k_max asked: the three kinds share it, each adds a pass of exp.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ from functools import lru_cache
 from typing import Iterable
 
 from .classes import (
-    _LN2, ClassParams, _nondecreasing, _require_zeta, _scan_indices, _tail_bounds, _tail_record, budget_certified,
-    coeff_bound_r,
+    ClassParams, _log_terms, _nondecreasing, _require_order, _scan_indices, _tail_bounds, _tail_record,
+    budget_certified, coeff_bound_r,
 )
 from .errors import _require_int
-from .operators import rafid_multipliers
 from .series import _falling
 
 _LOG_K = [-math.inf]  # math.log(k) at index k; regrown as a new list, never extended in place
@@ -94,19 +92,16 @@ def distortion_curve(cp: ClassParams, m: int, radii: Iterable[float]) -> BoundCu
 
 @lru_cache(maxsize=1, typed=True)  # typed: k_max = 3.0 must be refused, not hit the entry of 3
 def _radius_scan(cp: ClassParams, zeta: float, k_max: int) -> tuple[range, tuple[float, ...], ...]:
-    """The indices p+1 .. k_max with log term(k), from one pass of w_k, log(k - zeta) and log k (from _LOG_K)."""
+    """The indices p+1 .. k_max with log term(k) (``classes._log_terms``), log(k - zeta) and log k (from _LOG_K)."""
     global _LOG_K
-    ks = _scan_indices(cp, k_max)
-    p, slope, s, log, log_k = cp.p, 1.0 - cp.B, cp.scale, math.log, _LOG_K
+    ks, log, log_k = _scan_indices(cp, k_max), math.log, _LOG_K
     if len(log_k) < ks.stop:  # a racing reader keeps the list it read, which is long enough for it
         _LOG_K = log_k = log_k + [log(k) for k in range(len(log_k), ks.stop)]
-    weights = zip(ks, rafid_multipliers(p, cp.rafid, ks))
-    log_terms = tuple([log((slope * (k - p) + s) * m / s) + e * _LN2 for k, (m, e) in weights])
-    return ks, log_terms, tuple([log(k - zeta) for k in ks]), tuple(log_k[ks.start : ks.stop])
+    return ks, tuple(_log_terms(cp, ks)), tuple([log(k - zeta) for k in ks]), tuple(log_k[ks.start : ks.stop])
 
 
 def _radius_report(cp: ClassParams, zeta: float, k_max: int, kind: str) -> RadiusReport:
-    zeta = _require_zeta(zeta, cp.p)
+    zeta = _require_order("zeta", float(zeta), cp.p)
     ks, log_terms, log_kz, log_k = _radius_scan(cp, zeta, k_max)
     steps, exp, log_pz = range(1, len(ks) + 1), math.exp, math.log(cp.p - zeta)  # steps: k - p
     # r_k = exp((log term(k) + log factor(k)) / (k-p)), the factor summed left to right

@@ -8,8 +8,8 @@ order-lambda family, where lambda comes from the k = p+1 case of
 
 w_k the smoothing multiplier.  The order is best possible: the squared
 k = p+1 extremal saturates it.  Phi being smallest at k = p+1 is checked, not
-assumed: numerically up to the first k with den(k) > 0 and (1-mu)(k+delta) >= 2,
-where the scan stops, and by proof past it (den then outgrows num).  The
+assumed: numerically up to the first k with den(k) > 0 where the proved stop
+:func:`pvalent.classes._grows_past` holds at target 2, and by its proof past it.  The
 mixed-order variant (factors of orders alpha and beta) follows the same pattern
 and collapses to lambda at beta = alpha.
 """
@@ -19,8 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from .classes import ClassParams, _nondecreasing, _scan_indices, check_r_membership, extremal_r
-from .errors import DegenerateDenominatorError, ParameterOutOfRangeError, _require_index
+from .classes import (
+    ClassParams, _grows_past, _nondecreasing, _require_order, _scan_indices, check_r_membership, extremal_r,
+)
+from .errors import DegenerateDenominatorError, _require_index
 from .operators import pow2_product, rafid_multiplier, rafid_multipliers
 from .series import hadamard_product
 
@@ -47,21 +49,17 @@ def mixed_order_candidate(k: int, cp: ClassParams, beta: float) -> float:
     smoothing); the k = p+1 case raises instead, since the reported order
     itself would be meaningless.
     """
-    return _phi(k, cp, beta, *rafid_multiplier(k, cp.p, cp.rafid))
+    m, e = rafid_multiplier(k, cp.p, cp.rafid)  # refuses k < p; the term index then must exceed p
+    return _phi(_require_index(k, cp.p), cp, _require_order("beta", beta, cp.p), m, e)
 
 
 def _phi(k: int, cp: ClassParams, beta: float, m: float, e: int) -> float:
-    """Phi(k) = p - num/den for orders (alpha, beta), given w_k = m 2^e.
+    """Phi(k) = p - num/den for orders (alpha, beta), given w_k = m 2^e, k > p and beta in [0, p).
 
     w_k enters as (m, e), scaled once: past double range the denominator
     saturates to inf (Phi = p) or to -s_a s_b (degenerate), never nan.
     """
-    if k <= cp.p:
-        _require_index(k, cp.p)  # raises
-    if not (0.0 <= beta < cp.p):
-        raise ParameterOutOfRangeError(f"beta must lie in [0, p), got {beta}")
-    s_a = cp.scale
-    s_b = (cp.A - cp.B) * (cp.p - beta)
+    s_a, s_b = cp.scale, (cp.A - cp.B) * (cp.p - beta)
     growth = (1.0 - cp.B) * (k - cp.p)
     # one factor (A-B) total: s_a carries it, the beta side enters as (p-beta)
     num = growth * s_a * (cp.p - beta)
@@ -93,12 +91,10 @@ def _saturation(cp: ClassParams, beta: float, order: float) -> tuple[float, bool
 
 
 def _order_report(cp: ClassParams, beta: float, k_max: int) -> ConvolutionOrderReport:
-    ks = _scan_indices(cp, k_max)
-    phis = []
+    ks, phis, beta = _scan_indices(cp, k_max), [], _require_order("beta", beta, cp.p)
     for k, (m, e) in zip(ks, rafid_multipliers(cp.p, cp.rafid, ks)):
         phis.append(_phi(k, cp, beta, m, e))
-        # den(k) > 0 and w_(k+1) >= 2 w_k: den(j+1)/den(j) >= num(j+1)/num(j) for all j >= k
-        if (1.0 - cp.mu) * (k + cp.delta) >= 2.0 and not math.isnan(phis[-1]):
+        if _grows_past(cp, k, 2.0) and not math.isnan(phis[-1]):  # den(k) > 0: Phi proved nondecreasing past k
             break
     order = phis[0]
     increasing = _nondecreasing(phis, tol=1e-12)
@@ -120,7 +116,7 @@ def schild_silverman_lambda(cp: ClassParams, k_max: int = 64) -> ConvolutionOrde
     """Order preserved when convolving two order-alpha members.
 
     ``phi_increasing`` certifies Phi nondecreasing over p+1..k_max: checked up to the
-    proved stop near k = 2/(1-mu) - delta (module docstring), proved past it.
+    proved stop near k = 2/(1-mu) - delta (``classes._grows_past``), proved past it.
     """
     return _order_report(cp, cp.alpha, k_max)
 

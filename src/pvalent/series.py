@@ -74,6 +74,8 @@ class FractionalSeries:
             raise ParameterOutOfRangeError(
                 f"leading exponent p+shift = {self.p + self.shift} is negative"
             )
+        if not math.isfinite(self.leading):
+            raise ParameterOutOfRangeError("leading coefficient is not finite")
         for k, c in self.terms.items():
             if type(k) is not int or k <= self.p:
                 _require_index(k, self.p)

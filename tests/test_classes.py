@@ -410,3 +410,55 @@ def test_every_tail_aggregated_bound_follows_the_one_rule(draw):
     assert {w.filename for w in caught} <= {__file__}
     size = max(abs(a0 * r**e0), abs(a1_t * r ** (e0 + 1.0)))
     assert abs(image.evaluate(r).real - lower) <= 1e-13 * size
+
+
+def test_zero_coefficient_adds_zero_at_a_subnormal_scale():
+    """scale = (A-B)(p-alpha) subnormal makes every criterion term inf; a zero a_k still adds 0.0, not 0 inf = nan."""
+    cp = ClassParams(A=0.0, B=-2.225073858507e-311)
+    rep = check_p_membership(make_series(1, [(2, 0.0)]), cp)
+    assert (rep.sum, rep.member, rep.margin) == (0.0, True, 1.0)
+    rep = check_r_membership(make_series(1, [(2, 0.0), (3, 1e-300), (5, 1.0)]), cp)
+    assert rep.per_term == ((2, 0.0), (3, math.inf), (5, math.inf))
+    assert rep.sum == math.inf and not rep.member
+    ((_, zero),) = check_r_membership(make_series(1, [(2, -0.0)]), cp).per_term
+    assert zero == 0.0 and math.copysign(1.0, zero) == -1.0  # a signed zero keeps its sign, as at a normal scale
+
+
+@pytest.mark.parametrize("cp", [ClassParams(), ClassParams(p=3, alpha=1.2, A=0.4, B=-0.7, mu=0.97, delta=0.0)])
+def test_log_term_pass_matches_the_lone_walk_bit_for_bit(cp):
+    """One pass of _log_terms over p+1 .. p+300 gives, at each index, the bits of log_r_criterion_term there."""
+    from pvalent.classes import _log_terms
+
+    ks = range(cp.p + 1, cp.p + 301)
+    assert list(_log_terms(cp, ks)) == [log_r_criterion_term(k, cp) for k in ks]
+
+
+def test_scan_table_is_frozen():
+    """40 classes, p 1-6, mu up to 0.99, delta 0 or 1; three run the Phi scan to its cap of 64, with a nan Phi
+    past p+1.  Each row holds budget_certified for m = 0..p, composition_certified for theorems 7-10 at c = 1 and
+    eta = 0.5, the k_max = 64 order report, and radius, argmin_k and certified of the three radii at k_max = 200 and
+    the row's zeta: every value prints as in tests/scan_table.csv."""
+    import csv
+    from pathlib import Path
+
+    from pvalent import composition_certified, radius_close_to_convex, radius_convex, radius_starlike
+    from pvalent import schild_silverman_lambda
+
+    with open(Path(__file__).with_name("scan_table.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 40
+    for row in rows:
+        cp = ClassParams(int(row["p"]), *(float(row[k]) for k in ("alpha", "A", "B", "mu", "delta")))
+        zeta = float(row["zeta"])
+        lam = schild_silverman_lambda(cp, 64)
+        got = {
+            "budget": " ".join(str(budget_certified(cp, m)) for m in range(cp.p + 1)),
+            **{f"comp{n}": str(composition_certified(n, cp, 1.0, 0.5)) for n in (7, 8, 9, 10)},
+            "order": repr(lam.order), "saturation_margin": repr(lam.saturation_margin),
+            "phi_increasing": str(lam.phi_increasing), "verified_best": str(lam.verified_best),
+        }
+        for kind, fn in (("starlike", radius_starlike), ("convex", radius_convex), ("ctc", radius_close_to_convex)):
+            rep = fn(cp, zeta, 200)
+            got.update({f"{kind}_radius": repr(rep.radius), f"{kind}_argmin_k": str(rep.argmin_k),
+                        f"{kind}_certified": str(rep.certified)})
+        assert got == {k: row[k] for k in got}, row

@@ -167,6 +167,19 @@ def test_fractional_series_exponent_validation():
         FractionalSeries(p=2, shift=-2.5, leading=1.0, terms={3: -0.1})
 
 
+@pytest.mark.parametrize("leading", [math.inf, -math.inf, math.nan])
+def test_fractional_series_refuses_a_leading_coefficient_that_is_not_finite(leading):
+    # the tail values were refused, the leading coefficient was not
+    with pytest.raises(ParameterOutOfRangeError, match="leading coefficient is not finite"):
+        FractionalSeries(p=2, shift=0.0, leading=leading, terms={3: -1.0})
+
+
+def test_derivative_leading_past_double_range_is_refused():
+    # 2 * 1e308 rounds to inf: this once came back as a series with leading inf
+    with pytest.raises(ParameterOutOfRangeError, match="leading coefficient is not finite"):
+        derivative_m(FractionalSeries(p=2, shift=0.0, leading=1e308, terms={3: -1.0}), 1)
+
+
 def test_hadamard_product_shared_indices_only():
     f = make_series(1, [(2, 0.5), (3, 2.0)])
     g = make_series(1, [(2, 0.25)])
