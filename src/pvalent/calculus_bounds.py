@@ -32,10 +32,10 @@ under-aggregate the tail; outside the certificate admissible members do escape t
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .classes import ClassParams, _certified_scan, _tail_bounds, _tail_record, coeff_bound_r, extremal_r
+from .classes import ClassParams, _Report, _certified_scan, _tail_bounds, _tail_record, coeff_bound_r, extremal_r
 from .errors import DomainError, ParameterOutOfRangeError, _require_int
 from .operators import (
     _require_c, _require_eta, bernardi, fractional_derivative, fractional_integral, gamma_ratio,
@@ -55,7 +55,7 @@ _GAMMA_PIVOT = 170.0  # math.gamma is finite up to about 171.6
 
 
 @dataclass(frozen=True)
-class CompositionBound:
+class CompositionBound(_Report):
     theorem: int
     c: float
     eta: float
@@ -64,12 +64,6 @@ class CompositionBound:
     upper: float
     printed_lower: float | None = None
     printed_upper: float | None = None
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.printed_lower is None:
-            del out["printed_lower"], out["printed_upper"]
-        return out
 
 
 def _validate(theorem: int, cp: ClassParams, c: float, eta: float) -> int:
@@ -196,13 +190,12 @@ def _composition(
     theorem: int, cp: ClassParams, c: float, eta: float, include_printed: bool
 ) -> tuple[int, tuple, tuple[float, float, float] | None]:
     """(theorem, record, printed): the validated theorem, the :func:`_tail_record` of (A0, e0, A1 T), and
-    :func:`_printed`'s (lead, low, up) with include_printed, else None.  Plain floats: a ClassParams with numpy
-    fields equals, and hashes as, its float twin, so a hit must not hand one the other's numpy scalars."""
-    theorem = _validate(theorem, cp, c, eta)
-    certified = composition_certified(theorem, cp, float(c), float(eta))
+    :func:`_printed`'s (lead, low, up) with include_printed, else None; plain floats for a numpy c or eta too."""
+    theorem, c, eta = _validate(theorem, cp, c, eta), float(c), float(eta)
+    certified = composition_certified(theorem, cp, c, eta)
     s, _ = _shifts(theorem, eta)
     a0, a1 = _multiplier(theorem, cp.p, c, eta, cp.p), _multiplier(theorem, cp.p, c, eta, cp.p + 1)
-    printed = tuple(map(float, _printed(theorem, cp, c, eta))) if include_printed else None
+    printed = _printed(theorem, cp, c, eta) if include_printed else None
     record = _tail_record(f"composition {theorem}", cp, certified, a0, cp.p + s, a1 * coeff_bound_r(cp.p + 1, cp))
     return theorem, record, printed
 
@@ -227,7 +220,7 @@ def lower_bound_peak(theorem: int, cp: ClassParams, c: float, eta: float) -> flo
     since A0 and A1 T both underflow at a large integral order.
     """
     theorem, (_, _, e0, _), _ = _composition(theorem, cp, c, eta, False)
-    s, b = _shifts(theorem, eta)
+    c, (s, b) = float(c), _shifts(theorem, float(eta))
     p, t = cp.p, coeff_bound_r(cp.p + 1, cp)
     return (p + 1.0 + s) / (p + 1.0) * (c + p + 1.0 + b) / (c + p + b) * e0 / (t * (e0 + 1.0))
 

@@ -2,8 +2,9 @@
 
 One subcommand per module: membership checks and extremal construction,
 radii, distortion curves, convolution orders, fractional-composition bounds,
-sampling oracles and the acceptance selftest.  Reports are JSON on stdout;
-curves are CSV (headers exactly ``r,lower,upper`` and
+sampling oracles and the acceptance selftest.  Reports are JSON on stdout, every
+field of the report's dataclass (:func:`_json`); curves are CSV, each cell the
+``repr`` of its value (:func:`_csv`, headers exactly ``r,lower,upper`` and
 ``r,lower,upper,printed_lower,printed_upper``).  Exit status: 0 on success,
 1 on domain errors (machine-readable JSON on stderr), 2 on I/O or flag
 errors.  Class parameters have no defaults except p=1, mu=0, delta=1.  Each
@@ -18,6 +19,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .classes import (
     ClassParams,
@@ -28,6 +30,20 @@ from .classes import (
 )
 from .errors import DomainError, SeriesFormatError, _require_int
 from .series import CoefficientSeries, from_json, hadamard_product, to_json
+
+
+def _json(report: dict) -> int:
+    """Print a report as indented JSON; exit status 0."""
+    print(json.dumps(report, indent=2))
+    return 0
+
+
+def _csv(header: str, rows: Iterable[Sequence]) -> int:
+    """Print the header, then one line per row of comma-separated reprs; exit status 0."""
+    print(header)
+    for row in rows:
+        print(",".join(map(repr, row)))
+    return 0
 
 
 def _load_series(path: str) -> CoefficientSeries:
@@ -52,8 +68,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     cp = _class_params(args)
     f = _load_series(args.series)
     check = check_r_membership if args.family == "r" else check_p_membership
-    print(json.dumps(check(f, cp).to_dict(), indent=2))
-    return 0
+    return _json(check(f, cp).to_dict())
 
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
@@ -76,19 +91,14 @@ def _cmd_radius(args: argparse.Namespace) -> int:
         "convex": radius_convex,
         "ctc": radius_close_to_convex,
     }[args.kind]
-    print(json.dumps(fn(cp, args.zeta, k_max=args.kmax).to_dict(), indent=2))
-    return 0
+    return _json(fn(cp, args.zeta, k_max=args.kmax).to_dict())
 
 
 def _cmd_distortion(args: argparse.Namespace) -> int:
     from .geometry import distortion_curve
 
     cp = _class_params(args)
-    curve = distortion_curve(cp, args.m, _radii(args))
-    print("r,lower,upper")
-    for r, lower, upper in curve.samples:
-        print(f"{r!r},{lower!r},{upper!r}")
-    return 0
+    return _csv("r,lower,upper", distortion_curve(cp, args.m, _radii(args)).samples)
 
 
 def _cmd_hadamard(args: argparse.Namespace) -> int:
@@ -102,40 +112,23 @@ def _cmd_hadamard(args: argparse.Namespace) -> int:
     if args.series:
         factors = (_load_series(args.series[0]), _load_series(args.series[1]))
     elif args.extremal:
-        factors = (
-            extremal_r(cp.p + 1, cp),
-            extremal_r(cp.p + 1, replace(cp, alpha=beta)),
-        )
+        factors = (extremal_r(cp.p + 1, cp), extremal_r(cp.p + 1, replace(cp, alpha=beta)))
     if factors is not None:
-        product = hadamard_product(*factors)
-        if 0.0 <= rep.order < cp.p:
-            at_order = replace(cp, alpha=rep.order)
-            out["product"] = check_r_membership(product, at_order).to_dict()
-        else:
-            out["product"] = None
-    print(json.dumps(out, indent=2))
-    return 0
+        product, inside = hadamard_product(*factors), 0.0 <= rep.order < cp.p
+        out["product"] = check_r_membership(product, replace(cp, alpha=rep.order)).to_dict() if inside else None
+    return _json(out)
 
 
 def _cmd_fracbound(args: argparse.Namespace) -> int:
     from .calculus_bounds import composition_bound
 
     cp = _class_params(args)
-    rows = [
-        composition_bound(
-            args.theorem, cp, args.c, args.eta, r, include_printed=args.as_printed
-        )
+    bounds = [
+        composition_bound(args.theorem, cp, args.c, args.eta, r, include_printed=args.as_printed)
         for r in _radii(args)
     ]
-    if args.as_printed:
-        print("r,lower,upper,printed_lower,printed_upper")
-        for b in rows:
-            print(f"{b.r!r},{b.lower!r},{b.upper!r},{b.printed_lower!r},{b.printed_upper!r}")
-    else:
-        print("r,lower,upper")
-        for b in rows:
-            print(f"{b.r!r},{b.lower!r},{b.upper!r}")
-    return 0
+    header = "r,lower,upper,printed_lower,printed_upper" if args.as_printed else "r,lower,upper"
+    return _csv(header, ([getattr(b, name) for name in header.split(",")] for b in bounds))
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -149,8 +142,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         fn = {"starlike": starlike_min_re, "convex": convex_min_re, "ctc": ctc_max_dev}
         rep = fn[args.check](f, args.zeta, args.r, n_angles=args.angles)
-    print(json.dumps(rep.to_dict(), indent=2))
-    return 0
+    return _json(rep.to_dict())
 
 
 def run_all(seed: int = 0) -> list:
@@ -174,12 +166,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         print(f"{r.name:<{width}}  {status}  {r.elapsed:6.2f}s  {r.detail}")
     print()
     print("printed-vs-derived audit (c=1, r=0.5):")
-    print("theorem,p,eta,lower,upper,printed_lower,printed_upper")
-    for row in audit_rows():
-        print(
-            f"{row['theorem']},{row['p']},{row['eta']!r},{row['lower']!r},"
-            f"{row['upper']!r},{row['printed_lower']!r},{row['printed_upper']!r}"
-        )
+    header = "theorem,p,eta,lower,upper,printed_lower,printed_upper"
+    _csv(header, ([row[name] for name in header.split(",")] for row in audit_rows()))
     passed = sum(r.passed for r in results)
     print()
     print(f"{passed}/{len(results)} checks passed (seed {args.seed})")

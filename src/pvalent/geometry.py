@@ -6,8 +6,8 @@ Distortion: for R-family members and m <= p,
 
 with T the sharp k = p+1 coefficient bound and the falling factorials of the derivative
 multiplier of :mod:`pvalent.series`: the tail-aggregated bound of :mod:`pvalent.classes`,
-warned outside ``budget_certified``, where members can exceed it.  Its record is kept
-for the last (class, m), so the sample points of one curve form it once.
+warned outside ``budget_certified``, where members can exceed it.  A curve forms its
+record once for all its sample points.
 
 Radii: the family property holds in |z| < r* with
 
@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .classes import (
-    ClassParams, _log_terms, _nondecreasing, _require_order, _scan_indices, _tail_bounds, _tail_record,
+    ClassParams, _Report, _log_terms, _nondecreasing, _require_order, _scan_indices, _tail_bounds, _tail_record,
     budget_certified, coeff_bound_r,
 )
 from .errors import _require_int
@@ -45,7 +45,7 @@ class BoundCurve:
 
 
 @dataclass(frozen=True)
-class RadiusReport:
+class RadiusReport(_Report):
     kind: str
     radius: float
     argmin_k: int
@@ -54,19 +54,7 @@ class RadiusReport:
     certified: bool
     whole_disk: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "radius": self.radius,
-            "argmin_k": self.argmin_k,
-            "zeta": self.zeta,
-            "candidates": [[k, r] for k, r in self.candidates],
-            "certified": self.certified,
-            "whole_disk": self.whole_disk,
-        }
 
-
-@lru_cache(maxsize=1, typed=True)  # typed: m = True must be refused, not hit the entry of 1
 def _distortion(cp: ClassParams, m: int) -> tuple:
     """The :func:`_tail_record` of order m: A0 = fallfac(p, m), e0 = p - m, A1 T = fallfac(p+1, m) T."""
     m = _require_int("order", m, 0)
@@ -101,7 +89,7 @@ def _radius_scan(cp: ClassParams, zeta: float, k_max: int) -> tuple[range, tuple
 
 
 def _radius_report(cp: ClassParams, zeta: float, k_max: int, kind: str) -> RadiusReport:
-    zeta = _require_order("zeta", float(zeta), cp.p)
+    zeta = _require_order("zeta", zeta, cp.p)
     ks, log_terms, log_kz, log_k = _radius_scan(cp, zeta, k_max)
     steps, exp, log_pz = range(1, len(ks) + 1), math.exp, math.log(cp.p - zeta)  # steps: k - p
     # r_k = exp((log term(k) + log factor(k)) / (k-p)), the factor summed left to right

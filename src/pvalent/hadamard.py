@@ -17,10 +17,10 @@ and collapses to lambda at beta = alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .classes import (
-    ClassParams, _grows_past, _nondecreasing, _require_order, _scan_indices, check_r_membership, extremal_r,
+    ClassParams, _Report, _grows_past, _nondecreasing, _require_order, _scan_indices, check_r_membership, extremal_r,
 )
 from .errors import DegenerateDenominatorError, _require_index
 from .operators import pow2_product, rafid_multiplier, rafid_multipliers
@@ -31,15 +31,12 @@ _ORDER_BUMP = 1e-6
 
 
 @dataclass(frozen=True)
-class ConvolutionOrderReport:
+class ConvolutionOrderReport(_Report):
     order: float
     saturating_k: int
     verified_best: bool
     phi_increasing: bool
     saturation_margin: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def mixed_order_candidate(k: int, cp: ClassParams, beta: float) -> float:

@@ -313,7 +313,7 @@ def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int) -> 
     """Minimum of Re(z h'/h) on |z| = r for h = f (starlike) or z f' (convex), the disk minimum once h/z^p is
     proved zero-free in |z| <= r, else failed with a note, and refused past sum e |c_e| r^e >= 2^1023, which bounds
     the samples of z h'; err: 8 ulp on r^p c, 2^-1074 per underflow."""
-    zeta = _require_order("zeta", float(zeta), f.p)
+    zeta = _require_order("zeta", zeta, f.p)
     _require_radius(r)
     n = _require_int("angles per circle", n, 8)
     p, a, ks, convex = f.p, f.coeffs, sorted(f.coeffs), check == "convex"
@@ -355,7 +355,7 @@ def convex_min_re(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 2
 def ctc_max_dev(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256) -> OracleReport:
     """Maximum of |f'(z)/z^(p-1) - p| on |z| = r versus p - zeta; that is the polynomial -sum k a_k z^(k-p).
     Refused once sum k a_k r^(k-p), which bounds the samples (row 0 of _half_circle, folded alone), reaches 2^1023."""
-    zeta = _require_order("zeta", float(zeta), f.p)
+    zeta = _require_order("zeta", zeta, f.p)
     _require_radius(r)
     n, p, ks = _require_int("angles per circle", n_angles, 8), f.p, sorted(f.coeffs)
     e = np.array(ks, dtype=np.int64) - p

@@ -33,6 +33,9 @@ from pvalent import (
     extremal_r,
     fractional_derivative,
     fractional_integral,
+    from_json,
+    gamma_ratio,
+    lower_bound_peak,
     make_series,
     mixed_order_candidate,
     mixed_order_xi,
@@ -48,7 +51,10 @@ from pvalent import (
 )
 from pvalent.classes import log_r_criterion_term
 from pvalent.cli import main
-from pvalent.errors import IndexBelowValenceError, ParameterOutOfRangeError, RadiusOutOfRangeError
+from pvalent.errors import (
+    IndexBelowValenceError, NonpositiveArgumentError, ParameterOutOfRangeError, RadiusOutOfRangeError,
+    SeriesFormatError,
+)
 
 CP = ClassParams(p=2, alpha=0.5, mu=0.3, delta=0.5)
 F1 = make_series(1, [(2, 0.1), (4, 0.02)])
@@ -133,6 +139,27 @@ def test_numpy_valence_gives_plain_results():
     assert schild_silverman_lambda(ClassParams(p=np.int64(2))).to_dict()["saturating_k"] == 3
 
 
+# entry -> (call with a float argument, a valid value): the float the call returns
+FLOAT_ENTRIES = {
+    "ClassParams delta": (lambda v: ClassParams(delta=v).delta, 0.5),
+    "mixed_order_xi beta": (lambda v: mixed_order_xi(ClassParams(p=2, alpha=0.5, mu=0.3), v).order, 1.0),
+    "schild_silverman_lambda alpha": (
+        lambda v: schild_silverman_lambda(ClassParams(p=2, alpha=v, mu=0.3)).order, 0.5
+    ),
+    "composition_bound c": (lambda v: composition_bound(7, CP, v, 0.5, 0.5).lower, 1.0),
+    "composition_bound eta": (lambda v: composition_bound(8, CP, 1.0, v, 0.5).upper, 0.5),
+    "lower_bound_peak c": (lambda v: lower_bound_peak(10, CP, v, 0.5), 1.0),
+    "radius_starlike zeta": (lambda v: radius_starlike(CP, v).zeta, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_ENTRIES))
+def test_numpy_float_arguments_give_plain_floats(entry):
+    call, valid = FLOAT_ENTRIES[entry]
+    got = call(np.float64(valid))
+    assert type(got) is float and got == call(valid)
+
+
 def test_order_refused_as_a_bool_after_its_integer_was_cached():
     cp = ClassParams(p=2, mu=0.6, delta=0.2)
     expected = budget_certified(cp, 1)
@@ -199,6 +226,35 @@ def test_radius_outside_the_unit_interval_refused_alike(entry, r):
     with pytest.raises(RadiusOutOfRangeError, match=r"radius must lie in \(0, 1\)") as info:
         RADIUS_ENTRIES[entry](r)
     assert isinstance(info.value, ParameterOutOfRangeError)
+
+
+# entry -> (call, the documented error type, its message)
+REFUSALS = {
+    "composition_bound theorem 11": (
+        lambda: composition_bound(11, CP, 1.0, 0.5, 0.5),
+        ParameterOutOfRangeError,
+        r"theorem must be one of \(7, 8, 9, 10\), got 11",
+    ),
+    "gamma_ratio at 0": (
+        lambda: gamma_ratio(0.0, 1.0), NonpositiveArgumentError, "gamma_ratio needs positive arguments, got 0.0, 1.0"
+    ),
+    "make_series inf": (
+        lambda: make_series(1, [(2, math.inf)]), ParameterOutOfRangeError, "coefficient at index 2 is not finite"
+    ),
+    "derivative_m at shift 0.5": (
+        lambda: derivative_m(FractionalSeries(p=1, shift=0.5, leading=1.0), 1),
+        ParameterOutOfRangeError,
+        "integer derivative needs integer exponents",
+    ),
+    "from_json float p": (lambda: from_json('{"p": 1.0}'), SeriesFormatError, '"p" must be an integer'),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REFUSALS))
+def test_refusals_name_their_rule(entry):
+    call, error, message = REFUSALS[entry]
+    with pytest.raises(error, match=message):
+        call()
 
 
 def _message(call):

@@ -33,14 +33,13 @@ def test_check_reports_membership(tmp_path, capsys):
 
 def test_extremal_check_round_trip(tmp_path, capsys):
     for family in ("r", "p"):
-        code, out, _ = run(
-            capsys,
-            ["extremal", "--k", "3", "--class", family, "--alpha", "0.2",
-             "--A", "0.9", "--B", "-0.7", "--mu", "0.1", "--delta", "0.8"],
-        )
+        argv = ["extremal", "--k", "3", "--class", family, "--alpha", "0.2",
+                "--A", "0.9", "--B", "-0.7", "--mu", "0.1", "--delta", "0.8"]
+        code, out, _ = run(capsys, argv)
         assert code == 0
         path = tmp_path / f"ext_{family}.json"
-        path.write_text(out)
+        assert run(capsys, [*argv, "--out", str(path)]) == (0, "", "")
+        assert path.read_text() == out
         code, out, _ = run(
             capsys,
             ["check", str(path), "--class", family, "--alpha", "0.2",

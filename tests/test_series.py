@@ -142,6 +142,7 @@ def test_order_zero_derivative_evaluates_exactly_as_the_series(p, tail, r, theta
 def test_fractional_series_principal_branch():
     """|z^s| on a circle equals r^s regardless of angle."""
     fs = FractionalSeries(p=1, shift=0.5, leading=2.0, terms={3: -0.25})
+    assert [fs.coefficient(k) for k in (1, 2, 3)] == [2.0, 0.0, -0.25]
     r = 0.7
     for theta in (0.3, 2.0, -1.2):
         z = r * complex(math.cos(theta), math.sin(theta))
