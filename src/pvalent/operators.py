@@ -6,8 +6,8 @@ its multiplier sequence:
 * Rafid-type smoothing operator (parameters 0 <= mu < 1, 0 <= delta <= 1):
     z^k  ->  (1-mu)^(k-p) Gamma(k+delta)/Gamma(p+delta) z^k,
   formed only by :func:`rafid_multipliers` as one running product (a lone k costs k-p steps).
-  It arises from the integral kernel t^(delta-1) exp(-t/(1-mu)), which the
-  quadrature path integrates directly as an independent cross-check.
+  It arises from the integral kernel t^(delta-1) exp(-t/(1-mu)): with H = f/z^p and U ~ Gamma(p+delta, 1) it is
+  z^p E[H(z (1-mu) U)], which the quadrature path integrates at every delta as an independent cross-check.
 * Bernardi integral (c > -p):  z^k -> (c+p)/(c+k) z^k.
 * Riemann-Liouville fractional integral of order eta > 0:
     z^s -> Gamma(s+1)/Gamma(s+1+eta) z^(s+eta).
@@ -41,12 +41,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 _EXACT_GAP = 64  # integer argument gaps up to this use an exact rising product
-_QUADRATURE_NODES = 64  # largest Gauss-Laguerre rule of rafid_quadrature: exact below degree 128
+_QUADRATURE_NODES = 64  # largest Gauss-Laguerre rule of rafid_quadrature: exact below degree p + 128
 
 
 @dataclass(frozen=True)
 class RafidParams:
-    """Smoothing operator parameters: 0 <= mu < 1 and 0 <= delta <= 1."""
+    """Smoothing operator parameters: 0 <= mu < 1 and 0 <= delta <= 1, stored as floats."""
 
     mu: float = 0.0
     delta: float = 1.0
@@ -56,6 +56,8 @@ class RafidParams:
             raise ParameterOutOfRangeError(f"mu must lie in [0, 1), got {self.mu}")
         if not (0.0 <= self.delta <= 1.0):
             raise ParameterOutOfRangeError(f"delta must lie in [0, 1], got {self.delta}")
+        for name in ("mu", "delta"):  # after the checks, which refuse a string; a numpy scalar would leak its arithmetic
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def gamma_ratio(x: float, y: float) -> float:
@@ -144,7 +146,7 @@ def apply_rafid(f: CoefficientSeries, rp: RafidParams) -> CoefficientSeries:
 
 
 def _laguerre_rule(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss rule for the weight u^a e^-u on (0, inf), a > -1.
+    """Nodes and weights summing to 1 of the n-point Gauss rule for the weight u^a e^-u on (0, inf), a > -1.
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix J with
     diagonal 2i+a+1 and off-diagonal s_i = sqrt(i(i+a)).  J = B^T B for the
@@ -152,20 +154,19 @@ def _laguerre_rule(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     and the nodes are taken as the squared singular values of B: these hold
     every node to a few ulp, where an eigensolver on J loses digits in the
     small nodes.  Each weight is the Christoffel number 1/sum_i q_i(x)^2 over
-    the orthonormal polynomials q_0..q_{n-1}, which keeps its relative
-    accuracy where the first eigenvector components do not.  Writing
-    q_i = h_i t_i turns the recurrence s_i q_i = (x-2i-a+1) q_{i-1} -
-    s_{i-1} q_{i-2} into t_i = e_i (x-2i-a+1) t_{i-1} - t_{i-2}, two in-place
-    updates per degree.
+    the polynomials q_0 = 1, ..., q_{n-1} orthonormal for the weight over
+    Gamma(a+1), which keeps its relative accuracy where the first eigenvector
+    components do not.  Writing q_i = h_i t_i turns the recurrence s_i q_i =
+    (x-2i-a+1) q_{i-1} - s_{i-1} q_{i-2} into t_i = e_i (x-2i-a+1) t_{i-1} -
+    t_{i-2}, two in-place updates per degree.
     """
     import numpy as np
 
     i = np.arange(n)
-    s = np.sqrt(i * (i + a))
     bidiagonal = np.diag(np.sqrt(i + a + 1.0))
     bidiagonal.flat[1 :: n + 1] = np.sqrt(i[1:])
     x = np.sort(np.linalg.svd(bidiagonal, compute_uv=False) ** 2)
-    s = s.tolist()
+    s = np.sqrt(i * (i + a)).tolist()
     h = [1.0, 1.0]
     for k in range(2, n):
         h.append(h[k - 2] * s[k - 1] / s[k])
@@ -174,9 +175,8 @@ def _laguerre_rule(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     np.multiply.outer(e, x, out=t[1:])
     t[1:] -= np.multiply(e, 2.0 * i[1:] + a - 1.0)[:, None]
     rows = list(t)
-    rows[0][:] = 1.0 / math.sqrt(math.gamma(a + 1.0))
+    rows[0][:] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        rows[1] *= rows[0]
         for k in range(2, n):
             rows[k] *= rows[k - 1]
             rows[k] -= rows[k - 2]
@@ -188,37 +188,31 @@ def _laguerre_rule(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 def rafid_quadrature(f: CoefficientSeries, rp: RafidParams, z: complex) -> complex:
     """Smoothing-operator value at z through generalized Gauss-Laguerre nodes.
 
-    After the substitution u = t/(1-mu) the operator reads
+    With H = f/z^p and U ~ Gamma(p+delta, 1) (u = t/(1-mu) in the kernel) the operator is the expectation
 
-        (1-mu)^(-p) / Gamma(p+delta) * int_0^inf u^(delta-1) e^-u f(z (1-mu) u) du,
+        z^p E[H(z (1-mu) U)] = z^p / Gamma(p+delta) * int_0^inf H(z (1-mu) u) u^(p+delta-1) e^-u du,
 
-    which an n-node rule with weight u^(delta-1) e^-u integrates exactly when
-    f has degree D < 2n.  D is the highest index with a nonzero coefficient
-    (p if there is none), and n is the smallest size with D < 2n, kept within
-    8 and 64.  Only f's support sets n, and the rule comes from
-    :func:`_laguerre_rule`, so the check stays independent of the closed-form
-    multipliers; a weight below about 1e-308 comes back as 0.0.  delta = 0 has
-    no integrable weight; the closed-form multiplier path answers instead.
+    which an n-node rule for the weight u^(p+delta-1) e^-u integrates exactly when D - p < 2n, with no
+    special case at delta = 0.  D is the highest index with a nonzero coefficient (p if there is none), and
+    n is the smallest size with D - p < 2n, kept within 8 and 64.  Only f's support sets n, and the rule
+    comes from :func:`_laguerre_rule`, so the check stays independent of the closed-form multipliers; a
+    weight below about 1e-308 comes back as 0.0.
     """
     z = complex(z)
     if not (abs(z) < 1.0):
         raise DivergentInputError(f"|z| must be < 1 for the transform, got {abs(z)}")
-    if rp.delta == 0.0:
-        from .series import evaluate
-
-        return evaluate(apply_rafid(f, rp), z)
     import numpy as np
 
     degree = max((k for k, a in f.coeffs.items() if a != 0.0), default=f.p)
-    u, w = _laguerre_rule(min(_QUADRATURE_NODES, max(8, degree // 2 + 1)), rp.delta - 1.0)
-    pts = z * (1.0 - rp.mu) * u
+    u, w = _laguerre_rule(min(_QUADRATURE_NODES, max(8, (degree - f.p) // 2 + 1)), f.p + rp.delta - 1.0)
+    # Horner in x / 2^s, 2^s near E|x| for x = z (1-mu) U: a large p's tiny a_k, times 2^(s(k-p)), stay normal
+    s = max(0, math.frexp(abs(z) * (1.0 - rp.mu) * (f.p + rp.delta))[1])
+    pts = z * (1.0 - rp.mu) * 2.0**-s * u
     vals = np.zeros_like(pts)
     for k in range(degree, f.p, -1):
         vals *= pts
-        vals -= f.coeffs.get(k, 0.0)
-    vals = pts**f.p * (1.0 + vals * pts)
-    total = complex(np.dot(w, vals))
-    return total / ((1.0 - rp.mu) ** f.p * math.gamma(f.p + rp.delta))
+        vals -= pow2_product(1.0, s * (k - f.p), f.coeffs.get(k, 0.0))
+    return z**f.p * complex(np.dot(w, 1.0 + vals * pts))
 
 
 def _require_c(c: float, lowest: float) -> float:

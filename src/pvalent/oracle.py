@@ -43,7 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import ClassParams, _require_order
-from .errors import DivergentInputError, ParameterOutOfRangeError, PoleOnGridError, _require_int, _require_radius
+from .errors import (
+    DivergentInputError, ParameterOutOfRangeError, PoleOnGridError, ValenceMismatchError, _require_int, _require_radius,
+)
 from .operators import rafid_multipliers
 from .series import CoefficientSeries
 
@@ -152,7 +154,7 @@ def _smoothed_sums(f: CoefficientSeries, cp: ClassParams, ks: list[int], xs: lis
     r^e of e = k - p: H's and D's tails sum |c_e| r^e and sum |B e - scale| |c_e| r^e, lh = sum e |c_e| r^e,
     l2 = sum e^2 |c_e| r^e, ld = sum e |B e - scale| |c_e| r^e, and whether some |c_e| e overflows."""
     if f.p != cp.p:
-        raise ParameterOutOfRangeError(f"series valence {f.p} != parameter valence {cp.p}")
+        raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
     p, a, B, scale, less_p, ldexp = f.p, f.coeffs, cp.B, cp.scale, -float(f.p), math.ldexp
     lim = 2.0**1023 / max(ks[-1] - p, 1) if ks else 0.0
     coefs, th, lh, l2, td, ld, wide = [1.0], 0.0, 0.0, 0.0, 0.0, 0.0, False

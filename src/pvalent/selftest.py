@@ -167,7 +167,7 @@ def check_quadrature_closed_form(failures: list[str], rng: np.random.Generator) 
     """Criterion 3: Gauss-Laguerre transform vs diagonal multipliers."""
     worst = 0.0
     for i in range(100):
-        cp = random_params(rng, mu_range=(0.0, 0.9), delta_range=(0.1, 1.0))
+        cp = random_params(rng, delta_range=(0.0, 0.0 if i % 10 == 0 else 1.0))  # delta = 0 on every tenth draw
         f = random_member(cp, rng)
         z = _circle_point(rng, float(rng.uniform(0.1, 0.9)))
         exact = evaluate(apply_rafid(f, cp.rafid), z)
@@ -177,7 +177,7 @@ def check_quadrature_closed_form(failures: list[str], rng: np.random.Generator) 
         if rel > 1e-8:
             failures.append(f"draw {i}: relative error {rel:.3e} at z = {z}")
             break
-    return f"100 draws, worst relative error {worst:.2e} at most 64 nodes"
+    return f"100 draws (10 at delta = 0), worst relative error {worst:.2e} at most 64 nodes"
 
 
 @_check("p-r-correspondence")

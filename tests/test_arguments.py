@@ -228,6 +228,7 @@ def test_radius_outside_the_unit_interval_refused_alike(entry, r):
     assert isinstance(info.value, ParameterOutOfRangeError)
 
 
+NUMBER = "every coefficient must be a JSON number"
 # entry -> (call, the documented error type, its message)
 REFUSALS = {
     "composition_bound theorem 11": (
@@ -247,6 +248,10 @@ REFUSALS = {
         "integer derivative needs integer exponents",
     ),
     "from_json float p": (lambda: from_json('{"p": 1.0}'), SeriesFormatError, '"p" must be an integer'),
+    "from_json string coefficient": (lambda: from_json('{"p": 1, "coeffs": [[2, "0.5"]]}'), SeriesFormatError, NUMBER),
+    "from_json bool coefficient": (lambda: from_json('{"p": 1, "coeffs": [[2, true]]}'), SeriesFormatError, NUMBER),
+    "from_json null coefficient": (lambda: from_json('{"p": 1, "coeffs": [[2, null]]}'), SeriesFormatError, NUMBER),
+    "from_json list coefficient": (lambda: from_json('{"p": 1, "coeffs": [[2, [0.5]]]}'), SeriesFormatError, NUMBER),
 }
 
 

@@ -224,6 +224,15 @@ def test_io_errors_exit_two(tmp_path, capsys):
     assert json.loads(err)["error"] == "JSONDecodeError"
 
 
+def test_non_number_coefficient_exits_two(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"p": 1, "coeffs": [[2, null]]}'))
+    code, out, err = run(capsys, ["check", "-", "--class", "r", *CANON])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "SeriesFormatError", "message": "every coefficient must be a JSON number"}
+
+
 def test_bad_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["radius", "--kind", "wobbly", *CANON])

@@ -135,6 +135,28 @@ def test_numpy_twin_is_stored_as_floats_and_warns_alike():
             assert distortion_bounds(cp, 1, 0.5) == distortion_bounds(plain, 1, 0.5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("first", ["float32", "float"])
+def test_float32_twin_gives_the_float_reports_in_either_order(first):
+    """A float32 delta is stored as a float in the smoothing parameters too, so no float32 arithmetic
+    overflows the k = 50 multiplier, and the records keyed by the class serve both twins one value."""
+    import numpy as np
+
+    from pvalent import coeff_bound_r, geometry
+
+    delta = np.float32(0.3)
+    twins = {"float32": ClassParams(mu=0.6, delta=delta), "float": ClassParams(mu=0.6, delta=float(delta))}
+    f = make_series(1, [(2, 0.1), (7, 1e-4)])
+    geometry._radius_scan.cache_clear()
+    budget_certified.cache_clear()
+    reports = {}
+    for name in sorted(twins, key=lambda name: name != first):
+        cp = twins[name]
+        reports[name] = (coeff_bound_r(50, cp), check_r_membership(f, cp), radius_starlike(cp))
+    assert reports["float32"] == reports["float"]
+    assert type(twins["float32"].rafid.delta) is float and reports["float"][0] > 0.0
+
+
 def test_uncertified_budget_has_a_violating_member():
     """Heavy damping breaks the tail aggregation the bounds rely on."""
     cp = ClassParams(mu=0.9, delta=0.0)

@@ -170,16 +170,16 @@ def test_quadrature_matches_closed_form(rng):
         assert abs(quad - exact) <= 1e-8 * abs(exact)
 
 
-@pytest.mark.parametrize("a", [-0.9, -0.5, 0.0])
+@pytest.mark.parametrize("a", [-0.9, -0.5, 0.0, 300.5])  # Gamma(301.5) overflows a double
 @pytest.mark.parametrize("n", [8, 64, 128])
 def test_laguerre_rule_moments(n, a):
-    """The n-point rule integrates u^d against u^a e^-u to Gamma(a+d+1) for d < 2n (up to 39)."""
+    """The n-point rule integrates u^d against u^a e^-u / Gamma(a+1) to Gamma(a+d+1)/Gamma(a+1) for d < 2n (up to 39)."""
     x, w = _laguerre_rule(n, a)
     assert np.all(x > 0.0) and np.all(np.diff(x) > 0.0)
     assert np.all(np.isfinite(w)) and np.all(w > 0.0)
     for d in range(min(40, 2 * n)):
         moment = math.fsum(w * x**d)
-        assert moment == pytest.approx(math.gamma(a + d + 1.0), rel=1e-13)
+        assert moment == pytest.approx(float(mpmath.rf(mpmath.mpf(a) + 1, d)), rel=1e-13)
 
 
 @pytest.mark.parametrize("a", [-0.9, -0.5])
@@ -198,11 +198,21 @@ def test_laguerre_nodes_match_mpmath(a):
         assert float(abs(node - exact) / exact) <= 1e-14
 
 
-def test_quadrature_delta_zero_fallback():
-    """delta=0 has no weight function; the closed form takes over."""
-    f = make_series(1, [(2, 0.25)])
-    rp = RafidParams(0.3, 0.0)
-    assert rafid_quadrature(f, rp, 0.4) == evaluate(apply_rafid(f, rp), 0.4)
+def test_quadrature_delta_zero_fallback(monkeypatch):
+    """delta = 0 takes the one quadrature path, with the rule for u^(p-1) e^-u, and meets the closed form."""
+    calls = []
+
+    def spy(n, a):
+        calls.append(a)
+        return _laguerre_rule(n, a)
+
+    monkeypatch.setattr(operators, "_laguerre_rule", spy)
+    for p in (1, 3):
+        f = make_series(p, [(p + 1, 0.25), (p + 5, 0.01)])
+        rp = RafidParams(0.3, 0.0)
+        exact = evaluate(apply_rafid(f, rp), 0.4)
+        assert abs(rafid_quadrature(f, rp, 0.4) - exact) <= 1e-15 * abs(exact)
+    assert calls == [0.0, 2.0]
 
 
 def test_quadrature_rejects_boundary():
@@ -225,19 +235,19 @@ def test_quadrature_refuses_non_finite_points(z, delta):
         (1, [], 8),  # a bare monomial: D = p
         (1, [(2, 0.25)], 8),
         (1, [(15, 0.01)], 8),
-        (1, [(16, 0.01)], 9),
+        (1, [(16, 0.01)], 8),
         (1, [(2, 0.25), (41, 1e-40)], 21),
         (1, [(2, 0.25), (300, 0.0)], 8),  # an explicit zero does not raise the degree
-        (1, [(2, 0.25), (126, 1e-200)], 64),
-        (1, [(2, 0.25), (127, 1e-200)], 64),  # D >= 127: the cap binds
+        (1, [(2, 0.25), (126, 1e-200)], 63),
+        (1, [(2, 0.25), (127, 1e-200)], 64),  # D - p >= 126: the cap binds
         (1, [(2, 0.25), (200, 1e-300)], 64),
         (15, [], 8),
-        (16, [], 9),
-        (40, [], 21),
+        (16, [], 8),
+        (40, [], 8),  # D - p, not D, sets the size
     ],
 )
 def test_quadrature_rule_is_sized_to_the_degree(monkeypatch, p, coeffs, size):
-    """n = min(64, max(8, D//2 + 1)) for D the highest index with a nonzero coefficient, else p."""
+    """n = min(64, max(8, (D-p)//2 + 1)) for D the highest index with a nonzero coefficient, else p."""
     sizes = []
 
     def spy(n, a):
@@ -249,28 +259,43 @@ def test_quadrature_rule_is_sized_to_the_degree(monkeypatch, p, coeffs, size):
     assert sizes == [size]
 
 
+@pytest.mark.filterwarnings("error")
 def test_quadrature_matches_mpmath_up_to_degree_p_plus_60():
     """Seeded members up to degree p+60 agree with a 40-digit closed form to 1e-13 relative.
 
     Image coefficients a_k w_k share a budget below one, so |value| >= (1 - budget) |z|^p
-    and the relative error is well conditioned.
+    and the relative error is well conditioned.  Besides p in 1..4 the draws take p = 170,
+    171 and 400, with delta = 0 on every fourth, and |z| >= 10^(-250/p) keeps |z|^p in range;
+    one fixed member at p = 170 sits near the boundary, at z = 0.999, and one at p = 5000 holds
+    the subnormal a_5086 = 1.2e-319 with a share of about 0.31.  The reference takes z^p as the
+    double the code forms too: its rounding, about p ulp, is not the quadrature's.
     """
     rng = np.random.default_rng(60)
-    for _ in range(100):
-        p = int(rng.integers(1, 5))
-        rp = RafidParams(float(rng.uniform(0.0, 0.9)), float(rng.uniform(0.1, 1.0)))
+    rp = RafidParams(0.5, 0.5)
+    members = [
+        (make_series(170, [(171, 0.5 / rafid_weight(171, 170, rp))]), rp, 0.999 + 0j),
+        (make_series(5000, [(5001, 1e-4), (5086, 1.2e-319)]), RafidParams(0.0, 1.0), 0.99j),
+    ]
+    for i in range(124):
+        p = int(rng.integers(1, 5)) if i < 100 else (170, 171, 400)[i % 3]
+        mu = float(rng.uniform(0.0, 0.9))
+        delta = rng.uniform(0.1, 1.0) if i < 100 else 0.0 if i % 4 == 0 else rng.uniform(0.0, 1.0)
+        rp = RafidParams(mu, delta)
         ks = sorted(int(k) for k in p + 1 + rng.choice(60, size=int(rng.integers(1, 7)), replace=False))
         shares = rng.dirichlet(np.ones(len(ks))) * rng.uniform(0.0, 0.999)
-        z = complex(rng.uniform(0.1, 0.9) * np.exp(1j * rng.uniform(0.0, 2 * math.pi)))
+        r = rng.uniform(max(0.1, 10.0 ** (-250 / p)), 0.9)
+        z = complex(r * np.exp(1j * rng.uniform(0.0, 2 * math.pi)))
         with mpmath.workdps(40):
             mu, delta = mpmath.mpf(rp.mu), mpmath.mpf(rp.delta)
-            w = {
-                k: (1 - mu) ** (k - p) * mpmath.gamma(k + delta) / mpmath.gamma(p + delta)
-                for k in ks
-            }
-            f = make_series(p, [(k, float(share / w[k])) for k, share in zip(ks, shares)])
-            zz = mpmath.mpc(z)
-            exact = zz**p - mpmath.fsum(mpmath.mpf(f.coeffs[k]) * w[k] * zz**k for k in ks)
+            w = {k: (1 - mu) ** (k - p) * mpmath.rf(p + delta, k - p) for k in ks}
+            members.append((make_series(p, [(k, float(share / w[k])) for k, share in zip(ks, shares)]), rp, z))
+    for f, rp, z in members:
+        with mpmath.workdps(40):
+            mu, delta, zz = mpmath.mpf(rp.mu), mpmath.mpf(rp.delta), mpmath.mpc(z)
+            exact = mpmath.mpc(z**f.p) * (1 - mpmath.fsum(
+                mpmath.mpf(a) * (1 - mu) ** (k - f.p) * mpmath.rf(f.p + delta, k - f.p) * zz ** (k - f.p)
+                for k, a in f.coeffs.items()
+            ))
             got = rafid_quadrature(f, rp, z)
             assert abs(mpmath.mpc(got) - exact) <= 1e-13 * abs(exact)
 

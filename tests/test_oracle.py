@@ -32,6 +32,7 @@ from pvalent.errors import (
     ParameterOutOfRangeError,
     PoleOnGridError,
     RadiusOutOfRangeError,
+    ValenceMismatchError,
 )
 
 CANONICAL = ClassParams()
@@ -281,7 +282,7 @@ def test_valence_mismatch_refused_on_every_path():
         lambda: subordination_ratio_real(f, cp, 0.5),
         lambda: locate_real_axis_violation(f, cp),
     ):
-        with pytest.raises(ParameterOutOfRangeError, match="valence 2 != parameter valence 1"):
+        with pytest.raises(ValenceMismatchError, match="valence 2 != parameter valence 1"):
             call()
 
 
