@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -129,11 +129,10 @@ def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
     for k, (m, e) in zip(ks, rafid_multipliers(p, cp.rafid, ks)):
         if k <= p:
             _require_index(k, p)  # raises
-        # pow2_product(*_term(k, cp, m, e), a_k) inline: a t a_k rounded into (2^-1022, inf) is t ma 2^ea rounded;
-        # a zero a_k adds itself, also where a subnormal scale makes t inf
+        # pow2_product(*_term(k, cp, m, e), a_k) inline: a t a_k rounded into (2^-1022, inf) is t ma 2^ea rounded
         c = (t := (slope * (k - p) + s) * m / s) * a[k]
         try:
-            cs.append(ldexp(c, e) if 2.0**-1022 < c < inf else a[k] and pow2_product(t, e, a[k]))
+            cs.append(ldexp(c, e) if 2.0**-1022 < c < inf else pow2_product(t, e, a[k]))
         except OverflowError:  # only a positive c reaches ldexp
             cs.append(inf)
     total = math.fsum(cs)
@@ -145,7 +144,11 @@ def coeff_bound_r(k: int, cp: ClassParams) -> float:
 
     Walks w_k from p in k-p steps, no cap: about 0.09 µs a step, 90 ms at k = 10^6 (README).
     """
-    t, e = _term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid))
+    return _bound(*_term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid)))
+
+
+def _bound(t: float, e: int) -> float:
+    """1 / (t 2^e), scaled once: the R bound of the term t 2^e, the P bound of (k/p) t 2^e."""
     return pow2_product(1.0 / t, -e)
 
 
@@ -173,7 +176,7 @@ def check_p_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
 def coeff_bound_p(k: int, cp: ClassParams) -> float:
     """Sharp P-family lone bound, the R bound shrunk by p/k, at the cost of coeff_bound_r."""
     t, e = _term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid))
-    return pow2_product(1.0 / ((k / cp.p) * t), -e)
+    return _bound((k / cp.p) * t, e)
 
 
 def extremal_p(k: int, cp: ClassParams) -> CoefficientSeries:
@@ -185,16 +188,16 @@ def random_member(
 ) -> CoefficientSeries:
     """Random R-family member with criterion sum equal to target (default U(0, 0.999)).
 
-    It has one to five terms at indices p+1..p+12.  Coefficients are sharp
-    bounds scaled by a random convex combination, so the membership sum is
-    the target up to a few ulp.
+    It has one to five terms at indices p+1..p+12: sharp bounds from one multiplier pass, scaled by a random
+    convex combination, so the membership sum is the target up to a few ulp.  A rewrite must keep the draws:
+    weights ``rng.random(count)`` over their left-to-right sum, then ``rng.uniform(0.0, 0.999)``'s 0.999 u.
     """
     count = int(rng.integers(1, 6))
-    ks = [int(k) for k in cp.p + 1 + rng.choice(12, size=count, replace=False)]
-    u = rng.random(count)
-    u = u / u.sum()
-    s = float(rng.uniform(0.0, 0.999)) if target_sum is None else float(target_sum)
-    return make_series(cp.p, [(k, s * float(ui) * coeff_bound_r(k, cp)) for k, ui in zip(ks, u)])
+    ks = (cp.p + 1 + rng.choice(12, size=count, replace=False)).tolist()
+    total = reduce(float.__add__, u := rng.random(count).tolist())  # not sum(), which compensates from Python 3.12
+    s = 0.999 * rng.random() if target_sum is None else float(target_sum)
+    bound = {k: _bound(*_term(k, cp, *me)) for k, me in zip(sorted(ks), rafid_multipliers(cp.p, cp.rafid, sorted(ks)))}
+    return make_series(cp.p, [(k, s * (ui / total) * bound[k]) for k, ui in zip(ks, u)])
 
 
 def _grows_past(cp: ClassParams, k: int, target: float, shift: float | None = None) -> bool:
@@ -294,14 +297,17 @@ def random_params(
     delta_range: tuple[float, float] = (0.0, 1.0),
     require_budget_orders: Sequence[int] = (),
 ) -> ClassParams:
-    """Draw admissible parameters, optionally rejecting uncertified budget regimes."""
+    """Draw admissible parameters, optionally rejecting uncertified budget regimes.
+
+    A rewrite must keep the draws: p by ``rng.integers``, then alpha, B, A, mu, delta as ``rng.uniform`` maps
+    the doubles of one ``rng.random(5)``, lo + (hi - lo) u, the stream of five ``rng.uniform`` calls."""
     while True:
-        p = int(rng.integers(1, max_p + 1))
-        alpha = float(rng.uniform(0.0, 0.8 * p))
-        B = float(rng.uniform(-1.0, 0.8))
-        A = float(rng.uniform(B + 0.1, 1.0))
-        mu = float(rng.uniform(*mu_range))
-        delta = float(rng.uniform(*delta_range))
+        p, (u0, u1, u2, u3, u4) = int(rng.integers(1, max_p + 1)), rng.random(5).tolist()
+        alpha = 0.0 + (0.8 * p - 0.0) * u0
+        B = -1.0 + (0.8 - -1.0) * u1
+        A = (B + 0.1) + (1.0 - (B + 0.1)) * u2
+        mu = mu_range[0] + (mu_range[1] - mu_range[0]) * u3
+        delta = delta_range[0] + (delta_range[1] - delta_range[0]) * u4
         cp = ClassParams(p=p, alpha=alpha, A=A, B=B, mu=mu, delta=delta)
         if all(budget_certified(cp, m) for m in require_budget_orders if m <= p):
             return cp

@@ -94,11 +94,11 @@ def pow2_product(m: float, e: int, a: float = 1.0) -> float:
     """m 2^e a, rounded once.
 
     Inside double range this is the linear product bit for bit; a zero factor
-    gives 0.0, and only true values beyond the range give inf or a subnormal.
+    gives itself, sign included, also times inf; only true values beyond the range give inf or a subnormal.
     """
     ma, ea = math.frexp(a)
     try:
-        return math.ldexp(m * ma, e + ea)
+        return math.ldexp(m * ma, e + ea) if m and a else a if m else m  # the zero factor: inf 0 would read nan
     except OverflowError:
         return math.copysign(math.inf, m * ma)
 
@@ -196,7 +196,7 @@ def rafid_quadrature(f: CoefficientSeries, rp: RafidParams, z: complex) -> compl
     special case at delta = 0.  D is the highest index with a nonzero coefficient (p if there is none), and
     n is the smallest size with D - p < 2n, kept within 8 and 64.  Only f's support sets n, and the rule
     comes from :func:`_laguerre_rule`, so the check stays independent of the closed-form multipliers; a
-    weight below about 1e-308 comes back as 0.0.
+    weight below about 1e-308 comes back as 0.0.  A Horner sum past double range raises DivergentInputError.
     """
     z = complex(z)
     if not (abs(z) < 1.0):
@@ -209,10 +209,14 @@ def rafid_quadrature(f: CoefficientSeries, rp: RafidParams, z: complex) -> compl
     s = max(0, math.frexp(abs(z) * (1.0 - rp.mu) * (f.p + rp.delta))[1])
     pts = z * (1.0 - rp.mu) * 2.0**-s * u
     vals = np.zeros_like(pts)
-    for k in range(degree, f.p, -1):
-        vals *= pts
-        vals -= pow2_product(1.0, s * (k - f.p), f.coeffs.get(k, 0.0))
-    return z**f.p * complex(np.dot(w, 1.0 + vals * pts))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf step leaves the sum inf or nan, refused below
+        for k in range(degree, f.p, -1):
+            vals *= pts
+            vals -= pow2_product(1.0, s * (k - f.p), f.coeffs.get(k, 0.0))
+        mean = complex(np.dot(w, 1.0 + vals * pts))
+    if not np.isfinite(mean):
+        raise DivergentInputError(f"a Horner step of the quadrature at z = {z} exceeds double range")
+    return z**f.p * mean
 
 
 def _require_c(c: float, lowest: float) -> float:

@@ -462,3 +462,73 @@ def test_scan_table_is_frozen():
             got.update({f"{kind}_radius": repr(rep.radius), f"{kind}_argmin_k": str(rep.argmin_k),
                         f"{kind}_certified": str(rep.certified)})
         assert got == {k: row[k] for k in got}, row
+
+
+@pytest.mark.parametrize(
+    "cp, coeffs, bits",
+    [
+        (
+            ClassParams(A=0.0, B=-2.225073858507e-311),
+            [(2, 0.0), (3, 1e-300), (5, 1.0)],
+            [(2, "0x0.0p+0"), (3, "inf"), (5, "inf")],
+        ),
+        (ClassParams(A=0.0, B=-2.225073858507e-311), [(2, -0.0)], [(2, "-0x0.0p+0")]),
+        (
+            CANONICAL,
+            [(2, 0.125), (3, 0.02), (171, 0.0), (180, -0.0)],
+            [(2, "0x1.0000000000000p-1"), (3, "0x1.70a3d70a3d70ap-2"), (171, "0x0.0p+0"), (180, "-0x0.0p+0")],
+        ),
+    ],
+)
+def test_zero_coefficients_keep_their_per_term_bits(cp, coeffs, bits):
+    """A zero a_k reaches pow2_product, which gives the zero itself, sign included, also against an inf term:
+    the subnormal-scale and explicit-zero per-term values keep the bits they had behind a zero guard."""
+    rep = check_r_membership(make_series(1, coeffs), cp)
+    assert [(k, c.hex()) for k, c in rep.per_term] == bits
+
+
+def _reference_params(rng, max_p=4, mu_range=(0.0, 0.9), delta_range=(0.0, 1.0), require_budget_orders=()):
+    """random_params as five scalar rng.uniform calls per attempt: the stream the seeded draws rest on."""
+    while True:
+        p = int(rng.integers(1, max_p + 1))
+        alpha = float(rng.uniform(0.0, 0.8 * p))
+        B = float(rng.uniform(-1.0, 0.8))
+        A = float(rng.uniform(B + 0.1, 1.0))
+        mu, delta = float(rng.uniform(*mu_range)), float(rng.uniform(*delta_range))
+        cp = ClassParams(p=p, alpha=alpha, A=A, B=B, mu=mu, delta=delta)
+        if all(budget_certified(cp, m) for m in require_budget_orders if m <= p):
+            return cp
+
+
+def _reference_member(cp, rng, target_sum=None):
+    """random_member with numpy's normalization, rng.uniform's target and a lone walk per bound."""
+    count = int(rng.integers(1, 6))
+    ks = [int(k) for k in cp.p + 1 + rng.choice(12, size=count, replace=False)]
+    u = rng.random(count)
+    u = u / u.sum()
+    s = float(rng.uniform(0.0, 0.999)) if target_sum is None else float(target_sum)
+    return make_series(cp.p, [(k, s * float(ui) * coeff_bound_r(k, cp)) for k, ui in zip(ks, u)])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"mu_range": (0.55, 0.9)}, {"delta_range": (0.0, 0.0)}, {"require_budget_orders": (0, 1)}, {"max_p": 9}],
+)
+def test_random_params_keeps_the_stream_of_five_uniform_calls(kwargs):
+    """Seeded draws equal the scalar rng.uniform reference, and leave the generator in the same state."""
+    ours, ref = np.random.default_rng(25), np.random.default_rng(25)
+    for _ in range(300):
+        assert repr(random_params(ours, **kwargs)) == repr(_reference_params(ref, **kwargs))
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("target_sum", [None, 0.5, 1.0])
+def test_random_member_keeps_its_draws_and_bounds(target_sum):
+    """Each coefficient has the bits of the reference's: the left-to-right weight sum is numpy's for up to 5
+    doubles, and the one multiplier pass gives each bound the bits of coeff_bound_r's lone walk."""
+    ours, ref, classes = np.random.default_rng(26), np.random.default_rng(26), np.random.default_rng(27)
+    for _ in range(300):
+        cp = random_params(classes)
+        f, want = random_member(cp, ours, target_sum), _reference_member(cp, ref, target_sum)
+        assert [(k, a.hex()) for k, a in f.coeffs.items()] == [(k, a.hex()) for k, a in want.coeffs.items()]
+    assert ours.bit_generator.state == ref.bit_generator.state

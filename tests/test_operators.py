@@ -377,3 +377,21 @@ def test_lone_weight_refuses_a_non_integer_index(k):
 def test_lone_weight_takes_integer_valued_indices():
     rp = RafidParams(mu=0.3, delta=0.5)
     assert rafid_weight(5.0, 2, rp) == rafid_weight(np.int64(5), 2, rp) == rafid_weight(5, 2, rp)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p, coeffs", [(1, [(2, 1e308)]), (3000, [(3200, 1.0)]), (1, [(2, 5e307)])])
+def test_quadrature_refuses_a_horner_sum_past_double_range(p, coeffs):
+    """Once a scaled coefficient or a Horner step leaves double range the quadrature refuses, with no nan or warning."""
+    with pytest.raises(DivergentInputError, match="exceeds double range"):
+        rafid_quadrature(make_series(p, coeffs), RafidParams(0.0, 1.0), 0.9)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_pow2_product_gives_a_zero_factor_itself(zero):
+    """A zero factor gives that zero, sign included, also against an inf mantissa, where m a would read nan."""
+    from pvalent.operators import pow2_product
+
+    for m, e, a in [(math.inf, 0, zero), (math.inf, -3000, zero), (0.75, 2000, zero), (zero, 0, math.inf), (zero, 5, 3.0)]:
+        got = pow2_product(m, e, a)
+        assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, zero), (m, e, a)
