@@ -14,10 +14,10 @@ per-coefficient term is divided by the right-hand side, so membership is
 of its term.
 
 Terms are carried as a mantissa and a power of two, read off the running
-product :func:`pvalent.operators.rafid_multipliers`, and scaled once, after the
-product with a_k or the reciprocal, so sums, bounds and margins stay finite at
-every index.  Sums, random members and scans over k make one pass along their
-sorted indices; a lone term or bound at k walks the product from p, in k-p steps.
+product :func:`pvalent.operators.rafid_multipliers`, which :func:`_log_terms` walks
+itself, and scaled once, after the product with a_k or the reciprocal, so sums, bounds and
+margins stay finite at every index.  Sums, random members and scans over k make one pass
+along their sorted indices; a lone term or bound at k walks the product from p, in k-p steps.
 """
 
 from __future__ import annotations
@@ -99,9 +99,24 @@ def _term(k: int, cp: ClassParams, m: float, e: int) -> tuple[float, int]:
 
 
 def _log_terms(cp: ClassParams, ks: Iterable[int]) -> Iterator[float]:
-    """log r_criterion_term(k), finite, for each k > p of ks: one pass of w_k, zipped with ks, so ks re-iterable."""
-    p, slope, s, log = cp.p, 1.0 - cp.B, cp.scale, math.log
-    return (log((slope * (k - p) + s) * m / s) + e * _LN2 for k, (m, e) in zip(ks, rafid_multipliers(p, cp.rafid, ks)))
+    """log r_criterion_term(k) for each k >= p of the nondecreasing ks, lazily; inf where the scale is subnormal.
+
+    Walks w_k itself, as its home :func:`rafid_multipliers` does (``test_log_terms_walk_equals_rafid_multipliers``)."""
+    p, slope, s, log, frexp = cp.p, 1.0 - cp.B, cp.scale, math.log, math.frexp
+    shrink, delta, k, m, e = 1.0 - cp.mu, cp.delta, p, 1.0, 0
+    for target in ks:
+        if target < k:  # k >= p, so an index below p lands here too
+            if target < p:
+                _require_index(target, p - 1)  # raises
+            raise ParameterOutOfRangeError(f"indices must be nondecreasing, got {target} after {k}")
+        while k < target:
+            m = m * shrink * (k + delta)
+            k += 1
+            if not (2.0**-500 <= m <= 2.0**500):
+                m, shift = frexp(m)
+                e += shift
+        mantissa, shift = frexp(m)
+        yield log((slope * (k - p) + s) * mantissa / s) + (e + shift) * _LN2
 
 
 def r_criterion_term(k: int, cp: ClassParams) -> float:
@@ -115,7 +130,7 @@ def r_criterion_term(k: int, cp: ClassParams) -> float:
 
 
 def log_r_criterion_term(k: int, cp: ClassParams) -> float:
-    """log of :func:`r_criterion_term`, finite at every index: :func:`_log_terms` over the one index."""
+    """log of :func:`r_criterion_term`: :func:`_log_terms` over the one index."""
     k = _require_index(k, cp.p - 1)  # k < p is refused as a weight index, as by rafid_multiplier, k = p as a term index
     return next(_log_terms(cp, (_require_index(k, cp.p),)))
 

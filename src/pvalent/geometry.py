@@ -18,8 +18,9 @@ convex and (p-z)/k for close-to-convex.  The report lists every candidate
 k = p+1..k_max, in log space so that term(k) cannot overflow, and records whether
 they are nondecreasing past the argmin: a sampled certificate of the truncation, up
 to k_max only.  One record per (class, z, k_max), kept for the last, holds the indices,
-log term(k) from :func:`pvalent.classes._log_terms`, log(k - z) and log k, sliced from a
-module table up to the largest k_max asked: the three kinds share it, each adds a pass of exp.
+log term(k) from :func:`pvalent.classes._log_terms`, the steps k - p as floats, log(k - z)
+read off those steps, and log k from a module table grown to the largest k_max asked: the
+three kinds share it, and each adds a pass of exp divided by the float steps.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import Iterable
 
 from .classes import (
@@ -80,18 +82,21 @@ def distortion_curve(cp: ClassParams, m: int, radii: Iterable[float]) -> BoundCu
 
 @lru_cache(maxsize=1, typed=True)  # typed: k_max = 3.0 must be refused, not hit the entry of 3
 def _radius_scan(cp: ClassParams, zeta: float, k_max: int) -> tuple[range, tuple[float, ...], ...]:
-    """The indices p+1 .. k_max with log term(k) (``classes._log_terms``), log(k - zeta) and log k (from _LOG_K)."""
+    """The indices p+1 .. k_max with log term(k) (``classes._log_terms``), log(k - zeta), log k and k - p, a float."""
     global _LOG_K
     ks, log, log_k = _scan_indices(cp, k_max), math.log, _LOG_K
     if len(log_k) < ks.stop:  # a racing reader keeps the list it read, which is long enough for it
         _LOG_K = log_k = log_k + [log(k) for k in range(len(log_k), ks.stop)]
-    return ks, tuple(_log_terms(cp, ks)), tuple([log(k - zeta) for k in ks]), tuple(log_k[ks.start : ks.stop])
+    # k - p counted in floats, exactly, divides sooner than an int; d + p is k exactly, so log(k - zeta) keeps its bits
+    steps, p = tuple(accumulate(repeat(1.0, len(ks)))), float(cp.p)
+    log_kz = tuple([log(d + p - zeta) for d in steps])
+    return ks, tuple(_log_terms(cp, ks)), log_kz, tuple(log_k[ks.start : ks.stop]), steps
 
 
 def _radius_report(cp: ClassParams, zeta: float, k_max: int, kind: str) -> RadiusReport:
     zeta = _require_order("zeta", zeta, cp.p)
-    ks, log_terms, log_kz, log_k = _radius_scan(cp, zeta, k_max)
-    steps, exp, log_pz = range(1, len(ks) + 1), math.exp, math.log(cp.p - zeta)  # steps: k - p
+    ks, log_terms, log_kz, log_k, steps = _radius_scan(cp, zeta, k_max)
+    exp, log_pz = math.exp, math.log(cp.p - zeta)
     # r_k = exp((log term(k) + log factor(k)) / (k-p)), the factor summed left to right
     if kind == "starlike":
         radii = [exp((t + (log_pz - lz)) / d) for d, t, lz in zip(steps, log_terms, log_kz)]

@@ -433,6 +433,49 @@ def test_log_term_pass_matches_the_lone_walk_bit_for_bit(cp):
     assert list(_log_terms(cp, ks)) == [log_r_criterion_term(k, cp) for k in ks]
 
 
+def _log_terms_from_rafid_multipliers(cp, ks):
+    """log term(k) read off the operators' multiplier pass: the reference that the walk of _log_terms must match."""
+    from pvalent.operators import rafid_multipliers
+
+    p, slope, s = cp.p, 1.0 - cp.B, cp.scale
+    return [math.log((slope * (k - p) + s) * m / s) + e * math.log(2.0)
+            for k, (m, e) in zip(ks, rafid_multipliers(p, cp.rafid, ks))]
+
+
+_WALK_CLASSES = [
+    ClassParams(p=p, alpha=0.4 * p, A=0.7, B=-0.3, mu=mu, delta=delta)
+    for p in (1, 4) for mu in (0.0, 0.5, 0.95, 0.999) for delta in (0.0, 1.0)
+]
+
+
+@pytest.mark.parametrize("cp", _WALK_CLASSES, ids=repr)
+def test_log_terms_walk_equals_rafid_multipliers(cp):
+    """_log_terms walks w_k itself: over contiguous ranges to k = 3000, sparse sorted sets with repeats and lone
+    indices it gives the bits of the log formed from rafid_multipliers' (m, e), and refuses what that pass refuses.
+    mu = 0.999 takes the product below 2^-500 near k = 1000 and back above 2^500 by k = 3000."""
+    from pvalent.classes import _log_terms
+
+    rng = np.random.default_rng(cp.p + round(1000 * cp.mu) + int(cp.delta))
+    sparse = sorted(rng.integers(cp.p, 3001, size=60).tolist() + [cp.p + 1, cp.p + 1, 3000])
+    for ks in (range(cp.p, 3001), range(cp.p + 1, 200), sparse, [cp.p], [cp.p + 1], [171], [1000], [3000]):
+        assert list(_log_terms(cp, ks)) == _log_terms_from_rafid_multipliers(cp, ks)
+    for ks, error in (([cp.p + 3, cp.p + 2], ParameterOutOfRangeError), ([cp.p + 1, cp.p - 1], IndexBelowValenceError)):
+        with pytest.raises(error) as walk:
+            list(_log_terms(cp, ks))
+        with pytest.raises(error) as multipliers:
+            _log_terms_from_rafid_multipliers(cp, ks)
+        assert str(walk.value) == str(multipliers.value)
+
+
+def test_log_terms_read_inf_at_a_subnormal_scale():
+    """scale = (A-B)(p-alpha) subnormal: the bracket over the scale overflows, so log term(k) is inf, not finite."""
+    from pvalent.classes import _log_terms
+
+    cp = ClassParams(A=0.0, B=-2.225073858507e-311)
+    assert log_r_criterion_term(3, cp) == math.inf
+    assert list(_log_terms(cp, [3])) == _log_terms_from_rafid_multipliers(cp, [3]) == [math.inf]
+
+
 def test_scan_table_is_frozen():
     """40 classes, p 1-6, mu up to 0.99, delta 0 or 1; three run the Phi scan to its cap of 64, with a nan Phi
     past p+1.  Each row holds budget_certified for m = 0..p, composition_certified for theorems 7-10 at c = 1 and
