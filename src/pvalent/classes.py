@@ -136,7 +136,12 @@ def log_r_criterion_term(k: int, cp: ClassParams) -> float:
 
 
 def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipReport:
-    """Exact finite criterion sum; member iff sum <= 1, margin = 1 - sum; zeros add 0.0."""
+    """Finite criterion sum; member iff sum <= 1, margin = 1 - sum; zeros add 0.0.
+
+    The sum is the ``math.fsum`` of terms that are each rounded once, so it is the correctly rounded sum of
+    those rounded terms, not of the exact ones: at ``ClassParams(mu=0.1)``, ``extremal_r(2, cp)`` reports a
+    member with margin 0.0, while the exact sum of that double series exceeds 1 by about 3.8e-17.
+    """
     if f.p != cp.p:
         raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
     p, a, slope, s, ks, cs = cp.p, f.coeffs, 1.0 - cp.B, cp.scale, sorted(f.coeffs), []
@@ -231,20 +236,20 @@ def _certified_scan(cp: ClassParams, s: float, c: float | None = None, b: float 
     """Whether term(k) / weight(k) stays at or above its k = p+1 value for all k > p.
 
     weight(k) = Gamma(k+1)/Gamma(k+1+s), over c+k+b when a Bernardi factor acts: the tail multiplier of an
-    order-m derivative (s = -m) or of a composition.  Log space, tolerance 1e-9.  It stops at :func:`_grows_past`
-    with target 1, finite for every mu < 1 but unbounded (near k = 1/(1-mu), so p near 1/(1-mu) walks about
+    order-m derivative (s = -m) or of a composition.  Log space, tolerance 1e-9, with w = log weight(p+1) -
+    log weight(k) summed along k from weight(k)/weight(k+1) = (1 + s/(k+1)) (1 + 1/(c+k+b)), as
+    :func:`_log_terms` walks w_k, so every finite s gets a verdict.  It stops at :func:`_grows_past` with
+    target 1, finite for every mu < 1 but unbounded (near k = 1/(1-mu), so p near 1/(1-mu) walks about
     1/(1-mu) - p steps, without limit as mu -> 1): a scan that walks 200 000 steps without it stops, not certified.
     """
-    ks, shift = range(cp.p + 1, cp.p + 200_001), max(-s, 0.0)
+    ks, shift, log1p, w = range(cp.p + 1, cp.p + 200_001), max(-s, 0.0), math.log1p, 0.0
     for k, log_term in zip(ks, _log_terms(cp, ks)):
-        # lgamma stays finite where the weight underflows; the constant c+p cancels in the ratio
-        w = math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + s)
-        ratio = log_term - (w if c is None else w - math.log(c + k + b))
-        base = ratio if k == cp.p + 1 else base
-        if ratio - base < -1e-9:
+        base = log_term if k == cp.p + 1 else base
+        if log_term + w - base < -1e-9:
             return False
         if _grows_past(cp, k, 1.0, shift):
             return True
+        w += log1p(s / (k + 1)) + (0.0 if c is None else log1p(1.0 / (c + k + b)))
     return False
 
 
@@ -307,17 +312,16 @@ def budget_certified(cp: ClassParams, m: int = 0) -> bool:
 
 def random_params(
     rng: np.random.Generator,
-    max_p: int = 4,
     mu_range: tuple[float, float] = (0.0, 0.9),
     delta_range: tuple[float, float] = (0.0, 1.0),
     require_budget_orders: Sequence[int] = (),
 ) -> ClassParams:
     """Draw admissible parameters, optionally rejecting uncertified budget regimes.
 
-    A rewrite must keep the draws: p by ``rng.integers``, then alpha, B, A, mu, delta as ``rng.uniform`` maps
-    the doubles of one ``rng.random(5)``, lo + (hi - lo) u, the stream of five ``rng.uniform`` calls."""
+    A rewrite must keep the draws: p in 1..4 by ``rng.integers(1, 5)``, then alpha, B, A, mu, delta as
+    ``rng.uniform`` maps the doubles of one ``rng.random(5)``, lo + (hi - lo) u, the stream of five such calls."""
     while True:
-        p, (u0, u1, u2, u3, u4) = int(rng.integers(1, max_p + 1)), rng.random(5).tolist()
+        p, (u0, u1, u2, u3, u4) = int(rng.integers(1, 5)), rng.random(5).tolist()
         alpha = 0.0 + (0.8 * p - 0.0) * u0
         B = -1.0 + (0.8 - -1.0) * u1
         A = (B + 0.1) + (1.0 - (B + 0.1)) * u2

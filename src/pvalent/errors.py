@@ -54,8 +54,8 @@ class RadiusOutOfRangeError(ParameterOutOfRangeError):
     """Circle radius outside (0, 1)."""
 
 
-class ExponentUnderflowError(DomainError):
-    """Fractional differentiation would push an exponent to zero or below."""
+class ExponentUnderflowError(ParameterOutOfRangeError):
+    """A series' leading exponent p + shift would fall below zero (a fractional derivative of order past it)."""
 
 
 class DivergentInputError(DomainError):

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     DivergentInputError,
-    ExponentUnderflowError,
     NonpositiveArgumentError,
     ParameterOutOfRangeError,
     _require_index,
@@ -85,7 +84,11 @@ def gamma_ratio(x: float, y: float) -> float:
             prod *= x + j
         return 1.0 / prod
     try:
-        return math.exp(math.lgamma(x) - math.lgamma(y))
+        log_ratio = math.lgamma(x) - math.lgamma(y)
+    except OverflowError:  # an argument past about 2.55e305: the side of the larger one wins
+        return 0.0 if y > x else math.inf
+    try:
+        return math.exp(log_ratio)
     except OverflowError:
         return math.inf
 
@@ -258,25 +261,12 @@ def fractional_integral(f: CoefficientSeries | FractionalSeries, eta: float) -> 
     return _diagonal(_as_fractional(f), lambda s, a: gamma_ratio(s + 1.0, s + 1.0 + eta) * a, eta)
 
 
-def fractional_derivative(
-    g: CoefficientSeries | FractionalSeries, eta: float
-) -> FractionalSeries:
+def fractional_derivative(g: CoefficientSeries | FractionalSeries, eta: float) -> FractionalSeries:
     """Fractional derivative of order 0 <= eta < 1; exponents shift down by eta.
 
-    Every exponent must exceed eta so the image keeps positive exponents
-    (and every Gamma argument stays positive); otherwise the index is
-    reported through :class:`ExponentUnderflowError`.
+    The image's leading exponent p + shift - eta must stay >= 0, or its
+    constructor raises :class:`ExponentUnderflowError`; every Gamma argument
+    s + 1 - eta stays positive on the way there.
     """
     eta = _require_eta(eta, integral=False)
-    g = _as_fractional(g)
-    lead_exp = g.p + g.shift
-    if lead_exp - eta < 0.0:
-        raise ExponentUnderflowError(
-            f"leading exponent {lead_exp} would drop below zero for order {eta}"
-        )
-    for k in g.terms:
-        if k + g.shift - eta <= 0.0:
-            raise ExponentUnderflowError(
-                f"exponent {k + g.shift} would not stay positive for order {eta}"
-            )
-    return _diagonal(g, lambda s, a: gamma_ratio(s + 1.0, s + 1.0 - eta) * a, -eta)
+    return _diagonal(_as_fractional(g), lambda s, a: gamma_ratio(s + 1.0, s + 1.0 - eta) * a, -eta)

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Mapping
 from .errors import (
     DivergentInputError,
     DuplicateIndexError,
+    ExponentUnderflowError,
     NegativeCoefficientError,
     OrderExceedsValenceError,
     ParameterOutOfRangeError,
@@ -58,9 +59,10 @@ class FractionalSeries:
 
     Represents ``leading * z^(p+shift) + sum_k terms[k] * z^(k+shift)`` with
     integer indices k > p and signed tail values (operator images of a
-    :class:`CoefficientSeries` keep their tails nonpositive).  Tail exponents
-    must stay positive; the leading exponent may reach zero, which happens
-    for the p-th derivative.
+    :class:`CoefficientSeries` keep their tails nonpositive).  The shift is
+    finite and the leading exponent p+shift may reach zero, which happens for
+    the p-th derivative, but not fall below it (:class:`ExponentUnderflowError`);
+    every tail exponent is then at least 1.
     """
 
     p: int
@@ -70,17 +72,15 @@ class FractionalSeries:
 
     def __post_init__(self) -> None:
         _require_int("valence p", self.p, 1)
+        if not math.isfinite(self.shift):
+            raise ParameterOutOfRangeError(f"exponent shift must be finite, got {self.shift}")
         if self.p + self.shift < 0:
-            raise ParameterOutOfRangeError(
-                f"leading exponent p+shift = {self.p + self.shift} is negative"
-            )
+            raise ExponentUnderflowError(f"leading exponent p+shift = {self.p + self.shift} is negative")
         if not math.isfinite(self.leading):
             raise ParameterOutOfRangeError("leading coefficient is not finite")
         for k, c in self.terms.items():
             if type(k) is not int or k <= self.p:
                 _require_index(k, self.p)
-            if k + self.shift <= 0:
-                raise ParameterOutOfRangeError(f"tail exponent {k + self.shift} not positive")
             if not math.isfinite(c):
                 raise ParameterOutOfRangeError(f"coefficient at index {k} is not finite")
 

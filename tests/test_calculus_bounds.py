@@ -224,6 +224,15 @@ def test_integral_compositions_refuse_an_infinite_order(theorem):
         composition_certified(theorem, cp, 1.0, math.inf)
 
 
+@pytest.mark.parametrize("theorem", [7, 10])
+def test_integral_compositions_answer_at_a_huge_order(theorem):
+    # log Gamma(k+1+eta) overflows past about 2.55e305: the scan once raised a bare OverflowError here
+    cp = ClassParams()
+    assert composition_certified(theorem, cp, 1.0, 3e305) is True
+    bound = composition_bound(theorem, cp, 1.0, 3e305, 0.5, include_printed=False)
+    assert (bound.lower, bound.upper) == (0.0, 0.0)
+
+
 # p = 2: (c + p) - eta rounds above 0 here, while the Bernardi integral's own c + (p - eta) does not
 WITNESS_9 = dict(eta=0.36995516654807925, c=-1.6300448334519206)
 

@@ -120,7 +120,7 @@ def test_random_member_target_sum(rng):
 
 def test_random_params_ranges(rng):
     for _ in range(100):
-        cp = random_params(rng, max_p=4)
+        cp = random_params(rng)
         assert 1 <= cp.p <= 4
         assert 0.0 <= cp.alpha < cp.p
         assert -1.0 <= cp.B < cp.A <= 1.0
@@ -530,10 +530,10 @@ def test_zero_coefficients_keep_their_per_term_bits(cp, coeffs, bits):
     assert [(k, c.hex()) for k, c in rep.per_term] == bits
 
 
-def _reference_params(rng, max_p=4, mu_range=(0.0, 0.9), delta_range=(0.0, 1.0), require_budget_orders=()):
+def _reference_params(rng, mu_range=(0.0, 0.9), delta_range=(0.0, 1.0), require_budget_orders=()):
     """random_params as five scalar rng.uniform calls per attempt: the stream the seeded draws rest on."""
     while True:
-        p = int(rng.integers(1, max_p + 1))
+        p = int(rng.integers(1, 5))
         alpha = float(rng.uniform(0.0, 0.8 * p))
         B = float(rng.uniform(-1.0, 0.8))
         A = float(rng.uniform(B + 0.1, 1.0))
@@ -555,7 +555,7 @@ def _reference_member(cp, rng, target_sum=None):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{}, {"mu_range": (0.55, 0.9)}, {"delta_range": (0.0, 0.0)}, {"require_budget_orders": (0, 1)}, {"max_p": 9}],
+    [{}, {"mu_range": (0.55, 0.9)}, {"delta_range": (0.0, 0.0)}, {"require_budget_orders": (0, 1)}],
 )
 def test_random_params_keeps_the_stream_of_five_uniform_calls(kwargs):
     """Seeded draws equal the scalar rng.uniform reference, and leave the generator in the same state."""

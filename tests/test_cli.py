@@ -390,6 +390,18 @@ def test_fracbound_infinite_order_exits_one(capsys, printed):
     assert json.loads(err)["error"] == "ParameterOutOfRangeError"
 
 
+@pytest.mark.parametrize("eta", ["3e305", "1e300"])
+def test_fracbound_at_a_huge_integral_order(capsys, eta):
+    # at 3e305 this once exited 1 with an OverflowError traceback, then with A0 = inf "past double range"
+    code, out, err = run(
+        capsys,
+        ["fracbound", "--theorem", "10", "--c", "1", "--eta", eta,
+         "--rmin", "0.5", "--rmax", "0.5", "--steps", "1", *CANON],
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["r,lower,upper", "0.5,0.0,0.0"]
+
+
 @pytest.mark.parametrize("theorem, c, eta", [("9", "-0.5", "0.5"), ("10", "-1.5", "0.5"), ("7", "1", "4")])
 def test_fracbound_undefined_printed_form_exits_one(capsys, theorem, c, eta):
     # 9 and 10: a printed denominator c -+ eta + 1 of 0; 7: Gamma(p - eta + 2) at eta = p + 2

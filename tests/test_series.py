@@ -18,6 +18,7 @@ from pvalent import (
 from pvalent.errors import (
     DivergentInputError,
     DuplicateIndexError,
+    ExponentUnderflowError,
     IndexBelowValenceError,
     NegativeCoefficientError,
     OrderExceedsValenceError,
@@ -162,10 +163,21 @@ def test_fractional_series_zero_rules():
 
 
 def test_fractional_series_exponent_validation():
-    with pytest.raises(ParameterOutOfRangeError):
+    with pytest.raises(ExponentUnderflowError, match=r"leading exponent p\+shift = -0.5 is negative"):
         FractionalSeries(p=1, shift=-1.5, leading=1.0)
-    with pytest.raises(ParameterOutOfRangeError):
+    with pytest.raises(ExponentUnderflowError):
         FractionalSeries(p=2, shift=-2.5, leading=1.0, terms={3: -0.1})
+    # a nan shift once passed every check and evaluated to (nan+nanj)
+    for shift in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterOutOfRangeError, match="exponent shift must be finite"):
+            FractionalSeries(p=1, shift=shift, leading=1.0, terms={2: -0.25})
+    assert issubclass(ExponentUnderflowError, ParameterOutOfRangeError)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_fractional_series_refuses_a_tail_value_that_is_not_finite(value):
+    with pytest.raises(ParameterOutOfRangeError, match="coefficient at index 3 is not finite"):
+        FractionalSeries(p=2, shift=0.0, leading=1.0, terms={3: value})
 
 
 @pytest.mark.parametrize("leading", [math.inf, -math.inf, math.nan])
