@@ -43,7 +43,7 @@ class ValenceMismatchError(DomainError):
 
 
 class NonpositiveArgumentError(DomainError):
-    """Gamma-function argument outside (0, inf)."""
+    """Gamma-function argument outside (0, inf): zero, negative, infinite or nan."""
 
 
 class ParameterOutOfRangeError(DomainError):

@@ -60,18 +60,18 @@ class RafidParams:
 
 
 def gamma_ratio(x: float, y: float) -> float:
-    """Gamma(x)/Gamma(y) for x, y > 0 as one double, without forming either Gamma value.
+    """Gamma(x)/Gamma(y) for finite x, y > 0 as one double, without forming either Gamma value.
 
     Integer gaps |x - y| <= 64 are evaluated as an exact rising product
     (so e.g. gamma_ratio(k+1, k+2) is exactly 1/(k+1)); other gaps go
     through log-gamma differences.  Ratios beyond double range come back
-    as inf or 0.0 rather than raising.  The fractional multipliers use it;
-    the smoothing multiplier does not (see :func:`rafid_multipliers`).
+    as inf or 0.0; an argument outside (0, inf), inf and nan included, raises.
+    The fractional multipliers use it; the smoothing multiplier does not (see :func:`rafid_multipliers`).
     """
     x = float(x)
     y = float(y)
-    if not (x > 0.0) or not (y > 0.0):
-        raise NonpositiveArgumentError(f"gamma_ratio needs positive arguments, got {x}, {y}")
+    if not 0.0 < x < math.inf or not 0.0 < y < math.inf:
+        raise NonpositiveArgumentError(f"gamma_ratio needs finite positive arguments, got {x}, {y}")
     gap = x - y
     if gap.is_integer() and abs(gap) <= _EXACT_GAP:
         n = int(gap)

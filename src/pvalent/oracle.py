@@ -1,14 +1,14 @@
 """Brute-force disk sampling for the defining geometric inequalities.
 
 Everything here works from the raw coefficients, deliberately avoiding the Horner
-evaluation path and the closed-form criteria it is meant to check.  Each call makes
-one pass over the sorted coefficients in plain floats, which smooths them and sums
-the bounds below; numpy serves only r^e and the sampled circle: n equally spaced
-angles are one real-input DFT of the coefficients times r^e folded by e mod n, then
-per-sample moduli, ratio and maximum.  The pass reads numpy's r^e (Python's r**e can
-differ in the last bit), so bounds and samples share one r^e.  Single points are
-direct sums.  With g the smoothed image of f (the multipliers of apply_rafid), the
-subordination test for the R family bounds
+evaluation path and the closed-form criteria it is meant to check.  Every sample is
+of h/z^p, a power series in e = k - p >= 0 with a constant lead, so none carries
+r^p and each check answers at any p and any r in (0, 1).  One pass over the sorted
+coefficients in plain floats smooths them and sums the bounds below; numpy serves
+only r^e, read by the pass too (Python's r**e can differ in the last bit), and the
+circle: n equally spaced angles are one real-input DFT of the coefficients times
+r^e folded by e mod n, in _half_circle alone.  With g the smoothed image of f (the
+multipliers of apply_rafid), the subordination test for the R family bounds
 
     | (z g'/g - p) / (B z g'/g - [Bp + (A-B)(p-alpha)]) |  <  1
 
@@ -23,15 +23,15 @@ these give a and b, and U = (max |zH'_j| + a)/(min |D_j| - b) bounds the ratio o
 the circle.  While the samples pass and U does not, the angles double, at most
 grid.refinement times, so a pass is never more lenient than angle bisection, whose
 probes lie on those finer circles.  Every report names in n_angles the angle count
-of the last circle it sampled, and passes within 1e-9 of its threshold, its
-``tolerance``.  For negative-coefficient members the maximum sits on the positive
-real axis, which is checked on every run and surfaced as a warning when violated.
-The criterion implies the disk-wide bound only inside the regime of
-``subordination_certified``; for B > 0 with support far beyond p it can fail off
-the real axis.  Real coefficients give conjugate values at conjugate points, so only
-the closed upper half circle is sampled; ties resolve to the smallest angle.  The
-starlike and convex checks prove f/z^p and f'/z^(p-1) zero-free the same way, so
-their circle minimum is the disk's.
+of its last circle, and passes within 1e-9 of its threshold, its ``tolerance``.
+For negative-coefficient members the maximum sits on the positive real axis (a
+warning when not), where H = 1 - th and zH' = -lh are real, th and lh the circle's
+tail sums at r: a single point and the real-axis walk are lh/|D| under the
+circle's refusal.  Real coefficients give conjugate values at conjugate points, so
+only the closed upper half circle is sampled; ties resolve to the smallest angle.
+Starlike and convex read Re(z h'/h) as p + Re(z K'/K), K = h/z^p for h = f and
+z f', and prove K zero-free the same way, so their circle minimum is the disk's;
+close-to-convex folds f'/z^(p-1) - p.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ from .series import CoefficientSeries
 
 _DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 _TOLERANCE = 1e-9  # every check's pass margin, reported as OracleReport.tolerance
-# the real-axis walk: r = 1 - 0.1 2^-j for j < 40, from 0.9 up to 1 - 1.8e-13, so every r lies in (0, 1)
-_WALK_THRESHOLD, _WALK_START, _WALK_STEPS = 1.0 - 1e-3, 0.9, 40
+_WALK_THRESHOLD, _WALK_RADII = 1.0 - 1e-3, tuple(1.0 - (1.0 - 0.9) * 0.5**j for j in range(40))
 
 
 @dataclass(frozen=True)
@@ -194,19 +193,30 @@ def subordination_certified(f: CoefficientSeries, cp: ClassParams) -> bool:
     return cp.B * span <= cp.scale
 
 
-def _subordination_ratio_at(z: complex, exps: list[int], coefs: list[float], cp: ClassParams) -> float:
-    g = zgp = 0j
-    for e, c in zip(exps, coefs):
-        term = c * z**e
-        g += term
-        zgp += e * term
-    if g == 0 or not cmath.isfinite(g):
-        raise PoleOnGridError(f"smoothed image vanishes at z = {z}")
-    w = zgp / g
-    den = cp.B * w - (cp.B * cp.p + cp.scale)
-    if den == 0:
-        return math.inf
-    return abs((w - cp.p) / den)
+def _sizes(cp: ClassParams, r: float, th: float, lh: float) -> tuple[float, float]:
+    """1 + th and |B| lh + scale (1 + th), which with lh bound |H|, |zH'| and |D| on |z| = r; refused at 2^1023."""
+    sh = 1.0 + th
+    size_d = abs(cp.B) * lh + cp.scale * sh
+    if not sh + lh + size_d < 2.0**1023:
+        raise DivergentInputError(f"smoothed image on |z| = {r} reaches double range")
+    return sh, size_d
+
+
+def _axis(f: CoefficientSeries, cp: ClassParams, radii: tuple[float, ...]):
+    """The ratio at z = r for each r of radii in turn, f smoothed once.  H(r) = 1 - th and zH'(r) = -lh are real,
+    with th and lh the circle's tail sums at r (in its pass's order), so it is lh/|D| with D = -B lh - scale H,
+    under the circle's refusal; H = 0 raises and D = 0 is an infinite ratio."""
+    ks = sorted(f.coeffs)
+    terms = list(zip([-c for c in _smoothed_sums(f, cp, ks, [0.0] * len(ks))[0][1:]], [k - f.p for k in ks]))
+    for r in radii:
+        th = lh = 0.0
+        for b, ek in terms:
+            th, lh = th + (mh := b * r**ek), lh + ek * mh
+        _sizes(cp, r, th, lh)
+        if th == 1.0:
+            raise PoleOnGridError(f"smoothed image vanishes at z = {complex(r)}")
+        den = cp.B * -lh - cp.scale * (1.0 - th)
+        yield lh / abs(den) if den else math.inf
 
 
 def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid = SampleGrid()) -> OracleReport:
@@ -228,10 +238,7 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
     m, big, c = len(coefs), abs(cp.B) * int(e[-1]) + cp.scale, np.array(coefs)
     tiny = m * (1.0 + big) * 2.0**-1074 if xs[-1] >= 2.0**-1022 else math.inf
     dom_h, dom_d = _dominates(1.0, tail, m, tiny), _dominates(cp.scale, tail_d, m, tail * (big + 1.0) * 2.0**-52 + tiny)
-    fold, sh = ((e, pw, c) if wide else (e, c, pw)), 1.0 + tail  # c (e r^e) where c e overflows
-    size_d = abs(cp.B) * lh + cp.scale * sh  # D's samples are formed from those of zH' and H
-    if not sh + lh + size_d < 2.0**1023:  # they bound |H_j|, |zH'_j| and |D_j|; nan too
-        raise DivergentInputError(f"smoothed image on |z| = {r} reaches double range")
+    fold, (sh, size_d) = ((e, pw, c) if wide else (e, c, pw)), _sizes(cp, r, tail, lh)  # c (e r^e) where c e overflows
     for doubling in range(grid.refinement + 1):
         hv, zhp = _half_circle(*fold, n)
         ah = np.abs(hv)  # extrema below by arg index, which numpy finds with less overhead and the same nan rule
@@ -276,25 +283,18 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
 
 def subordination_ratio_real(f: CoefficientSeries, cp: ClassParams, r: float) -> float:
     """Subordination ratio at the single real point z = r."""
-    _require_radius(r)
-    ks = sorted(f.coeffs)
-    return _subordination_ratio_at(complex(r), [cp.p, *ks], _smoothed_sums(f, cp, ks, [0.0] * len(ks))[0], cp)
+    return next(_axis(f, cp, (_require_radius(r),)))
 
 
 def locate_real_axis_violation(f: CoefficientSeries, cp: ClassParams) -> tuple[bool, float, float]:
-    """Walk z = r -> 1^- on the real axis, r = 1 - 0.1 2^-j for j < 40, until the ratio reaches 1 - 1e-3.
+    """Walk z = r -> 1^- on the real axis, r = 1 - 0.1 2^-j < 1 (j < 40), until the ratio reaches 1 - 1e-3.
 
     Returns (found, r, ratio at r); for criterion sums above one the ratio
     approaches a limit above one, so the walk finds the violation without
     ever sampling outside the disk.  f is smoothed once for the whole walk.
     """
-    ks = sorted(f.coeffs)
-    exps, coefs = [cp.p, *ks], _smoothed_sums(f, cp, ks, [0.0] * len(ks))[0]
-    best_r, best_ratio = _WALK_START, -math.inf
-    gap = 1.0 - _WALK_START
-    for j in range(_WALK_STEPS):
-        r = 1.0 - gap * 0.5**j
-        ratio = _subordination_ratio_at(complex(r), exps, coefs, cp)
+    best_r, best_ratio = _WALK_RADII[0], -math.inf
+    for r, ratio in zip(_WALK_RADII, _axis(f, cp, _WALK_RADII)):
         if ratio > best_ratio:
             best_r, best_ratio = r, ratio
         if ratio >= _WALK_THRESHOLD:
@@ -312,36 +312,34 @@ def _extremum_report(check: str, values: np.ndarray, r: float, n: int, threshold
 
 
 def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int) -> OracleReport:
-    """Minimum of Re(z h'/h) on |z| = r for h = f (starlike) or z f' (convex), the disk minimum once h/z^p is
-    proved zero-free in |z| <= r, else failed with a note, and refused past sum e |c_e| r^e >= 2^1023, which bounds
-    the samples of z h'; err: 8 ulp on r^p c, 2^-1074 per underflow."""
+    """Minimum of Re(z h'/h) = p + Re(z K'/K) on |z| = r for h = f (starlike) or z f' (convex) and K = h/z^p, the
+    disk minimum once K is proved zero-free in |z| <= r, else failed with a note; refused past sum |c_e| r^e +
+    sum e |c_e| r^e >= 2^1023, which bounds the samples of K and z K'; err: 2^-1074 per underflow."""
     zeta = _require_order("zeta", zeta, f.p)
     _require_radius(r)
     n = _require_int("angles per circle", n, 8)
     p, a, ks, convex = f.p, f.coeffs, sorted(f.coeffs), check == "convex"
-    e = np.array([p, *ks])
+    e = np.array([p, *ks]) - p
     xs = (pw := r**e).tolist()
     name, coefs = ("f'", [float(p)]) if convex else ("f", [1.0])
-    lead, tail, l, wide, lim = coefs[0] * xs[0], 0.0, 0.0, False, 2.0**1023 / ks[-1] if ks else 0.0
-    for k, x in zip(ks, xs[1:]):  # one pass as in _smoothed_sums; z f' has e times f's coefficient at z^e
+    lead, tail, l, wide, lim = coefs[0], 0.0, 0.0, False, 2.0**1023 / max(ks[-1] - p, 1) if ks else 0.0
+    for k, x in zip(ks, xs[1:]):  # one pass as in _smoothed_sums; z f' has k times f's coefficient at z^k
         b = a[k] * k if convex else a[k]
         coefs.append(-b)
         tail += (mag := b * x)
-        l += mag * k
-        wide = wide or b > lim and b * k == math.inf  # only past lim can b e overflow
-    if not p * lead + l < 2.0**1023:  # nan too, where an infinite k a_k meets an underflowed r^k
-        raise DivergentInputError(f"{name} on |z| = {r} reaches double range: sum e |c_e| r^e = {p * lead + l!r}")
-    c = np.array(coefs)
+        l += mag * (k - p)
+        wide = wide or b > lim and b * (k - p) == math.inf  # only past lim can b e overflow
+    if not (size := lead + tail + l) < 2.0**1023:  # nan too, where an infinite k a_k meets an underflowed r^(k-p)
+        raise DivergentInputError(f"{name} on |z| = {r} reaches double range: sum (1 + e) |c_e| r^e = {size!r}")
+    m, c = len(coefs), np.array(coefs)
     hv, zhp = _half_circle(e, pw, c, n) if wide else _half_circle(e, c, pw, n)  # c (e r^e) where c e overflows
     if np.any(hv == 0):
         raise PoleOnGridError(f"{name} vanishes on |z| = {r}")
-    m = len(coefs)
-    err = lead * 2.0**-50 + m * 2.0**-1074 if xs[-1] >= 2.0**-1022 else math.inf
-    zeros = p if _dominates(lead, tail, m, err) else _zero_count(hv, _slack(l + p * lead, lead + tail, m, n))
-    zeros = None if zeros is None else zeros - p  # less the p at the origin
+    err = m * 2.0**-1074 if xs[-1] >= 2.0**-1022 else math.inf
+    zeros = 0 if _dominates(lead, tail, m, err) else _zero_count(hv, _slack(l, lead + tail, m, n))
     where = f"in 0 < |z| < {r}; no disk bound"
     note = f"{name} has {zeros} zero(s) {where}" if zeros else f"{name}: zero count not proved {where}"
-    return _extremum_report(check, (zhp / hv).real, r, n, zeta, True, () if zeros == 0 else (note,))
+    return _extremum_report(check, p + (zhp / hv).real, r, n, zeta, True, () if zeros == 0 else (note,))
 
 
 def starlike_min_re(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256) -> OracleReport:
@@ -355,8 +353,8 @@ def convex_min_re(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 2
 
 
 def ctc_max_dev(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256) -> OracleReport:
-    """Maximum of |f'(z)/z^(p-1) - p| on |z| = r versus p - zeta; that is the polynomial -sum k a_k z^(k-p).
-    Refused once sum k a_k r^(k-p), which bounds the samples (row 0 of _half_circle, folded alone), reaches 2^1023."""
+    """Maximum of |f'(z)/z^(p-1) - p| on |z| = r versus p - zeta; that is the polynomial -sum k a_k z^(k-p), row 0
+    of _half_circle.  Refused once sum k a_k r^(k-p), which bounds the samples, reaches 2^1023."""
     zeta = _require_order("zeta", zeta, f.p)
     _require_radius(r)
     n, p, ks = _require_int("angles per circle", n_angles, 8), f.p, sorted(f.coeffs)
@@ -364,5 +362,6 @@ def ctc_max_dev(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256
     c, pw = [-k * f.coeffs[k] for k in ks], r**e
     if not -sum(c) < 2.0**1023 and not -sum(b * x for b, x in zip(c, pw.tolist())) < 2.0**1023:
         raise DivergentInputError(f"f'/z^(p-1) - p on |z| = {r} reaches double range")
-    dev = np.abs(np.fft.rfft(np.bincount(e % n, np.array(c, dtype=float) * pw, n)))
+    with np.errstate(over="ignore", invalid="ignore"):  # row 1 goes unread; its c e r^e may pass double range
+        dev = np.abs(_half_circle(e, np.array(c, dtype=float), pw, n)[0])
     return _extremum_report("close-to-convex", dev, r, n, p - zeta, minimize=False)

@@ -237,7 +237,7 @@ REFUSALS = {
         r"theorem must be one of \(7, 8, 9, 10\), got 11",
     ),
     "gamma_ratio at 0": (
-        lambda: gamma_ratio(0.0, 1.0), NonpositiveArgumentError, "gamma_ratio needs positive arguments, got 0.0, 1.0"
+        lambda: gamma_ratio(0.0, 1.0), NonpositiveArgumentError, "gamma_ratio needs finite positive arguments, got 0.0, 1.0"
     ),
     "make_series inf": (
         lambda: make_series(1, [(2, math.inf)]), ParameterOutOfRangeError, "coefficient at index 2 is not finite"

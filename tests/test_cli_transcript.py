@@ -75,6 +75,9 @@ CASES: list[tuple[list[str], str | None]] = [
     (["oracle", "-", "--check", "convex", "--r", "0.7", *CANON], ONE),
     (["oracle", "-", "--check", "ctc", "--zeta", "0.5", "--angles", "32", *CANON], ONE),
     (["oracle", "-", "--check", "starlike", "--zeta", "5", "--r", "0.5", *CANON], ONE),
+    # r^p underflows (p = 40, r = 1e-8; p = 1000, r = 0.4): each check samples h/z^p, so both answer
+    (["oracle", "-", "--check", "starlike", "--r", "1e-8", "--p", "40", *CANON], '{"p": 40, "coeffs": [[41, 0.001]]}'),
+    (["oracle", "-", "--check", "convex", "--r", "0.4", "--p", "1000", *CANON], '{"p": 1000, "coeffs": [[1001, 0.001]]}'),
 ]
 
 

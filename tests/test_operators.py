@@ -26,6 +26,7 @@ from pvalent.errors import (
     DivergentInputError,
     ExponentUnderflowError,
     IndexBelowValenceError,
+    NonpositiveArgumentError,
     ParameterOutOfRangeError,
 )
 from pvalent import operators
@@ -51,7 +52,16 @@ def test_gamma_ratio_lgamma_path():
     assert gamma_ratio(2.0, 2.6e305) == 0.0  # once read inf
     assert gamma_ratio(2.6e305, 2.0) == math.inf
     assert gamma_ratio(2.6e305, 2.7e305) == 0.0 and gamma_ratio(2.7e305, 2.6e305) == math.inf
-    assert gamma_ratio(1e-310, 1.0) == math.inf  # both log-gammas finite, the exp past double range
+    # 1e-310 - 1.0 rounds to -1.0, an integer gap: the exact product 1/1e-310 overflows
+    assert gamma_ratio(1e-310, 1.0) == math.inf
+    assert gamma_ratio(1e-310, 1.5) == math.inf  # both log-gammas finite, the exp past double range
+
+
+@pytest.mark.parametrize("x, y", [(math.inf, math.inf), (math.inf, 1.0), (1.0, math.inf)])
+def test_gamma_ratio_refuses_infinite_arguments(x, y):
+    """inf once passed the positivity check: (inf, inf) read nan, (inf, 1) inf and (1, inf) 0.0."""
+    with pytest.raises(NonpositiveArgumentError, match=r"^gamma_ratio needs finite positive arguments, got"):
+        gamma_ratio(x, y)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Disk-sampling verification of the defining inequalities."""
 
+import cmath
 import math
 import warnings
 
@@ -29,6 +30,7 @@ from pvalent import (
 )
 from pvalent.errors import (
     DivergentInputError,
+    DomainError,
     ParameterOutOfRangeError,
     PoleOnGridError,
     RadiusOutOfRangeError,
@@ -274,14 +276,13 @@ def test_walk_radii_increase_strictly_below_one(monkeypatch):
 
     radii = []
 
-    def spy(z, *args):
-        radii.append(z)
-        return 0.0  # never reaches the threshold, so every radius is visited
+    def spy(f, cp, walk):
+        radii.extend(walk)
+        return iter([0.0] * len(walk))  # never reaches the threshold, so every radius is visited
 
-    monkeypatch.setattr(oracle, "_subordination_ratio_at", spy)
+    monkeypatch.setattr(oracle, "_axis", spy)
     assert locate_real_axis_violation(make_series(1, [(2, 0.125)]), CANONICAL) == (False, 0.9, 0.0)
-    assert len(radii) == 40 and all(z.imag == 0.0 for z in radii)
-    radii = [z.real for z in radii]
+    assert len(radii) == 40 and all(type(r) is float for r in radii)
     assert radii[0] == 0.9 and radii[-1] < 1.0
     assert all(a < b for a, b in zip(radii, radii[1:]))
 
@@ -640,10 +641,20 @@ def _proved_bound(cp, f, r, n):
     return (azhp.max() + a) / lo if lo > 0.0 else math.inf
 
 
+def _ratio_at(z, exps, coefs, cp):
+    """The ratio at one complex point, as |(w - p)/(B w - Bp - scale)| with w = z g'/g from complex powers of z."""
+    g = zgp = 0j
+    for e, c in zip(exps, coefs):
+        term = c * z**e
+        g += term
+        zgp += e * term
+    w = zgp / g
+    den = cp.B * w - (cp.B * cp.p + cp.scale)
+    return math.inf if den == 0 else abs((w - cp.p) / den)
+
+
 def _bisected(cp, f, grid):
     """Largest ratio found by the angle bisection this check once made, and where it was found."""
-    import pvalent.oracle as oracle
-
     r, n = grid.radii[-1], grid.angles_per_radius
     azhp, aden, _, _ = _circle(cp, f, r, n)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -657,7 +668,7 @@ def _bisected(cp, f, grid):
         step *= 0.5
         for cand in (theta - step, theta + step):
             z = r * complex(math.cos(cand), math.sin(cand))
-            val = oracle._subordination_ratio_at(z, exps, coefs, cp)
+            val = _ratio_at(z, exps, coefs, cp)
             if val > best_val:
                 best_val, best_z, theta = val, z, cand
     return best_val, best_z
@@ -871,3 +882,81 @@ def test_subordination_raises_no_numpy_flag_at_the_ends_of_double_range():
     # samples of D past double range once overflowed into an extremum of 0.0
     with pytest.raises(DivergentInputError, match=r"smoothed image on \|z\| = 0.9 reaches double range"):
         subordination_margin(make_series(1, [(2, 8e307)]), CANONICAL, SampleGrid(radii=(0.9,), angles_per_radius=8))
+
+
+@pytest.mark.parametrize("p, r", [(1000, 0.4), (40, 1e-8)])
+def test_checks_answer_where_r_to_the_p_underflows(p, r):
+    """z^p - 0.001 z^(p+1): r^p is 0.0 or subnormal, yet K = h/z^p is 1 - 0.001 z on the circle.
+
+    Sampling h itself once refused the first circle ('f vanishes') and overflowed a quotient on the second; the
+    real point read 'smoothed image vanishes' on the first and 0.0 on the second."""
+    f, cp = make_series(p, [(p + 1, 0.001)]), ClassParams(p=p)
+    for check in (starlike_min_re, convex_min_re):
+        rep = check(f, 0.0, r)
+        assert rep.passed and rep.warnings == () and rep.extremum == pytest.approx(p, rel=1e-6)
+    point = subordination_ratio_real(f, cp, r)
+    assert point == pytest.approx(subordination_margin(f, cp, SampleGrid(radii=(r,))).extremum, rel=1e-13)
+    assert point == pytest.approx(float(_mp_axis_ratio(f, cp, r)[1]), rel=1e-13)
+    assert point == pytest.approx({1000: 3.34e-4, 40: 5.125e-12}[p], rel=1e-3)
+
+
+def test_point_refuses_samples_past_double_range_as_the_circle_does():
+    """Smoothed coefficients 1.5e308 at k = 2 and 3: the point once read this as a pole, not as overflow."""
+    cp = ClassParams(mu=0.5)
+    f = make_series(1, [(2, 1.5e308), (3, 1e308)])  # w_k = (1 - mu)^(k-1) k!: w_2 = 1, w_3 = 1.5
+    assert apply_rafid(f, cp.rafid).coeffs == {2: 1.5e308, 3: 1.5e308}
+    for call in (lambda: subordination_ratio_real(f, cp, 0.99), lambda: subordination_margin(f, cp)):
+        with pytest.raises(DivergentInputError, match=r"smoothed image on \|z\| = 0.99 reaches double range"):
+            call()
+
+
+def test_zero_of_h_on_the_circle_and_of_d_at_the_point():
+    """g = z - 2 z^2 vanishes on the circle's first sample; at alpha = 1/2, H(0.5) = 1/2 and D = 0 exactly."""
+    with pytest.raises(PoleOnGridError, match=r"^smoothed image vanishes on \|z\| = 0.5 at z = \(0.5\+0j\)$"):
+        subordination_margin(make_series(1, [(2, 1.0)]), CANONICAL, SampleGrid(radii=(0.5,)))
+    assert subordination_ratio_real(make_series(1, [(2, 0.5)]), ClassParams(alpha=0.5), 0.5) == math.inf
+
+
+def _mp_axis_ratio(f, cp, r):
+    """50-digit |zH'|/|D| at z = r for the smoothed image, with H = g/z^p and D = B zH' - scale H."""
+    b = apply_rafid(f, cp.rafid).coeffs
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        h = 1 - mpmath.fsum(bk * r ** (k - cp.p) for k, bk in b.items())
+        zhp = -mpmath.fsum((k - cp.p) * bk * r ** (k - cp.p) for k, bk in b.items())
+        den = mpmath.mpf(cp.B) * zhp - mpmath.mpf(cp.scale) * h
+        return h, abs(zhp) / abs(den) if den else mpmath.inf
+
+
+@settings(max_examples=200)
+@given(p=st.sampled_from([1, 2, 10, 40, 200, 1000]), data=st.data())
+def test_every_check_answers_at_any_valence_and_radius(p, data):
+    """One or two tail terms at p+1..p+4, member-sized (each a share of its lone bound, the shares summing to at most
+    1), and r log-uniform on [1e-300, 0.99].  Every circle check and the point give finite values or refuse with a
+    DomainError, with no numpy warning; the point raises PoleOnGridError only where H(r) is 0 at 50 digits, and is
+    the 50-digit ratio to 1e-13 relative, plus what subnormal sums and quotients lose."""
+    B = data.draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5]))
+    cp = ClassParams(
+        p, data.draw(st.floats(0.0, 0.9)) * p, B + (1.0 - B) * data.draw(st.floats(0.05, 1.0)), B,
+        data.draw(st.sampled_from([0.0, 0.5, 0.9])), data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    ks = data.draw(st.lists(st.integers(p + 1, p + 4), min_size=1, max_size=2, unique=True))
+    f = make_series(p, [(k, data.draw(st.floats(0.0, 1.0)) / len(ks) * coeff_bound_r(k, cp)) for k in ks])
+    r = 10.0 ** data.draw(st.floats(-300.0, math.log10(0.99)))
+    for check in (starlike_min_re, convex_min_re, ctc_max_dev):
+        try:
+            rep = check(f, 0.0, r)
+        except DomainError:
+            continue
+        assert math.isfinite(rep.extremum) and cmath.isfinite(rep.arg_z)
+    h, want = _mp_axis_ratio(f, cp, r)
+    try:
+        got = subordination_ratio_real(f, cp, r)
+    except PoleOnGridError:
+        assert h == 0
+        return
+    except DomainError:
+        return
+    # once subnormal, lh is within 2^-1074 per product and addition, and the quotient within 2^-1074; D is about scale H
+    tiny = mpmath.ldexp(1, -1074) * (1 + 4 * len(ks) / (abs(h) * cp.scale))
+    assert math.isfinite(got) and abs(got - want) <= 1e-13 * want + tiny
