@@ -217,12 +217,13 @@ def lower_bound_peak(theorem: int, cp: ClassParams, c: float, eta: float) -> flo
     """Radius where the derived lower bound turns over: A0 e0 = A1 T (e0+1) r.
 
     A0/A1 = (p+1+s)/(p+1) (c+p+1+b)/(c+p+b) is formed directly (see :func:`_shifts`),
-    since A0 and A1 T both underflow at a large integral order.
+    since A0 and A1 T both underflow at a large integral order; each ratio, and e0/(e0+1), is formed
+    before the product, which a huge order would otherwise carry past double range.
     """
     theorem, (_, _, e0, _), _ = _composition(theorem, cp, c, eta, False)
     c, (s, b) = float(c), _shifts(theorem, float(eta))
     p, t = cp.p, coeff_bound_r(cp.p + 1, cp)
-    return (p + 1.0 + s) / (p + 1.0) * (c + p + 1.0 + b) / (c + p + b) * e0 / (t * (e0 + 1.0))
+    return (p + 1.0 + s) / (p + 1.0) * ((c + p + 1.0 + b) / (c + p + b)) * (e0 / (e0 + 1.0)) / t
 
 
 def composed_extremal(theorem: int, cp: ClassParams, c: float, eta: float) -> FractionalSeries:

@@ -138,10 +138,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     f = _load_series(args.series)
     if args.check == "subordination":
         grid = SampleGrid(angles_per_radius=args.angles, refinement=args.refine)
-        rep = subordination_margin(f, cp, grid)
+        rep = subordination_margin(f, cp, grid if args.r is None else replace(grid, radii=(args.r,)))
     else:
         fn = {"starlike": starlike_min_re, "convex": convex_min_re, "ctc": ctc_max_dev}
-        rep = fn[args.check](f, args.zeta, args.r, n_angles=args.angles)
+        rep = fn[args.check](f, args.zeta, 0.9 if args.r is None else args.r, n_angles=args.angles)
     return _json(rep.to_dict())
 
 
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     q.add_argument("--zeta", type=float, default=0.0)
-    q.add_argument("--r", type=float, default=0.9, help="circle radius")
+    q.add_argument("--r", type=float, help="circle radius (default 0.9; subordination 0.99)")
     q.add_argument("--angles", type=int, default=256)
     q.add_argument("--refine", type=int, default=2, help="subordination: angle doublings allowed")
     q.set_defaults(func=_cmd_oracle)

@@ -31,7 +31,7 @@ circle's refusal.  Real coefficients give conjugate values at conjugate points, 
 only the closed upper half circle is sampled; ties resolve to the smallest angle.
 Starlike and convex read Re(z h'/h) as p + Re(z K'/K), K = h/z^p for h = f and
 z f', and prove K zero-free the same way, so their circle minimum is the disk's;
-close-to-convex folds f'/z^(p-1) - p.
+close-to-convex reads |K| for convex's K without its lead p, folded once, row 0 alone.
 """
 
 from __future__ import annotations
@@ -97,17 +97,18 @@ class OracleReport:
         }
 
 
-def _half_circle(e: np.ndarray, c: np.ndarray, power: np.ndarray, n: int) -> np.ndarray:
-    """h = sum c z^e (e >= 0) and z h' at z = r exp(2 pi i j/n), j = 0..n//2; shape (2, n//2 + 1).
+def _half_circle(e: np.ndarray, c: np.ndarray, power: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """h = sum c z^e (e >= 0) and, for rows = 2, z h' at z = r exp(2 pi i j/n), j = 0..n//2; shape (rows, n//2 + 1).
 
     On n equally spaced angles a power series is the n-point DFT of its coefficients times power = r^e,
     folded by e mod n, exact at any degree; the coefficients are real, so the other half holds the conjugates.
     z h' folds (c e) r^e; c and power passed swapped fold c (e r^e), finite where c e overflows.
     """
     slot = e % n
-    folded = np.empty((2, n))
+    folded = np.empty((rows, n))
     folded[0] = np.bincount(slot, c * power, n)
-    folded[1] = np.bincount(slot, c * e * power, n)
+    if rows == 2:
+        folded[1] = np.bincount(slot, c * e * power, n)
     return np.fft.rfft(folded).conj()
 
 
@@ -240,7 +241,7 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
     dom_h, dom_d = _dominates(1.0, tail, m, tiny), _dominates(cp.scale, tail_d, m, tail * (big + 1.0) * 2.0**-52 + tiny)
     fold, (sh, size_d) = ((e, pw, c) if wide else (e, c, pw)), _sizes(cp, r, tail, lh)  # c (e r^e) where c e overflows
     for doubling in range(grid.refinement + 1):
-        hv, zhp = _half_circle(*fold, n)
+        hv, zhp = _half_circle(*fold, n, 2)
         ah = np.abs(hv)  # extrema below by arg index, which numpy finds with less overhead and the same nan rule
         if not 0.0 < ah[ah.argmin()] <= ah[ah.argmax()] < math.inf:
             z = _point(r, int(np.argmax((ah == 0) | ~np.isfinite(ah))), n)
@@ -302,66 +303,58 @@ def locate_real_axis_violation(f: CoefficientSeries, cp: ClassParams) -> tuple[b
     return False, best_r, best_ratio
 
 
-def _extremum_report(check: str, values: np.ndarray, r: float, n: int, threshold: float, minimize: bool,
-                     notes: tuple[str, ...] = ()) -> OracleReport:
-    """Extremum over a half circle from :func:`_half_circle`, at its smallest angle; a note fails it."""
-    idx = int(np.argmin(values) if minimize else np.argmax(values))
-    ext = float(values[idx])
-    passed = ext >= threshold - _TOLERANCE if minimize else ext <= threshold + _TOLERANCE
-    return OracleReport(check, ext, threshold, _point(r, idx, n), passed and not notes, _TOLERANCE, n, notes)
-
-
-def _min_re(check: str, f: CoefficientSeries, zeta: float, r: float, n: int) -> OracleReport:
-    """Minimum of Re(z h'/h) = p + Re(z K'/K) on |z| = r for h = f (starlike) or z f' (convex) and K = h/z^p, the
-    disk minimum once K is proved zero-free in |z| <= r, else failed with a note; refused past sum |c_e| r^e +
-    sum e |c_e| r^e >= 2^1023, which bounds the samples of K and z K'; err: 2^-1074 per underflow."""
+def _circle_check(check: str, f: CoefficientSeries, zeta: float, r: float, n: int) -> OracleReport:
+    """One fold of K = lead - sum b_k z^(k-p) on |z| = r: b_k = a_k for starlike (K = f/z^p, lead 1), else k a_k
+    (convex: K = f'/z^(p-1), lead p; close-to-convex: K = f'/z^(p-1) - p, lead 0).  Starlike and convex read the
+    minimum of Re(z h'/h) = p + Re(z K'/K), h = z^p K, the disk minimum once K is proved zero-free in |z| <= r, else
+    failed with a note; close-to-convex reads the maximum of |K|, row 0 alone.  Refused past lead + sum b_k r^e
+    (+ sum e b_k r^e where z K' is read) >= 2^1023, which bounds the samples read; err: 2^-1074 per underflow."""
     zeta = _require_order("zeta", zeta, f.p)
     _require_radius(r)
     n = _require_int("angles per circle", n, 8)
-    p, a, ks, convex = f.p, f.coeffs, sorted(f.coeffs), check == "convex"
+    p, a, ks, ctc = f.p, f.coeffs, sorted(f.coeffs), check == "close-to-convex"
     e = np.array([p, *ks]) - p
     xs = (pw := r**e).tolist()
-    name, coefs = ("f'", [float(p)]) if convex else ("f", [1.0])
-    lead, tail, l, wide, lim = coefs[0], 0.0, 0.0, False, 2.0**1023 / max(ks[-1] - p, 1) if ks else 0.0
-    for k, x in zip(ks, xs[1:]):  # one pass as in _smoothed_sums; z f' has k times f's coefficient at z^k
-        b = a[k] * k if convex else a[k]
+    name, lead = {"starlike": ("f", 1.0), "convex": ("f'", float(p)), "close-to-convex": ("f'/z^(p-1) - p", 0.0)}[check]
+    bs = [a[k] for k in ks] if check == "starlike" else [k * a[k] for k in ks]  # z f' has k a_k at z^k
+    coefs, tail, l, wide, lim = [lead], 0.0, 0.0, False, 2.0**1023 / max(ks[-1] - p, 1) if ks else 0.0
+    for k, b, x in zip(ks, bs, xs[1:]):  # one pass as in _smoothed_sums
         coefs.append(-b)
         tail += (mag := b * x)
         l += mag * (k - p)
         wide = wide or b > lim and b * (k - p) == math.inf  # only past lim can b e overflow
-    if not (size := lead + tail + l) < 2.0**1023:  # nan too, where an infinite k a_k meets an underflowed r^(k-p)
-        raise DivergentInputError(f"{name} on |z| = {r} reaches double range: sum (1 + e) |c_e| r^e = {size!r}")
+    if not (size := lead + tail if ctc else lead + tail + l) < 2.0**1023:  # nan too, where inf k a_k meets r^e = 0
+        detail = "" if ctc else f": sum (1 + e) |c_e| r^e = {size!r}"
+        raise DivergentInputError(f"{name} on |z| = {r} reaches double range{detail}")
     m, c = len(coefs), np.array(coefs)
-    hv, zhp = _half_circle(e, pw, c, n) if wide else _half_circle(e, c, pw, n)  # c (e r^e) where c e overflows
-    if np.any(hv == 0):
-        raise PoleOnGridError(f"{name} vanishes on |z| = {r}")
-    err = m * 2.0**-1074 if xs[-1] >= 2.0**-1022 else math.inf
-    zeros = 0 if _dominates(lead, tail, m, err) else _zero_count(hv, _slack(l, lead + tail, m, n))
-    where = f"in 0 < |z| < {r}; no disk bound"
-    note = f"{name} has {zeros} zero(s) {where}" if zeros else f"{name}: zero count not proved {where}"
-    return _extremum_report(check, p + (zhp / hv).real, r, n, zeta, True, () if zeros == 0 else (note,))
+    rows = _half_circle(*((e, pw, c) if wide else (e, c, pw)), n, 1 if ctc else 2)  # c (e r^e) where c e overflows
+    if ctc:
+        values, threshold, notes = np.abs(rows[0]), p - zeta, ()
+    else:
+        hv, zhp = rows
+        if np.any(hv == 0):
+            raise PoleOnGridError(f"{name} vanishes on |z| = {r}")
+        err = m * 2.0**-1074 if xs[-1] >= 2.0**-1022 else math.inf
+        zeros = 0 if _dominates(lead, tail, m, err) else _zero_count(hv, _slack(l, lead + tail, m, n))
+        where = f"in 0 < |z| < {r}; no disk bound"
+        note = f"{name} has {zeros} zero(s) {where}" if zeros else f"{name}: zero count not proved {where}"
+        values, threshold, notes = p + (zhp / hv).real, zeta, () if zeros == 0 else (note,)
+    j = int(values.argmax() if ctc else values.argmin())  # the smallest angle of the extremum
+    ext = float(values[j])
+    passed = ext <= threshold + _TOLERANCE if ctc else ext >= threshold - _TOLERANCE
+    return OracleReport(check, ext, threshold, _point(r, j, n), passed and not notes, _TOLERANCE, n, notes)
 
 
 def starlike_min_re(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256) -> OracleReport:
     """Minimum of Re(z f'/f) on |z| = r versus the order zeta; fails unless f/z^p has no zero in |z| <= r."""
-    return _min_re("starlike", f, zeta, r, n_angles)
+    return _circle_check("starlike", f, zeta, r, n_angles)
 
 
 def convex_min_re(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256) -> OracleReport:
     """Minimum of Re(1 + z f''/f') on |z| = r versus zeta; fails unless f'/z^(p-1) has no zero in |z| <= r."""
-    return _min_re("convex", f, zeta, r, n_angles)
+    return _circle_check("convex", f, zeta, r, n_angles)
 
 
 def ctc_max_dev(f: CoefficientSeries, zeta: float, r: float, n_angles: int = 256) -> OracleReport:
-    """Maximum of |f'(z)/z^(p-1) - p| on |z| = r versus p - zeta; that is the polynomial -sum k a_k z^(k-p), row 0
-    of _half_circle.  Refused once sum k a_k r^(k-p), which bounds the samples, reaches 2^1023."""
-    zeta = _require_order("zeta", zeta, f.p)
-    _require_radius(r)
-    n, p, ks = _require_int("angles per circle", n_angles, 8), f.p, sorted(f.coeffs)
-    e = np.array(ks, dtype=np.int64) - p
-    c, pw = [-k * f.coeffs[k] for k in ks], r**e
-    if not -sum(c) < 2.0**1023 and not -sum(b * x for b, x in zip(c, pw.tolist())) < 2.0**1023:
-        raise DivergentInputError(f"f'/z^(p-1) - p on |z| = {r} reaches double range")
-    with np.errstate(over="ignore", invalid="ignore"):  # row 1 goes unread; its c e r^e may pass double range
-        dev = np.abs(_half_circle(e, np.array(c, dtype=float), pw, n)[0])
-    return _extremum_report("close-to-convex", dev, r, n, p - zeta, minimize=False)
+    """Maximum of |f'(z)/z^(p-1) - p| on |z| = r versus p - zeta: convex's K without its lead, folded once."""
+    return _circle_check("close-to-convex", f, zeta, r, n_angles)

@@ -170,6 +170,19 @@ def test_lower_bound_peak_at_a_large_integral_order(theorem, eta, mpref):
         assert lower_bound_peak(theorem, cp, c, eta) == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("theorem, peak", [(7, 9e305), (10, 6e305)])
+def test_lower_bound_peak_at_a_huge_integral_order(theorem, peak, mpref):
+    # the peak once read inf here: (p+1+s)/(p+1) times e0 passed double range before the division by e0 + 1
+    cp, eta = ClassParams(), 3e305
+    with mpmath.workdps(50):
+        s = mpmath.mpf(eta)
+        b = s if theorem == 10 else 0  # 10: the integral, then Bernardi, which sees the shifted exponent
+        t = mpmath.exp(-mpref.log_term(2, cp))
+        want = (2 + s) / 2 * (3 + b) / (2 + b) * (1 + s) / (t * (2 + s))
+    assert lower_bound_peak(theorem, cp, 1.0, eta) == pytest.approx(float(want), rel=1e-15, abs=0.0)
+    assert float(want) == pytest.approx(peak, rel=1e-15)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_printed_form_7_needs_eta_below_p_plus_2(p):
     # Gamma(p - eta + 2) once raised "gamma_ratio needs positive arguments", naming an internal function

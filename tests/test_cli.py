@@ -174,6 +174,18 @@ def test_oracle_failure_still_exits_zero(tmp_path, capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_oracle_subordination_samples_the_given_radius(tmp_path, capsys):
+    # --r once went unread by the subordination check, which sampled 0.99 whatever was given
+    path = tmp_path / "f.json"
+    path.write_text('{"p": 1, "coeffs": [[2, 0.1], [3, 0.05]]}')
+    argv = ["oracle", str(path), "--check", "subordination", *CANON]
+    reports = {r: json.loads(run(capsys, argv + ([] if r is None else ["--r", r]))[1]) for r in (None, "0.3", "0.9")}
+    assert [rep["arg_z"] for rep in reports.values()] == [{"re": x, "im": 0.0} for x in (0.99, 0.3, 0.9)]
+    assert reports["0.3"]["extremum"] < reports["0.9"]["extremum"] < reports[None]["extremum"]
+    code, out, err = run(capsys, argv + ["--r", "1.0"])
+    assert code == 1 and out == "" and json.loads(err)["error"] == "RadiusOutOfRangeError"
+
+
 @pytest.mark.parametrize("check", ["subordination", "starlike", "convex", "ctc"])
 def test_oracle_too_few_angles_exits_one(tmp_path, capsys, check):
     path = tmp_path / "f.json"

@@ -154,14 +154,17 @@ def _reference_fold(e, c, power, n):
     ],
 )
 def test_half_circle_matches_the_reference_fold_bit_for_bit(n, e, c):
-    """Degree past n with colliding slots, -0.0 products and no terms at all fold as the reference does."""
+    """Degree past n with colliding slots, -0.0 products and no terms at all fold as the reference does, h and z h'
+    together or h alone."""
     import pvalent.oracle as oracle
 
     e, c = np.asarray(e, dtype=np.int64), np.asarray(c, dtype=float)
     power = 0.93**e
-    got, want = oracle._half_circle(e, c, power, n), _reference_fold(e, c, power, n)
-    assert got.shape == want.shape == (2, n // 2 + 1)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    want = _reference_fold(e, c, power, n)
+    for rows in (2, 1):
+        got = oracle._half_circle(e, c, power, n, rows)
+        assert got.shape == (rows, n // 2 + 1)
+        assert np.array_equal(got.view(np.int64), want[:rows].view(np.int64))
 
 
 def test_convex_detects_curvature_loss():
@@ -610,9 +613,9 @@ def _record_angles(monkeypatch):
     seen = []
     sample = oracle._half_circle
 
-    def recording(e, c, power, n):
+    def recording(e, c, power, n, rows):
         seen.append(n)
-        return sample(e, c, power, n)
+        return sample(e, c, power, n, rows)
 
     monkeypatch.setattr(oracle, "_half_circle", recording)
     return seen
@@ -625,7 +628,7 @@ def _circle(cp, f, r, n):
     b = apply_rafid(f, cp.rafid).coeffs
     e = np.array([0] + [k - cp.p for k in sorted(b)])
     c = np.array([1.0] + [-b[k] for k in sorted(b)])
-    hv, zhp = oracle._half_circle(e, c, r**e, n)
+    hv, zhp = oracle._half_circle(e, c, r**e, n, 2)
     return np.abs(zhp), np.abs(cp.B * zhp - cp.scale * hv), e, np.abs(c) * r**e
 
 
@@ -768,9 +771,9 @@ def test_coefficient_times_exponent_overflow_folds_without_warning(monkeypatch):
 
     swapped, sample = [], oracle._half_circle
 
-    def recording(e, c, power, n):
+    def recording(e, c, power, n, rows):
         swapped.append(bool(c[-1] > 0.0))  # H's top coefficient is negative, r^e positive
-        return sample(e, c, power, n)
+        return sample(e, c, power, n, rows)
 
     monkeypatch.setattr(oracle, "_half_circle", recording)
     cp, f = ClassParams(p=5, mu=0.905, delta=0.0), make_series(5, [(13, 1.7e308)])
@@ -871,6 +874,27 @@ def test_circle_checks_refuse_samples_past_double_range():
     assert rep.warnings == ("f has 12 zero(s) in 0 < |z| < 0.5; no disk bound",)
     with pytest.raises(DivergentInputError, match=r"f on \|z\| = 0.99 reaches double range"):
         starlike_min_re(make_series(1, [(2, 1e308)]), 0.0, 0.99)
+
+
+def test_ctc_folds_its_one_row_without_a_numpy_flag(monkeypatch):
+    """3 a_3 = 1.5e308 times e = 2 passes double range; close-to-convex reads |K| alone, so that product is never
+    formed and the report raises no flag under warnings-as-errors, where an errstate used to hide it."""
+    import pvalent.oracle as oracle
+
+    rows, sample = [], oracle._half_circle
+
+    def recording(e, c, power, n, count):
+        rows.append(count)
+        return sample(e, c, power, n, count)
+
+    monkeypatch.setattr(oracle, "_half_circle", recording)
+    f = make_series(1, [(3, 5e307)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = ctc_max_dev(f, 0.0, 0.5)
+        convex_min_re(make_series(1, [(2, 0.1)]), 0.0, 0.5)
+    assert rep.extremum == 3.7500000000000005e307 and not rep.passed and rep.warnings == ()
+    assert rows == [1, 2] and math.isinf(3.0 * 5e307 * 2.0)
 
 
 def test_subordination_raises_no_numpy_flag_at_the_ends_of_double_range():
