@@ -211,11 +211,11 @@ def rafid_quadrature(f: CoefficientSeries, rp: RafidParams, z: complex) -> compl
     # Horner in x / 2^s, 2^s near E|x| for x = z (1-mu) U: a large p's tiny a_k, times 2^(s(k-p)), stay normal
     s = max(0, math.frexp(abs(z) * (1.0 - rp.mu) * (f.p + rp.delta))[1])
     pts = z * (1.0 - rp.mu) * 2.0**-s * u
-    vals = np.zeros_like(pts)
+    vals, a = np.zeros_like(pts), [f.coeffs.get(k, 0.0) for k in range(degree, f.p, -1)]
     with np.errstate(over="ignore", invalid="ignore"):  # an inf step leaves the sum inf or nan, refused below
-        for k in range(degree, f.p, -1):
+        for ak in np.ldexp(a, s * np.arange(degree - f.p, 0, -1)).tolist():  # a_k 2^(s(k-p)), k = degree..p+1
             vals *= pts
-            vals -= pow2_product(1.0, s * (k - f.p), f.coeffs.get(k, 0.0))
+            vals -= ak
         mean = complex(np.dot(w, 1.0 + vals * pts))
     if not np.isfinite(mean):
         raise DivergentInputError(f"a Horner step of the quadrature at z = {z} exceeds double range")

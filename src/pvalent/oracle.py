@@ -6,9 +6,9 @@ of h/z^p, a power series in e = k - p >= 0 with a constant lead, so none carries
 r^p and each check answers at any p and any r in (0, 1).  One pass over the sorted
 coefficients in plain floats smooths them and sums the bounds below; numpy serves
 only r^e, read by the pass too (Python's r**e can differ in the last bit), and the
-circle: n equally spaced angles are one real-input DFT of the coefficients times
-r^e folded by e mod n, in _half_circle alone.  With g the smoothed image of f (the
-multipliers of apply_rafid), the subordination test for the R family bounds
+circle: n equally spaced angles are one real-input DFT of the terms c r^e, folded
+by e mod n (z h' of the terms times e), in _half_circle alone.  With g the smoothed
+image of f (apply_rafid's multipliers), the R family's subordination test bounds
 
     | (z g'/g - p) / (B z g'/g - [Bp + (A-B)(p-alpha)]) |  <  1
 
@@ -25,10 +25,11 @@ grid.refinement times, so a pass is never more lenient than angle bisection, who
 probes lie on those finer circles.  Every report names in n_angles the angle count
 of its last circle, and passes within 1e-9 of its threshold, its ``tolerance``.
 For negative-coefficient members the maximum sits on the positive real axis (a
-warning when not), where H = 1 - th and zH' = -lh are real, th and lh the circle's
-tail sums at r: a single point and the real-axis walk are lh/|D| under the
-circle's refusal.  Real coefficients give conjugate values at conjugate points, so
-only the closed upper half circle is sampled; ties resolve to the smallest angle.
+warning when not), where H = 1 - th and zH' = -lh are real, th and lh the tail sums
+at r: a single point and the real-axis walk are lh/|D| by the circle's formula and
+refusal, with Python's r^e.  Real coefficients give conjugate values at conjugate
+points, so only the closed upper half circle is sampled; equal samples resolve to
+the smallest angle, though DFT rounding can split a true tie.
 Starlike and convex read Re(z h'/h) as p + Re(z K'/K), K = h/z^p for h = f and
 z f', and prove K zero-free the same way, so their circle minimum is the disk's;
 close-to-convex reads |K| for convex's K without its lead p, folded once, row 0 alone.
@@ -97,18 +98,18 @@ class OracleReport:
         }
 
 
-def _half_circle(e: np.ndarray, c: np.ndarray, power: np.ndarray, n: int, rows: int) -> np.ndarray:
+def _half_circle(e: np.ndarray, row: np.ndarray, n: int, rows: int) -> np.ndarray:
     """h = sum c z^e (e >= 0) and, for rows = 2, z h' at z = r exp(2 pi i j/n), j = 0..n//2; shape (rows, n//2 + 1).
 
-    On n equally spaced angles a power series is the n-point DFT of its coefficients times power = r^e,
-    folded by e mod n, exact at any degree; the coefficients are real, so the other half holds the conjugates.
-    z h' folds (c e) r^e; c and power passed swapped fold c (e r^e), finite where c e overflows.
+    On n equally spaced angles a power series is the n-point DFT of its terms at z = r, row = c r^e, folded
+    by e mod n, exact at any degree; z h' folds row e.  The coefficients are real, so the other half holds
+    the conjugates.
     """
     slot = e % n
     folded = np.empty((rows, n))
-    folded[0] = np.bincount(slot, c * power, n)
+    folded[0] = np.bincount(slot, row, n)
     if rows == 2:
-        folded[1] = np.bincount(slot, c * e * power, n)
+        folded[1] = np.bincount(slot, row * e, n)
     return np.fft.rfft(folded).conj()
 
 
@@ -152,12 +153,11 @@ def _smoothed_sums(f: CoefficientSeries, cp: ClassParams, ks: list[int], xs: lis
     """One pass over f's sorted indices ks: H = g/z^p's coefficients c_e, 1 first (apply_rafid's multipliers and
     pow2_product's rounding; refuses a valence other than cp.p or a coefficient past double range), and with xs the
     r^e of e = k - p: H's and D's tails sum |c_e| r^e and sum |B e - scale| |c_e| r^e, lh = sum e |c_e| r^e,
-    l2 = sum e^2 |c_e| r^e, ld = sum e |B e - scale| |c_e| r^e, and whether some |c_e| e overflows."""
+    l2 = sum e^2 |c_e| r^e and ld = sum e |B e - scale| |c_e| r^e."""
     if f.p != cp.p:
         raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
     p, a, B, scale, less_p, ldexp = f.p, f.coeffs, cp.B, cp.scale, -float(f.p), math.ldexp
-    lim = 2.0**1023 / max(ks[-1] - p, 1) if ks else 0.0
-    coefs, th, lh, l2, td, ld, wide = [1.0], 0.0, 0.0, 0.0, 0.0, 0.0, False
+    coefs, th, lh, l2, td, ld = [1.0], 0.0, 0.0, 0.0, 0.0, 0.0
     try:
         for k, x, (mk, sk) in zip(ks, xs, rafid_multipliers(p, cp.rafid, ks)):
             # pow2_product(mk, sk, a_k) inline: 1/2 <= mk < 1, so a normal mk a_k is its mk ma times 2^ea exactly
@@ -170,15 +170,13 @@ def _smoothed_sums(f: CoefficientSeries, cp: ClassParams, ks: list[int], xs: lis
             md = abs(scale - B * ek) * mh
             th, lh, l2 = th + mh, lh + ek * mh, l2 + ek * ek * mh
             td, ld = td + md, ld + ek * md
-            if b > lim:  # only here can b e overflow
-                wide = wide or b * ek == math.inf
     except OverflowError:
         raise DivergentInputError(f"smoothed coefficient at k = {k} (a_k = {a[k]!r}) exceeds double range") from None
-    return coefs, th, lh, l2, td, ld, wide
+    return coefs, th, lh, l2, td, ld
 
 
 def subordination_certified(f: CoefficientSeries, cp: ClassParams) -> bool:
-    """True when the coefficient criterion provably implies the disk-wide ratio bound.
+    """True when the coefficient criterion provably implies the ratio bound on the whole disk.
 
     The sufficiency argument bounds the denominator by the triangle
     inequality, which needs (A-B)(p-alpha) - B(k-p) >= 0 for every index
@@ -232,16 +230,16 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
     r, n, ks = grid.radii[-1], int(grid.angles_per_radius), sorted(f.coeffs)
     e = np.array([f.p, *ks]) - f.p
     xs = (pw := r**e).tolist()
-    coefs, tail, lh, l2, tail_d, ld, wide = _smoothed_sums(f, cp, ks, xs[1:])
+    coefs, tail, lh, l2, tail_d, ld = _smoothed_sums(f, cp, ks, xs[1:])
     # Rouche for H (constant 1) and D (constant -scale).  With every r^e normal (else no proof), 4 ulp for r^e and
     # 1 per product and addition keep each tail within (m + 8) 2^-52 relative of its exact value, in any order; B e -
     # scale adds (big + 1) 2^-52 of H's tail in all; an underflowed product is off by at most 2^-1074 (1 + big).
-    m, big, c = len(coefs), abs(cp.B) * int(e[-1]) + cp.scale, np.array(coefs)
+    m, big = len(coefs), abs(cp.B) * int(e[-1]) + cp.scale
     tiny = m * (1.0 + big) * 2.0**-1074 if xs[-1] >= 2.0**-1022 else math.inf
     dom_h, dom_d = _dominates(1.0, tail, m, tiny), _dominates(cp.scale, tail_d, m, tail * (big + 1.0) * 2.0**-52 + tiny)
-    fold, (sh, size_d) = ((e, pw, c) if wide else (e, c, pw)), _sizes(cp, r, tail, lh)  # c (e r^e) where c e overflows
+    row, (sh, size_d) = np.array(coefs) * pw, _sizes(cp, r, tail, lh)  # each |row e| is a term of lh, below the refusal
     for doubling in range(grid.refinement + 1):
-        hv, zhp = _half_circle(*fold, n, 2)
+        hv, zhp = _half_circle(e, row, n, 2)
         ah = np.abs(hv)  # extrema below by arg index, which numpy finds with less overhead and the same nan rule
         if not 0.0 < ah[ah.argmin()] <= ah[ah.argmax()] < math.inf:
             z = _point(r, int(np.argmax((ah == 0) | ~np.isfinite(ah))), n)
@@ -314,20 +312,19 @@ def _circle_check(check: str, f: CoefficientSeries, zeta: float, r: float, n: in
     n = _require_int("angles per circle", n, 8)
     p, a, ks, ctc = f.p, f.coeffs, sorted(f.coeffs), check == "close-to-convex"
     e = np.array([p, *ks]) - p
-    xs = (pw := r**e).tolist()
+    xs = (r**e).tolist()
     name, lead = {"starlike": ("f", 1.0), "convex": ("f'", float(p)), "close-to-convex": ("f'/z^(p-1) - p", 0.0)}[check]
     bs = [a[k] for k in ks] if check == "starlike" else [k * a[k] for k in ks]  # z f' has k a_k at z^k
-    coefs, tail, l, wide, lim = [lead], 0.0, 0.0, False, 2.0**1023 / max(ks[-1] - p, 1) if ks else 0.0
-    for k, b, x in zip(ks, bs, xs[1:]):  # one pass as in _smoothed_sums
-        coefs.append(-b)
-        tail += (mag := b * x)
+    row, tail, l = [lead], 0.0, 0.0
+    for k, b, x in zip(ks, bs, xs[1:]):  # one pass as in _smoothed_sums; the row holds its terms -b r^e
+        row.append(-(mag := b * x))
+        tail += mag
         l += mag * (k - p)
-        wide = wide or b > lim and b * (k - p) == math.inf  # only past lim can b e overflow
     if not (size := lead + tail if ctc else lead + tail + l) < 2.0**1023:  # nan too, where inf k a_k meets r^e = 0
         detail = "" if ctc else f": sum (1 + e) |c_e| r^e = {size!r}"
         raise DivergentInputError(f"{name} on |z| = {r} reaches double range{detail}")
-    m, c = len(coefs), np.array(coefs)
-    rows = _half_circle(*((e, pw, c) if wide else (e, c, pw)), n, 1 if ctc else 2)  # c (e r^e) where c e overflows
+    m = len(row)
+    rows = _half_circle(e, np.array(row), n, 1 if ctc else 2)  # each |row e| is a term of l, below the refusal
     if ctc:
         values, threshold, notes = np.abs(rows[0]), p - zeta, ()
     else:

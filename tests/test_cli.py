@@ -347,6 +347,22 @@ def test_non_sampling_subcommands_run_without_numpy():
     assert passed and star
 
 
+SUBMODULE_ATTRIBUTE = """
+import importlib, json, sys
+import pvalent
+before = "pvalent.oracle" in sys.modules
+module = pvalent.oracle
+print(json.dumps([before, module is importlib.import_module("pvalent.oracle"), set(pvalent.__all__) <= set(dir(pvalent))]))
+"""
+
+
+def test_a_submodule_read_as_an_attribute_is_the_imported_module():
+    # a fresh interpreter, so pvalent.oracle is not yet bound by an import and the package's __getattr__ loads it
+    proc = _child("-c", SUBMODULE_ATTRIBUTE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True, True]
+
+
 PARSER_FOOTPRINT = """
 import json, sys
 import pvalent.cli
