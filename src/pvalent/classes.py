@@ -101,14 +101,11 @@ def _term(k: int, cp: ClassParams, m: float, e: int) -> tuple[float, int]:
 def _log_terms(cp: ClassParams, ks: Iterable[int]) -> Iterator[float]:
     """log r_criterion_term(k) for each k >= p of the nondecreasing ks, lazily; inf where the scale is subnormal.
 
-    Walks w_k itself, as its home :func:`rafid_multipliers` does (``test_log_terms_walk_equals_rafid_multipliers``)."""
+    Its callers pass checked ascending indices, so it refuses none.  For speed it walks w_k itself, as its home
+    :func:`rafid_multipliers` does (``test_log_terms_walk_equals_rafid_multipliers``)."""
     p, slope, s, log, frexp = cp.p, 1.0 - cp.B, cp.scale, math.log, math.frexp
     shrink, delta, k, m, e = 1.0 - cp.mu, cp.delta, p, 1.0, 0
     for target in ks:
-        if target < k:  # k >= p, so an index below p lands here too
-            if target < p:
-                _require_index(target, p - 1)  # raises
-            raise ParameterOutOfRangeError(f"indices must be nondecreasing, got {target} after {k}")
         while k < target:
             m = m * shrink * (k + delta)
             k += 1

@@ -38,7 +38,7 @@ from .classes import (
 from .errors import _require_int
 from .series import _falling
 
-_LOG_K = [-math.inf]  # math.log(k) at index k; regrown as a new list, never extended in place
+_LOG_K = [-math.inf]  # math.log(k) at index k, kept for speed; regrown as a new list, never extended in place
 
 @dataclass(frozen=True)
 class BoundCurve:
@@ -114,7 +114,7 @@ def _radius_report(cp: ClassParams, zeta: float, k_max: int, kind: str) -> Radiu
         argmin_k=ks[i],
         zeta=zeta,
         candidates=tuple(zip(ks, radii)),
-        # radii are finite and >= 0: sorted leaves tail as is iff nondecreasing, which implies the tolerant pass
+        # sorted first, for speed: radii >= 0 sort to tail itself iff nondecreasing, which implies the tolerant pass
         certified=sorted(tail) == tail or _nondecreasing(tail, rel=1e-12),
         whole_disk=radius >= 1.0,
     )

@@ -66,12 +66,13 @@ class SampleGrid:
     def __post_init__(self) -> None:
         if not self.radii:
             raise ParameterOutOfRangeError("grid needs at least one radius")
-        for r in self.radii:
-            _require_radius(r)
-        if list(self.radii) != sorted(set(self.radii)):
+        radii = tuple(map(_require_radius, self.radii))
+        if list(radii) != sorted(set(radii)):
             raise ParameterOutOfRangeError("grid radii must be strictly increasing")
-        _require_int("angles per circle", self.angles_per_radius, 8)
-        _require_int("refinement", self.refinement, 0)
+        # stored as the plain floats and ints checked, as ClassParams stores its own
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "angles_per_radius", _require_int("angles per circle", self.angles_per_radius, 8))
+        object.__setattr__(self, "refinement", _require_int("refinement", self.refinement, 0))
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
     member, any number of angles), else counted once from the samples of grid.angles_per_radius.  Samples that can reach
     2^1023 and a proved zero of H raise; a zero of D (a pole of the ratio) or an unproved count fails with a warning.
     """
-    r, n, ks = grid.radii[-1], int(grid.angles_per_radius), sorted(f.coeffs)
+    r, n, ks = grid.radii[-1], grid.angles_per_radius, sorted(f.coeffs)
     e = np.array([f.p, *ks]) - f.p
     xs = (pw := r**e).tolist()
     coefs, tail, lh, l2, tail_d, ld = _smoothed_sums(f, cp, ks, xs[1:])
@@ -247,7 +248,7 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
         den = cp.B * zhp - cp.scale * hv
         azhp, aden = np.abs(zhp), np.abs(den)
         # |zH'_j| < 2 lh, so when no |D_j| is 0 and lh / min |D_j| stays below 2^1023 the quotient
-        # raises no flag and needs no errstate
+        # raises no flag and skips the errstate, for speed
         if (dmin := float(aden[aden.argmin()])) > 0.0 and lh < dmin * 2.0**1023:
             ratio = azhp / aden
         else:
@@ -316,7 +317,7 @@ def _circle_check(check: str, f: CoefficientSeries, zeta: float, r: float, n: in
     name, lead = {"starlike": ("f", 1.0), "convex": ("f'", float(p)), "close-to-convex": ("f'/z^(p-1) - p", 0.0)}[check]
     bs = [a[k] for k in ks] if check == "starlike" else [k * a[k] for k in ks]  # z f' has k a_k at z^k
     row, tail, l = [lead], 0.0, 0.0
-    for k, b, x in zip(ks, bs, xs[1:]):  # one pass as in _smoothed_sums; the row holds its terms -b r^e
+    for k, b, x in zip(ks, bs, xs[1:]):  # one pass as in _smoothed_sums, its own for speed; the row holds -b r^e
         row.append(-(mag := b * x))
         tail += mag
         l += mag * (k - p)

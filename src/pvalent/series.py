@@ -83,6 +83,9 @@ class FractionalSeries:
                 _require_index(k, self.p)
             if not math.isfinite(c):
                 raise ParameterOutOfRangeError(f"coefficient at index {k} is not finite")
+        if not (type(self.p) is int and type(self.shift) is type(self.leading) is float):  # a numpy scalar would leak
+            for name, kind in (("p", int), ("shift", float), ("leading", float)):  # its arithmetic and its repr
+                object.__setattr__(self, name, kind(getattr(self, name)))
 
     @property
     def truncation_degree(self) -> int:

@@ -132,11 +132,16 @@ def test_integer_arguments_take_numpy_integers_and_refuse_the_rest(entry):
 
 
 def test_numpy_valence_gives_plain_results():
-    """A numpy valence is stored as an int, so JSON and reports read the same."""
+    """A numpy valence is stored as an int, and a series' or grid's other numpy scalars as plain numbers, so JSON
+    and reports read the same."""
     assert repr(ClassParams(p=np.int64(2))) == repr(ClassParams(p=2))
     assert repr(make_series(np.int64(1), [(np.int64(3), 0.1)])) == repr(make_series(1, [(3, 0.1)]))
     assert repr(extremal_r(np.int64(3), ClassParams())) == repr(extremal_r(3, ClassParams()))
     assert schild_silverman_lambda(ClassParams(p=np.int64(2))).to_dict()["saturating_k"] == 3
+    numpy_series = FractionalSeries(p=np.int64(2), shift=np.float64(0.5), leading=np.float64(1.0), terms={3: -0.1})
+    assert repr(numpy_series) == repr(FractionalSeries(p=2, shift=0.5, leading=1.0, terms={3: -0.1}))
+    numpy_grid = SampleGrid(radii=[np.float64(0.5)], angles_per_radius=np.int64(16), refinement=np.int64(1))
+    assert repr(numpy_grid) == repr(SampleGrid(radii=(0.5,), angles_per_radius=16, refinement=1))
 
 
 # entry -> (call with a float argument, a valid value): the float the call returns

@@ -1,5 +1,7 @@
 """The selftest harness: one name, one generator, one clock and one guard per check."""
 
+import dataclasses
+import itertools
 import time
 
 import numpy as np
@@ -72,3 +74,36 @@ def test_failures_fail_the_row_and_replace_the_detail():
     result = selftest._check("noisy")(body)(seed=0)
     assert not result.passed
     assert result.detail == "note 0; note 1; note 2; note 3"
+
+
+def _missed_on_draw(real, draw, move):
+    """real, but at call draw (counted from 0) with (lower, upper) moved by move: a distortion pair or a
+    composition bound."""
+    calls = itertools.count()
+
+    def bound(*args, **kwargs):
+        got = real(*args, **kwargs)
+        if next(calls) != draw:
+            return got
+        if isinstance(got, tuple):
+            return move(*got)
+        lower, upper = move(got.lower, got.upper)
+        return dataclasses.replace(got, lower=lower, upper=upper)
+
+    return bound
+
+
+@pytest.mark.parametrize("check, bound", [("check_distortion", "distortion_bounds"),
+                                          ("check_fractional_compositions", "composition_bound")])
+def test_a_draw_outside_its_bound_fails_the_containment_check_at_that_draw(monkeypatch, check, bound):
+    """Criteria 5 and 8: a value above the upper bound at draw 3, or a lower bound the extremal misses at draw 10,
+    fails the row and names the draw."""
+    real = getattr(selftest, bound)
+    monkeypatch.setattr(selftest, bound, _missed_on_draw(real, 3, lambda lower, upper: (-2.0, -1.0)))
+    result = getattr(selftest, check)(seed=0)
+    assert not result.passed
+    assert result.detail.startswith("draw 3: |") and result.detail.endswith(" outside [-2.0, -1.0]"), result.detail
+    monkeypatch.setattr(selftest, bound, _missed_on_draw(real, 10, lambda lower, upper: (lower - 1e-6, upper)))
+    result = getattr(selftest, check)(seed=0)
+    assert not result.passed
+    assert result.detail.startswith("draw 10: extremal value "), result.detail
