@@ -58,12 +58,9 @@ class ClassParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _require_int("valence p", self.p, 1))
-        if not (0.0 <= self.alpha < self.p):
-            raise ParameterOutOfRangeError(f"alpha must lie in [0, p), got {self.alpha}")
+        _require_order("alpha", self.alpha, self.p)
         if not (-1.0 <= self.B < self.A <= 1.0):
-            raise ParameterOutOfRangeError(
-                f"need -1 <= B < A <= 1, got A = {self.A}, B = {self.B}"
-            )
+            raise ParameterOutOfRangeError(f"need -1 <= B < A <= 1, got A = {self.A}, B = {self.B}")
         # RafidParams checks mu and delta; past the checks, which refuse a string, the five are stored as floats
         object.__setattr__(self, "rafid", RafidParams(self.mu, self.delta))
         for name in ("alpha", "A", "B", "mu", "delta"):

@@ -51,12 +51,6 @@ def _load_series(path: str) -> CoefficientSeries:
     return from_json(text)
 
 
-def _class_params(args: argparse.Namespace) -> ClassParams:
-    return ClassParams(
-        p=args.p, alpha=args.alpha, A=args.A, B=args.B, mu=args.mu, delta=args.delta
-    )
-
-
 def _radii(args: argparse.Namespace) -> list[float]:
     if _require_int("steps", args.steps, 1) == 1:
         return [args.rmin]
@@ -64,15 +58,13 @@ def _radii(args: argparse.Namespace) -> list[float]:
     return [args.rmin + i * h for i in range(args.steps)]
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    cp = _class_params(args)
+def _cmd_check(args: argparse.Namespace, cp: ClassParams) -> int:
     f = _load_series(args.series)
     check = check_r_membership if args.family == "r" else check_p_membership
     return _json(check(f, cp).to_dict())
 
 
-def _cmd_extremal(args: argparse.Namespace) -> int:
-    cp = _class_params(args)
+def _cmd_extremal(args: argparse.Namespace, cp: ClassParams) -> int:
     builder = extremal_r if args.family == "r" else extremal_p
     text = to_json(builder(args.k, cp))
     if args.out:
@@ -82,10 +74,9 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_radius(args: argparse.Namespace) -> int:
+def _cmd_radius(args: argparse.Namespace, cp: ClassParams) -> int:
     from .geometry import radius_close_to_convex, radius_convex, radius_starlike
 
-    cp = _class_params(args)
     fn = {
         "starlike": radius_starlike,
         "convex": radius_convex,
@@ -94,17 +85,15 @@ def _cmd_radius(args: argparse.Namespace) -> int:
     return _json(fn(cp, args.zeta, k_max=args.kmax).to_dict())
 
 
-def _cmd_distortion(args: argparse.Namespace) -> int:
+def _cmd_distortion(args: argparse.Namespace, cp: ClassParams) -> int:
     from .geometry import distortion_curve
 
-    cp = _class_params(args)
     return _csv("r,lower,upper", distortion_curve(cp, args.m, _radii(args)).samples)
 
 
-def _cmd_hadamard(args: argparse.Namespace) -> int:
+def _cmd_hadamard(args: argparse.Namespace, cp: ClassParams) -> int:
     from .hadamard import mixed_order_xi
 
-    cp = _class_params(args)
     beta = cp.alpha if args.beta is None else args.beta
     rep = mixed_order_xi(cp, beta, k_max=args.kmax)
     out = rep.to_dict()
@@ -119,10 +108,9 @@ def _cmd_hadamard(args: argparse.Namespace) -> int:
     return _json(out)
 
 
-def _cmd_fracbound(args: argparse.Namespace) -> int:
+def _cmd_fracbound(args: argparse.Namespace, cp: ClassParams) -> int:
     from .calculus_bounds import composition_bound
 
-    cp = _class_params(args)
     bounds = [
         composition_bound(args.theorem, cp, args.c, args.eta, r, include_printed=args.as_printed)
         for r in _radii(args)
@@ -131,10 +119,9 @@ def _cmd_fracbound(args: argparse.Namespace) -> int:
     return _csv(header, ([getattr(b, name) for name in header.split(",")] for b in bounds))
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace, cp: ClassParams) -> int:
     from .oracle import SampleGrid, ctc_max_dev, convex_min_re, starlike_min_re, subordination_margin
 
-    cp = _class_params(args)
     f = _load_series(args.series)
     if args.check == "subordination":
         grid = SampleGrid(angles_per_radius=args.angles, refinement=args.refine)
@@ -156,7 +143,7 @@ def run_all(seed: int = 0) -> list:
     return battery(seed=seed)
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace, cp: None) -> int:
     from .selftest import audit_rows
 
     results = run_all(seed=args.seed)
@@ -183,6 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--B", type=float, required=True, help="subordination B")
     group.add_argument("--mu", type=float, default=0.0, help="smoothing mu (default 0)")
     group.add_argument("--delta", type=float, default=1.0, help="smoothing delta (default 1)")
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--rmin", type=float, required=True)
+    curve.add_argument("--rmax", type=float, required=True)
+    curve.add_argument("--steps", type=int, default=50)
 
     parser = argparse.ArgumentParser(
         prog="pvalent",
@@ -197,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_check)
 
     q = sub.add_parser("extremal", parents=[params], help="sharp one-term member")
-    q.add_argument("--k", type=int, required=True, help="index > p; k-p steps, 86 ms at k = 10^6")
+    q.add_argument("--k", type=int, required=True, help="index > p; k-p steps, 90 ms at k = 10^6")
     q.add_argument("--class", dest="family", choices=("r", "p"), required=True)
     q.add_argument("--out", help="output path (default stdout)")
     q.set_defaults(func=_cmd_extremal)
@@ -208,11 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--kmax", type=int, default=200)
     q.set_defaults(func=_cmd_radius)
 
-    q = sub.add_parser("distortion", parents=[params], help="derivative bound curve (CSV)")
+    q = sub.add_parser("distortion", parents=[params, curve], help="derivative bound curve (CSV)")
     q.add_argument("--m", type=int, required=True, help="derivative order, <= p")
-    q.add_argument("--rmin", type=float, required=True)
-    q.add_argument("--rmax", type=float, required=True)
-    q.add_argument("--steps", type=int, default=50)
     q.set_defaults(func=_cmd_distortion)
 
     q = sub.add_parser("hadamard", parents=[params], help="convolution order report")
@@ -222,13 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--kmax", type=int, default=64, help="cap; scan stops earlier at a proved k")
     q.set_defaults(func=_cmd_hadamard)
 
-    q = sub.add_parser("fracbound", parents=[params], help="composition bound curve (CSV)")
+    q = sub.add_parser("fracbound", parents=[params, curve], help="composition bound curve (CSV)")
     q.add_argument("--theorem", type=int, choices=(7, 8, 9, 10), required=True)
     q.add_argument("--c", type=float, required=True)
     q.add_argument("--eta", type=float, required=True)
-    q.add_argument("--rmin", type=float, required=True)
-    q.add_argument("--rmax", type=float, required=True)
-    q.add_argument("--steps", type=int, default=50)
     q.add_argument("--as-printed", action="store_true", dest="as_printed")
     q.set_defaults(func=_cmd_fracbound)
 
@@ -257,11 +242,13 @@ def _emit_error(exc: BaseException) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "hadamard" and args.series and len(args.series) != 2:
-        build_parser().error("hadamard takes exactly two series files (or --extremal)")
+        parser.error("hadamard takes exactly two series files (or --extremal)")
     try:
-        return args.func(args)
+        cp = ClassParams(args.p, args.alpha, args.A, args.B, args.mu, args.delta) if "alpha" in args else None
+        return args.func(args, cp)
     except (SeriesFormatError, json.JSONDecodeError, OSError) as exc:
         _emit_error(exc)
         return 2

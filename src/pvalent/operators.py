@@ -74,15 +74,8 @@ def gamma_ratio(x: float, y: float) -> float:
         raise NonpositiveArgumentError(f"gamma_ratio needs finite positive arguments, got {x}, {y}")
     gap = x - y
     if gap.is_integer() and abs(gap) <= _EXACT_GAP:
-        n = int(gap)
-        prod = 1.0
-        if n >= 0:
-            for j in range(n):
-                prod *= y + j
-            return prod
-        for j in range(-n):
-            prod *= x + j
-        return 1.0 / prod
+        prod = math.prod(map(min(x, y).__add__, range(int(abs(gap)))), start=1.0)
+        return prod if gap >= 0.0 else 1.0 / prod
     try:
         log_ratio = math.lgamma(x) - math.lgamma(y)
     except OverflowError:  # an argument past about 2.55e305: the side of the larger one wins

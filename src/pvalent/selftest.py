@@ -191,6 +191,12 @@ def check_family_correspondence(failures: list[str], rng: np.random.Generator) -
         if rep_p.per_term != rep_r.per_term or rep_p.sum != rep_r.sum:
             failures.append(f"draw {i}: per-term values differ")
             break
+        # both reports go through zf_prime_over_p: each P term against (k/p) t_k a_k, formed without it
+        off = [k for k, t in rep_p.per_term
+               if not math.isclose(t, k / cp.p * r_criterion_term(k, cp) * f.coeffs[k], rel_tol=1e-14)]
+        if off:
+            failures.append(f"draw {i}: P terms differ from (k/p) t_k a_k at indices {off}")
+            break
     if coeff_bound_p(2, CANONICAL) != 0.125:
         failures.append(
             f"canonical P bound {coeff_bound_p(2, CANONICAL)!r}, expected 0.125"
@@ -403,26 +409,13 @@ def check_printed_audit(failures: list[str], rng: np.random.Generator) -> str:
 
 
 def audit_rows() -> list[dict]:
-    """Derived vs printed bounds for every composition at p = 1 and p = 2, with c = 1 and r = 0.5."""
-    c, r, rows = 1.0, 0.5, []
+    """Derived vs printed bounds for every composition at p = 1 and p = 2, with c = 1 and r = 0.5: each row
+    is the :class:`~pvalent.calculus_bounds.CompositionBound`'s fields plus p."""
+    rows = []
     for p in (1, 2):
-        cp = ClassParams(p=p)
         for theorem in THEOREMS:
             eta = 1.0 if _COMPOSITIONS[theorem][0] > 0 else 0.5  # integral order 1, derivative 1/2
-            b = composition_bound(theorem, cp, c, eta, r)
-            rows.append(
-                {
-                    "theorem": theorem,
-                    "p": p,
-                    "c": c,
-                    "eta": eta,
-                    "r": r,
-                    "lower": b.lower,
-                    "upper": b.upper,
-                    "printed_lower": b.printed_lower,
-                    "printed_upper": b.printed_upper,
-                }
-            )
+            rows.append({**composition_bound(theorem, ClassParams(p=p), 1.0, eta, 0.5).to_dict(), "p": p})
     return rows
 
 

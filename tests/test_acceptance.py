@@ -4,8 +4,11 @@ Each test prints its own pass/fail line so `pytest -v` reads as the
 acceptance table; failures carry the check detail in the assertion message.
 """
 
+import dataclasses
+
 import pytest
 
+from pvalent.calculus_bounds import CompositionBound
 from pvalent.selftest import (
     audit_rows,
     check_coefficient_bound,
@@ -66,6 +69,7 @@ def test_criterion_9_printed_form_audit():
     assert len(rows) == 8  # theorems 7..10 at p = 1 and p = 2
     for row in rows:
         assert {"theorem", "p", "eta", "lower", "upper", "printed_lower", "printed_upper"} <= set(row)
+        assert list(row) == [f.name for f in dataclasses.fields(CompositionBound)] + ["p"]
 
 
 def test_total_runtime_budget():

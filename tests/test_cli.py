@@ -224,6 +224,15 @@ def test_alpha_out_of_range_exits_one(tmp_path, capsys):
     assert json.loads(err)["error"] == "ParameterOutOfRangeError"
 
 
+@pytest.mark.parametrize("argv", [["check", "--class", "r"], ["oracle", "--check", "starlike"], ["hadamard", "other.json"]])
+def test_the_class_is_formed_before_any_series_is_read(tmp_path, capsys, argv):
+    """An out-of-range alpha with a missing series file is the class error (exit 1), not the OSError (exit 2)."""
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, [argv[0], missing, *argv[1:], "--alpha", "2", "--A", "1", "--B", "-1"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ParameterOutOfRangeError", "message": "alpha must lie in [0, p), got 2.0"}
+
+
 def test_io_errors_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, ["check", str(tmp_path / "missing.json"),
                                 "--class", "r", *CANON])
