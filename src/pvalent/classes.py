@@ -14,10 +14,10 @@ per-coefficient term is divided by the right-hand side, so membership is
 of its term.
 
 Terms are carried as a mantissa and a power of two, read off the running
-product :func:`pvalent.operators.rafid_multipliers`, which :func:`_log_terms` walks
-itself, and scaled once, after the product with a_k or the reciprocal, so sums, bounds and
-margins stay finite at every index.  Sums, random members and scans over k make one pass
-along their sorted indices; a lone term or bound at k walks the product from p, in k-p steps.
+product :func:`pvalent.operators.rafid_multipliers`, the one walk of w_k, and scaled once,
+after the product with a_k or the reciprocal, so sums, bounds and margins stay finite at
+every index.  Sums, random members and scans over k make one pass along their sorted
+indices; a lone term or bound at k walks the product from p, in k-p steps.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     DivergentInputError, OrderExceedsValenceError, ParameterOutOfRangeError, UncertifiedBoundWarning,
@@ -95,24 +95,6 @@ def _term(k: int, cp: ClassParams, m: float, e: int) -> tuple[float, int]:
     return ((1.0 - cp.B) * (k - cp.p) + cp.scale) * m / cp.scale, e
 
 
-def _log_terms(cp: ClassParams, ks: Iterable[int]) -> Iterator[float]:
-    """log r_criterion_term(k) for each k >= p of the nondecreasing ks, lazily; inf where the scale is subnormal.
-
-    Its callers pass checked ascending indices, so it refuses none.  For speed it walks w_k itself, as its home
-    :func:`rafid_multipliers` does (``test_log_terms_walk_equals_rafid_multipliers``)."""
-    p, slope, s, log, frexp = cp.p, 1.0 - cp.B, cp.scale, math.log, math.frexp
-    shrink, delta, k, m, e = 1.0 - cp.mu, cp.delta, p, 1.0, 0
-    for target in ks:
-        while k < target:
-            m = m * shrink * (k + delta)
-            k += 1
-            if not (2.0**-500 <= m <= 2.0**500):
-                m, shift = frexp(m)
-                e += shift
-        mantissa, shift = frexp(m)
-        yield log((slope * (k - p) + s) * mantissa / s) + (e + shift) * _LN2
-
-
 def r_criterion_term(k: int, cp: ClassParams) -> float:
     """Normalized criterion multiplier of a_k for the R family.
 
@@ -124,9 +106,9 @@ def r_criterion_term(k: int, cp: ClassParams) -> float:
 
 
 def log_r_criterion_term(k: int, cp: ClassParams) -> float:
-    """log of :func:`r_criterion_term`: :func:`_log_terms` over the one index."""
-    k = _require_index(k, cp.p - 1)  # k < p is refused as a weight index, as by rafid_multiplier, k = p as a term index
-    return next(_log_terms(cp, (_require_index(k, cp.p),)))
+    """log of :func:`r_criterion_term`, log t + e log 2; inf where the scale is subnormal."""
+    t, e = _term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid))
+    return math.log(t) + e * _LN2
 
 
 def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipReport:
@@ -232,12 +214,14 @@ def _certified_scan(cp: ClassParams, s: float, c: float | None = None, b: float 
     weight(k) = Gamma(k+1)/Gamma(k+1+s), over c+k+b when a Bernardi factor acts: the tail multiplier of an
     order-m derivative (s = -m) or of a composition.  Log space, tolerance 1e-9, with w = log weight(p+1) -
     log weight(k) summed along k from weight(k)/weight(k+1) = (1 + s/(k+1)) (1 + 1/(c+k+b)), as
-    :func:`_log_terms` walks w_k, so every finite s gets a verdict.  It stops at :func:`_grows_past` with
+    :func:`rafid_multipliers` walks w_k, so every finite s gets a verdict.  It stops at :func:`_grows_past` with
     target 1, finite for every mu < 1 but unbounded (near k = 1/(1-mu), so p near 1/(1-mu) walks about
     1/(1-mu) - p steps, without limit as mu -> 1): a scan that walks 200 000 steps without it stops, not certified.
     """
-    ks, shift, log1p, w = range(cp.p + 1, cp.p + 200_001), max(-s, 0.0), math.log1p, 0.0
-    for k, log_term in zip(ks, _log_terms(cp, ks)):
+    ks, shift, log, log1p, w = range(cp.p + 1, cp.p + 200_001), max(-s, 0.0), math.log, math.log1p, 0.0
+    for k, (m, e) in zip(ks, rafid_multipliers(cp.p, cp.rafid, ks)):
+        t, e = _term(k, cp, m, e)
+        log_term = log(t) + e * _LN2
         base = log_term if k == cp.p + 1 else base
         if log_term + w - base < -1e-9:
             return False

@@ -55,7 +55,7 @@ def _radii(args: argparse.Namespace) -> list[float]:
     if _require_int("steps", args.steps, 1) == 1:
         return [args.rmin]
     h = (args.rmax - args.rmin) / (args.steps - 1)
-    return [args.rmin + i * h for i in range(args.steps)]
+    return [args.rmin + i * h for i in range(args.steps - 1)] + [args.rmax]  # rmin + (steps-1) h can round past rmax
 
 
 def _cmd_check(args: argparse.Namespace, cp: ClassParams) -> int:

@@ -18,9 +18,9 @@ convex and (p-z)/k for close-to-convex.  The report lists every candidate
 k = p+1..k_max, in log space so that term(k) cannot overflow, and records whether
 they are nondecreasing past the argmin: a sampled certificate of the truncation, up
 to k_max only.  One record per (class, z, k_max), kept for the last, holds the indices,
-log term(k) from :func:`pvalent.classes._log_terms`, the steps k - p as floats, log(k - z)
-read off those steps, and log k from a module table grown to the largest k_max asked: the
-three kinds share it, and each adds a pass of exp divided by the float steps.
+log term(k) from one pass of :func:`pvalent.operators.rafid_multipliers`, the steps k - p as
+floats, log(k - z) read off those steps, and log k from a module table grown to the largest
+k_max asked: the three kinds share it, and each adds a pass of exp divided by the float steps.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from itertools import accumulate, repeat
 from typing import Iterable
 
 from .classes import (
-    ClassParams, _Report, _log_terms, _nondecreasing, _require_order, _scan_indices, _tail_bounds, _tail_record,
+    _LN2, ClassParams, _Report, _nondecreasing, _require_order, _scan_indices, _tail_bounds, _tail_record,
     budget_certified, coeff_bound_r,
 )
 from .errors import _require_int
+from .operators import rafid_multipliers
 from .series import _falling
 
 _LOG_K = [-math.inf]  # math.log(k) at index k, kept for speed; regrown as a new list, never extended in place
@@ -82,15 +83,19 @@ def distortion_curve(cp: ClassParams, m: int, radii: Iterable[float]) -> BoundCu
 
 @lru_cache(maxsize=1, typed=True)  # typed: k_max = 3.0 must be refused, not hit the entry of 3
 def _radius_scan(cp: ClassParams, zeta: float, k_max: int) -> tuple[range, tuple[float, ...], ...]:
-    """The indices p+1 .. k_max with log term(k) (``classes._log_terms``), log(k - zeta), log k and k - p, a float."""
+    """The indices p+1 .. k_max with log term(k) from one :func:`rafid_multipliers` pass, bit for bit
+    ``log_r_criterion_term``'s, log(k - zeta), log k and k - p, a float."""
     global _LOG_K
     ks, log, log_k = _scan_indices(cp, k_max), math.log, _LOG_K
     if len(log_k) < ks.stop:  # a racing reader keeps the list it read, which is long enough for it
         _LOG_K = log_k = log_k + [log(k) for k in range(len(log_k), ks.stop)]
     # k - p counted in floats, exactly, divides sooner than an int; d + p is k exactly, so log(k - zeta) keeps its bits
-    steps, p = tuple(accumulate(repeat(1.0, len(ks)))), float(cp.p)
+    steps, p, slope, s = tuple(accumulate(repeat(1.0, len(ks)))), float(cp.p), 1.0 - cp.B, cp.scale
     log_kz = tuple([log(d + p - zeta) for d in steps])
-    return ks, tuple(_log_terms(cp, ks)), log_kz, tuple(log_k[ks.start : ks.stop]), steps
+    # classes._term's expression, inlined for speed; slope * d is slope * (k - p), as d is k - p exactly
+    log_terms = [log((slope * d + s) * m / s) + e * _LN2
+                 for d, (m, e) in zip(steps, rafid_multipliers(cp.p, cp.rafid, ks))]
+    return ks, tuple(log_terms), log_kz, tuple(log_k[ks.start : ks.stop]), steps
 
 
 def _radius_report(cp: ClassParams, zeta: float, k_max: int, kind: str) -> RadiusReport:

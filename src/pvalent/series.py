@@ -231,6 +231,8 @@ def from_json(text: str | bytes) -> CoefficientSeries:
         raise SeriesFormatError('"coeffs" must be a list of [index, coefficient] pairs')
     if type(p) is not int:  # json gives int, float, bool or a non-number
         raise SeriesFormatError('"p" must be an integer')
+    if any(type(k) not in (int, float) for k, _ in pairs):  # 2.0 passes, and make_series rules on 2.5 or k <= p
+        raise SeriesFormatError("every index must be a JSON number")
     if any(type(a) not in (int, float) for _, a in pairs):  # a bool, string, null, list or object is no number
         raise SeriesFormatError("every coefficient must be a JSON number")
     return make_series(p, [(k, a) for k, a in pairs])

@@ -41,6 +41,14 @@ def mp_log_term(k, cp):
         return mpmath.log(bracket / scale) + mp_log_weight(k, cp.p, cp.mu, cp.delta)
 
 
+def mp_composed_multiplier(k, p, c, s, b=0):
+    """50-digit multiplier on z^k of a fractional order s (an integral s > 0, a derivative s < 0) and a Bernardi
+    integral of constant c, (c+p)/(c+k+b) Gamma(k+1)/Gamma(k+1+s), with b the order the Bernardi factor sees."""
+    with mpmath.workdps(50):
+        c, s, b = mpmath.mpf(c), mpmath.mpf(s), mpmath.mpf(b)
+        return (c + p) / (c + k + b) * mpmath.exp(mpmath.loggamma(k + 1) - mpmath.loggamma(k + 1 + s))
+
+
 def log_tolerance(*log_sizes):
     """Absolute error allowed in a log formed from log-gammas: 8 ulp of their summed size."""
     return 8.0 * EPS * (1.0 + sum(abs(float(s)) for s in log_sizes))
@@ -50,5 +58,6 @@ def log_tolerance(*log_sizes):
 def mpref():
     """The 50-digit references above, for tests that compare against mpmath."""
     return SimpleNamespace(
-        log_weight=mp_log_weight, log_term=mp_log_term, tolerance=log_tolerance
+        log_weight=mp_log_weight, log_term=mp_log_term, composed_multiplier=mp_composed_multiplier,
+        tolerance=log_tolerance,
     )

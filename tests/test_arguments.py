@@ -234,6 +234,7 @@ def test_radius_outside_the_unit_interval_refused_alike(entry, r):
 
 
 NUMBER = "every coefficient must be a JSON number"
+INDEX = "every index must be a JSON number"
 # entry -> (call, the documented error type, its message)
 REFUSALS = {
     "composition_bound theorem 11": (
@@ -257,6 +258,16 @@ REFUSALS = {
     "from_json bool coefficient": (lambda: from_json('{"p": 1, "coeffs": [[2, true]]}'), SeriesFormatError, NUMBER),
     "from_json null coefficient": (lambda: from_json('{"p": 1, "coeffs": [[2, null]]}'), SeriesFormatError, NUMBER),
     "from_json list coefficient": (lambda: from_json('{"p": 1, "coeffs": [[2, [0.5]]]}'), SeriesFormatError, NUMBER),
+    "from_json string index": (lambda: from_json('{"p": 1, "coeffs": [["2", 0.5]]}'), SeriesFormatError, INDEX),
+    "from_json bool index": (lambda: from_json('{"p": 1, "coeffs": [[true, 0.5]]}'), SeriesFormatError, INDEX),
+    "from_json null index": (lambda: from_json('{"p": 1, "coeffs": [[null, 0.5]]}'), SeriesFormatError, INDEX),
+    "from_json list index": (lambda: from_json('{"p": 1, "coeffs": [[[2], 0.5]]}'), SeriesFormatError, INDEX),
+    "from_json fractional index": (
+        lambda: from_json('{"p": 1, "coeffs": [[2.5, 0.5]]}'), IndexBelowValenceError, "index must be an integer >= 2"
+    ),
+    "from_json index p": (
+        lambda: from_json('{"p": 1, "coeffs": [[1, 0.5]]}'), IndexBelowValenceError, "index must be an integer >= 2"
+    ),
 }
 
 

@@ -159,11 +159,10 @@ def test_lower_bound_peak_at_a_large_integral_order(theorem, eta, mpref):
     for cp, c in [(ClassParams(), 1.0), (ClassParams(p=3, alpha=0.5, A=0.5, B=-0.5, mu=0.6, delta=0.3), 0.25)]:
         p = cp.p
         with mpmath.workdps(50):
-            c_, eta_ = mpmath.mpf(c), mpmath.mpf(eta)
+            eta_ = mpmath.mpf(eta)
 
             def mult(k):  # 7: Bernardi, then the integral; 10: the integral, then Bernardi
-                shift = eta_ if theorem == 10 else 0
-                return (c_ + p) / (c_ + k + shift) * mpmath.gamma(k + 1) / mpmath.gamma(k + 1 + eta_)
+                return mpref.composed_multiplier(k, p, c, eta, eta if theorem == 10 else 0)
 
             t = mpmath.exp(-mpref.log_term(p + 1, cp))
             want = mult(p) * (p + eta_) / (mult(p + 1) * t * (p + eta_ + 1))
@@ -207,18 +206,13 @@ def test_validation():
 @pytest.mark.parametrize("k", [2, 3, 50, 1_000, 10_000])
 def test_composition_multiplier_matches_mpmath(theorem, k, mpref):
     p, c, eta = 2, 0.7, 0.45
-    with mpmath.workdps(50):
-        c_, eta_ = mpmath.mpf(c), mpmath.mpf(eta)
-
-        def ratio(s):  # Gamma(k+1)/Gamma(k+1+s), the fractional multiplier on z^k
-            return mpmath.exp(mpmath.loggamma(k + 1) - mpmath.loggamma(k + 1 + s))
-
-        want = {
-            7: (c_ + p) / (c_ + k) * ratio(eta_),  # Bernardi, then the integral
-            8: (c_ + p) / (c_ + k) * ratio(-eta_),  # Bernardi, then the derivative
-            9: ratio(-eta_) * (c_ + p) / (c_ + k - eta_),  # derivative, then Bernardi
-            10: ratio(eta_) * (c_ + p) / (c_ + k + eta_),  # integral, then Bernardi
-        }[theorem]
+    s, b = {
+        7: (eta, 0),  # Bernardi, then the integral
+        8: (-eta, 0),  # Bernardi, then the derivative
+        9: (-eta, -eta),  # derivative, then Bernardi
+        10: (eta, eta),  # integral, then Bernardi
+    }[theorem]
+    want = mpref.composed_multiplier(k, p, c, s, b)
     got = _multiplier(theorem, p, c, eta, k)
     assert got == pytest.approx(float(want), rel=mpref.tolerance(math.lgamma(k + 1.0)))
 

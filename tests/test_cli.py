@@ -89,6 +89,18 @@ def test_distortion_csv_header(capsys):
     assert (r, lo, up) == (0.5, 0.75, 1.25)
 
 
+@pytest.mark.parametrize("command", [["distortion", "--m", "0"], ["fracbound", "--theorem", "7", "--c", "1", "--eta", "1"]])
+@pytest.mark.parametrize("rmin, rmax, steps", [("0.3", "0.9999999999999999", 2), ("0.1", "0.99", 7)])
+def test_curve_radii_end_at_rmax(capsys, command, rmin, rmax, steps):
+    """The last radius is --rmax itself, the others rmin + i h: rmin + (steps-1) h once read 1.0 past
+    0.9999999999999999, which exited 1 as no radius, and 0.9900000000000001 past 0.99."""
+    code, out, err = run(capsys, [*command, "--rmin", rmin, "--rmax", rmax, "--steps", str(steps), *CANON])
+    assert (code, err) == (0, "")
+    radii = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    h = (float(rmax) - float(rmin)) / (steps - 1)
+    assert radii == [float(rmin) + i * h for i in range(steps - 1)] + [float(rmax)]
+
+
 def test_distortion_past_the_factorial_range(capsys):
     # fallfac(171, 170) = 171! is no double, yet both bounds are: a CSV row, not a traceback
     argv = ["distortion", "--p", "170", "--m", "170", *CANON, "--rmin", "0.5", "--rmax", "0.5", "--steps", "1"]
@@ -252,6 +264,16 @@ def test_non_number_coefficient_exits_two(monkeypatch, capsys):
     code, out, err = run(capsys, ["check", "-", "--class", "r", *CANON])
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "SeriesFormatError", "message": "every coefficient must be a JSON number"}
+
+
+def test_non_number_index_exits_two(monkeypatch, capsys):
+    # a string index once reached make_series and exited 1 as IndexBelowValenceError
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"p": 1, "coeffs": [["2", 0.5]]}'))
+    code, out, err = run(capsys, ["check", "-", "--class", "r", *CANON])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "SeriesFormatError", "message": "every index must be a JSON number"}
 
 
 def test_bad_flag_exits_two():

@@ -236,3 +236,5 @@ def test_from_json_error_split():
         from_json("[1, 2]")
     with pytest.raises(json.JSONDecodeError):
         from_json('{"p": 1, "coeffs": [[2, 0.1]')
+    # an integer-valued float index is the int, as in make_series
+    assert from_json('{"p": 1, "coeffs": [[2.0, 0.1]]}') == make_series(1, [(2, 0.1)])
