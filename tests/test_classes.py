@@ -424,6 +424,26 @@ def test_zero_coefficient_adds_zero_at_a_subnormal_scale():
     assert zero == 0.0 and math.copysign(1.0, zero) == -1.0  # a signed zero keeps its sign, as at a normal scale
 
 
+@pytest.mark.parametrize("cp", [ClassParams(), ClassParams(p=3, alpha=1.2, A=0.4, B=-0.7, mu=0.97, delta=0.0)])
+def test_log_term_pass_matches_the_lone_walk_bit_for_bit(cp):
+    """The radius record's one pass over p+1 .. p+300 gives, at each index, the bits of log_r_criterion_term,
+    which walks w_k from p alone."""
+    from pvalent.geometry import _radius_scan
+
+    ks, log_terms = _radius_scan(cp, 0.0, cp.p + 300)[:2]
+    assert ks == range(cp.p + 1, cp.p + 301)
+    assert list(log_terms) == [log_r_criterion_term(k, cp) for k in ks]
+
+
+def _log_terms_from_rafid_multipliers(cp, ks):
+    """log term(k) read off the operators' multiplier pass through _term's expression: the reference."""
+    from pvalent.operators import rafid_multipliers
+
+    p, slope, s = cp.p, 1.0 - cp.B, cp.scale
+    return [math.log((slope * (k - p) + s) * m / s) + e * math.log(2.0)
+            for k, (m, e) in zip(ks, rafid_multipliers(p, cp.rafid, ks))]
+
+
 _WALK_CLASSES = [
     ClassParams(p=p, alpha=0.4 * p, A=0.7, B=-0.3, mu=mu, delta=delta)
     for p in (1, 4) for mu in (0.0, 0.5, 0.95, 0.999) for delta in (0.0, 1.0)
@@ -431,14 +451,20 @@ _WALK_CLASSES = [
 
 
 @pytest.mark.parametrize("cp", _WALK_CLASSES, ids=repr)
-def test_radius_record_log_terms_match_the_lone_term_bit_for_bit(cp):
-    """The radius record's one rafid_multipliers pass over p+1 .. 3000 gives, at each index, the bits of
-    log_r_criterion_term, which walks w_k from p alone.
+def test_log_terms_walk_equals_rafid_multipliers(cp):
+    """The radius record's pass over p+1 .. 3000 and log_r_criterion_term at lone indices (contiguous, sparse
+    with repeats, 171, 1000, 3000) give the bits of the log formed from rafid_multipliers' (m, e) with _term's
+    expression, so the record and the lone term agree bit for bit.
     mu = 0.999 takes the product below 2^-500 near k = 1000 and back above 2^500 by k = 3000."""
     from pvalent.geometry import _radius_scan
 
     ks, log_terms = _radius_scan(cp, 0.0, 3000)[:2]
+    assert list(log_terms) == _log_terms_from_rafid_multipliers(cp, ks)
     assert list(log_terms) == [log_r_criterion_term(k, cp) for k in ks]
+    rng = np.random.default_rng(cp.p + round(1000 * cp.mu) + int(cp.delta))
+    sparse = sorted(rng.integers(cp.p + 1, 3001, size=60).tolist() + [cp.p + 1, cp.p + 1, 3000])
+    for lone in (range(cp.p + 1, 200), sparse, [cp.p + 1], [171], [1000], [3000]):
+        assert [log_r_criterion_term(k, cp) for k in lone] == _log_terms_from_rafid_multipliers(cp, lone)
 
 
 def test_log_terms_read_inf_at_a_subnormal_scale():
