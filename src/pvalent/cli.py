@@ -124,11 +124,12 @@ def _cmd_oracle(args: argparse.Namespace, cp: ClassParams) -> int:
 
     f = _load_series(args.series)
     if args.check == "subordination":
-        grid = SampleGrid(angles_per_radius=args.angles, refinement=args.refine)
+        grid = SampleGrid(angles_per_radius=args.angles, refinement=2 if args.refine is None else args.refine)
         rep = subordination_margin(f, cp, grid if args.r is None else replace(grid, radii=(args.r,)))
     else:
         fn = {"starlike": starlike_min_re, "convex": convex_min_re, "ctc": ctc_max_dev}
-        rep = fn[args.check](f, args.zeta, 0.9 if args.r is None else args.r, n_angles=args.angles)
+        zeta = 0.0 if args.zeta is None else args.zeta
+        rep = fn[args.check](f, zeta, 0.9 if args.r is None else args.r, n_angles=args.angles)
     return _json(rep.to_dict())
 
 
@@ -224,10 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("subordination", "starlike", "convex", "ctc"),
         required=True,
     )
-    q.add_argument("--zeta", type=float, default=0.0)
+    q.add_argument("--zeta", type=float, help="property order (default 0); not for subordination")
     q.add_argument("--r", type=float, help="circle radius (default 0.9; subordination 0.99)")
     q.add_argument("--angles", type=int, default=256)
-    q.add_argument("--refine", type=int, default=2, help="subordination: angle doublings allowed")
+    q.add_argument("--refine", type=int, help="subordination only: angle doublings allowed (default 2)")
     q.set_defaults(func=_cmd_oracle)
 
     q = sub.add_parser("selftest", help="run the acceptance battery")
@@ -244,8 +245,15 @@ def _emit_error(exc: BaseException) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "hadamard" and args.series and len(args.series) != 2:
-        parser.error("hadamard takes exactly two series files (or --extremal)")
+    if args.command == "hadamard" and args.series:
+        if len(args.series) != 2:
+            parser.error("hadamard takes exactly two series files (or --extremal)")
+        if args.extremal:
+            parser.error("hadamard takes two series files or --extremal, not both")
+    if args.command == "oracle":
+        unread = "--zeta" if args.check == "subordination" else "--refine"
+        if getattr(args, unread[2:]) is not None:
+            parser.error(f"oracle --check {args.check} does not read {unread}")
     try:
         cp = ClassParams(args.p, args.alpha, args.A, args.B, args.mu, args.delta) if "alpha" in args else None
         return args.func(args, cp)

@@ -10,7 +10,8 @@ an integer-valued float, at least p+1 (:func:`_require_index`,
 :class:`IndexBelowValenceError`); a radius lies in (0, 1)
 (:func:`_require_radius`, :class:`RadiusOutOfRangeError`, a
 :class:`ParameterOutOfRangeError`).  The fractional-order and Bernardi rules
-live in :mod:`pvalent.operators`.  This module imports no numpy.
+live in :mod:`pvalent.operators`, and the order rule, an order in [0, p)
+(``_require_order``), in :mod:`pvalent.classes`.  This module imports no numpy.
 """
 
 from __future__ import annotations

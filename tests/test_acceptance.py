@@ -1,70 +1,60 @@
-"""One test per acceptance criterion, same code the selftest subcommand runs.
+"""One test per acceptance criterion, read off the same battery the selftest subcommand runs.
 
-Each test prints its own pass/fail line so `pytest -v` reads as the
-acceptance table; failures carry the check detail in the assertion message.
+The seed-0 battery runs once per session (:func:`test_frozen.battery`), and criterion n is its n-th row.
+Each test prints its own pass/fail line so `pytest -v` reads as the acceptance table; failures carry the
+check detail in the assertion message.
 """
 
 import dataclasses
 
-import pytest
-
 from pvalent.calculus_bounds import CompositionBound
-from pvalent.selftest import (
-    audit_rows,
-    check_coefficient_bound,
-    check_criterion_oracle_agreement,
-    check_distortion,
-    check_family_correspondence,
-    check_fractional_compositions,
-    check_hadamard_orders,
-    check_printed_audit,
-    check_quadrature_closed_form,
-    check_radii,
-)
+from pvalent.selftest import audit_rows
+from test_frozen import battery
 
 SEED = 0
 
 
-def _require(result):
+def _require(criterion):
+    result = battery(SEED)[criterion - 1]
     line = f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}"
     print(line)
     assert result.passed, line
 
 
 def test_criterion_1_sharp_coefficient_bound():
-    _require(check_coefficient_bound(SEED))
+    _require(1)
 
 
 def test_criterion_2_criterion_matches_oracle():
-    _require(check_criterion_oracle_agreement(SEED))
+    _require(2)
 
 
 def test_criterion_3_quadrature_matches_closed_form():
-    _require(check_quadrature_closed_form(SEED))
+    _require(3)
 
 
 def test_criterion_4_family_correspondence():
-    _require(check_family_correspondence(SEED))
+    _require(4)
 
 
 def test_criterion_5_distortion_bounds():
-    _require(check_distortion(SEED))
+    _require(5)
 
 
 def test_criterion_6_radii():
-    _require(check_radii(SEED))
+    _require(6)
 
 
 def test_criterion_7_hadamard_orders():
-    _require(check_hadamard_orders(SEED))
+    _require(7)
 
 
 def test_criterion_8_fractional_compositions():
-    _require(check_fractional_compositions(SEED))
+    _require(8)
 
 
 def test_criterion_9_printed_form_audit():
-    _require(check_printed_audit(SEED))
+    _require(9)
     rows = audit_rows()
     assert len(rows) == 8  # theorems 7..10 at p = 1 and p = 2
     for row in rows:
@@ -73,27 +63,7 @@ def test_criterion_9_printed_form_audit():
 
 
 def test_total_runtime_budget():
-    """The whole battery must stay under two minutes; warn-level margin here."""
-    import time
-
-    from pvalent.selftest import run_all
-
-    t0 = time.perf_counter()
-    results = run_all(seed=SEED)
-    elapsed = time.perf_counter() - t0
+    """The whole battery must stay under two minutes, read as the sum of its rows' times; warn-level margin here."""
+    results = battery(SEED)
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
-    assert elapsed < 120.0
-
-
-def test_audit_table_is_frozen():
-    """Every audit value prints as in tests/audit_table.csv, the rows `selftest` prints."""
-    import csv
-    from pathlib import Path
-
-    with open(Path(__file__).with_name("audit_table.csv"), newline="") as fh:
-        frozen = list(csv.DictReader(fh))
-    rows = audit_rows()
-    assert len(rows) == len(frozen) == 8
-    for row, want in zip(rows, frozen):
-        for key, text in want.items():
-            assert repr(row[key]) == text, (row["theorem"], row["p"], key)
+    assert sum(r.elapsed for r in results) < 120.0

@@ -11,6 +11,7 @@ import inspect
 from pathlib import Path
 
 import pytest
+from test_frozen import battery
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -50,9 +51,7 @@ def test_hooked_arguments_keep_their_names(name, params):
 
 
 def test_selftest_names_are_the_benchmark_metric_names():
-    from pvalent import selftest
-
-    assert tuple(r.name for r in selftest.run_all(seed=0)) == _spans().SELFTEST_NAMES
+    assert tuple(r.name for r in battery(0)) == _spans().SELFTEST_NAMES
 
 
 def test_every_check_takes_a_seed_keyword():

@@ -468,22 +468,3 @@ def test_composition_memo_keeps_typed_entries():
     _composition.cache_clear()
     assert repr(warm) == repr(composition_bound(8, ClassParams(alpha=0.5), 1.0, 0.5, 0.5))
 
-
-def test_composition_table_is_frozen():
-    """16 rows, theorems 7-10 on four non-canonical classes (the last uncertified), printed bounds on:
-    every value prints as in tests/composition_table.csv, beyond the eight rows of the audit table."""
-    import csv
-    from pathlib import Path
-
-    with open(Path(__file__).with_name("composition_table.csv"), newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 16
-    for row in rows:
-        cp = ClassParams(*(int(row["p"]), *(float(row[k]) for k in ("alpha", "A", "B", "mu", "delta"))))
-        theorem, c, eta, r = int(row["theorem"]), float(row["c"]), float(row["eta"]), float(row["r"])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            b = composition_bound(theorem, cp, c, eta, r)
-        assert len(caught) == (not composition_certified(theorem, cp, c, eta))
-        got = [repr(v) for v in (b.lower, b.upper, b.printed_lower, b.printed_upper)]
-        assert got == [row[k] for k in ("lower", "upper", "printed_lower", "printed_upper")]

@@ -165,6 +165,24 @@ def test_hadamard_wrong_file_count_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hadamard", "A.json", "B.json", "--extremal"], "hadamard takes two series files or --extremal, not both"),
+        (["oracle", "-", "--check", "starlike", "--refine", "7"], "oracle --check starlike does not read --refine"),
+        (["oracle", "-", "--check", "subordination", "--zeta", "0.5"],
+         "oracle --check subordination does not read --zeta"),
+    ],
+    ids=["hadamard --extremal", "starlike --refine", "subordination --zeta"],
+)
+def test_a_flag_the_mode_does_not_read_exits_two(capsys, argv, message):
+    """Each flag was once dropped silently, with exit 0; no file is read before the refusal."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *CANON])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_oracle_subordination_json(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text('{"p": 1, "coeffs": [[2, 0.25]]}')
@@ -381,17 +399,21 @@ def test_non_sampling_subcommands_run_without_numpy():
 SUBMODULE_ATTRIBUTE = """
 import importlib, json, sys
 import pvalent
-before = "pvalent.oracle" in sys.modules
-module = pvalent.oracle
-print(json.dumps([before, module is importlib.import_module("pvalent.oracle"), set(pvalent.__all__) <= set(dir(pvalent))]))
+seen = []
+for name in ("geometry", "oracle"):
+    before = f"pvalent.{name}" in sys.modules
+    module = getattr(pvalent, name)
+    seen.append([before, module is importlib.import_module(f"pvalent.{name}"), "numpy" in sys.modules])
+print(json.dumps([seen, set(pvalent.__all__) <= set(dir(pvalent))]))
 """
 
 
 def test_a_submodule_read_as_an_attribute_is_the_imported_module():
-    # a fresh interpreter, so pvalent.oracle is not yet bound by an import and the package's __getattr__ loads it
+    # a fresh interpreter, so no submodule is yet bound by an import and the package's __getattr__ loads it:
+    # pvalent.geometry loads no numpy, pvalent.oracle does, and dir(pvalent) lists every public name
     proc = _child("-c", SUBMODULE_ATTRIBUTE)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, True, True]
+    assert json.loads(proc.stdout) == [[[False, True, False], [False, True, True]], True]
 
 
 PARSER_FOOTPRINT = """

@@ -96,7 +96,7 @@ def test_rafid_multiplier_matches_mpmath(k, p, mu, delta, mpref):
     assert abs(got - want) <= mpref.tolerance(want, math.lgamma(k + delta))
 
 
-def test_multiplier_sequence_matches_mpmath():
+def test_multiplier_sequence_matches_mpmath(mpref):
     """Every index p+1..p+80 of one series: w_k a_k within 2(k-p+1) ulp-units of 40 digits."""
     rng = np.random.default_rng(6)
     for _ in range(45):
@@ -105,10 +105,8 @@ def test_multiplier_sequence_matches_mpmath():
         f = make_series(p, [(k, float(rng.uniform(0.5, 1.0))) for k in range(p + 1, p + 81)])
         g = apply_rafid(f, RafidParams(mu, delta))
         with mpmath.workdps(40):
-            shrink, rising = 1 - mpmath.mpf(mu), mpmath.mpf(1)
             for k in range(p + 1, p + 81):
-                rising *= shrink * (k - 1 + mpmath.mpf(delta))
-                want = rising * f.coeffs[k]
+                want = mpmath.exp(mpref.log_weight(k, p, mu, delta)) * f.coeffs[k]
                 rel = abs((g.coeffs[k] - want) / want)
                 assert rel <= 2 * (k - p + 1) * 2.0**-52, (p, mu, delta, k, float(rel))
 
@@ -275,7 +273,7 @@ def test_quadrature_rule_is_sized_to_the_degree(monkeypatch, p, coeffs, size):
     assert sizes == [size]
 
 
-def test_quadrature_matches_mpmath_up_to_degree_p_plus_60():
+def test_quadrature_matches_mpmath_up_to_degree_p_plus_60(mpref):
     """Seeded members up to degree p+60 agree with a 40-digit closed form to 1e-13 relative.
 
     Image coefficients a_k w_k share a budget below one, so |value| >= (1 - budget) |z|^p
@@ -301,14 +299,13 @@ def test_quadrature_matches_mpmath_up_to_degree_p_plus_60():
         r = rng.uniform(max(0.1, 10.0 ** (-250 / p)), 0.9)
         z = complex(r * np.exp(1j * rng.uniform(0.0, 2 * math.pi)))
         with mpmath.workdps(40):
-            mu, delta = mpmath.mpf(rp.mu), mpmath.mpf(rp.delta)
-            w = {k: (1 - mu) ** (k - p) * mpmath.rf(p + delta, k - p) for k in ks}
+            w = {k: mpmath.exp(mpref.log_weight(k, p, rp.mu, rp.delta)) for k in ks}
             members.append((make_series(p, [(k, float(share / w[k])) for k, share in zip(ks, shares)]), rp, z))
     for f, rp, z in members:
         with mpmath.workdps(40):
-            mu, delta, zz = mpmath.mpf(rp.mu), mpmath.mpf(rp.delta), mpmath.mpc(z)
+            zz = mpmath.mpc(z)
             exact = mpmath.mpc(z**f.p) * (1 - mpmath.fsum(
-                mpmath.mpf(a) * (1 - mu) ** (k - f.p) * mpmath.rf(f.p + delta, k - f.p) * zz ** (k - f.p)
+                mpmath.mpf(a) * mpmath.exp(mpref.log_weight(k, f.p, rp.mu, rp.delta)) * zz ** (k - f.p)
                 for k, a in f.coeffs.items()
             ))
             got = rafid_quadrature(f, rp, z)

@@ -12,6 +12,7 @@ import pytest
 from pvalent import classes, selftest
 from pvalent.errors import ParameterOutOfRangeError
 from pvalent.series import CoefficientSeries
+from test_frozen import battery
 
 # the first helper each check calls, so that raising in all of them makes every check raise
 HELPERS = (
@@ -21,7 +22,7 @@ HELPERS = (
 
 
 def test_a_raising_check_keeps_its_name(monkeypatch):
-    names = [r.name for r in selftest.run_all(seed=0)]
+    names = [r.name for r in battery(0)]
 
     def boom(*args, **kwargs):
         raise RuntimeError("helper down")
