@@ -159,22 +159,31 @@ CANDIDATE_CLASSES = [
 ]
 
 
+CANDIDATE_HEADER = ["p", "alpha", "A", "B", "mu", "delta", "zeta", "k_max", "kind", "count", "radius", "argmin_k",
+                    "certified", "first", "last", "sha256"]
+
+
+@functools.cache
+def candidate_rows(i: int) -> tuple:
+    """The six rows of ``CANDIDATE_CLASSES[i]``, k_max 200 and 2000 by kind, each a tuple; computed once per
+    session for the byte comparison and the per-class tests of ``test_radius_candidates.py``."""
+    *params, zeta = CANDIDATE_CLASSES[i]
+    rows = []
+    for k_max in (200, 2000):
+        for kind, radius in RADII:
+            rep = radius(ClassParams(*params), zeta, k_max)
+            digest = hashlib.sha256("".join(f"{k} {r.hex()}\n" for k, r in rep.candidates).encode())
+            rows.append((*map(repr, (*params, zeta)), str(k_max), kind, str(len(rep.candidates)),
+                         repr(rep.radius), str(rep.argmin_k), str(rep.certified), repr(rep.candidates[0][1]),
+                         repr(rep.candidates[-1][1]), digest.hexdigest()))
+    return tuple(rows)
+
+
 def radius_candidates() -> str:
     """The full starlike, convex and close-to-convex candidate lists of eight classes at k_max 200 and 2000.  Each
     row holds the count, the radius, argmin and flag, the first and last candidate, and a SHA-256 digest of every
     candidate as ``k r.hex()`` lines, so a change in the last bit of any r_k, at any k, fails its row."""
-    rows = []
-    for *params, zeta in CANDIDATE_CLASSES:
-        for k_max in (200, 2000):
-            for kind, radius in RADII:
-                rep = radius(ClassParams(*params), zeta, k_max)
-                digest = hashlib.sha256("".join(f"{k} {r.hex()}\n" for k, r in rep.candidates).encode())
-                rows.append([*map(repr, (*params, zeta)), str(k_max), kind, str(len(rep.candidates)),
-                             repr(rep.radius), str(rep.argmin_k), str(rep.certified), repr(rep.candidates[0][1]),
-                             repr(rep.candidates[-1][1]), digest.hexdigest()])
-    header = ["p", "alpha", "A", "B", "mu", "delta", "zeta", "k_max", "kind", "count", "radius", "argmin_k",
-              "certified", "first", "last", "sha256"]
-    return _csv(header, rows)
+    return _csv(CANDIDATE_HEADER, (row for i in range(len(CANDIDATE_CLASSES)) for row in candidate_rows(i)))
 
 
 def scan_table() -> str:

@@ -1,75 +1,32 @@
-"""Every radius candidate, frozen: the full starlike, convex and close-to-convex lists of eight classes.
-
-``tests/scan_table.csv`` freezes each minimum, its argmin and the certified flag; this table freezes the lists
-they are read from.  Each row is one (class, zeta, k_max, kind) with the candidate count, the radius, argmin and
-flag, the first and last candidate, and a SHA-256 digest of every candidate as ``k r.hex()`` lines, so a change
-in the last bit of any r_k, at any k, fails its row.  The classes take mu in {0, 0.95}, delta in {0, 1} and
-p = 1..4; k_max is 200 and 2000.
-
-Regenerate the file, after a deliberate change of candidates, with::
-
-    PYTHONPATH=src python tests/test_radius_candidates.py
-"""
+"""Every radius candidate, class by class: each of the eight classes of ``radius_candidates.csv`` in a test of
+its own, so a change names the class whose candidates moved.  ``test_frozen.py`` writes the file and compares it
+byte for byte; both read the rows from :func:`test_frozen.candidate_rows`, computed once per session."""
 
 from __future__ import annotations
 
 import csv
-import hashlib
-from pathlib import Path
 
 import pytest
 
-from pvalent import ClassParams, radius_close_to_convex, radius_convex, radius_starlike
+from test_frozen import CANDIDATE_CLASSES, CANDIDATE_HEADER, HERE, RADII, candidate_rows
 
-TABLE = Path(__file__).with_name("radius_candidates.csv")
-HEADER = ["p", "alpha", "A", "B", "mu", "delta", "zeta", "k_max", "kind", "count", "radius", "argmin_k",
-          "certified", "first", "last", "sha256"]
-# (p, alpha, A, B, mu, delta, zeta): each (mu, delta) pair at two valences
-CLASSES = [
-    (1, 0.0, 1.0, -1.0, 0.0, 1.0, 0.0),
-    (3, 1.2, 0.4, -0.7, 0.0, 1.0, 2.5),
-    (2, 0.5, 0.8, -0.4, 0.0, 0.0, 0.3),
-    (4, 3.5, 0.9, 0.2, 0.0, 0.0, 1.0),
-    (1, 0.3, 0.5, -0.5, 0.95, 1.0, 0.6),
-    (4, 0.0, 1.0, -1.0, 0.95, 1.0, 0.0),
-    (2, 1.9, 0.3, -0.9, 0.95, 0.0, 1.7),
-    (3, 0.7, 1.0, 0.5, 0.95, 0.0, 0.25),
-]
-KINDS = (("starlike", radius_starlike), ("convex", radius_convex), ("ctc", radius_close_to_convex))
-
-
-def _class_rows(p, alpha, A, B, mu, delta, zeta) -> list[list[str]]:
-    cp, rows = ClassParams(p, alpha, A, B, mu, delta), []
-    for k_max in (200, 2000):
-        for kind, radius in KINDS:
-            rep = radius(cp, zeta, k_max)
-            digest = hashlib.sha256("".join(f"{k} {r.hex()}\n" for k, r in rep.candidates).encode())
-            rows.append([*map(repr, (p, alpha, A, B, mu, delta, zeta)), str(k_max), kind, str(len(rep.candidates)),
-                         repr(rep.radius), str(rep.argmin_k), str(rep.certified), repr(rep.candidates[0][1]),
-                         repr(rep.candidates[-1][1]), digest.hexdigest()])
-    return rows
+PER_CLASS = 2 * len(RADII)  # k_max 200 and 2000, by kind
 
 
 def _frozen() -> list[list[str]]:
-    with open(TABLE, newline="") as fh:
+    with open(HERE / "radius_candidates.csv", newline="") as fh:
         return list(csv.reader(fh))
 
 
 def test_table_holds_six_rows_per_class():
     frozen = _frozen()
-    assert frozen[0] == HEADER and len(frozen) == 1 + len(CLASSES) * 2 * len(KINDS)
+    assert frozen[0] == CANDIDATE_HEADER and len(frozen) == 1 + len(CANDIDATE_CLASSES) * PER_CLASS
 
 
-@pytest.mark.parametrize("i", range(len(CLASSES)))
+@pytest.mark.parametrize("i", range(len(CANDIDATE_CLASSES)))
 def test_every_radius_candidate_is_frozen(i):
-    per_class = 2 * len(KINDS)
-    frozen = _frozen()[1 + i * per_class : 1 + (i + 1) * per_class]
-    rows = _class_rows(*CLASSES[i])
-    assert len(rows) == len(frozen) == per_class
+    frozen = _frozen()[1 + i * PER_CLASS : 1 + (i + 1) * PER_CLASS]
+    rows = candidate_rows(i)
+    assert len(rows) == len(frozen) == PER_CLASS
     for row, want in zip(rows, frozen):
-        assert row == want, row[:9]
-
-
-if __name__ == "__main__":
-    with open(TABLE, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([HEADER, *(row for c in CLASSES for row in _class_rows(*c))])
+        assert list(row) == want, row[:9]
