@@ -32,11 +32,10 @@ under-aggregate the tail; outside the certificate admissible members do escape t
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .classes import ClassParams, _Report, _certified_scan, _tail_bounds, _tail_record, coeff_bound_r, extremal_r
-from .errors import DomainError, ParameterOutOfRangeError, _require_int
+from .errors import DomainError, ParameterOutOfRangeError, _require_int, _setattr
 from .operators import (
     _require_c, _require_eta, bernardi, fractional_derivative, fractional_integral, gamma_ratio,
 )
@@ -54,16 +53,21 @@ _LITERAL_P_MAX = 80
 _GAMMA_PIVOT = 170.0  # math.gamma is finite up to about 171.6
 
 
-@dataclass(frozen=True)
 class CompositionBound(_Report):
-    theorem: int
-    c: float
-    eta: float
-    r: float
-    lower: float
-    upper: float
-    printed_lower: float | None = None
-    printed_upper: float | None = None
+    __slots__ = _fields = ("theorem", "c", "eta", "r", "lower", "upper", "printed_lower", "printed_upper")
+
+    def __init__(
+        self, theorem: int, c: float, eta: float, r: float, lower: float, upper: float,
+        printed_lower: float | None = None, printed_upper: float | None = None,
+    ) -> None:
+        _setattr(self, "theorem", theorem)
+        _setattr(self, "c", c)
+        _setattr(self, "eta", eta)
+        _setattr(self, "r", r)
+        _setattr(self, "lower", lower)
+        _setattr(self, "upper", upper)
+        _setattr(self, "printed_lower", printed_lower)
+        _setattr(self, "printed_upper", printed_upper)
 
 
 def _validate(theorem: int, cp: ClassParams, c: float, eta: float) -> int:

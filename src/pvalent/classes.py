@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
 from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     DivergentInputError, OrderExceedsValenceError, ParameterOutOfRangeError, UncertifiedBoundWarning,
-    ValenceMismatchError, _require_index, _require_int, _require_radius,
+    ValenceMismatchError, _Frozen, _require_index, _require_int, _require_radius, _setattr,
 )
 from .operators import RafidParams, pow2_product, rafid_multiplier, rafid_multipliers
 from .series import CoefficientSeries, make_series
@@ -41,51 +40,59 @@ if TYPE_CHECKING:
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class ClassParams:
+class ClassParams(_Frozen):
     """Family parameters: p >= 1, 0 <= alpha < p, -1 <= B < A <= 1, plus smoothing (mu, delta)."""
 
-    p: int = 1
-    alpha: float = 0.0
-    A: float = 1.0
-    B: float = -1.0
-    mu: float = 0.0
-    delta: float = 1.0
+    _fields = ("p", "alpha", "A", "B", "mu", "delta")
     # derived once, since every criterion term reads them; scale = (A-B)(p-alpha) is
-    # the right-hand side of the unnormalized criterion
-    rafid: RafidParams = field(init=False, repr=False, compare=False)
-    scale: float = field(init=False, repr=False, compare=False)
+    # the right-hand side of the unnormalized criterion, and _hash keys every lru_cache on the hot path
+    __slots__ = _fields + ("rafid", "scale", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _require_int("valence p", self.p, 1))
-        _require_order("alpha", self.alpha, self.p)
-        if not (-1.0 <= self.B < self.A <= 1.0):
-            raise ParameterOutOfRangeError(f"need -1 <= B < A <= 1, got A = {self.A}, B = {self.B}")
+    def __init__(
+        self, p: int = 1, alpha: float = 0.0, A: float = 1.0, B: float = -1.0, mu: float = 0.0, delta: float = 1.0
+    ) -> None:
+        p = _require_int("valence p", p, 1)
+        _require_order("alpha", alpha, p)
+        if not (-1.0 <= B < A <= 1.0):
+            raise ParameterOutOfRangeError(f"need -1 <= B < A <= 1, got A = {A}, B = {B}")
         # RafidParams checks mu and delta; past the checks, which refuse a string, the five are stored as floats
-        object.__setattr__(self, "rafid", RafidParams(self.mu, self.delta))
-        for name in ("alpha", "A", "B", "mu", "delta"):
-            if type(value := getattr(self, name)) is not float:
-                object.__setattr__(self, name, float(value))
-        object.__setattr__(self, "scale", (self.A - self.B) * (self.p - self.alpha))
+        rafid = RafidParams(mu, delta)
+        alpha, A, B = float(alpha), float(A), float(B)
+        _setattr(self, "p", p)
+        _setattr(self, "alpha", alpha)
+        _setattr(self, "A", A)
+        _setattr(self, "B", B)
+        _setattr(self, "mu", rafid.mu)
+        _setattr(self, "delta", rafid.delta)
+        _setattr(self, "rafid", rafid)
+        _setattr(self, "scale", (A - B) * (p - alpha))
+        _setattr(self, "_hash", hash((p, alpha, A, B, rafid.mu, rafid.delta)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-class _Report:
-    """Base of the report dataclasses: their JSON form holds every field, in order.
+class _Report(_Frozen):
+    """Base of the report types: their JSON form holds every field, in order.
 
-    The values are shared, not copied as by ``dataclasses.asdict``: a report is frozen and holds numbers,
-    strings and tuples of them, and a deep copy of a 2,000-candidate radius report costs milliseconds.
+    The values are shared, not copied: a report is frozen and holds numbers, strings and tuples of them,
+    and a deep copy of a 2,000-candidate radius report costs milliseconds.
     """
 
+    __slots__ = ()
+
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self._fields}
 
 
-@dataclass(frozen=True)
 class MembershipReport(_Report):
-    sum: float
-    member: bool
-    margin: float
-    per_term: tuple[tuple[int, float], ...]
+    __slots__ = _fields = ("sum", "member", "margin", "per_term")
+
+    def __init__(self, sum: float, member: bool, margin: float, per_term: tuple[tuple[int, float], ...]) -> None:
+        _setattr(self, "sum", sum)
+        _setattr(self, "member", member)
+        _setattr(self, "margin", margin)
+        _setattr(self, "per_term", per_term)
 
 
 def _term(k: int, cp: ClassParams, m: float, e: int) -> tuple[float, int]:

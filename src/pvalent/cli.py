@@ -3,7 +3,7 @@
 One subcommand per module: membership checks and extremal construction,
 radii, distortion curves, convolution orders, fractional-composition bounds,
 sampling oracles and the acceptance selftest.  Reports are JSON on stdout, every
-field of the report's dataclass (:func:`_json`); curves are CSV, each cell the
+field of the report, in order (:func:`_json`); curves are CSV, each cell the
 ``repr`` of its value (:func:`_csv`, headers exactly ``r,lower,upper`` and
 ``r,lower,upper,printed_lower,printed_upper``).  Exit status: 0 on success,
 1 on domain errors (machine-readable JSON on stderr), 2 on I/O or flag
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -101,10 +100,10 @@ def _cmd_hadamard(args: argparse.Namespace, cp: ClassParams) -> int:
     if args.series:
         factors = (_load_series(args.series[0]), _load_series(args.series[1]))
     elif args.extremal:
-        factors = (extremal_r(cp.p + 1, cp), extremal_r(cp.p + 1, replace(cp, alpha=beta)))
+        factors = (extremal_r(cp.p + 1, cp), extremal_r(cp.p + 1, cp.replace(alpha=beta)))
     if factors is not None:
         product, inside = hadamard_product(*factors), 0.0 <= rep.order < cp.p
-        out["product"] = check_r_membership(product, replace(cp, alpha=rep.order)).to_dict() if inside else None
+        out["product"] = check_r_membership(product, cp.replace(alpha=rep.order)).to_dict() if inside else None
     return _json(out)
 
 
@@ -125,7 +124,7 @@ def _cmd_oracle(args: argparse.Namespace, cp: ClassParams) -> int:
     f = _load_series(args.series)
     if args.check == "subordination":
         grid = SampleGrid(angles_per_radius=args.angles, refinement=2 if args.refine is None else args.refine)
-        rep = subordination_margin(f, cp, grid if args.r is None else replace(grid, radii=(args.r,)))
+        rep = subordination_margin(f, cp, grid if args.r is None else grid.replace(radii=(args.r,)))
     else:
         fn = {"starlike": starlike_min_re, "convex": convex_min_re, "ctc": ctc_max_dev}
         zeta = 0.0 if args.zeta is None else args.zeta

@@ -12,11 +12,16 @@ an integer-valued float, at least p+1 (:func:`_require_index`,
 :class:`ParameterOutOfRangeError`).  The fractional-order and Bernardi rules
 live in :mod:`pvalent.operators`, and the order rule, an order in [0, p)
 (``_require_order``), in :mod:`pvalent.classes`.  This module imports no numpy.
+
+It is also the home of :class:`_Frozen`, the base of the package's twelve value and report types: slotted,
+immutable classes compared, hashed and printed by their fields, which cost a cold import nothing beyond this
+module.
 """
 
 from __future__ import annotations
 
 from numbers import Integral
+from operator import attrgetter
 
 
 class DomainError(ValueError):
@@ -101,3 +106,57 @@ def _require_radius(r: float) -> float:
     if not 0.0 < r < 1.0:
         raise RadiusOutOfRangeError(f"radius must lie in (0, 1), got {r}")
     return float(r)
+
+
+_setattr = object.__setattr__  # how an __init__ of a _Frozen subclass stores a field
+
+
+class _Frozen:
+    """Base of the value and report types: the fields named in ``_fields``, in order, make the instance.
+
+    A subclass lists its fields in ``_fields`` and in ``__slots__`` (which may add derived slots, formed from
+    the fields), and writes its own ``__init__``, which validates and stores each value with ``_setattr``.
+    Equality and hashing read the fields as one tuple, and ``repr`` prints them as ``name=value``; derived slots
+    take no part.  ``replace`` (also ``copy.replace`` from Python 3.13) builds a new instance through ``__init__``,
+    so validation runs again; ``copy``, ``deepcopy`` and ``pickle`` rebuild through it too.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            cls._key = attrgetter(*cls._fields)
+            cls.__match_args__ = cls._fields
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def replace(self, **changes: object) -> _Frozen:
+        """A copy with these fields changed, through ``__init__``; a derived slot raises ValueError."""
+        kwargs = {name: getattr(self, name) for name in self._fields}
+        for name in changes:
+            if name not in kwargs and name in self.__slots__:
+                raise ValueError(f"{name} is derived from the fields; it cannot be replaced")
+        kwargs.update(changes)  # an unknown name reaches __init__, which raises TypeError
+        return self.__class__(**kwargs)
+
+    __replace__ = replace  # copy.replace, from Python 3.13
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)

@@ -26,7 +26,6 @@ k_max asked: the three kinds share it, and each adds a pass of exp divided by th
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterable
@@ -35,27 +34,35 @@ from .classes import (
     _LN2, ClassParams, _Report, _nondecreasing, _require_order, _scan_indices, _tail_bounds, _tail_record,
     budget_certified, coeff_bound_r,
 )
-from .errors import _require_int
+from .errors import _Frozen, _require_int, _setattr
 from .operators import rafid_multipliers
 from .series import _falling
 
 _LOG_K = [-math.inf]  # math.log(k) at index k, kept for speed; regrown as a new list, never extended in place
 
-@dataclass(frozen=True)
-class BoundCurve:
-    m: int
-    samples: tuple[tuple[float, float, float], ...]  # (r, lower, upper)
+
+class BoundCurve(_Frozen):
+    __slots__ = _fields = ("m", "samples")
+
+    def __init__(self, m: int, samples: tuple[tuple[float, float, float], ...]) -> None:  # (r, lower, upper)
+        _setattr(self, "m", m)
+        _setattr(self, "samples", samples)
 
 
-@dataclass(frozen=True)
 class RadiusReport(_Report):
-    kind: str
-    radius: float
-    argmin_k: int
-    zeta: float
-    candidates: tuple[tuple[int, float], ...]
-    certified: bool
-    whole_disk: bool
+    __slots__ = _fields = ("kind", "radius", "argmin_k", "zeta", "candidates", "certified", "whole_disk")
+
+    def __init__(
+        self, kind: str, radius: float, argmin_k: int, zeta: float, candidates: tuple[tuple[int, float], ...],
+        certified: bool, whole_disk: bool,
+    ) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "radius", radius)
+        _setattr(self, "argmin_k", argmin_k)
+        _setattr(self, "zeta", zeta)
+        _setattr(self, "candidates", candidates)
+        _setattr(self, "certified", certified)
+        _setattr(self, "whole_disk", whole_disk)
 
 
 def _distortion(cp: ClassParams, m: int) -> tuple:

@@ -17,12 +17,11 @@ and collapses to lambda at beta = alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .classes import (
     ClassParams, _Report, _grows_past, _nondecreasing, _require_order, _scan_indices, check_r_membership, extremal_r,
 )
-from .errors import DegenerateDenominatorError, _require_index
+from .errors import DegenerateDenominatorError, _require_index, _setattr
 from .operators import pow2_product, rafid_multiplier, rafid_multipliers
 from .series import hadamard_product
 
@@ -30,13 +29,17 @@ _SATURATION_TOL = 1e-10
 _ORDER_BUMP = 1e-6
 
 
-@dataclass(frozen=True)
 class ConvolutionOrderReport(_Report):
-    order: float
-    saturating_k: int
-    verified_best: bool
-    phi_increasing: bool
-    saturation_margin: float
+    __slots__ = _fields = ("order", "saturating_k", "verified_best", "phi_increasing", "saturation_margin")
+
+    def __init__(
+        self, order: float, saturating_k: int, verified_best: bool, phi_increasing: bool, saturation_margin: float
+    ) -> None:
+        _setattr(self, "order", order)
+        _setattr(self, "saturating_k", saturating_k)
+        _setattr(self, "verified_best", verified_best)
+        _setattr(self, "phi_increasing", phi_increasing)
+        _setattr(self, "saturation_margin", saturation_margin)
 
 
 def mixed_order_candidate(k: int, cp: ClassParams, beta: float) -> float:
@@ -78,12 +81,12 @@ def class_order_candidate(k: int, cp: ClassParams) -> float:
 
 def _saturation(cp: ClassParams, beta: float, order: float) -> tuple[float, bool]:
     """(margin at the order, fails at order + bump) for the product of extremals."""
-    cp_b = replace(cp, alpha=beta)
+    cp_b = cp.replace(alpha=beta)
     product = hadamard_product(extremal_r(cp.p + 1, cp), extremal_r(cp.p + 1, cp_b))
-    margin = check_r_membership(product, replace(cp, alpha=order)).margin
+    margin = check_r_membership(product, cp.replace(alpha=order)).margin
     bumped = order + _ORDER_BUMP
     # past p no admissible higher order exists at all
-    fails = bumped >= cp.p or not check_r_membership(product, replace(cp, alpha=bumped)).member
+    fails = bumped >= cp.p or not check_r_membership(product, cp.replace(alpha=bumped)).member
     return margin, fails
 
 

@@ -24,15 +24,16 @@ and exponent step, and is read through the one Horner evaluation,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     DivergentInputError,
     NonpositiveArgumentError,
     ParameterOutOfRangeError,
+    _Frozen,
     _require_index,
     _require_int,
+    _setattr,
 )
 from .series import CoefficientSeries, FractionalSeries, _as_fractional, _diagonal
 
@@ -43,20 +44,19 @@ _EXACT_GAP = 64  # integer argument gaps up to this use an exact rising product
 _QUADRATURE_NODES = 64  # largest Gauss-Laguerre rule of rafid_quadrature: exact below degree p + 128
 
 
-@dataclass(frozen=True)
-class RafidParams:
+class RafidParams(_Frozen):
     """Smoothing operator parameters: 0 <= mu < 1 and 0 <= delta <= 1, stored as floats."""
 
-    mu: float = 0.0
-    delta: float = 1.0
+    __slots__ = _fields = ("mu", "delta")
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.mu < 1.0):
-            raise ParameterOutOfRangeError(f"mu must lie in [0, 1), got {self.mu}")
-        if not (0.0 <= self.delta <= 1.0):
-            raise ParameterOutOfRangeError(f"delta must lie in [0, 1], got {self.delta}")
-        for name in ("mu", "delta"):  # after the checks, which refuse a string; a numpy scalar would leak its arithmetic
-            object.__setattr__(self, name, float(getattr(self, name)))
+    def __init__(self, mu: float = 0.0, delta: float = 1.0) -> None:
+        if not (0.0 <= mu < 1.0):
+            raise ParameterOutOfRangeError(f"mu must lie in [0, 1), got {mu}")
+        if not (0.0 <= delta <= 1.0):
+            raise ParameterOutOfRangeError(f"delta must lie in [0, 1], got {delta}")
+        # after the checks, which refuse a string; a numpy scalar would leak its arithmetic
+        _setattr(self, "mu", float(mu))
+        _setattr(self, "delta", float(delta))
 
 
 def gamma_ratio(x: float, y: float) -> float:

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .classes import ClassParams, _require_order
 from .errors import (
-    DivergentInputError, ParameterOutOfRangeError, PoleOnGridError, ValenceMismatchError, _require_int, _require_radius,
+    DivergentInputError, ParameterOutOfRangeError, PoleOnGridError, ValenceMismatchError, _Frozen, _require_int,
+    _require_radius, _setattr,
 )
 from .operators import rafid_multipliers
 from .series import CoefficientSeries
@@ -55,36 +55,40 @@ _TOLERANCE = 1e-9  # every check's pass margin, reported as OracleReport.toleran
 _WALK_THRESHOLD, _WALK_RADII = 1.0 - 1e-3, tuple(1.0 - (1.0 - 0.9) * 0.5**j for j in range(40))
 
 
-@dataclass(frozen=True)
-class SampleGrid:
+class SampleGrid(_Frozen):
     """Only radii[-1] is sampled; refinement caps the angle doublings made while samples pass and U does not."""
 
-    radii: tuple[float, ...] = _DEFAULT_RADII
-    angles_per_radius: int = 256
-    refinement: int = 2
+    __slots__ = _fields = ("radii", "angles_per_radius", "refinement")
 
-    def __post_init__(self) -> None:
-        if not self.radii:
+    def __init__(
+        self, radii: tuple[float, ...] = _DEFAULT_RADII, angles_per_radius: int = 256, refinement: int = 2
+    ) -> None:
+        if not radii:
             raise ParameterOutOfRangeError("grid needs at least one radius")
-        radii = tuple(map(_require_radius, self.radii))
+        radii = tuple(map(_require_radius, radii))
         if list(radii) != sorted(set(radii)):
             raise ParameterOutOfRangeError("grid radii must be strictly increasing")
         # stored as the plain floats and ints checked, as ClassParams stores its own
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "angles_per_radius", _require_int("angles per circle", self.angles_per_radius, 8))
-        object.__setattr__(self, "refinement", _require_int("refinement", self.refinement, 0))
+        _setattr(self, "radii", radii)
+        _setattr(self, "angles_per_radius", _require_int("angles per circle", angles_per_radius, 8))
+        _setattr(self, "refinement", _require_int("refinement", refinement, 0))
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    check: str
-    extremum: float
-    threshold: float
-    arg_z: complex
-    passed: bool
-    tolerance: float
-    n_angles: int
-    warnings: tuple[str, ...] = ()
+class OracleReport(_Frozen):
+    __slots__ = _fields = ("check", "extremum", "threshold", "arg_z", "passed", "tolerance", "n_angles", "warnings")
+
+    def __init__(
+        self, check: str, extremum: float, threshold: float, arg_z: complex, passed: bool, tolerance: float,
+        n_angles: int, warnings: tuple[str, ...] = (),
+    ) -> None:
+        _setattr(self, "check", check)
+        _setattr(self, "extremum", extremum)
+        _setattr(self, "threshold", threshold)
+        _setattr(self, "arg_z", arg_z)
+        _setattr(self, "passed", passed)
+        _setattr(self, "tolerance", tolerance)
+        _setattr(self, "n_angles", n_angles)
+        _setattr(self, "warnings", warnings)
 
     def to_dict(self) -> dict:
         return {

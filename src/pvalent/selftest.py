@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .classes import (
     random_params,
     zf_prime_over_p,
 )
-from .errors import DegenerateDenominatorError, _require_int
+from .errors import DegenerateDenominatorError, _Frozen, _require_int, _setattr
 from .geometry import distortion_bounds, radius_convex, radius_starlike
 from .hadamard import mixed_order_xi, schild_silverman_lambda
 from .operators import (
@@ -53,12 +52,14 @@ from .series import FractionalSeries, derivative_m, evaluate, make_series
 CANONICAL = ClassParams()  # p=1, alpha=0, A=1, B=-1, mu=0, delta=1
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CheckResult(_Frozen):
+    __slots__ = _fields = ("name", "passed", "detail", "elapsed")
+
+    def __init__(self, name: str, passed: bool, detail: str, elapsed: float) -> None:
+        _setattr(self, "name", name)
+        _setattr(self, "passed", passed)
+        _setattr(self, "detail", detail)
+        _setattr(self, "elapsed", elapsed)
 
 
 def _check(name: str, budget_s: float = math.inf) -> Callable[[Callable[..., str]], Callable]:

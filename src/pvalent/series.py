@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -28,21 +27,25 @@ from .errors import (
     ParameterOutOfRangeError,
     SeriesFormatError,
     ValenceMismatchError,
+    _Frozen,
     _require_index,
     _require_int,
+    _setattr,
 )
 
 
-@dataclass(frozen=True)
-class CoefficientSeries:
+class CoefficientSeries(_Frozen):
     """z^p minus a finite tail with nonnegative coefficients.
 
     Build through :func:`make_series`, which validates; the constructor
     itself trusts its inputs.  Instances are treated as immutable.
     """
 
-    p: int
-    coeffs: Mapping[int, float]
+    __slots__ = _fields = ("p", "coeffs")
+
+    def __init__(self, p: int, coeffs: Mapping[int, float]) -> None:
+        _setattr(self, "p", p)
+        _setattr(self, "coeffs", coeffs)
 
     @property
     def truncation_degree(self) -> int:
@@ -53,8 +56,7 @@ class CoefficientSeries:
         return self.coeffs.get(k, 0.0)
 
 
-@dataclass(frozen=True)
-class FractionalSeries:
+class FractionalSeries(_Frozen):
     """Series with a real exponent offset and an explicit leading coefficient.
 
     Represents ``leading * z^(p+shift) + sum_k terms[k] * z^(k+shift)`` with
@@ -62,30 +64,33 @@ class FractionalSeries:
     :class:`CoefficientSeries` keep their tails nonpositive).  The shift is
     finite and the leading exponent p+shift may reach zero, which happens for
     the p-th derivative, but not fall below it (:class:`ExponentUnderflowError`);
-    every tail exponent is then at least 1.
+    every tail exponent is then at least 1.  Numpy scalars and integer-valued
+    float indices are stored as plain ints and floats.
     """
 
-    p: int
-    shift: float
-    leading: float
-    terms: Mapping[int, float] = field(default_factory=dict)
+    __slots__ = _fields = ("p", "shift", "leading", "terms")
 
-    def __post_init__(self) -> None:
-        _require_int("valence p", self.p, 1)
-        if not math.isfinite(self.shift):
-            raise ParameterOutOfRangeError(f"exponent shift must be finite, got {self.shift}")
-        if self.p + self.shift < 0:
-            raise ExponentUnderflowError(f"leading exponent p+shift = {self.p + self.shift} is negative")
-        if not math.isfinite(self.leading):
+    def __init__(self, p: int, shift: float, leading: float, terms: Mapping[int, float] | None = None) -> None:
+        p = _require_int("valence p", p, 1)
+        if not math.isfinite(shift):
+            raise ParameterOutOfRangeError(f"exponent shift must be finite, got {shift}")
+        if p + shift < 0:
+            raise ExponentUnderflowError(f"leading exponent p+shift = {p + shift} is negative")
+        if not math.isfinite(leading):
             raise ParameterOutOfRangeError("leading coefficient is not finite")
-        for k, c in self.terms.items():
-            if type(k) is not int or k <= self.p:
-                _require_index(k, self.p)
+        terms = {} if terms is None else terms
+        plain = True  # every index an int and every value a float: terms is stored as given
+        for k, c in terms.items():
+            if type(k) is not int or k <= p or type(c) is not float:
+                _require_index(k, p)
+                plain = False
             if not math.isfinite(c):
                 raise ParameterOutOfRangeError(f"coefficient at index {k} is not finite")
-        if not (type(self.p) is int and type(self.shift) is type(self.leading) is float):  # a numpy scalar would leak
-            for name, kind in (("p", int), ("shift", float), ("leading", float)):  # its arithmetic and its repr
-                object.__setattr__(self, name, kind(getattr(self, name)))
+        # a numpy scalar would leak its arithmetic and its repr, and a float index would stay a float key
+        _setattr(self, "p", p)
+        _setattr(self, "shift", float(shift))
+        _setattr(self, "leading", float(leading))
+        _setattr(self, "terms", terms if plain else {_require_index(k, p): float(c) for k, c in terms.items()})
 
     @property
     def truncation_degree(self) -> int:

@@ -140,6 +140,9 @@ def test_numpy_valence_gives_plain_results():
     assert schild_silverman_lambda(ClassParams(p=np.int64(2))).to_dict()["saturating_k"] == 3
     numpy_series = FractionalSeries(p=np.int64(2), shift=np.float64(0.5), leading=np.float64(1.0), terms={3: -0.1})
     assert repr(numpy_series) == repr(FractionalSeries(p=2, shift=0.5, leading=1.0, terms={3: -0.1}))
+    numpy_terms = FractionalSeries(1, 0.0, 1.0, {np.int64(3): np.float64(-0.1), 2.0: -0.1})
+    assert repr(numpy_terms) == repr(FractionalSeries(1, 0.0, 1.0, {3: -0.1, 2: -0.1}))
+    assert [(type(k), type(c)) for k, c in numpy_terms.terms.items()] == [(int, float)] * 2
     numpy_grid = SampleGrid(radii=[np.float64(0.5)], angles_per_radius=np.int64(16), refinement=np.int64(1))
     assert repr(numpy_grid) == repr(SampleGrid(radii=(0.5,), angles_per_radius=16, refinement=1))
 

@@ -354,12 +354,16 @@ for argv in calls:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert pvalent.cli.main(argv + canon) == 0, argv
     assert out.getvalue(), argv
-print(json.dumps(sorted({"numpy", "scipy"} & set(sys.modules))))
+print(json.dumps(sorted({"numpy", "scipy", "dataclasses", "inspect"} & set(sys.modules))))
 names = sorted(pvalent.__all__)
 margin = pvalent.subordination_margin(pvalent.make_series(1), pvalent.ClassParams())
 namespace = {}
 exec("from pvalent import *", namespace)
-print(json.dumps([names, margin.passed, callable(namespace["subordination_ratio_real"])]))
+import pvalent.selftest
+modules = sorted(name for name in sys.modules if name.startswith("pvalent"))
+# numpy loads inspect itself, so only dataclasses is looked for once every module is in
+print(json.dumps([names, margin.passed, callable(namespace["subordination_ratio_real"]), modules,
+                  "dataclasses" in sys.modules]))
 """
 
 # every public name, the oracle's included although they load on first access
@@ -391,9 +395,10 @@ def test_non_sampling_subcommands_run_without_numpy():
     assert proc.returncode == 0, proc.stderr
     loaded, rest = proc.stdout.splitlines()
     assert json.loads(loaded) == []
-    names, passed, star = json.loads(rest)
+    names, passed, star, modules, dataclasses_loaded = json.loads(rest)
     assert set(names) == PUBLIC_NAMES
     assert passed and star
+    assert len(modules) == 11 and not dataclasses_loaded
 
 
 SUBMODULE_ATTRIBUTE = """

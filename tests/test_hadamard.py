@@ -1,7 +1,5 @@
 """Orders preserved by coefficientwise products of class members."""
 
-from dataclasses import replace
-
 import mpmath
 import pytest
 
@@ -72,17 +70,17 @@ def test_product_of_members_has_the_order(rng):
         f = random_member(cp, rng)
         g = random_member(cp, rng)
         h = hadamard_product(f, g)
-        assert check_r_membership(h, replace(cp, alpha=lam)).member
+        assert check_r_membership(h, cp.replace(alpha=lam)).member
 
 
 def test_product_of_extremals_saturates_exactly():
     lam = schild_silverman_lambda(CANONICAL).order
     f = extremal_r(2, CANONICAL)
     h = hadamard_product(f, f)
-    rep = check_r_membership(h, replace(CANONICAL, alpha=lam))
+    rep = check_r_membership(h, CANONICAL.replace(alpha=lam))
     assert abs(rep.margin) <= 1e-10
     # any larger claimed order loses the product
-    worse = check_r_membership(h, replace(CANONICAL, alpha=lam + 1e-6))
+    worse = check_r_membership(h, CANONICAL.replace(alpha=lam + 1e-6))
     assert not worse.member
 
 

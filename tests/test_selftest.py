@@ -1,6 +1,5 @@
 """The selftest harness: one name, one generator, one clock and one guard per check."""
 
-import dataclasses
 import itertools
 import re
 import time
@@ -92,7 +91,7 @@ def _missed_on_draw(real, draw, move):
         if isinstance(got, tuple):
             return move(*got)
         lower, upper = move(got.lower, got.upper)
-        return dataclasses.replace(got, lower=lower, upper=upper)
+        return got.replace(lower=lower, upper=upper)
 
     return bound
 
@@ -116,7 +115,7 @@ def test_a_draw_outside_its_bound_fails_the_containment_check_at_that_draw(monke
 
 def _replaced(real, **changes):
     """real, with these fields of the report it returns replaced."""
-    return lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), **changes)
+    return lambda *args, **kwargs: real(*args, **kwargs).replace(**changes)
 
 
 def _fixed(real, *args, **kwargs):
@@ -142,7 +141,7 @@ def _doubled_terms(real):
     """real, its tail doubled: the fractional roundtrip then returns -2 a_k for a_k."""
     def fake(g, eta):
         got = real(g, eta)
-        return dataclasses.replace(got, terms={k: 2.0 * t for k, t in got.terms.items()})
+        return got.replace(terms={k: 2.0 * t for k, t in got.terms.items()})
 
     return fake
 
@@ -151,7 +150,7 @@ def _lead_off_at_eta_1(real):
     """real, the leading coefficient 0.25 at eta = 1 (an integral of z, whose leading coefficient is 1/2)."""
     def fake(f, eta):
         got = real(f, eta)
-        return dataclasses.replace(got, leading=0.25) if eta == 1.0 else got
+        return got.replace(leading=0.25) if eta == 1.0 else got
 
     return fake
 
@@ -160,7 +159,7 @@ def _xi_off_at_beta_alpha(real):
     """real, 0.1 off wherever beta = alpha, as in criterion 7's collapse draws but not its canonical xi."""
     def fake(cp, beta):
         rep = real(cp, beta)
-        return dataclasses.replace(rep, order=rep.order + 0.1) if beta == cp.alpha else rep
+        return rep.replace(order=rep.order + 0.1) if beta == cp.alpha else rep
 
     return fake
 
