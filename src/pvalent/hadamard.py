@@ -6,8 +6,10 @@ order-lambda family, where lambda comes from the k = p+1 case of
     Phi(k) = p - (1-B)(k-p)(A-B)(p-alpha)^2
              / ([(1-B)(k-p)+(A-B)(p-alpha)]^2 w_k - [(A-B)(p-alpha)]^2),
 
-w_k the smoothing multiplier.  The order is best possible: the squared
-k = p+1 extremal saturates it.  Phi being smallest at k = p+1 is checked, not
+w_k the smoothing multiplier.  The order is best possible: the product of
+the two k = p+1 extremals saturates it.  That product has one coefficient,
+so its criterion sum is read in closed form (:func:`_saturation`), from the
+w_(p+1) the Phi scan forms anyway.  Phi being smallest at k = p+1 is checked, not
 assumed: numerically up to the first k with den(k) > 0 where the proved stop
 :func:`pvalent.classes._grows_past` holds at target 2, and by its proof past it.  The
 mixed-order variant (factors of orders alpha and beta) follows the same pattern
@@ -18,12 +20,9 @@ from __future__ import annotations
 
 import math
 
-from .classes import (
-    ClassParams, _Report, _grows_past, _nondecreasing, _require_order, _scan_indices, check_r_membership, extremal_r,
-)
+from .classes import ClassParams, _Report, _bound, _grows_past, _nondecreasing, _require_order, _scan_indices
 from .errors import DegenerateDenominatorError, _require_index, _setattr
 from .operators import pow2_product, rafid_multiplier, rafid_multipliers
-from .series import hadamard_product
 
 _SATURATION_TOL = 1e-10
 _ORDER_BUMP = 1e-6
@@ -79,27 +78,39 @@ def class_order_candidate(k: int, cp: ClassParams) -> float:
     return mixed_order_candidate(k, cp, cp.alpha)
 
 
-def _saturation(cp: ClassParams, beta: float, order: float) -> tuple[float, bool]:
-    """(margin at the order, fails at order + bump) for the product of extremals."""
-    cp_b = cp.replace(alpha=beta)
-    product = hadamard_product(extremal_r(cp.p + 1, cp), extremal_r(cp.p + 1, cp_b))
-    margin = check_r_membership(product, cp.replace(alpha=order)).margin
-    bumped = order + _ORDER_BUMP
-    # past p no admissible higher order exists at all
-    fails = bumped >= cp.p or not check_r_membership(product, cp.replace(alpha=bumped)).member
-    return margin, fails
+def _saturation(k: int, cp: ClassParams, beta: float, order: float, m: float, e: int) -> tuple[float, bool]:
+    """(margin at the order, fails at order + bump) of the product of the k-extremals of orders alpha and beta.
+
+    With d = k-p, w_k = m 2^e and s_x = (A-B)(p-x), the order-x criterion term at k is t_x 2^e, where
+    t_x = [(1-B) d + s_x] m / s_x.  The product's lone coefficient is a = _bound(t_alpha, e) _bound(t_beta, e),
+    the two coeff_bound_r values multiplied as hadamard_product does, and its criterion sum at order x is
+    pow2_product(t_x, e, a), of which check_r_membership's inline ldexp is a fast path: the margin 1 - sum and the
+    bumped verdict are bit for bit those of the membership route, 0 inf giving 0.0 and overflow inf.
+    """
+    growth, gap = (1.0 - cp.B) * (k - cp.p), cp.A - cp.B
+
+    def term(x: float) -> float:  # t_x; s_alpha is cp.scale, formed by the same expression
+        s = gap * (cp.p - x)
+        return (growth + s) * m / s
+
+    a = _bound(term(cp.alpha), e) * _bound(term(beta), e)
+    margin, bumped = 1.0 - pow2_product(term(order), e, a), order + _ORDER_BUMP
+    # past p no admissible higher order exists at all; a nan sum fails
+    return margin, bumped >= cp.p or not pow2_product(term(bumped), e, a) <= 1.0
 
 
 def _order_report(cp: ClassParams, beta: float, k_max: int) -> ConvolutionOrderReport:
     ks, phis, beta = _scan_indices(cp, k_max), [], _require_order("beta", beta, cp.p)
     for k, (m, e) in zip(ks, rafid_multipliers(cp.p, cp.rafid, ks)):
         phis.append(_phi(k, cp, beta, m, e))
+        if k == cp.p + 1:
+            w_first = m, e  # w_(p+1), for the saturation
         if _grows_past(cp, k, 2.0) and not math.isnan(phis[-1]):  # den(k) > 0: Phi proved nondecreasing past k
             break
     order = phis[0]
     increasing = _nondecreasing(phis, tol=1e-12)
     if 0.0 <= order < cp.p:
-        margin, fails_above = _saturation(cp, beta, order)
+        margin, fails_above = _saturation(cp.p + 1, cp, beta, order, *w_first)
         saturated = abs(margin) <= _SATURATION_TOL and fails_above
     else:
         margin, saturated = math.nan, False

@@ -47,7 +47,7 @@ from .oracle import (
     subordination_certified,
     subordination_margin,
 )
-from .series import FractionalSeries, derivative_m, evaluate, make_series
+from .series import FractionalSeries, derivative_m, evaluate, hadamard_product, make_series
 
 CANONICAL = ClassParams()  # p=1, alpha=0, A=1, B=-1, mu=0, delta=1
 
@@ -298,9 +298,16 @@ def check_radii(failures: list[str], rng: np.random.Generator) -> str:
     )
 
 
+def _squared_extremal_margin(cp: ClassParams, order: float) -> float:
+    """Membership margin at the order of the Hadamard square of the k = p+1 extremal, through the criterion."""
+    f = extremal_r(cp.p + 1, cp)
+    return check_r_membership(hadamard_product(f, f), cp.replace(alpha=order)).margin
+
+
 @_check("hadamard-orders")
 def check_hadamard_orders(failures: list[str], rng: np.random.Generator) -> str:
-    """Criterion 7: canonical lambda and xi, saturation, beta = alpha collapse."""
+    """Criterion 7: canonical lambda and xi, saturation, beta = alpha collapse; each saturation margin of the
+    canonical class and the draws with an order in [0, p) must be the squared extremal's membership margin."""
     rep = schild_silverman_lambda(CANONICAL)
     if abs(rep.order - 6.0 / 7.0) > 1e-12:
         failures.append(f"canonical lambda {rep.order!r} differs from 6/7")
@@ -308,6 +315,8 @@ def check_hadamard_orders(failures: list[str], rng: np.random.Generator) -> str:
         failures.append(
             f"canonical saturation not verified (margin {rep.saturation_margin:.2e})"
         )
+    elif (margin := _squared_extremal_margin(CANONICAL, rep.order)) != rep.saturation_margin:
+        failures.append(f"canonical saturation margin {rep.saturation_margin!r} differs from the product's {margin!r}")
     xi = mixed_order_xi(CANONICAL, 0.5)
     if abs(xi.order - 10.0 / 11.0) > 1e-12:
         failures.append(f"canonical xi {xi.order!r} differs from 10/11")
@@ -316,10 +325,14 @@ def check_hadamard_orders(failures: list[str], rng: np.random.Generator) -> str:
     while matched < 50 and degenerate < 400 and not failures:
         cp = random_params(rng)
         try:
-            lam = schild_silverman_lambda(cp).order
+            lam_rep = schild_silverman_lambda(cp)
         except DegenerateDenominatorError:
             degenerate += 1
             continue
+        lam = lam_rep.order
+        if 0.0 <= lam < cp.p and (margin := _squared_extremal_margin(cp, lam)) != lam_rep.saturation_margin:
+            failures.append(f"saturation margin {lam_rep.saturation_margin!r} differs from the product's {margin!r}")
+            break
         xi_same = mixed_order_xi(cp, cp.alpha).order
         if abs(xi_same - lam) > 1e-12:
             failures.append(f"xi(beta=alpha) = {xi_same!r} differs from lambda {lam!r}")

@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pvalent
@@ -143,6 +145,25 @@ def test_hadamard_extremal_mode(capsys):
     rep = json.loads(out)
     assert rep["order"] == pytest.approx(10.0 / 11.0, abs=1e-12)
     assert rep["product"]["member"] is True
+
+
+def test_hadamard_extremal_product_margin_is_the_saturation_margin(capsys):
+    """--extremal still checks the product of the k = p+1 extremals through check_r_membership; its margin is the
+    report's saturation_margin bit for bit, on seeded classes with a random second order."""
+    rng, compared = np.random.default_rng(3), 0
+    for _ in range(80):
+        cp = pvalent.random_params(rng, mu_range=(0.0, 0.99))
+        beta = float(rng.uniform(0.0, cp.p))
+        argv = ["hadamard", "--extremal", f"--p={cp.p}", f"--beta={beta!r}",
+                *(f"--{name}={getattr(cp, name)!r}" for name in ("alpha", "A", "B", "mu", "delta"))]
+        code, out, _ = run(capsys, argv)
+        if code == 1:  # a degenerate order denominator
+            continue
+        rep = json.loads(out)
+        if rep["product"] is not None:
+            assert struct.pack("<d", rep["product"]["margin"]) == struct.pack("<d", rep["saturation_margin"]), argv
+            compared += 1
+    assert compared >= 60
 
 
 def test_hadamard_two_files(tmp_path, capsys):

@@ -1,6 +1,11 @@
 """Orders preserved by coefficientwise products of class members."""
 
+import itertools
+import math
+import struct
+
 import mpmath
+import numpy as np
 import pytest
 
 from pvalent import (
@@ -16,10 +21,91 @@ from pvalent import (
     schild_silverman_lambda,
 )
 from pvalent import hadamard
-from pvalent.errors import DegenerateDenominatorError, IndexBelowValenceError, ParameterOutOfRangeError
-from pvalent.operators import rafid_multipliers
+from pvalent.errors import DegenerateDenominatorError, DomainError, IndexBelowValenceError, ParameterOutOfRangeError
+from pvalent.operators import rafid_multiplier, rafid_multipliers
 
 CANONICAL = ClassParams()
+
+
+def _membership_saturation(cp, beta, order, k=None):
+    """(margin at the order, fails at order + bump) of the product of the two k-extremals (k = p+1 by default),
+    read by check_r_membership: the reference the closed-form saturation must match bit for bit."""
+    k = cp.p + 1 if k is None else k
+    product = hadamard_product(extremal_r(k, cp), extremal_r(k, cp.replace(alpha=beta)))
+    margin = check_r_membership(product, cp.replace(alpha=order)).margin
+    bumped = order + hadamard._ORDER_BUMP
+    return margin, bumped >= cp.p or not check_r_membership(product, cp.replace(alpha=bumped)).member
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the arithmetic or domain error it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, DomainError) as exc:
+        return type(exc)
+
+
+def _edge_pairs():
+    """(class, beta) at the edges of the domain: p up to 1000, a subnormal A-B (2.2e-311 or 5e-324),
+    mu next to 1, delta 0 and 5e-324, and alpha and beta over 0, p/2, p - 1e-6 and the double below p."""
+    for p, (A, B), mu, delta in itertools.product(
+        (1, 2, 7, 1000), ((1.0, -1.0), (0.5, 0.25), (0.0, -2.225073858507e-311), (5e-324, 0.0)),
+        (0.0, 0.5, math.nextafter(1.0, 0.0)), (0.0, 5e-324, 1.0),
+    ):
+        orders = (0.0, p / 2, p - 1e-6, math.nextafter(float(p), 0.0))
+        for alpha, beta in itertools.product(orders, orders):
+            yield ClassParams(p=p, alpha=alpha, A=A, B=B, mu=mu, delta=delta), beta
+
+
+def _random_pairs(count):
+    """(class, beta) from random_params with mu up to 0.99; beta is alpha on odd draws, else uniform in [0, p)."""
+    rng = np.random.default_rng(7)
+    for draw in range(count):
+        cp = random_params(rng, mu_range=(0.0, 0.99))
+        yield cp, cp.alpha if draw % 2 else float(rng.uniform(0.0, cp.p))
+
+
+@pytest.mark.parametrize("pairs, least", [(_edge_pairs, 500), (lambda: _random_pairs(3000), 2500)],
+                         ids=["edges", "random"])
+def test_saturation_matches_the_extremal_product(pairs, least):
+    """saturation_margin and verified_best equal, byte for byte, what check_r_membership reads off the product
+    of the two k = p+1 extremals, raises included; least is how many orders in [0, p) the draws must reach."""
+    inside = 0
+    for cp, beta in pairs():
+        rep, order = _outcome(mixed_order_xi, cp, beta, cp.p + 63), _outcome(mixed_order_candidate, cp.p + 1, cp, beta)
+        if isinstance(order, type):
+            assert rep is order, (cp, beta)
+            continue
+        margin, fails_above = math.nan, False
+        if 0.0 <= order < cp.p:
+            reference = _outcome(_membership_saturation, cp, beta, order)
+            if isinstance(reference, type):
+                assert rep is reference, (cp, beta)
+                continue
+            margin, fails_above = reference
+            inside += 1
+        assert rep.order == order, (cp, beta)
+        assert struct.pack("<d", rep.saturation_margin) == struct.pack("<d", margin), (cp, beta)
+        assert rep.verified_best == (rep.phi_increasing and abs(margin) <= 1e-10 and fails_above), (cp, beta)
+    assert inside >= least
+
+
+def test_closed_form_saturation_matches_the_product_at_any_index_and_order():
+    """hadamard._saturation at k up to p+299 and at orders across [0, p), not only at Phi(p+1), equals the
+    membership route bit for bit: products that fail past the bump, that stay inside past it, and products whose
+    coefficient or criterion term underflows to zero or to a subnormal."""
+    rng, verdicts = np.random.default_rng(13), set()
+    for _ in range(1500):
+        cp = random_params(rng, mu_range=(0.0, 0.99))
+        beta, order, k = float(rng.uniform(0.0, cp.p)), float(rng.uniform(0.0, cp.p)), cp.p + int(rng.integers(1, 300))
+        got = _outcome(hadamard._saturation, k, cp, beta, order, *rafid_multiplier(k, cp.p, cp.rafid))
+        want = _outcome(_membership_saturation, cp, beta, order, k)
+        if isinstance(want, type):
+            assert got is want, (cp, beta, order, k)
+            continue
+        assert struct.pack("<d", got[0]) == struct.pack("<d", want[0]) and got[1] == want[1], (cp, beta, order, k)
+        verdicts.add((want[0] == 1.0, want[1]))
+    assert verdicts == {(True, False), (False, False), (False, True)}
 
 
 def test_canonical_lambda_frozen():
@@ -141,7 +227,7 @@ def test_stopped_scan_agrees_with_full_scan(rng):
             continue
         order = full[0]
         if 0.0 <= order < p:
-            margin, fails_above = hadamard._saturation(cp, beta, order)
+            margin, fails_above = _membership_saturation(cp, beta, order)
             saturated = abs(margin) <= 1e-10 and fails_above
         else:
             saturated = False

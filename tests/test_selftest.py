@@ -164,6 +164,15 @@ def _xi_off_at_beta_alpha(real):
     return fake
 
 
+def _saturation_off_past_canonical(real):
+    """real, its saturation margin 1e-12 off (inside the 1e-10 tolerance) at every class but the canonical one."""
+    def fake(cp):
+        rep = real(cp)
+        return rep if cp == S.CANONICAL else rep.replace(saturation_margin=rep.saturation_margin + 1e-12)
+
+    return fake
+
+
 def _clock(step):
     """A time module whose perf_counter advances by step at each read."""
     return types.SimpleNamespace(perf_counter=itertools.count(0.0, step).__next__)
@@ -212,6 +221,9 @@ MISSES = {
              r"canonical xi 0\.8 differs from 10/11"),
     "7 collapse": ("check_hadamard_orders", {"mixed_order_xi": _xi_off_at_beta_alpha(S.mixed_order_xi)},
                    r"xi\(beta=alpha\) = .+ differs from lambda .+"),
+    "7 saturation": ("check_hadamard_orders",
+                     {"schild_silverman_lambda": _saturation_off_past_canonical(S.schild_silverman_lambda)},
+                     r"saturation margin \S+ differs from the product's \S+"),
     "8 roundtrip lead, eta 1": (
         "check_fractional_compositions",
         {"fractional_derivative": _replaced(S.fractional_derivative, leading=2.0),
