@@ -31,7 +31,7 @@ from .errors import (
     DivergentInputError, OrderExceedsValenceError, ParameterOutOfRangeError, UncertifiedBoundWarning,
     ValenceMismatchError, _Frozen, _require_index, _require_int, _require_radius, _setattr,
 )
-from .operators import RafidParams, pow2_product, rafid_multiplier, rafid_multipliers
+from .operators import RafidParams, _walk, pow2_product, rafid_multiplier, rafid_multipliers
 from .series import CoefficientSeries, make_series
 
 if TYPE_CHECKING:
@@ -41,7 +41,8 @@ _LN2 = math.log(2.0)
 
 
 class ClassParams(_Frozen):
-    """Family parameters: p >= 1, 0 <= alpha < p, -1 <= B < A <= 1, plus smoothing (mu, delta)."""
+    """Family parameters: p >= 1, 0 <= alpha < p, -1 <= B < A <= 1 with (A-B)(p-alpha) not rounding to 0.0, plus
+    smoothing (mu, delta)."""
 
     _fields = ("p", "alpha", "A", "B", "mu", "delta")
     # derived once, since every criterion term reads them; scale = (A-B)(p-alpha) is
@@ -58,6 +59,10 @@ class ClassParams(_Frozen):
         # RafidParams checks mu and delta; past the checks, which refuse a string, the five are stored as floats
         rafid = RafidParams(mu, delta)
         alpha, A, B = float(alpha), float(A), float(B)
+        if not (scale := (A - B) * (p - alpha)):  # every criterion term divides by it
+            raise ParameterOutOfRangeError(
+                f"(A-B)(p-alpha) rounds to 0.0 at A = {A}, B = {B}, p = {p}, alpha = {alpha}"
+            )
         _setattr(self, "p", p)
         _setattr(self, "alpha", alpha)
         _setattr(self, "A", A)
@@ -65,7 +70,7 @@ class ClassParams(_Frozen):
         _setattr(self, "mu", rafid.mu)
         _setattr(self, "delta", rafid.delta)
         _setattr(self, "rafid", rafid)
-        _setattr(self, "scale", (A - B) * (p - alpha))
+        _setattr(self, "scale", scale)
         _setattr(self, "_hash", hash((p, alpha, A, B, rafid.mu, rafid.delta)))
 
     def __hash__(self) -> int:
@@ -119,26 +124,33 @@ def log_r_criterion_term(k: int, cp: ClassParams) -> float:
 
 
 def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipReport:
-    """Finite criterion sum; member iff sum <= 1, margin = 1 - sum; zeros add 0.0.
+    """Finite criterion sum; member iff sum <= 1, margin = 1 - sum; a zero a_k is its own term, 0.0 or -0.0.
 
     The sum is the ``math.fsum`` of terms that are each rounded once, so it is the correctly rounded sum of
     those rounded terms, not of the exact ones: at ``ClassParams(mu=0.1)``, ``extremal_r(2, cp)`` reports a
-    member with margin 0.0, while the exact sum of that double series exceeds 1 by about 3.8e-17.
+    member with margin 0.0, while the exact sum of that double series exceeds 1 by about 3.8e-17.  Terms that
+    are finite but sum past double range give sum inf, as an inf term does.  The walk of w_k stops at the last
+    nonzero coefficient; an index at or below p is refused first, wherever its coefficient is zero.
     """
     if f.p != cp.p:
         raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
     p, a, slope, s, ks, cs = cp.p, f.coeffs, 1.0 - cp.B, cp.scale, sorted(f.coeffs), []
-    inf, ldexp = math.inf, math.ldexp
-    for k, (m, e) in zip(ks, rafid_multipliers(p, cp.rafid, ks)):
-        if k <= p:
-            _require_index(k, p)  # raises
+    if ks and ks[0] <= p:
+        _require_index(ks[0], p)  # raises
+    inf, ldexp, walk = math.inf, math.ldexp, ks if not ks or a[ks[-1]] else _walk(p, ks, a)
+    for k, (m, e) in zip(walk, rafid_multipliers(p, cp.rafid, walk)):
         # pow2_product(*_term(k, cp, m, e), a_k) inline: a t a_k rounded into (2^-1022, inf) is t ma 2^ea rounded
         c = (t := (slope * (k - p) + s) * m / s) * a[k]
         try:
             cs.append(ldexp(c, e) if 2.0**-1022 < c < inf else pow2_product(t, e, a[k]))
         except OverflowError:  # only a positive c reaches ldexp
             cs.append(inf)
-    total = math.fsum(cs)
+    if walk is not ks:
+        cs.extend(a[k] for k in ks[len(walk) :])  # pow2_product(t, e, 0.0) is the zero itself, also at t = inf
+    try:
+        total = math.fsum(cs)
+    except OverflowError:  # finite terms past double range
+        total = inf
     return MembershipReport(sum=total, member=total <= 1.0, margin=1.0 - total, per_term=tuple(zip(ks, cs)))
 
 

@@ -47,7 +47,7 @@ from .errors import (
     DivergentInputError, ParameterOutOfRangeError, PoleOnGridError, ValenceMismatchError, _Frozen, _require_int,
     _require_radius, _setattr,
 )
-from .operators import rafid_multipliers
+from .operators import _support_end, _walk, rafid_multipliers
 from .series import CoefficientSeries
 
 _DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
@@ -158,13 +158,15 @@ def _smoothed_sums(f: CoefficientSeries, cp: ClassParams, ks: list[int], xs: lis
     """One pass over f's sorted indices ks: H = g/z^p's coefficients c_e, 1 first (apply_rafid's multipliers and
     pow2_product's rounding; refuses a valence other than cp.p or a coefficient past double range), and with xs the
     r^e of e = k - p: H's and D's tails sum |c_e| r^e and sum |B e - scale| |c_e| r^e, lh = sum e |c_e| r^e,
-    l2 = sum e^2 |c_e| r^e and ld = sum e |B e - scale| |c_e| r^e."""
+    l2 = sum e^2 |c_e| r^e and ld = sum e |B e - scale| |c_e| r^e.  The walk of w_k stops at the last nonzero
+    coefficient: each trailing zero's c_e is -a_k, and its terms of the sums are zeros that leave them unchanged."""
     if f.p != cp.p:
         raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
     p, a, B, scale, less_p, ldexp = f.p, f.coeffs, cp.B, cp.scale, -float(f.p), math.ldexp
     coefs, th, lh, l2, td, ld = [1.0], 0.0, 0.0, 0.0, 0.0, 0.0
+    walk = ks if not ks or a[ks[-1]] else _walk(p, ks, a)
     try:
-        for k, x, (mk, sk) in zip(ks, xs, rafid_multipliers(p, cp.rafid, ks)):
+        for k, x, (mk, sk) in zip(walk, xs, rafid_multipliers(p, cp.rafid, walk)):
             # pow2_product(mk, sk, a_k) inline: 1/2 <= mk < 1, so a normal mk a_k is its mk ma times 2^ea exactly
             t = mk * a[k]
             if t < 2.0**-1022:  # zero or subnormal: pow2_product's own order
@@ -177,6 +179,8 @@ def _smoothed_sums(f: CoefficientSeries, cp: ClassParams, ks: list[int], xs: lis
             td, ld = td + md, ld + ek * md
     except OverflowError:
         raise DivergentInputError(f"smoothed coefficient at k = {k} (a_k = {a[k]!r}) exceeds double range") from None
+    if walk is not ks:
+        coefs.extend(-float(a[k]) for k in ks[len(walk) :])
     return coefs, th, lh, l2, td, ld
 
 
@@ -193,7 +197,8 @@ def subordination_certified(f: CoefficientSeries, cp: ClassParams) -> bool:
     """
     if cp.B <= 0.0:
         return True
-    span = max((k - cp.p for k in f.coeffs if f.coeffs[k] != 0.0), default=0)
+    ks = sorted(f.coeffs)
+    span = ks[n - 1] - cp.p if (n := _support_end(ks, f.coeffs)) else 0
     return cp.B * span <= cp.scale
 
 

@@ -25,8 +25,11 @@ from pvalent import (
     random_params,
     zf_prime_over_p,
 )
+from pvalent import classes, operators, oracle
 from pvalent.classes import log_r_criterion_term
 from pvalent.errors import IndexBelowValenceError, ParameterOutOfRangeError, ValenceMismatchError
+from pvalent.operators import apply_rafid
+from pvalent.oracle import subordination_margin
 from pvalent.series import CoefficientSeries
 
 CANONICAL = ClassParams()
@@ -346,6 +349,97 @@ def test_one_pass_sum_refuses_an_index_at_p():
         check_r_membership(CoefficientSeries(p=2, coeffs={3: 0.1, 2: 0.1}), cp)
 
 
+@pytest.mark.parametrize("coeffs", [{1: 0.1}, {2: 0.1}, {1: 0.0, 5: 0.0}, {2: -0.0}, {2: 0.0, 3: 0.1}])
+def test_membership_refusal_of_a_low_index_names_p_plus_one(coeffs):
+    """An index below p once read ">= p" (the walk's own bound, w_p being a weight) and one at p ">= p+1"."""
+    low = min(coeffs)
+    with pytest.raises(IndexBelowValenceError, match=f"^index must be an integer >= 3, got {low}$"):
+        check_r_membership(CoefficientSeries(p=2, coeffs=coeffs), ClassParams(p=2, alpha=0.5))
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(A=5e-324, B=0.0, alpha=0.6), dict(A=0.0, B=-2.225073858507e-311, alpha=math.nextafter(1.0, 0.0))]
+)
+def test_a_scale_that_rounds_to_zero_is_refused(kwargs):
+    """Every criterion term divides by (A-B)(p-alpha): a zero scale once raised a bare ZeroDivisionError there."""
+    with pytest.raises(ParameterOutOfRangeError, match=r"^\(A-B\)\(p-alpha\) rounds to 0\.0"):
+        ClassParams(**kwargs)
+    subnormal = ClassParams(A=0.0, B=-2.225073858507e-311)  # a subnormal scale is still admitted
+    assert 0.0 < subnormal.scale < sys.float_info.min
+
+
+def test_finite_terms_past_double_range_sum_to_inf():
+    """fsum raised a bare OverflowError on terms 1.6e308 and 9e307; the report reads as an inf term's does."""
+    rep = check_r_membership(make_series(1, [(2, 4e307), (3, 5e306)]), CANONICAL)
+    assert rep.per_term == ((2, 1.6e308), (3, 9e307))
+    assert (rep.sum, rep.member, rep.margin) == (math.inf, False, -math.inf)
+    inf_term = check_r_membership(make_series(1, [(2, 1e308)]), CANONICAL)
+    assert (inf_term.sum, inf_term.member, inf_term.margin) == (math.inf, False, -math.inf)
+
+
+@st.composite
+def series_and_zero(draw):
+    """A one-pass class and series, an index up to p + 10^4 that it does not carry, and a zero of either sign."""
+    cp, f = draw(one_pass_series())
+    k = draw(st.integers(cp.p + 1, cp.p + 10**4).filter(lambda k: k not in f.coeffs))
+    return cp, f, k, draw(st.sampled_from([0.0, -0.0]))
+
+
+def _asked_indices(monkeypatch, *modules):
+    """The indices rafid_multipliers is asked for through each module's name for it, in the order asked."""
+    asked, walk = [], operators.rafid_multipliers
+
+    def recording(p, rp, ks):
+        return walk(p, rp, (asked.append(k) or k for k in ks))  # the walk pulls an index just before it goes there
+
+    for module in modules:
+        monkeypatch.setattr(module, "rafid_multipliers", recording)
+    return asked
+
+
+@pytest.mark.parametrize(
+    "module, call",
+    [
+        (classes, lambda f: check_r_membership(f, CANONICAL)),
+        (classes, lambda f: check_p_membership(f, CANONICAL)),
+        (operators, lambda f: apply_rafid(f, CANONICAL.rafid)),
+        (oracle, lambda f: subordination_margin(f, CANONICAL)),
+    ],
+    ids=["check_r", "check_p", "apply_rafid", "subordination_margin"],
+)
+def test_no_walk_to_an_explicit_zero_past_the_last_term(monkeypatch, module, call):
+    """A zero kept at k = 10^6 for the round trip once cost a walk of 10^6 steps of w_k; none is asked past k = 3."""
+    f = make_series(1, [(2, 0.125), (3, 0.02), (10**6, 0.0)])
+    asked = _asked_indices(monkeypatch, module)
+    call(f)
+    assert asked == [2, 3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=series_and_zero())
+def test_an_inserted_zero_changes_nothing_and_walks_nothing(data):
+    """A zero added at any index leaves the sum, verdict, margin and every other term of both criteria, and
+    every other smoothed coefficient, as they were; its own term and smoothed coefficient are that zero, and
+    no w_k is walked past the last nonzero coefficient."""
+    cp, f, k, zero = data
+    g = make_series(cp.p, [*f.coeffs.items(), (k, zero)])
+    last = max((j for j, a in f.coeffs.items() if a), default=None)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        asked = _asked_indices(monkeypatch, classes, operators)
+        reports = [(check(f, cp), check(g, cp)) for check in (check_r_membership, check_p_membership)]
+        images = apply_rafid(f, cp.rafid), apply_rafid(g, cp.rafid)
+    assert all(j <= last for j in asked) if last is not None else not asked
+    for before, after in reports:
+        assert after.sum == before.sum and repr(after.margin) == repr(before.margin)
+        assert after.member is before.member
+        terms = dict(after.per_term)
+        assert terms.pop(k).hex() == zero.hex()
+        assert [(j, c.hex()) for j, c in terms.items()] == [(j, c.hex()) for j, c in before.per_term]
+    image = dict(images[1].coeffs)
+    assert image.pop(k).hex() == zero.hex()
+    assert [(j, c.hex()) for j, c in image.items()] == [(j, c.hex()) for j, c in images[0].coeffs.items()]
+
+
 def test_certificate_scan_stops_at_its_step_cap():
     """The proved stop lies near k = 1/(1-mu): about 10^6 steps past p here, so the 200 000-step cap
     decides, in one call, and its verdict is False (the uncapped walk certifies, after about 2.7 s)."""
@@ -495,8 +589,9 @@ def test_log_terms_read_inf_at_a_subnormal_scale():
     ],
 )
 def test_zero_coefficients_keep_their_per_term_bits(cp, coeffs, bits):
-    """A zero a_k reaches pow2_product, which gives the zero itself, sign included, also against an inf term:
-    the subnormal-scale and explicit-zero per-term values keep the bits they had behind a zero guard."""
+    """A zero a_k is its own term, sign included: through pow2_product, also against an inf term, before the last
+    nonzero coefficient, and read off the series past it; the per-term values keep the bits they had behind a zero
+    guard."""
     rep = check_r_membership(make_series(1, coeffs), cp)
     assert [(k, c.hex()) for k, c in rep.per_term] == bits
 

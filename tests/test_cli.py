@@ -70,6 +70,24 @@ def test_check_reads_stdin(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["sum"] == pytest.approx(0.4, rel=1e-15)
 
 
+def test_check_of_finite_terms_past_double_range_reads_inf(capsys, monkeypatch):
+    """Terms 1.6e308 and 9e307 once stopped the check with a traceback from fsum's intermediate overflow."""
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"p": 1, "coeffs": [[2, 4e307], [3, 5e306]]}'))
+    code, out, err = run(capsys, ["check", "-", "--class", "r", *CANON])
+    assert (code, err) == (0, "")
+    assert '"sum": Infinity' in out and '"margin": -Infinity' in out
+    assert json.loads(out)["member"] is False
+
+
+def test_extremal_at_a_zero_scale_exits_one(capsys):
+    argv = ["extremal", "--alpha", "0.6", "--A", "5e-324", "--B", "0", "--k", "2", "--class", "r"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "ParameterOutOfRangeError"
+
+
 def test_radius_json(capsys):
     code, out, _ = run(capsys, ["radius", "--kind", "starlike", "--zeta", "0", *CANON])
     assert code == 0

@@ -54,7 +54,8 @@ def _edge_pairs():
     ):
         orders = (0.0, p / 2, p - 1e-6, math.nextafter(float(p), 0.0))
         for alpha, beta in itertools.product(orders, orders):
-            yield ClassParams(p=p, alpha=alpha, A=A, B=B, mu=mu, delta=delta), beta
+            if (A - B) * (p - alpha):  # ClassParams refuses a scale that rounds to 0.0
+                yield ClassParams(p=p, alpha=alpha, A=A, B=B, mu=mu, delta=delta), beta
 
 
 def _random_pairs(count):
