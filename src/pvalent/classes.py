@@ -31,8 +31,8 @@ from .errors import (
     DivergentInputError, OrderExceedsValenceError, ParameterOutOfRangeError, UncertifiedBoundWarning,
     ValenceMismatchError, _Frozen, _require_index, _require_int, _require_radius, _setattr,
 )
-from .operators import RafidParams, _walk, pow2_product, rafid_multiplier, rafid_multipliers
-from .series import CoefficientSeries, make_series
+from .operators import RafidParams, pow2_product, rafid_multiplier, rafid_multipliers
+from .series import CoefficientSeries, _support, make_series
 
 if TYPE_CHECKING:
     import numpy as np
@@ -134,10 +134,8 @@ def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
     """
     if f.p != cp.p:
         raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
-    p, a, slope, s, ks, cs = cp.p, f.coeffs, 1.0 - cp.B, cp.scale, sorted(f.coeffs), []
-    if ks and ks[0] <= p:
-        _require_index(ks[0], p)  # raises
-    inf, ldexp, walk = math.inf, math.ldexp, ks if not ks or a[ks[-1]] else _walk(p, ks, a)
+    ks, walk = _support(f)
+    p, a, slope, s, cs, inf, ldexp = cp.p, f.coeffs, 1.0 - cp.B, cp.scale, [], math.inf, math.ldexp
     for k, (m, e) in zip(walk, rafid_multipliers(p, cp.rafid, walk)):
         # pow2_product(*_term(k, cp, m, e), a_k) inline: a t a_k rounded into (2^-1022, inf) is t ma 2^ea rounded
         c = (t := (slope * (k - p) + s) * m / s) * a[k]

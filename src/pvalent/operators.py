@@ -24,7 +24,7 @@ and exponent step, and is read through the one Horner evaluation,
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     DivergentInputError,
@@ -35,7 +35,7 @@ from .errors import (
     _require_int,
     _setattr,
 )
-from .series import CoefficientSeries, FractionalSeries, _as_fractional, _diagonal
+from .series import CoefficientSeries, FractionalSeries, _as_fractional, _diagonal, _support
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,31 +123,6 @@ def rafid_multipliers(p: int, rp: RafidParams, ks: Iterable[int]) -> Iterator[tu
         yield mantissa, e + shift
 
 
-def _support_end(ks: list[int], a: Mapping[int, float]) -> int:
-    """How many of the sorted indices ks run up to the last one with a nonzero a_k, 0 if none: the indices whose
-    w_k a walk forms and whose largest sets a degree or span, as a zero a_k, 0.0 or -0.0, adds nothing."""
-    n = len(ks)
-    while n and a[ks[n - 1]] == 0.0:
-        n -= 1
-    return n
-
-
-def _walk(p: int, ks: list[int], a: Mapping[int, float]) -> list[int]:
-    """The sorted indices ks through the last with a nonzero a_k, a new list: those :func:`rafid_multipliers` is
-    asked for when the last a_k is zero.
-
-    Callers test the last a_k themselves and walk ks itself when it is nonzero, so such a series pays nothing
-    for the rule.  A trailing zero's w_k a_k is the zero itself, which callers read from a; when no index is
-    kept, the refusals the walk makes at its first index, of the valence and of an index below p, come from here.
-    """
-    n = _support_end(ks, a)
-    if not n:
-        p = _require_int("valence p", p, 1)
-        if ks[0] < p:
-            _require_index(ks[0], p - 1)  # raises
-    return ks[:n]
-
-
 def rafid_multiplier(k: int, p: int, rp: RafidParams) -> tuple[float, int]:
     """(m, e) with w_k = m 2^e: the lone-index case of :func:`rafid_multipliers`, k >= p."""
     p = _require_int("valence p", p, 1)
@@ -162,10 +137,9 @@ def rafid_weight(k: int, p: int, rp: RafidParams) -> float:
 def apply_rafid(f: CoefficientSeries, rp: RafidParams) -> CoefficientSeries:
     """Image of f under the smoothing operator; each w_k a_k is rounded once, a zero stays itself, sign included,
     and the walk of w_k stops at the last nonzero coefficient."""
-    ks, a = sorted(f.coeffs), f.coeffs
-    walk = ks if not ks or a[ks[-1]] else _walk(f.p, ks, a)
+    (ks, walk), a = _support(f), f.coeffs
     image = {k: pow2_product(m, e, a[k]) for k, (m, e) in zip(walk, rafid_multipliers(f.p, rp, walk))}
-    if walk is not ks:
+    if walk is not ks:  # a trailing zero's w_k a_k is the zero itself, read off f
         image.update((k, a[k]) for k in ks[len(walk) :])
     return CoefficientSeries(f.p, image)
 
@@ -228,8 +202,8 @@ def rafid_quadrature(f: CoefficientSeries, rp: RafidParams, z: complex) -> compl
         raise DivergentInputError(f"|z| must be < 1 for the transform, got {abs(z)}")
     import numpy as np
 
-    ks = sorted(f.coeffs)
-    degree = ks[n - 1] if (n := _support_end(ks, f.coeffs)) else f.p
+    walk = _support(f)[1]
+    degree = walk[-1] if walk else f.p
     u, w = _laguerre_rule(min(_QUADRATURE_NODES, max(8, (degree - f.p) // 2 + 1)), f.p + rp.delta - 1.0)
     # Horner in x / 2^s, 2^s near E|x| for x = z (1-mu) U: a large p's tiny a_k, times 2^(s(k-p)), stay normal
     s = max(0, math.frexp(abs(z) * (1.0 - rp.mu) * (f.p + rp.delta))[1])

@@ -3,12 +3,14 @@
 Everything here works from the raw coefficients, deliberately avoiding the Horner
 evaluation path and the closed-form criteria it is meant to check.  Every sample is
 of h/z^p, a power series in e = k - p >= 0 with a constant lead, so none carries
-r^p and each check answers at any p and any r in (0, 1).  One pass over the sorted
-coefficients in plain floats smooths them and sums the bounds below; numpy serves
-only r^e, read by the pass too (Python's r**e can differ in the last bit), and the
-circle: n equally spaced angles are one real-input DFT of the terms c r^e, folded
-by e mod n (z h' of the terms times e), in _half_circle alone.  With g the smoothed
-image of f (apply_rafid's multipliers), the R family's subordination test bounds
+r^p and each check answers at any p and any r in (0, 1).  Every check reads the
+coefficients through the last nonzero one (series._support), so a trailing zero
+changes nothing.  One pass over them in plain floats smooths them and sums the
+bounds below; numpy serves only r^e, read by the pass too (Python's r**e can
+differ in the last bit), and the circle: n equally spaced angles are one real-input
+DFT of the terms c r^e, folded by e mod n (z h' of the terms times e), in
+_half_circle alone.  With g the smoothed image of f (apply_rafid's multipliers),
+the R family's subordination test bounds
 
     | (z g'/g - p) / (B z g'/g - [Bp + (A-B)(p-alpha)]) |  <  1
 
@@ -47,8 +49,8 @@ from .errors import (
     DivergentInputError, ParameterOutOfRangeError, PoleOnGridError, ValenceMismatchError, _Frozen, _require_int,
     _require_radius, _setattr,
 )
-from .operators import _support_end, _walk, rafid_multipliers
-from .series import CoefficientSeries
+from .operators import rafid_multipliers
+from .series import CoefficientSeries, _support
 
 _DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 _TOLERANCE = 1e-9  # every check's pass margin, reported as OracleReport.tolerance
@@ -154,17 +156,14 @@ def _point(r: float, j: int, n: int) -> complex:
     return cmath.rect(r, 2.0 * math.pi * j / n)
 
 
-def _smoothed_sums(f: CoefficientSeries, cp: ClassParams, ks: list[int], xs: list[float]) -> tuple:
-    """One pass over f's sorted indices ks: H = g/z^p's coefficients c_e, 1 first (apply_rafid's multipliers and
-    pow2_product's rounding; refuses a valence other than cp.p or a coefficient past double range), and with xs the
-    r^e of e = k - p: H's and D's tails sum |c_e| r^e and sum |B e - scale| |c_e| r^e, lh = sum e |c_e| r^e,
-    l2 = sum e^2 |c_e| r^e and ld = sum e |B e - scale| |c_e| r^e.  The walk of w_k stops at the last nonzero
-    coefficient: each trailing zero's c_e is -a_k, and its terms of the sums are zeros that leave them unchanged."""
-    if f.p != cp.p:
-        raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
+def _smoothed_sums(f: CoefficientSeries, cp: ClassParams, walk: list[int], xs: list[float]) -> tuple:
+    """One pass over walk, f's indices through its last nonzero coefficient (:func:`series._support`), of valence
+    cp.p: H = g/z^p's coefficients c_e, 1 first (apply_rafid's multipliers and pow2_product's rounding; refuses a
+    coefficient past double range), and with xs the r^e of e = k - p: H's and D's tails sum |c_e| r^e and
+    sum |B e - scale| |c_e| r^e, lh = sum e |c_e| r^e, l2 = sum e^2 |c_e| r^e and ld = sum e |B e - scale| |c_e| r^e.
+    A trailing zero has no c_e, so f samples as it does without it."""
     p, a, B, scale, less_p, ldexp = f.p, f.coeffs, cp.B, cp.scale, -float(f.p), math.ldexp
     coefs, th, lh, l2, td, ld = [1.0], 0.0, 0.0, 0.0, 0.0, 0.0
-    walk = ks if not ks or a[ks[-1]] else _walk(p, ks, a)
     try:
         for k, x, (mk, sk) in zip(walk, xs, rafid_multipliers(p, cp.rafid, walk)):
             # pow2_product(mk, sk, a_k) inline: 1/2 <= mk < 1, so a normal mk a_k is its mk ma times 2^ea exactly
@@ -179,8 +178,6 @@ def _smoothed_sums(f: CoefficientSeries, cp: ClassParams, ks: list[int], xs: lis
             td, ld = td + md, ld + ek * md
     except OverflowError:
         raise DivergentInputError(f"smoothed coefficient at k = {k} (a_k = {a[k]!r}) exceeds double range") from None
-    if walk is not ks:
-        coefs.extend(-float(a[k]) for k in ks[len(walk) :])
     return coefs, th, lh, l2, td, ld
 
 
@@ -195,11 +192,8 @@ def subordination_certified(f: CoefficientSeries, cp: ClassParams) -> bool:
     p=1, alpha=0, A=1, B=1/2 the function z - (0.9/4320) z^6 has criterion
     sum 0.9 yet ratio ~3.3 near z = 0.99 exp(i pi/5).
     """
-    if cp.B <= 0.0:
-        return True
-    ks = sorted(f.coeffs)
-    span = ks[n - 1] - cp.p if (n := _support_end(ks, f.coeffs)) else 0
-    return cp.B * span <= cp.scale
+    walk = _support(f)[1]
+    return cp.B <= 0.0 or cp.B * (walk[-1] - cp.p if walk else 0) <= cp.scale
 
 
 def _sizes(cp: ClassParams, r: float, th: float, lh: float) -> tuple[float, float]:
@@ -215,8 +209,10 @@ def _axis(f: CoefficientSeries, cp: ClassParams, radii: tuple[float, ...]):
     """The ratio at z = r for each r of radii in turn, f smoothed once.  H(r) = 1 - th and zH'(r) = -lh are real,
     with th and lh the circle's tail sums at r (in its pass's order), so it is lh/|D| with D = -B lh - scale H,
     under the circle's refusal; H = 0 raises and D = 0 is an infinite ratio."""
-    ks = sorted(f.coeffs)
-    terms = list(zip([-c for c in _smoothed_sums(f, cp, ks, [0.0] * len(ks))[0][1:]], [k - f.p for k in ks]))
+    if f.p != cp.p:
+        raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
+    walk = _support(f)[1]
+    terms = list(zip([-c for c in _smoothed_sums(f, cp, walk, [0.0] * len(walk))[0][1:]], [k - f.p for k in walk]))
     for r in radii:
         th = lh = 0.0
         for b, ek in terms:
@@ -237,10 +233,12 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
     member, any number of angles), else counted once from the samples of grid.angles_per_radius.  Samples that can reach
     2^1023 and a proved zero of H raise; a zero of D (a pole of the ratio) or an unproved count fails with a warning.
     """
-    r, n, ks = grid.radii[-1], grid.angles_per_radius, sorted(f.coeffs)
-    e = np.array([f.p, *ks]) - f.p
+    if f.p != cp.p:
+        raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
+    r, n, walk = grid.radii[-1], grid.angles_per_radius, _support(f)[1]
+    e = np.array([f.p, *walk]) - f.p
     xs = (pw := r**e).tolist()
-    coefs, tail, lh, l2, tail_d, ld = _smoothed_sums(f, cp, ks, xs[1:])
+    coefs, tail, lh, l2, tail_d, ld = _smoothed_sums(f, cp, walk, xs[1:])
     # Rouche for H (constant 1) and D (constant -scale).  With every r^e normal (else no proof), 4 ulp for r^e and
     # 1 per product and addition keep each tail within (m + 8) 2^-52 relative of its exact value, in any order; B e -
     # scale adds (big + 1) 2^-52 of H's tail in all; an underflowed product is off by at most 2^-1074 (1 + big).
@@ -320,13 +318,13 @@ def _circle_check(check: str, f: CoefficientSeries, zeta: float, r: float, n: in
     zeta = _require_order("zeta", zeta, f.p)
     _require_radius(r)
     n = _require_int("angles per circle", n, 8)
-    p, a, ks, ctc = f.p, f.coeffs, sorted(f.coeffs), check == "close-to-convex"
-    e = np.array([p, *ks]) - p
+    p, a, walk, ctc = f.p, f.coeffs, _support(f)[1], check == "close-to-convex"
+    e = np.array([p, *walk]) - p
     xs = (r**e).tolist()
     name, lead = {"starlike": ("f", 1.0), "convex": ("f'", float(p)), "close-to-convex": ("f'/z^(p-1) - p", 0.0)}[check]
-    bs = [a[k] for k in ks] if check == "starlike" else [k * a[k] for k in ks]  # z f' has k a_k at z^k
+    bs = [a[k] for k in walk] if check == "starlike" else [k * a[k] for k in walk]  # z f' has k a_k at z^k
     row, tail, l = [lead], 0.0, 0.0
-    for k, b, x in zip(ks, bs, xs[1:]):  # one pass as in _smoothed_sums, its own for speed; the row holds -b r^e
+    for k, b, x in zip(walk, bs, xs[1:]):  # one pass as in _smoothed_sums, its own for speed; the row holds -b r^e
         row.append(-(mag := b * x))
         tail += mag
         l += mag * (k - p)

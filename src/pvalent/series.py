@@ -146,6 +146,27 @@ def make_series(p: int, coeffs: Iterable[tuple[int, float]] = ()) -> Coefficient
     return CoefficientSeries(p=p, coeffs=tail)
 
 
+def _support(f: CoefficientSeries) -> tuple[list[int], list[int]]:
+    """(ks, walk): f's stored indices, sorted, and those through the last with a nonzero a_k, which is ks itself
+    when the last a_k is nonzero, so such a series pays for no copy.
+
+    Every reader of f's indices takes them from here.  A zero a_k, 0.0 or -0.0, adds nothing to a criterion sum
+    or a sample, so no w_k, power of z or degree is formed past walk[-1]; a reader that reports per index reads a
+    trailing zero off f.  An invalid valence, and a first index at or below p, naming p+1, are refused first.
+    """
+    ks, p = sorted(a := f.coeffs), f.p
+    if type(p) is not int or p < 1:
+        _require_int("valence p", p, 1)
+    if ks and ks[0] <= p:
+        _require_index(ks[0], p)  # raises
+    if not ks or a[ks[-1]]:
+        return ks, ks
+    n = len(ks) - 1
+    while n and a[ks[n - 1]] == 0.0:
+        n -= 1
+    return ks, ks[:n]
+
+
 def _as_fractional(f: CoefficientSeries | FractionalSeries) -> FractionalSeries:
     """f itself, or z^p - sum a_k z^k as leading 1.0, shift 0.0 and tail values -a_k."""
     if isinstance(f, FractionalSeries):

@@ -17,8 +17,10 @@ from pvalent import (
     FractionalSeries,
     RafidParams,
     SampleGrid,
+    apply_rafid,
     bernardi,
     budget_certified,
+    check_p_membership,
     check_r_membership,
     class_order_candidate,
     coeff_bound_p,
@@ -35,6 +37,7 @@ from pvalent import (
     fractional_integral,
     from_json,
     gamma_ratio,
+    locate_real_axis_violation,
     lower_bound_peak,
     make_series,
     mixed_order_candidate,
@@ -43,9 +46,11 @@ from pvalent import (
     radius_close_to_convex,
     radius_convex,
     radius_starlike,
+    rafid_quadrature,
     rafid_weight,
     schild_silverman_lambda,
     starlike_min_re,
+    subordination_certified,
     subordination_margin,
     subordination_ratio_real,
 )
@@ -190,10 +195,27 @@ def test_indices_may_be_integer_valued_floats():
     assert class_order_candidate(4.0, CP) == class_order_candidate(4, CP)
 
 
+# every function that reads a series' indices, each through series._support
+SERIES_READERS = {
+    "check_r_membership": check_r_membership,
+    "check_p_membership": check_p_membership,
+    "apply_rafid": lambda f, cp: apply_rafid(f, cp.rafid),
+    "rafid_quadrature": lambda f, cp: rafid_quadrature(f, cp.rafid, 0.5),
+    "subordination_certified": subordination_certified,
+    "subordination_margin": subordination_margin,
+    "subordination_ratio_real": lambda f, cp: subordination_ratio_real(f, cp, 0.5),
+    "locate_real_axis_violation": locate_real_axis_violation,
+    "starlike_min_re": lambda f, cp: starlike_min_re(f, 0.0, 0.5),
+    "convex_min_re": lambda f, cp: convex_min_re(f, 0.0, 0.5),
+    "ctc_max_dev": lambda f, cp: ctc_max_dev(f, 0.0, 0.5),
+}
 INDEX_ENTRIES = {
     "make_series": lambda k, cp: make_series(cp.p, [(k, 0.1)]),
     "FractionalSeries": lambda k, cp: FractionalSeries(p=cp.p, shift=0.0, leading=1.0, terms={k: -0.1}),
-    "check_r_membership": lambda k, cp: check_r_membership(CoefficientSeries(cp.p, {k: 0.1}), cp),
+    **{
+        name: lambda k, cp, read=read: read(CoefficientSeries(cp.p, {k: 0.1}), cp)
+        for name, read in SERIES_READERS.items()
+    },
     "r_criterion_term": r_criterion_term,
     "log_r_criterion_term": log_r_criterion_term,
     "coeff_bound_r": coeff_bound_r,
@@ -210,6 +232,16 @@ INDEX_ENTRIES = {
 def test_index_at_the_valence_raises_index_below_valence(entry, p):
     with pytest.raises(IndexBelowValenceError, match=f"index must be an integer >= {p + 1}, got {p}"):
         INDEX_ENTRIES[entry](p, ClassParams(p=p))
+
+
+@pytest.mark.parametrize("entry", sorted(SERIES_READERS))
+@pytest.mark.parametrize("coeffs", [{1: 0.0}, {1: -0.0, 2: 0.0}, {0: 0.1}], ids=["zero", "zeros", "nonzero"])
+def test_an_index_below_the_valence_is_refused_by_every_reader(entry, coeffs):
+    """A zero or nonzero index below p was once read by five readers and refused naming p, the walk's own bound,
+    by four: every reader names p+1."""
+    low = min(coeffs)
+    with pytest.raises(IndexBelowValenceError, match=f"^index must be an integer >= 3, got {low}$"):
+        SERIES_READERS[entry](CoefficientSeries(2, coeffs), ClassParams(p=2))
 
 
 RADIUS_ENTRIES = {

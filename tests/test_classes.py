@@ -29,7 +29,7 @@ from pvalent import classes, operators, oracle
 from pvalent.classes import log_r_criterion_term
 from pvalent.errors import IndexBelowValenceError, ParameterOutOfRangeError, ValenceMismatchError
 from pvalent.operators import apply_rafid
-from pvalent.oracle import subordination_margin
+from pvalent.oracle import convex_min_re, ctc_max_dev, locate_real_axis_violation, starlike_min_re, subordination_margin
 from pvalent.series import CoefficientSeries
 
 CANONICAL = ClassParams()
@@ -404,8 +404,9 @@ def _asked_indices(monkeypatch, *modules):
         (classes, lambda f: check_p_membership(f, CANONICAL)),
         (operators, lambda f: apply_rafid(f, CANONICAL.rafid)),
         (oracle, lambda f: subordination_margin(f, CANONICAL)),
+        (oracle, lambda f: locate_real_axis_violation(f, CANONICAL)),
     ],
-    ids=["check_r", "check_p", "apply_rafid", "subordination_margin"],
+    ids=["check_r", "check_p", "apply_rafid", "subordination_margin", "locate_real_axis_violation"],
 )
 def test_no_walk_to_an_explicit_zero_past_the_last_term(monkeypatch, module, call):
     """A zero kept at k = 10^6 for the round trip once cost a walk of 10^6 steps of w_k; none is asked past k = 3."""
@@ -413,6 +414,25 @@ def test_no_walk_to_an_explicit_zero_past_the_last_term(monkeypatch, module, cal
     asked = _asked_indices(monkeypatch, module)
     call(f)
     assert asked == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: starlike_min_re(f, 0.0, 0.5),
+        lambda f: convex_min_re(f, 0.0, 0.5),
+        lambda f: ctc_max_dev(f, 0.0, 0.5),
+        lambda f: subordination_margin(f, CANONICAL),
+    ],
+    ids=["starlike", "convex", "close-to-convex", "subordination"],
+)
+def test_no_circle_term_past_the_last_term(monkeypatch, call):
+    """The circles once folded the zero at k = 10^6 as a term of r^(10^6 - 1): no exponent past k - p = 2 is folded."""
+    f = make_series(1, [(2, 0.125), (3, 0.02), (10**6, 0.0)])
+    folded, fold = [], oracle._half_circle
+    monkeypatch.setattr(oracle, "_half_circle", lambda e, *rest: folded.append(e.tolist()) or fold(e, *rest))
+    call(f)
+    assert folded and all(e == [0, 1, 2] for e in folded)
 
 
 @settings(max_examples=150, deadline=None)

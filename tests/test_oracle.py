@@ -23,6 +23,7 @@ from pvalent import (
     make_series,
     random_member,
     random_params,
+    rafid_quadrature,
     starlike_min_re,
     subordination_certified,
     subordination_margin,
@@ -975,3 +976,54 @@ def test_every_check_answers_at_any_valence_and_radius(p, data):
     # once subnormal, lh is within 2^-1074 per product and addition, and the quotient within 2^-1074; D is about scale H
     tiny = mpmath.ldexp(1, -1074) * (1 + 4 * len(ks) / (abs(h) * cp.scale))
     assert math.isfinite(got) and abs(got - want) <= 1e-13 * want + tiny
+
+
+@st.composite
+def series_with_trailing_zeros(draw):
+    """A class, a series of up to six coefficients at p+1..p+40 (0.0, member-sized, or large enough to be refused),
+    and the same series with +-0.0 at one to four indices past its last nonzero coefficient, up to p + 10^6."""
+    p = draw(st.integers(1, 5))
+    B = draw(st.floats(-1.0, 0.8))
+    cp = ClassParams(
+        p, draw(st.floats(0.0, 0.95)) * p, draw(st.floats(B + 0.05, 1.0)), B, draw(st.floats(0.0, 0.9)),
+        draw(st.floats(0.0, 1.0)),
+    )
+    coefficient = st.one_of(st.just(0.0), st.floats(1e-8, 1.0), st.floats(1.0, 1e300))
+    pairs = [(k, draw(coefficient)) for k in draw(st.lists(st.integers(p + 1, p + 40), max_size=6, unique=True))]
+    last = max((k for k, a in pairs if a), default=p)
+    free = st.integers(last + 1, p + 10**6).filter(lambda k: k not in dict(pairs))
+    zeros = [(k, draw(st.sampled_from([0.0, -0.0]))) for k in draw(st.lists(free, min_size=1, max_size=4, unique=True))]
+    return cp, make_series(p, pairs), make_series(p, pairs + zeros)
+
+
+def _outcome(call):
+    """repr of call(), or the type and message of the DomainError it raises."""
+    try:
+        return repr(call())
+    except DomainError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150)
+@given(series=series_with_trailing_zeros(), data=st.data())
+def test_trailing_zeros_change_no_sample(series, data):
+    """Zeros past the last nonzero coefficient, up to p + 10^6, leave every oracle report, the real point and walk,
+    the quadrature and the certificate as they are without them: once they were sampled, and at a far index they
+    turned the Rouche proofs of the zero counts off."""
+    cp, f, g = series
+    r = data.draw(st.floats(0.05, 0.99))
+    n = data.draw(st.sampled_from([8, 16, 64]))
+    zeta = data.draw(st.floats(0.0, cp.p, exclude_max=True))
+    z = cmath.rect(data.draw(st.floats(0.0, 0.95)), data.draw(st.floats(-math.pi, math.pi)))
+    grid = SampleGrid((r,), n, data.draw(st.integers(0, 2)))
+    for call in (
+        lambda h: subordination_margin(h, cp, grid),
+        lambda h: starlike_min_re(h, zeta, r, n),
+        lambda h: convex_min_re(h, zeta, r, n),
+        lambda h: ctc_max_dev(h, zeta, r, n),
+        lambda h: subordination_ratio_real(h, cp, r),
+        lambda h: locate_real_axis_violation(h, cp),
+        lambda h: rafid_quadrature(h, cp.rafid, z),
+        lambda h: subordination_certified(h, cp),
+    ):
+        assert _outcome(lambda: call(g)) == _outcome(lambda: call(f))
