@@ -47,11 +47,6 @@ class CoefficientSeries(_Frozen):
         _setattr(self, "p", p)
         _setattr(self, "coeffs", coeffs)
 
-    @property
-    def truncation_degree(self) -> int:
-        """Largest stored index, or p for a bare monomial."""
-        return max(self.coeffs, default=self.p)
-
     def coefficient(self, k: int) -> float:
         return self.coeffs.get(k, 0.0)
 
@@ -92,10 +87,6 @@ class FractionalSeries(_Frozen):
         _setattr(self, "leading", float(leading))
         _setattr(self, "terms", terms if plain else {_require_index(k, p): float(c) for k, c in terms.items()})
 
-    @property
-    def truncation_degree(self) -> int:
-        return max(self.terms, default=self.p)
-
     def coefficient(self, k: int) -> float:
         if k == self.p:
             return self.leading
@@ -108,11 +99,13 @@ class FractionalSeries(_Frozen):
         for fractional exponents, so on a circle |z| = r every term has modulus
         ``|coeff| * r^(k+shift)`` whatever the argument of z; for integral
         exponents up to 100 it is an exact repeated product.  At z = 0 the
-        value is 0, or the leading coefficient when p+shift = 0.
+        value is 0, or the leading coefficient when p+shift = 0.  The recursion
+        starts at the last nonzero tail value (:func:`_support`), so a trailing
+        0.0 or -0.0 costs no step.
         """
         z = complex(z)
-        acc = 0j
-        for k in range(self.truncation_degree, self.p, -1):
+        acc, walk = 0j, _support(self)[1]
+        for k in range(walk[-1] if walk else self.p, self.p, -1):
             acc = acc * z + self.terms.get(k, 0.0)
         return z ** (self.p + self.shift) * (self.leading + acc * z)
 
@@ -146,15 +139,17 @@ def make_series(p: int, coeffs: Iterable[tuple[int, float]] = ()) -> Coefficient
     return CoefficientSeries(p=p, coeffs=tail)
 
 
-def _support(f: CoefficientSeries) -> tuple[list[int], list[int]]:
-    """(ks, walk): f's stored indices, sorted, and those through the last with a nonzero a_k, which is ks itself
-    when the last a_k is nonzero, so such a series pays for no copy.
+def _support(f: CoefficientSeries | FractionalSeries) -> tuple[list[int], list[int]]:
+    """(ks, walk): f's stored indices, sorted, and those through the last with a nonzero tail value (a_k, or the
+    ``terms`` value of a FractionalSeries), which is ks itself when that last value is nonzero, so such a series
+    pays for no copy.
 
-    Every reader of f's indices takes them from here.  A zero a_k, 0.0 or -0.0, adds nothing to a criterion sum
-    or a sample, so no w_k, power of z or degree is formed past walk[-1]; a reader that reports per index reads a
-    trailing zero off f.  An invalid valence, and a first index at or below p, naming p+1, are refused first.
+    Every reader of either series type's indices takes them from here.  A zero tail value, 0.0 or -0.0, adds
+    nothing to a criterion sum, a sample or a Horner sum, so no w_k, power of z, degree or Horner step is formed
+    past walk[-1]; a reader that reports per index reads a trailing zero off f.  An invalid valence, and a first
+    index at or below p, naming p+1, are refused first.
     """
-    ks, p = sorted(a := f.coeffs), f.p
+    ks, p = sorted(a := f.terms if isinstance(f, FractionalSeries) else f.coeffs), f.p
     if type(p) is not int or p < 1:
         _require_int("valence p", p, 1)
     if ks and ks[0] <= p:
@@ -234,8 +229,9 @@ def hadamard_product(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientS
 
 
 def to_json(f: CoefficientSeries) -> str:
-    """Serialize as {"p": int, "coeffs": [[k, a_k], ...]} with indices sorted."""
-    payload = {"p": f.p, "coeffs": [[k, f.coeffs[k]] for k in sorted(f.coeffs)]}
+    """Serialize as {"p": int, "coeffs": [[k, a_k], ...]} with indices sorted; an invalid valence or an index
+    at or below p, which :func:`from_json` would refuse, is refused here (:func:`_support`)."""
+    payload = {"p": f.p, "coeffs": [[k, f.coeffs[k]] for k in _support(f)[0]]}
     return json.dumps(payload)
 
 

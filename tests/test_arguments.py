@@ -31,6 +31,7 @@ from pvalent import (
     derivative_m,
     distortion_bounds,
     distortion_curve,
+    evaluate,
     extremal_p,
     extremal_r,
     fractional_derivative,
@@ -53,6 +54,7 @@ from pvalent import (
     subordination_certified,
     subordination_margin,
     subordination_ratio_real,
+    to_json,
 )
 from pvalent.classes import log_r_criterion_term
 from pvalent.cli import main
@@ -208,6 +210,8 @@ SERIES_READERS = {
     "starlike_min_re": lambda f, cp: starlike_min_re(f, 0.0, 0.5),
     "convex_min_re": lambda f, cp: convex_min_re(f, 0.0, 0.5),
     "ctc_max_dev": lambda f, cp: ctc_max_dev(f, 0.0, 0.5),
+    "evaluate": lambda f, cp: evaluate(f, 0.5),
+    "to_json": lambda f, cp: to_json(f),
 }
 INDEX_ENTRIES = {
     "make_series": lambda k, cp: make_series(cp.p, [(k, 0.1)]),
@@ -242,6 +246,14 @@ def test_an_index_below_the_valence_is_refused_by_every_reader(entry, coeffs):
     low = min(coeffs)
     with pytest.raises(IndexBelowValenceError, match=f"^index must be an integer >= 3, got {low}$"):
         SERIES_READERS[entry](CoefficientSeries(2, coeffs), ClassParams(p=2))
+
+
+@pytest.mark.parametrize("entry", sorted(SERIES_READERS))
+@pytest.mark.parametrize("p", [True, 1.0])
+def test_a_valence_that_only_equals_one_is_refused_by_every_reader(entry, p):
+    """True and 1.0 pass a reader's f.p != cp.p test, since True == 1.0 == 1, and to_json once wrote them out."""
+    with pytest.raises(ParameterOutOfRangeError, match=f"^valence p must be an integer >= 1, got {p!r}$"):
+        SERIES_READERS[entry](CoefficientSeries(p, {2: 0.1}), ClassParams(p=1))
 
 
 RADIUS_ENTRIES = {

@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 
 from pvalent import (
     FractionalSeries,
+    bernardi,
     derivative_m,
     evaluate,
+    fractional_derivative,
+    fractional_integral,
     hadamard_product,
     make_series,
 )
+from pvalent.calculus_bounds import _COMPOSITIONS
 from pvalent.errors import (
     DivergentInputError,
     DuplicateIndexError,
@@ -26,20 +30,21 @@ from pvalent.errors import (
     SeriesFormatError,
     ValenceMismatchError,
 )
-from pvalent.series import from_json, to_json
+from pvalent.series import _as_fractional, from_json, to_json
 
 
 def test_make_series_basic():
     f = make_series(1, [(2, 0.25), (4, 0.0)])
     assert f.p == 1
-    assert f.truncation_degree == 4
     assert f.coefficient(2) == 0.25
     assert f.coefficient(4) == 0.0
     assert f.coefficient(3) == 0.0
 
 
-def test_bare_monomial_degree_is_p():
-    assert make_series(3).truncation_degree == 3
+def test_bare_monomial_evaluates_as_z_to_the_p():
+    # stored zeros too: the Horner sum starts at the last nonzero term, or at p when there is none
+    for f in (make_series(3), make_series(3, [(5, 0.0), (10**6, -0.0)])):
+        assert repr(evaluate(f, 0.5)) == repr(evaluate(f, 0.5 + 0j)) == repr(0.5**3 * (1.0 + 0j))
 
 
 @pytest.mark.parametrize("p", [0, -2, True])
@@ -138,6 +143,72 @@ def test_order_zero_derivative_evaluates_exactly_as_the_series(p, tail, r, theta
     f = make_series(p, [(p + d, a) for d, a in tail.items()])
     z = r * complex(math.cos(theta), math.sin(theta))
     assert derivative_m(f, 0).evaluate(z) == evaluate(f, z)
+
+
+class _AskedTerms(dict):
+    """A plain-typed tail, which FractionalSeries stores as given, that records each index asked through get."""
+
+    def __init__(self, terms):
+        super().__init__(terms)
+        self.asked = []
+
+    def get(self, k, default=None):
+        self.asked.append(k)
+        return super().get(k, default)
+
+
+# every producer of an evaluated image; the composition is built as composed_extremal builds it
+IMAGES = {
+    "series": lambda f, m, eta, c, theorem: f,
+    "derivative_m": lambda f, m, eta, c, theorem: derivative_m(f, m),
+    "fractional_integral": lambda f, m, eta, c, theorem: fractional_integral(f, 4.0 * eta),
+    "fractional_derivative": lambda f, m, eta, c, theorem: fractional_derivative(f, eta),
+    "bernardi": lambda f, m, eta, c, theorem: bernardi(f, c),
+    "composition": lambda f, m, eta, c, theorem: _composed(f, theorem, c, eta),
+}
+
+
+def _composed(f, theorem, c, eta):
+    sign, bernardi_last = _COMPOSITIONS[theorem]
+    fractional = fractional_integral if sign > 0 else fractional_derivative
+    return bernardi(fractional(f, eta), c) if bernardi_last else fractional(bernardi(f, c), eta)
+
+
+@st.composite
+def images_and_zeros(draw):
+    """(producer arguments, f, f with +-0.0 appended past its last stored index up to p + 10^6, z)."""
+    p = draw(st.integers(1, 4))
+    tail = draw(st.dictionaries(st.integers(p + 1, p + 12), st.floats(0.0, 2.0), max_size=5))
+    zeros = draw(st.dictionaries(st.integers(p + 13, p + 10**6), st.sampled_from([0.0, -0.0]), min_size=1, max_size=3))
+    args = (
+        draw(st.integers(0, p)),
+        draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        draw(st.floats(0.0, 5.0)),
+        draw(st.sampled_from(sorted(_COMPOSITIONS))),
+    )
+    r, theta = draw(st.floats(0.0, 1.0, exclude_max=True)), draw(st.floats(-math.pi, math.pi))
+    f = make_series(p, tail.items())
+    return args, f, make_series(p, [*tail.items(), *zeros.items()]), r * complex(math.cos(theta), math.sin(theta))
+
+
+@pytest.mark.parametrize("image", sorted(IMAGES))
+@settings(max_examples=60)
+@given(data=images_and_zeros())
+def test_trailing_zeros_change_no_value_and_cost_no_horner_step(image, data):
+    """A zero kept past the last nonzero term once cost a Horner step per index up to it, 10^6 of them for
+    a zero at k = 10^6: every image evaluates as it does without the zeros, at real and complex z, and the
+    Horner loop asks for the indices from the last nonzero tail value down to p+1 and no other."""
+    args, f, padded, z = data
+    g, h = (_as_fractional(IMAGES[image](s, *args)) for s in (f, padded))
+    last = max((k for k, c in h.terms.items() if c), default=h.p)
+    asked = FractionalSeries(p=h.p, shift=h.shift, leading=h.leading, terms=_AskedTerms(h.terms))
+    assert type(asked.terms) is _AskedTerms  # stored as given
+    for x in (z.real, z):
+        want = repr(g.evaluate(x))  # series.evaluate's own path for a plain series
+        assert repr(h.evaluate(x)) == want
+        asked.terms.asked.clear()
+        assert repr(asked.evaluate(x)) == want
+        assert asked.terms.asked == list(range(last, h.p, -1))
 
 
 def test_fractional_series_principal_branch():
