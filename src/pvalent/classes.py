@@ -172,9 +172,8 @@ def extremal_r(k: int, cp: ClassParams) -> CoefficientSeries:
 
 def zf_prime_over_p(f: CoefficientSeries) -> CoefficientSeries:
     """Coefficient map of z f'(z)/p, which carries the P family onto the R family."""
-    return CoefficientSeries(
-        p=f.p, coeffs={k: (k / f.p) * a for k, a in f.coeffs.items()}
-    )
+    ks, a, p = _support(f)[0], f.coeffs, f.p
+    return CoefficientSeries(p=p, coeffs={k: (k / p) * a[k] for k in ks})
 
 
 def check_p_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipReport:
@@ -202,15 +201,28 @@ def random_member(
     """Random R-family member with criterion sum equal to target (default U(0, 0.999)).
 
     It has one to five terms at indices p+1..p+12: sharp bounds from one multiplier pass, scaled by a random
-    convex combination, so the membership sum is the target up to a few ulp.  A rewrite must keep the draws:
-    weights ``rng.random(count)`` over their left-to-right sum, then ``rng.uniform(0.0, 0.999)``'s 0.999 u.
+    convex combination, so the membership sum is the target up to a few ulp.  A rewrite must keep the draws,
+    all from the doubles u of one ``rng.random(12)``: the count 1 + int(5 u[0]), the indices by
+    :func:`_distinct_indices` from u[1:1+count], the weights u[6:6+count] over their left-to-right sum, and the
+    default target 0.999 u[11].
     """
-    count = int(rng.integers(1, 6))
-    ks = (cp.p + 1 + rng.choice(12, size=count, replace=False)).tolist()
-    total = reduce(float.__add__, u := rng.random(count).tolist())  # not sum(), which compensates from Python 3.12
-    s = 0.999 * rng.random() if target_sum is None else float(target_sum)
+    u = rng.random(12).tolist()
+    count = 1 + int(5.0 * u[0])
+    ks, w = _distinct_indices(cp.p, u[1 : 1 + count]), u[6 : 6 + count]
+    total = reduce(float.__add__, w)  # not sum(), which compensates from Python 3.12
+    s = 0.999 * u[11] if target_sum is None else float(target_sum)
     bound = {k: _bound(*_term(k, cp, *me)) for k, me in zip(sorted(ks), rafid_multipliers(cp.p, cp.rafid, sorted(ks)))}
-    return make_series(cp.p, [(k, s * (ui / total) * bound[k]) for k, ui in zip(ks, u)])
+    return make_series(cp.p, [(k, s * (wi / total) * bound[k]) for k, wi in zip(ks, w)])
+
+
+def _distinct_indices(p: int, u: Sequence[float]) -> list[int]:
+    """len(u) <= 12 distinct indices in p+1..p+12, in draw order, by a partial Fisher-Yates shuffle: slot i of
+    p+1..p+12 swaps with slot j = i + int((12 - i) u[i]), and (12 - i) u < 12 - i for every double u < 1."""
+    slots = list(range(p + 1, p + 13))
+    for i, ui in enumerate(u):
+        j = i + int((12 - i) * ui)
+        slots[i], slots[j] = slots[j], slots[i]
+    return slots[: len(u)]
 
 
 def _grows_past(cp: ClassParams, k: int, target: float, shift: float | None = None) -> bool:
@@ -313,15 +325,20 @@ def random_params(
 ) -> ClassParams:
     """Draw admissible parameters, optionally rejecting uncertified budget regimes.
 
-    A rewrite must keep the draws: p in 1..4 by ``rng.integers(1, 5)``, then alpha, B, A, mu, delta as
-    ``rng.uniform`` maps the doubles of one ``rng.random(5)``, lo + (hi - lo) u, the stream of five such calls."""
+    A rewrite must keep the draws: each attempt takes the doubles u of one ``rng.random(6)``, p = 1 + int(4 u[0])
+    in 1..4, then alpha, B, A, mu, delta from u[1:6] by :func:`_uniform`."""
     while True:
-        p, (u0, u1, u2, u3, u4) = int(rng.integers(1, 5)), rng.random(5).tolist()
-        alpha = 0.0 + (0.8 * p - 0.0) * u0
-        B = -1.0 + (0.8 - -1.0) * u1
-        A = (B + 0.1) + (1.0 - (B + 0.1)) * u2
-        mu = mu_range[0] + (mu_range[1] - mu_range[0]) * u3
-        delta = delta_range[0] + (delta_range[1] - delta_range[0]) * u4
-        cp = ClassParams(p=p, alpha=alpha, A=A, B=B, mu=mu, delta=delta)
+        u0, u1, u2, u3, u4, u5 = rng.random(6).tolist()
+        p = 1 + int(4.0 * u0)
+        B = _uniform(-1.0, 0.8, u2)
+        cp = ClassParams(
+            p=p, alpha=_uniform(0.0, 0.8 * p, u1), A=_uniform(B + 0.1, 1.0, u3), B=B,
+            mu=_uniform(*mu_range, u4), delta=_uniform(*delta_range, u5),
+        )
         if all(budget_certified(cp, m) for m in require_budget_orders if m <= p):
             return cp
+
+
+def _uniform(lo: float, hi: float, u: float) -> float:
+    """A double u in [0, 1) mapped as ``rng.uniform(lo, hi)`` maps its own: lo + (hi - lo) u."""
+    return lo + (hi - lo) * u

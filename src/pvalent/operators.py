@@ -245,9 +245,9 @@ def bernardi(f: CoefficientSeries | FractionalSeries, c: float) -> CoefficientSe
     exponent has to stay positive.
     """
     if isinstance(f, CoefficientSeries):
+        ks, a = _support(f)[0], f.coeffs
         c = _require_c(c, f.p)
-        scaled = {k: (c + f.p) / (c + k) * a for k, a in f.coeffs.items()}
-        return CoefficientSeries(p=f.p, coeffs=scaled)
+        return CoefficientSeries(p=f.p, coeffs={k: (c + f.p) / (c + k) * a[k] for k in ks})
     c = _require_c(c, f.p + f.shift)
     return _diagonal(f, lambda s, a: (c + f.p) / (c + s) * a, 0.0)
 

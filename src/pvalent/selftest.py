@@ -6,6 +6,8 @@ so the table a user sees and the suite CI runs cannot drift apart.
 Each check declares its name and time budget once, in the harness
 :func:`_check`; it gets one generator from the seed, so it is deterministic
 for a fixed one, and a raise or an overrun fails its row under that name.
+Each draw of a check takes its scalars from one ``rng.random(k)`` call, a
+range [lo, hi) as ``rng.uniform`` maps a double (:func:`~pvalent.classes._uniform`).
 The whole battery stays under the two-minute budget by a wide margin.
 """
 
@@ -20,6 +22,8 @@ import numpy as np
 from .calculus_bounds import _COMPOSITIONS, THEOREMS, composed_extremal, composition_bound
 from .classes import (
     ClassParams,
+    _distinct_indices,
+    _uniform,
     check_p_membership,
     check_r_membership,
     coeff_bound_p,
@@ -92,8 +96,9 @@ def _check(name: str, budget_s: float = math.inf) -> Callable[[Callable[..., str
     return harness
 
 
-def _circle_point(rng: np.random.Generator, r: float) -> complex:
-    theta = 2.0 * math.pi * float(rng.random())
+def _circle_point(r: float, u: float) -> complex:
+    """The point r e^(i theta) of |z| = r at theta = 2 pi u."""
+    theta = 2.0 * math.pi * u
     return r * complex(math.cos(theta), math.sin(theta))
 
 
@@ -148,7 +153,7 @@ def check_criterion_oracle_agreement(failures: list[str], rng: np.random.Generat
         bracket = (1.0 - cp.B) * (k - cp.p) + cp.scale
         # cap keeps the smoothed tail below one, so the real segment is pole-free
         s_cap = min(1.9, 0.5 * (1.0 + bracket / cp.scale))
-        s = float(rng.uniform(1.05, s_cap))
+        s = _uniform(1.05, s_cap, rng.random())
         f = make_series(cp.p, [(k, s * coeff_bound_r(k, cp))])
         found, r_at, ratio = locate_real_axis_violation(f, cp)
         if not found:
@@ -170,7 +175,8 @@ def check_quadrature_closed_form(failures: list[str], rng: np.random.Generator) 
     for i in range(100):
         cp = random_params(rng, delta_range=(0.0, 0.0 if i % 10 == 0 else 1.0))  # delta = 0 on every tenth draw
         f = random_member(cp, rng)
-        z = _circle_point(rng, float(rng.uniform(0.1, 0.9)))
+        ur, utheta = rng.random(2).tolist()
+        z = _circle_point(_uniform(0.1, 0.9, ur), utheta)
         exact = evaluate(apply_rafid(f, cp.rafid), z)
         quad = rafid_quadrature(f, cp.rafid, z)
         rel = abs(quad - exact) / abs(exact)
@@ -209,15 +215,15 @@ def check_family_correspondence(failures: list[str], rng: np.random.Generator) -
 
 
 def _contained(
-    failures: list[str], rng: np.random.Generator, i: int, r: float, bounds: tuple[float, float],
+    failures: list[str], i: int, r: float, u: float, bounds: tuple[float, float],
     name: str, g: FractionalSeries, extremal: Callable[[], FractionalSeries],
 ) -> float | None:
-    """Draw i of criteria 5 and 8: |g| at a random point of |z| = r lies in [lower, upper] up to 1e-12 of
+    """Draw i of criteria 5 and 8: |g| at the point of |z| = r at angle 2 pi u lies in [lower, upper] up to 1e-12 of
     the upper bound, and on every tenth draw the k = p+1 extremal is real at z = r and meets the lower
     bound to 1e-10.  The extremal's gap to the lower bound (0.0 when not checked), or None after a miss
     noted in failures."""
     lower, upper = bounds
-    val = abs(g.evaluate(_circle_point(rng, r)))
+    val = abs(g.evaluate(_circle_point(r, u)))
     slack = 1e-12 * max(1.0, upper)
     if not (lower - slack <= val <= upper + slack):
         failures.append(f"draw {i}: {name} = {val!r} outside [{lower!r}, {upper!r}]")
@@ -237,11 +243,11 @@ def check_distortion(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 5: derivative bounds hold on circles; extremal attains lower."""
     for i in range(1000):
         cp = random_params(rng, require_budget_orders=(0, 1))
-        m = int(rng.integers(0, 2))
         f = random_member(cp, rng)
-        r = float(rng.uniform(0.05, 0.95))
+        um, ur, utheta = rng.random(3).tolist()
+        m, r = int(2.0 * um), _uniform(0.05, 0.95, ur)
         bounds = distortion_bounds(cp, m, r)
-        if _contained(failures, rng, i, r, bounds, f"|f^({m})|", derivative_m(f, m),
+        if _contained(failures, i, r, utheta, bounds, f"|f^({m})|", derivative_m(f, m),
                       lambda: derivative_m(extremal_r(cp.p + 1, cp), m)) is None:
             break
     return (
@@ -270,7 +276,7 @@ def check_radii(failures: list[str], rng: np.random.Generator) -> str:
     while confirmed < 50 and attempts < 4000 and not failures:
         attempts += 1
         cp = random_params(rng, mu_range=(0.55, 0.9))
-        zeta = float(rng.uniform(0.0, 0.6 * cp.p))
+        zeta = _uniform(0.0, 0.6 * cp.p, rng.random())
         rs = radius_starlike(cp, zeta)
         if rs.radius >= 0.999 or not rs.certified:
             continue
@@ -349,11 +355,12 @@ def check_hadamard_orders(failures: list[str], rng: np.random.Generator) -> str:
 def check_fractional_compositions(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 8: inverse pair, classical eta = 1, containment, sharpness."""
     for i in range(500):
-        p = int(rng.integers(1, 5))
-        count = int(rng.integers(1, 7))
-        ks = rng.choice(np.arange(p + 1, p + 13), size=count, replace=False)
-        f = make_series(p, [(int(k), float(rng.uniform(0.0, 5.0))) for k in ks])
-        eta = float(rng.uniform(0.05, 0.95))
+        # u[0] the valence 1..4, u[1] the count 1..6, u[2:8] the indices, u[8:14] the coefficients, u[14] eta
+        u = rng.random(15).tolist()
+        p, count = 1 + int(4.0 * u[0]), 1 + int(6.0 * u[1])
+        ks = _distinct_indices(p, u[2 : 2 + count])
+        f = make_series(p, [(k, _uniform(0.0, 5.0, uk)) for k, uk in zip(ks, u[8 : 8 + count])])
+        eta = _uniform(0.05, 0.95, u[14])
         g = fractional_derivative(fractional_integral(f, eta), eta)
         if g.shift != 0.0 or abs(g.leading - 1.0) > 1e-10:
             failures.append(f"draw {i}: roundtrip leading {g.leading!r}")
@@ -375,12 +382,11 @@ def check_fractional_compositions(failures: list[str], rng: np.random.Generator)
     for i in range(500):
         cp = random_params(rng, require_budget_orders=(0,))
         f = random_member(cp, rng)
-        c = float(rng.uniform(-cp.p + 0.5, 3.0))
-        eta = float(rng.uniform(0.1, 1.5))
-        r = float(rng.uniform(0.05, 0.95))
+        uc, ueta, ur, utheta = rng.random(4).tolist()
+        c, eta, r = _uniform(-cp.p + 0.5, 3.0, uc), _uniform(0.1, 1.5, ueta), _uniform(0.05, 0.95, ur)
         b = composition_bound(7, cp, c, eta, r, include_printed=False)
         g = fractional_integral(bernardi(f, c), eta)
-        gap = _contained(failures, rng, i, r, (b.lower, b.upper), "|D^-eta J_c f|", g,
+        gap = _contained(failures, i, r, utheta, (b.lower, b.upper), "|D^-eta J_c f|", g,
                          lambda: composed_extremal(7, cp, c, eta))
         if gap is None:
             break

@@ -221,11 +221,11 @@ def _falling(s: int, m: int, c: float = 1.0) -> float:
 
 
 def hadamard_product(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
-    """Coefficientwise product; tails multiply where both series store an index."""
+    """Coefficientwise product; tails multiply where both series store an index, both read by :func:`_support`."""
     if f.p != g.p:
         raise ValenceMismatchError(f"valences differ: {f.p} != {g.p}")
-    shared = set(f.coeffs) & set(g.coeffs)
-    return CoefficientSeries(p=f.p, coeffs={k: f.coeffs[k] * g.coeffs[k] for k in shared})
+    a, b, shared = f.coeffs, g.coeffs, set(_support(g)[0])
+    return CoefficientSeries(p=f.p, coeffs={k: a[k] * b[k] for k in _support(f)[0] if k in shared})
 
 
 def to_json(f: CoefficientSeries) -> str:

@@ -38,6 +38,7 @@ from pvalent import (
     fractional_integral,
     from_json,
     gamma_ratio,
+    hadamard_product,
     locate_real_axis_violation,
     lower_bound_peak,
     make_series,
@@ -55,6 +56,7 @@ from pvalent import (
     subordination_margin,
     subordination_ratio_real,
     to_json,
+    zf_prime_over_p,
 )
 from pvalent.classes import log_r_criterion_term
 from pvalent.cli import main
@@ -212,6 +214,9 @@ SERIES_READERS = {
     "ctc_max_dev": lambda f, cp: ctc_max_dev(f, 0.0, 0.5),
     "evaluate": lambda f, cp: evaluate(f, 0.5),
     "to_json": lambda f, cp: to_json(f),
+    "hadamard_product": lambda f, cp: hadamard_product(f, f),
+    "bernardi": lambda f, cp: bernardi(f, 1.0),
+    "zf_prime_over_p": lambda f, cp: zf_prime_over_p(f),
 }
 INDEX_ENTRIES = {
     "make_series": lambda k, cp: make_series(cp.p, [(k, 0.1)]),

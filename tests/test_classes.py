@@ -617,34 +617,41 @@ def test_zero_coefficients_keep_their_per_term_bits(cp, coeffs, bits):
 
 
 def _reference_params(rng, mu_range=(0.0, 0.9), delta_range=(0.0, 1.0), require_budget_orders=()):
-    """random_params as five scalar rng.uniform calls per attempt: the stream the seeded draws rest on."""
+    """random_params's one-call law: each attempt reads the six doubles of one rng.random(6), p from the first and
+    alpha, B, A, mu, delta from the rest, each range mapped as rng.uniform maps a double."""
     while True:
-        p = int(rng.integers(1, 5))
-        alpha = float(rng.uniform(0.0, 0.8 * p))
-        B = float(rng.uniform(-1.0, 0.8))
-        A = float(rng.uniform(B + 0.1, 1.0))
-        mu, delta = float(rng.uniform(*mu_range)), float(rng.uniform(*delta_range))
-        cp = ClassParams(p=p, alpha=alpha, A=A, B=B, mu=mu, delta=delta)
+        u = rng.random(6)  # numpy doubles: the same IEEE arithmetic as random_params's floats
+        p = 1 + int(np.floor(4.0 * u[0]))
+        alpha, B = 0.8 * p * u[1], -1.0 + 1.8 * u[2]
+        A = B + 0.1 + (1.0 - (B + 0.1)) * u[3]
+        mu = mu_range[0] + (mu_range[1] - mu_range[0]) * u[4]
+        delta = delta_range[0] + (delta_range[1] - delta_range[0]) * u[5]
+        cp = ClassParams(p=p, alpha=float(alpha), A=float(A), B=float(B), mu=float(mu), delta=float(delta))
         if all(budget_certified(cp, m) for m in require_budget_orders if m <= p):
             return cp
 
 
 def _reference_member(cp, rng, target_sum=None):
-    """random_member with numpy's normalization, rng.uniform's target and a lone walk per bound."""
-    count = int(rng.integers(1, 6))
-    ks = [int(k) for k in cp.p + 1 + rng.choice(12, size=count, replace=False)]
-    u = rng.random(count)
-    u = u / u.sum()
-    s = float(rng.uniform(0.0, 0.999)) if target_sum is None else float(target_sum)
-    return make_series(cp.p, [(k, s * float(ui) * coeff_bound_r(k, cp)) for k, ui in zip(ks, u)])
+    """random_member's one-call law from the twelve doubles of one rng.random(12): the count from the first, a
+    partial Fisher-Yates shuffle of p+1..p+12 from the next five, weights under numpy's normalization from the
+    next five, and the default target 0.999 u from the last; each bound by its own lone walk."""
+    u = rng.random(12)
+    count = 1 + int(np.floor(5.0 * u[0]))
+    slots = np.arange(cp.p + 1, cp.p + 13)
+    for i in range(count):
+        j = i + int(np.floor((12 - i) * u[1 + i]))
+        slots[[i, j]] = slots[[j, i]]
+    w = u[6 : 6 + count] / u[6 : 6 + count].sum()
+    s = 0.999 * float(u[11]) if target_sum is None else float(target_sum)
+    return make_series(cp.p, [(int(k), s * float(wi) * coeff_bound_r(int(k), cp)) for k, wi in zip(slots, w)])
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [{}, {"mu_range": (0.55, 0.9)}, {"delta_range": (0.0, 0.0)}, {"require_budget_orders": (0, 1)}],
 )
-def test_random_params_keeps_the_stream_of_five_uniform_calls(kwargs):
-    """Seeded draws equal the scalar rng.uniform reference, and leave the generator in the same state."""
+def test_random_params_takes_each_attempt_from_one_call(kwargs):
+    """Seeded draws equal the one-call reference, and leave the generator in the same state."""
     ours, ref = np.random.default_rng(25), np.random.default_rng(25)
     for _ in range(300):
         assert repr(random_params(ours, **kwargs)) == repr(_reference_params(ref, **kwargs))
@@ -661,3 +668,26 @@ def test_random_member_keeps_its_draws_and_bounds(target_sum):
         f, want = random_member(cp, ours, target_sum), _reference_member(cp, ref, target_sum)
         assert [(k, a.hex()) for k, a in f.coeffs.items()] == [(k, a.hex()) for k, a in want.coeffs.items()]
     assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_random_draws_reach_every_count_index_and_valence():
+    """Over 600 seeded draws the count takes 1..5, the indices are distinct in p+1..p+12 and reach each of them,
+    p takes 1..4, and an explicit target_sum is met to 4 ulp."""
+    rng, counts, offsets, valences = np.random.default_rng(40), set(), set(), set()
+    for i in range(600):
+        cp, target = random_params(rng), (0.25, 0.75, 1.25)[i % 3]
+        f = random_member(cp, rng, target)
+        ks = list(f.coeffs)
+        assert len(set(ks)) == len(ks) and all(cp.p < k <= cp.p + 12 for k in ks)
+        assert abs(check_r_membership(f, cp).sum - target) <= 4 * math.ulp(target)
+        counts.add(len(ks))
+        offsets.update(k - cp.p for k in ks)
+        valences.add(cp.p)
+    assert (counts, offsets, valences) == (set(range(1, 6)), set(range(1, 13)), set(range(1, 5)))
+
+
+def test_distinct_indices_stay_in_range_at_the_ends_of_the_unit_interval():
+    """(12 - i) u rounds below 12 - i at the largest double below one, so every slot index j stays in range."""
+    top = math.nextafter(1.0, 0.0)
+    assert classes._distinct_indices(1, [0.0] * 12) == list(range(2, 14))
+    assert sorted(classes._distinct_indices(1, [top] * 12)) == list(range(2, 14))

@@ -4,9 +4,9 @@ The files pin the package's outputs bit for bit: the printed-vs-derived audit, e
 at seeds 0-2, the composition bounds, every oracle output of 40 seeded draws, every radius candidate of eight
 classes, the certificates, orders and radii of 40 classes, and a transcript of the command line.  One test
 compares each file with its function's text, byte for byte, and names the first line that differs.
-``composition_table.csv`` and ``scan_table.csv`` hold their own inputs: their functions read the input columns
-back and recompute the rest.  The seed-0 battery runs once per session, in :func:`battery`, for every test that
-reads it without patching it.
+``composition_table.csv``, ``oracle_table.csv`` and ``scan_table.csv`` hold their own inputs: their functions read
+the input columns or rows back and recompute the rest, so a change of the seeded draw helpers leaves them alone.
+The seed-0 battery runs once per session, in :func:`battery`, for every test that reads it without patching it.
 
 Regenerate all seven, after a deliberate change of output, with::
 
@@ -15,6 +15,7 @@ Regenerate all seven, after a deliberate change of output, with::
 
 from __future__ import annotations
 
+import ast
 import csv
 import functools
 import hashlib
@@ -27,13 +28,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import zip_longest
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from pvalent import (
     ClassParams, SampleGrid, budget_certified, composition_bound, composition_certified, convex_min_re, ctc_max_dev,
-    locate_real_axis_violation, make_series, radius_close_to_convex, radius_convex, radius_starlike, random_member,
-    random_params, schild_silverman_lambda, starlike_min_re, subordination_margin, subordination_ratio_real,
+    locate_real_axis_violation, make_series, radius_close_to_convex, radius_convex, radius_starlike,
+    schild_silverman_lambda, starlike_min_re, subordination_margin, subordination_ratio_real,
 )
 from pvalent.cli import main
 from pvalent.errors import UncertifiedBoundWarning
@@ -116,22 +116,20 @@ def _oracle_value(fn, *args) -> str:
 
 
 def oracle_table() -> str:
-    """Every oracle output of 40 seeded draws.  Each draw is a class from ``random_params`` (mu up to 0.99) and a
-    member from ``random_member`` at a criterion sum in [0, 3]; every third member has one more index, up to
-    p + 312, with a coefficient of 10^u for u uniform in [-30, 308].  Each draw also takes r in [0.05, 0.99], n in
-    {8, 9, 64, 256} and zeta in [0, 0.9 p).  Its rows are the inputs, the subordination report on the circle r
-    with n base angles, the starlike, convex and close-to-convex reports at (zeta, r, n), the ratio at the real
-    point r and the real-axis walk, each a ``repr``, a refusal its type and text.  The samples are numpy FFTs, so
-    the text is exact for one numpy build; it was generated with numpy 2.4."""
-    rng, rows = np.random.default_rng(30), []
-    for i in range(40):
-        cp = random_params(rng, mu_range=(0.0, 0.99))
-        f = random_member(cp, rng, target_sum=float(rng.uniform(0.0, 3.0)))
-        if i % 3 == 0:
-            far = cp.p + 13 + int(rng.integers(0, 300))
-            f = make_series(cp.p, [*f.coeffs.items(), (far, float(10.0 ** rng.uniform(-30.0, 308.0)))])
-        r, n = float(rng.uniform(0.05, 0.99)), int(rng.choice([8, 9, 64, 256]))
-        zeta = float(rng.uniform(0.0, 0.9 * cp.p))
+    """Every oracle output of 40 draws, each read back from its ``input`` row: the class (p, alpha, A, B, mu, delta),
+    the sorted (k, a_k) pairs, r, n and zeta.  The draws were made at seed 30 by ``random_params`` and
+    ``random_member`` as they drew before the one-call law of the README: a class with mu up to 0.99, a member at a
+    criterion sum in [0, 3], and on every third member one more index, up to p + 312, with a coefficient of 10^u for
+    u uniform in [-30, 308]; r in [0.05, 0.99], n in {8, 9, 64, 256} and zeta in [0, 0.9 p).  Its rows are the
+    inputs, the subordination report on the circle r with n base angles, the starlike, convex and close-to-convex
+    reports at (zeta, r, n), the ratio at the real point r and the real-axis walk, each a ``repr``, a refusal its
+    type and text.  The samples are numpy FFTs, so the text is exact for one numpy build; it was generated with
+    numpy 2.4."""
+    with open(HERE / "oracle_table.csv", newline="") as fh:
+        draws = [ast.literal_eval(row["value"]) for row in csv.DictReader(fh) if row["entry"] == "input"]
+    rows = []
+    for i, (params, coeffs, r, n, zeta) in enumerate(draws):
+        cp, f = ClassParams(*params), make_series(params[0], coeffs)
         params = (cp.p, cp.alpha, cp.A, cp.B, cp.rafid.mu, cp.rafid.delta)
         entries = [
             ("input", repr((params, sorted(f.coeffs.items()), r, n, zeta))),
