@@ -32,7 +32,7 @@ from .errors import (
     ValenceMismatchError, _Frozen, _require_index, _require_int, _require_radius, _setattr,
 )
 from .operators import RafidParams, pow2_product, rafid_multiplier, rafid_multipliers
-from .series import CoefficientSeries, _support, make_series
+from .series import CoefficientSeries, make_series
 
 if TYPE_CHECKING:
     import numpy as np
@@ -130,26 +130,30 @@ def check_r_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipRepor
     those rounded terms, not of the exact ones: at ``ClassParams(mu=0.1)``, ``extremal_r(2, cp)`` reports a
     member with margin 0.0, while the exact sum of that double series exceeds 1 by about 3.8e-17.  Terms that
     are finite but sum past double range give sum inf, as an inf term does.  The walk of w_k stops at the last
-    nonzero coefficient; an index at or below p is refused first, wherever its coefficient is zero.
+    nonzero coefficient.
     """
+    return _membership(f, cp, list(map(f.coeffs.__getitem__, f.ks)))
+
+
+def _membership(f: CoefficientSeries, cp: ClassParams, xs: list[float]) -> MembershipReport:
+    """The criterion report of the values xs at f's sorted indices f.ks, a_k for the R family and (k/p) a_k for
+    the P family: one pass of w_k along f.walk, each term t_k x_k rounded once, and a trailing zero its own term."""
     if f.p != cp.p:
         raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
-    ks, walk = _support(f)
-    p, a, slope, s, cs, inf, ldexp = cp.p, f.coeffs, 1.0 - cp.B, cp.scale, [], math.inf, math.ldexp
-    for k, (m, e) in zip(walk, rafid_multipliers(p, cp.rafid, walk)):
-        # pow2_product(*_term(k, cp, m, e), a_k) inline: a t a_k rounded into (2^-1022, inf) is t ma 2^ea rounded
-        c = (t := (slope * (k - p) + s) * m / s) * a[k]
+    walk, p, slope, s, cs, inf, ldexp = f.walk, cp.p, 1.0 - cp.B, cp.scale, [], math.inf, math.ldexp
+    for k, x, (m, e) in zip(walk, xs, rafid_multipliers(p, cp.rafid, walk)):
+        # pow2_product(*_term(k, cp, m, e), x) inline: a t x rounded into (2^-1022, inf) is t mx 2^ex rounded
+        c = (t := (slope * (k - p) + s) * m / s) * x
         try:
-            cs.append(ldexp(c, e) if 2.0**-1022 < c < inf else pow2_product(t, e, a[k]))
+            cs.append(ldexp(c, e) if 2.0**-1022 < c < inf else pow2_product(t, e, x))
         except OverflowError:  # only a positive c reaches ldexp
             cs.append(inf)
-    if walk is not ks:
-        cs.extend(a[k] for k in ks[len(walk) :])  # pow2_product(t, e, 0.0) is the zero itself, also at t = inf
+    cs += xs[len(walk) :]  # pow2_product(t, e, 0.0) is the zero itself, also at t = inf
     try:
         total = math.fsum(cs)
     except OverflowError:  # finite terms past double range
         total = inf
-    return MembershipReport(sum=total, member=total <= 1.0, margin=1.0 - total, per_term=tuple(zip(ks, cs)))
+    return MembershipReport(sum=total, member=total <= 1.0, margin=1.0 - total, per_term=tuple(zip(f.ks, cs)))
 
 
 def coeff_bound_r(k: int, cp: ClassParams) -> float:
@@ -171,18 +175,18 @@ def extremal_r(k: int, cp: ClassParams) -> CoefficientSeries:
 
 
 def zf_prime_over_p(f: CoefficientSeries) -> CoefficientSeries:
-    """Coefficient map of z f'(z)/p, which carries the P family onto the R family."""
-    ks, a, p = _support(f)[0], f.coeffs, f.p
-    return CoefficientSeries(p=p, coeffs={k: (k / p) * a[k] for k in ks})
+    """Coefficient map of z f'(z)/p, which carries the P family onto the R family; refused past double range."""
+    a, p = f.coeffs, f.p
+    return CoefficientSeries(p=p, coeffs={k: (k / p) * a[k] for k in f.ks})
 
 
 def check_p_membership(f: CoefficientSeries, cp: ClassParams) -> MembershipReport:
-    """P-family criterion, evaluated as the R criterion of z f'/p.
-
-    Routing through the same code path makes the correspondence exact per
-    term, not merely up to rounding.
+    """P-family criterion, the R criterion's pass over z f'/p's coefficients (k/p) a_k, formed as
+    :func:`zf_prime_over_p` forms them, so each term, the sum and the margin have the bits of
+    ``check_r_membership(zf_prime_over_p(f), cp)``; a (k/p) a_k past double range is an inf term, not a refusal.
     """
-    return check_r_membership(zf_prime_over_p(f), cp)
+    a, p = f.coeffs, f.p
+    return _membership(f, cp, [(k / p) * a[k] for k in f.ks])
 
 
 def coeff_bound_p(k: int, cp: ClassParams) -> float:

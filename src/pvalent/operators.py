@@ -35,7 +35,7 @@ from .errors import (
     _require_int,
     _setattr,
 )
-from .series import CoefficientSeries, FractionalSeries, _as_fractional, _diagonal, _support
+from .series import CoefficientSeries, FractionalSeries, _as_fractional, _diagonal
 
 if TYPE_CHECKING:
     import numpy as np
@@ -136,8 +136,8 @@ def rafid_weight(k: int, p: int, rp: RafidParams) -> float:
 
 def apply_rafid(f: CoefficientSeries, rp: RafidParams) -> CoefficientSeries:
     """Image of f under the smoothing operator; each w_k a_k is rounded once, a zero stays itself, sign included,
-    and the walk of w_k stops at the last nonzero coefficient."""
-    (ks, walk), a = _support(f), f.coeffs
+    and the walk of w_k stops at the last nonzero coefficient; an image past double range is refused."""
+    ks, walk, a = f.ks, f.walk, f.coeffs
     image = {k: pow2_product(m, e, a[k]) for k, (m, e) in zip(walk, rafid_multipliers(f.p, rp, walk))}
     if walk is not ks:  # a trailing zero's w_k a_k is the zero itself, read off f
         image.update((k, a[k]) for k in ks[len(walk) :])
@@ -202,8 +202,7 @@ def rafid_quadrature(f: CoefficientSeries, rp: RafidParams, z: complex) -> compl
         raise DivergentInputError(f"|z| must be < 1 for the transform, got {abs(z)}")
     import numpy as np
 
-    walk = _support(f)[1]
-    degree = walk[-1] if walk else f.p
+    degree = f.walk[-1] if f.walk else f.p
     u, w = _laguerre_rule(min(_QUADRATURE_NODES, max(8, (degree - f.p) // 2 + 1)), f.p + rp.delta - 1.0)
     # Horner in x / 2^s, 2^s near E|x| for x = z (1-mu) U: a large p's tiny a_k, times 2^(s(k-p)), stay normal
     s = max(0, math.frexp(abs(z) * (1.0 - rp.mu) * (f.p + rp.delta))[1])
@@ -245,9 +244,8 @@ def bernardi(f: CoefficientSeries | FractionalSeries, c: float) -> CoefficientSe
     exponent has to stay positive.
     """
     if isinstance(f, CoefficientSeries):
-        ks, a = _support(f)[0], f.coeffs
-        c = _require_c(c, f.p)
-        return CoefficientSeries(p=f.p, coeffs={k: (c + f.p) / (c + k) * a[k] for k in ks})
+        c, a = _require_c(c, f.p), f.coeffs
+        return CoefficientSeries(p=f.p, coeffs={k: (c + f.p) / (c + k) * a[k] for k in f.ks})
     c = _require_c(c, f.p + f.shift)
     return _diagonal(f, lambda s, a: (c + f.p) / (c + s) * a, 0.0)
 

@@ -4,7 +4,7 @@ Everything here works from the raw coefficients, deliberately avoiding the Horne
 evaluation path and the closed-form criteria it is meant to check.  Every sample is
 of h/z^p, a power series in e = k - p >= 0 with a constant lead, so none carries
 r^p and each check answers at any p and any r in (0, 1).  Every check reads the
-coefficients through the last nonzero one (series._support), so a trailing zero
+coefficients through the last nonzero one (the series' walk), so a trailing zero
 changes nothing.  One pass over them in plain floats smooths them and sums the
 bounds below; numpy serves only r^e, read by the pass too (Python's r**e can
 differ in the last bit), and the circle: n equally spaced angles are one real-input
@@ -50,7 +50,7 @@ from .errors import (
     _require_radius, _setattr,
 )
 from .operators import rafid_multipliers
-from .series import CoefficientSeries, _support
+from .series import CoefficientSeries
 
 _DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 _TOLERANCE = 1e-9  # every check's pass margin, reported as OracleReport.tolerance
@@ -157,7 +157,7 @@ def _point(r: float, j: int, n: int) -> complex:
 
 
 def _smoothed_sums(f: CoefficientSeries, cp: ClassParams, walk: list[int], xs: list[float]) -> tuple:
-    """One pass over walk, f's indices through its last nonzero coefficient (:func:`series._support`), of valence
+    """One pass over walk, f's indices through its last nonzero coefficient (``f.walk``), of valence
     cp.p: H = g/z^p's coefficients c_e, 1 first (apply_rafid's multipliers and pow2_product's rounding; refuses a
     coefficient past double range), and with xs the r^e of e = k - p: H's and D's tails sum |c_e| r^e and
     sum |B e - scale| |c_e| r^e, lh = sum e |c_e| r^e, l2 = sum e^2 |c_e| r^e and ld = sum e |B e - scale| |c_e| r^e.
@@ -192,8 +192,7 @@ def subordination_certified(f: CoefficientSeries, cp: ClassParams) -> bool:
     p=1, alpha=0, A=1, B=1/2 the function z - (0.9/4320) z^6 has criterion
     sum 0.9 yet ratio ~3.3 near z = 0.99 exp(i pi/5).
     """
-    walk = _support(f)[1]
-    return cp.B <= 0.0 or cp.B * (walk[-1] - cp.p if walk else 0) <= cp.scale
+    return cp.B <= 0.0 or cp.B * (f.walk[-1] - cp.p if f.walk else 0) <= cp.scale
 
 
 def _sizes(cp: ClassParams, r: float, th: float, lh: float) -> tuple[float, float]:
@@ -211,7 +210,7 @@ def _axis(f: CoefficientSeries, cp: ClassParams, radii: tuple[float, ...]):
     under the circle's refusal; H = 0 raises and D = 0 is an infinite ratio."""
     if f.p != cp.p:
         raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
-    walk = _support(f)[1]
+    walk = f.walk
     terms = list(zip([-c for c in _smoothed_sums(f, cp, walk, [0.0] * len(walk))[0][1:]], [k - f.p for k in walk]))
     for r in radii:
         th = lh = 0.0
@@ -235,7 +234,7 @@ def subordination_margin(f: CoefficientSeries, cp: ClassParams, grid: SampleGrid
     """
     if f.p != cp.p:
         raise ValenceMismatchError(f"series valence {f.p} != parameter valence {cp.p}")
-    r, n, walk = grid.radii[-1], grid.angles_per_radius, _support(f)[1]
+    r, n, walk = grid.radii[-1], grid.angles_per_radius, f.walk
     e = np.array([f.p, *walk]) - f.p
     xs = (pw := r**e).tolist()
     coefs, tail, lh, l2, tail_d, ld = _smoothed_sums(f, cp, walk, xs[1:])
@@ -318,7 +317,7 @@ def _circle_check(check: str, f: CoefficientSeries, zeta: float, r: float, n: in
     zeta = _require_order("zeta", zeta, f.p)
     _require_radius(r)
     n = _require_int("angles per circle", n, 8)
-    p, a, walk, ctc = f.p, f.coeffs, _support(f)[1], check == "close-to-convex"
+    p, a, walk, ctc = f.p, f.coeffs, f.walk, check == "close-to-convex"
     e = np.array([p, *walk]) - p
     xs = (r**e).tolist()
     name, lead = {"starlike": ("f", 1.0), "convex": ("f'", float(p)), "close-to-convex": ("f'/z^(p-1) - p", 0.0)}[check]

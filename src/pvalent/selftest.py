@@ -198,7 +198,8 @@ def check_family_correspondence(failures: list[str], rng: np.random.Generator) -
         if rep_p.per_term != rep_r.per_term or rep_p.sum != rep_r.sum:
             failures.append(f"draw {i}: per-term values differ")
             break
-        # both reports go through zf_prime_over_p: each P term against (k/p) t_k a_k, formed without it
+        # rep_p forms (k/p) a_k itself and rep_r takes them from zf_prime_over_p; each P term also against
+        # (k/p) t_k a_k, formed without either
         off = [k for k, t in rep_p.per_term
                if not math.isclose(t, k / cp.p * r_criterion_term(k, cp) * f.coeffs[k], rel_tol=1e-14)]
         if off:

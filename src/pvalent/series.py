@@ -35,17 +35,23 @@ from .errors import (
 
 
 class CoefficientSeries(_Frozen):
-    """z^p minus a finite tail with nonnegative coefficients.
+    """z^p minus a finite tail with nonnegative coefficients; a series that exists is valid.
 
-    Build through :func:`make_series`, which validates; the constructor
-    itself trusts its inputs.  Instances are treated as immutable.
+    The constructor is the one place for the rule: an integer valence p >= 1 (numpy integers too), integer
+    indices k >= p+1 (an integer-valued float counting as its int) and finite a_k >= 0.  It raises
+    ParameterOutOfRangeError for a bad valence or a value that is not finite, IndexBelowValenceError naming
+    p+1, and NegativeCoefficientError.  Numpy scalars and float indices are stored as plain ints and floats,
+    an all-plain ``coeffs`` as given.  Two derived slots hold what every reader of the indices takes: ``ks``,
+    the indices sorted, and ``walk``, those through the last nonzero a_k (:func:`_store_tail`).  Instances are
+    treated as immutable.
     """
 
-    __slots__ = _fields = ("p", "coeffs")
+    _fields = ("p", "coeffs")
+    __slots__ = _fields + ("ks", "walk")
 
     def __init__(self, p: int, coeffs: Mapping[int, float]) -> None:
-        _setattr(self, "p", p)
-        _setattr(self, "coeffs", coeffs)
+        _setattr(self, "p", _require_int("valence p", p, 1))
+        _store_tail(self, "coeffs", coeffs, nonnegative=True)
 
     def coefficient(self, k: int) -> float:
         return self.coeffs.get(k, 0.0)
@@ -55,15 +61,17 @@ class FractionalSeries(_Frozen):
     """Series with a real exponent offset and an explicit leading coefficient.
 
     Represents ``leading * z^(p+shift) + sum_k terms[k] * z^(k+shift)`` with
-    integer indices k > p and signed tail values (operator images of a
+    integer indices k > p and finite signed tail values (operator images of a
     :class:`CoefficientSeries` keep their tails nonpositive).  The shift is
     finite and the leading exponent p+shift may reach zero, which happens for
     the p-th derivative, but not fall below it (:class:`ExponentUnderflowError`);
-    every tail exponent is then at least 1.  Numpy scalars and integer-valued
-    float indices are stored as plain ints and floats.
+    every tail exponent is then at least 1.  The tail is validated and stored
+    as a :class:`CoefficientSeries` tail is, without the sign rule, with the
+    same derived slots ``ks`` and ``walk``.
     """
 
-    __slots__ = _fields = ("p", "shift", "leading", "terms")
+    _fields = ("p", "shift", "leading", "terms")
+    __slots__ = _fields + ("ks", "walk")
 
     def __init__(self, p: int, shift: float, leading: float, terms: Mapping[int, float] | None = None) -> None:
         p = _require_int("valence p", p, 1)
@@ -73,19 +81,10 @@ class FractionalSeries(_Frozen):
             raise ExponentUnderflowError(f"leading exponent p+shift = {p + shift} is negative")
         if not math.isfinite(leading):
             raise ParameterOutOfRangeError("leading coefficient is not finite")
-        terms = {} if terms is None else terms
-        plain = True  # every index an int and every value a float: terms is stored as given
-        for k, c in terms.items():
-            if type(k) is not int or k <= p or type(c) is not float:
-                _require_index(k, p)
-                plain = False
-            if not math.isfinite(c):
-                raise ParameterOutOfRangeError(f"coefficient at index {k} is not finite")
-        # a numpy scalar would leak its arithmetic and its repr, and a float index would stay a float key
         _setattr(self, "p", p)
         _setattr(self, "shift", float(shift))
         _setattr(self, "leading", float(leading))
-        _setattr(self, "terms", terms if plain else {_require_index(k, p): float(c) for k, c in terms.items()})
+        _store_tail(self, "terms", {} if terms is None else terms, nonnegative=False)
 
     def coefficient(self, k: int) -> float:
         if k == self.p:
@@ -100,18 +99,46 @@ class FractionalSeries(_Frozen):
         ``|coeff| * r^(k+shift)`` whatever the argument of z; for integral
         exponents up to 100 it is an exact repeated product.  At z = 0 the
         value is 0, or the leading coefficient when p+shift = 0.  The recursion
-        starts at the last nonzero tail value (:func:`_support`), so a trailing
+        starts at the last nonzero tail value (``walk``), so a trailing
         0.0 or -0.0 costs no step.
         """
         z = complex(z)
-        acc, walk = 0j, _support(self)[1]
+        acc, walk = 0j, self.walk
         for k in range(walk[-1] if walk else self.p, self.p, -1):
             acc = acc * z + self.terms.get(k, 0.0)
         return z ** (self.p + self.shift) * (self.leading + acc * z)
 
 
+def _store_tail(series: CoefficientSeries | FractionalSeries, name: str, tail: Mapping, nonnegative: bool) -> None:
+    """Validate tail against series.p and store it as the field name, with the derived slots ks and walk.
+
+    Each index is an integer above p, each value finite, and nonnegative where asked, refused in the tail's
+    order; a numpy scalar would leak its arithmetic and its repr, and a float index would stay a float key, so
+    a tail that is not all int keys and float values is stored converted.  ks is the indices sorted, and walk
+    those through the last nonzero value, which is ks itself when that value is nonzero.  A zero, 0.0 or -0.0,
+    adds nothing to a criterion sum, a sample or a Horner sum, so no reader forms a w_k, power of z, degree or
+    Horner step past walk[-1]; a reader that reports per index reads a trailing zero off the tail.
+    """
+    p, plain = series.p, True
+    for k, c in tail.items():
+        if type(k) is not int or k <= p or type(c) is not float:
+            k, plain = _require_index(k, p), False
+        if not math.isfinite(c):  # a string or other non-number raises TypeError here
+            raise ParameterOutOfRangeError(f"coefficient at index {k} is not finite")
+        if nonnegative and c < 0.0:
+            raise NegativeCoefficientError(f"coefficient at index {k} is negative: {float(c)}")
+    if not plain:
+        tail = {_require_index(k, p): float(c) for k, c in tail.items()}
+    ks, n = sorted(tail), len(tail)
+    while n and tail[ks[n - 1]] == 0.0:
+        n -= 1
+    _setattr(series, name, tail)
+    _setattr(series, "ks", ks)
+    _setattr(series, "walk", ks if n == len(ks) else ks[:n])
+
+
 def make_series(p: int, coeffs: Iterable[tuple[int, float]] = ()) -> CoefficientSeries:
-    """Validate and build a series from (index, coefficient) pairs.
+    """Build a series from (index, coefficient) pairs, refusing an index given twice.
 
     Args:
         p: valence, a positive integer (numpy integers too; stored as int).
@@ -120,46 +147,14 @@ def make_series(p: int, coeffs: Iterable[tuple[int, float]] = ()) -> Coefficient
             Explicit zeros are kept so serialization round-trips exactly.
 
     Raises:
-        ParameterOutOfRangeError: bad valence or non-finite coefficient.
-        IndexBelowValenceError, DuplicateIndexError, NegativeCoefficientError.
+        DuplicateIndexError, before anything :class:`CoefficientSeries` refuses.
     """
-    p = _require_int("valence p", p, 1)
-    tail: dict[int, float] = {}
+    tail: dict = {}
     for k, a in coeffs:
-        if type(k) is not int or k <= p:
-            k = _require_index(k, p)
-        if k in tail:
+        if k in tail:  # 2 and 2.0 are one key
             raise DuplicateIndexError(f"index {k} appears more than once")
-        a = float(a)
-        if not math.isfinite(a):
-            raise ParameterOutOfRangeError(f"coefficient at index {k} is not finite")
-        if a < 0.0:
-            raise NegativeCoefficientError(f"coefficient at index {k} is negative: {a}")
         tail[k] = a
-    return CoefficientSeries(p=p, coeffs=tail)
-
-
-def _support(f: CoefficientSeries | FractionalSeries) -> tuple[list[int], list[int]]:
-    """(ks, walk): f's stored indices, sorted, and those through the last with a nonzero tail value (a_k, or the
-    ``terms`` value of a FractionalSeries), which is ks itself when that last value is nonzero, so such a series
-    pays for no copy.
-
-    Every reader of either series type's indices takes them from here.  A zero tail value, 0.0 or -0.0, adds
-    nothing to a criterion sum, a sample or a Horner sum, so no w_k, power of z, degree or Horner step is formed
-    past walk[-1]; a reader that reports per index reads a trailing zero off f.  An invalid valence, and a first
-    index at or below p, naming p+1, are refused first.
-    """
-    ks, p = sorted(a := f.terms if isinstance(f, FractionalSeries) else f.coeffs), f.p
-    if type(p) is not int or p < 1:
-        _require_int("valence p", p, 1)
-    if ks and ks[0] <= p:
-        _require_index(ks[0], p)  # raises
-    if not ks or a[ks[-1]]:
-        return ks, ks
-    n = len(ks) - 1
-    while n and a[ks[n - 1]] == 0.0:
-        n -= 1
-    return ks, ks[:n]
+    return CoefficientSeries(p, tail)
 
 
 def _as_fractional(f: CoefficientSeries | FractionalSeries) -> FractionalSeries:
@@ -221,17 +216,16 @@ def _falling(s: int, m: int, c: float = 1.0) -> float:
 
 
 def hadamard_product(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
-    """Coefficientwise product; tails multiply where both series store an index, both read by :func:`_support`."""
+    """Coefficientwise product; tails multiply where both series store an index, in f's sorted order."""
     if f.p != g.p:
         raise ValenceMismatchError(f"valences differ: {f.p} != {g.p}")
-    a, b, shared = f.coeffs, g.coeffs, set(_support(g)[0])
-    return CoefficientSeries(p=f.p, coeffs={k: a[k] * b[k] for k in _support(f)[0] if k in shared})
+    a, b = f.coeffs, g.coeffs
+    return CoefficientSeries(p=f.p, coeffs={k: a[k] * b[k] for k in f.ks if k in b})
 
 
 def to_json(f: CoefficientSeries) -> str:
-    """Serialize as {"p": int, "coeffs": [[k, a_k], ...]} with indices sorted; an invalid valence or an index
-    at or below p, which :func:`from_json` would refuse, is refused here (:func:`_support`)."""
-    payload = {"p": f.p, "coeffs": [[k, f.coeffs[k]] for k in _support(f)[0]]}
+    """Serialize as {"p": int, "coeffs": [[k, a_k], ...]} with indices sorted, which :func:`from_json` reads back."""
+    payload = {"p": f.p, "coeffs": [[k, f.coeffs[k]] for k in f.ks]}
     return json.dumps(payload)
 
 
@@ -240,7 +234,7 @@ def from_json(text: str | bytes) -> CoefficientSeries:
 
     Malformed JSON raises ``json.JSONDecodeError``; well-formed JSON of the
     wrong shape raises :class:`SeriesFormatError`.  Domain violations inside
-    a structurally valid document propagate from :func:`make_series`.
+    a structurally valid document propagate from :class:`CoefficientSeries`.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "p" not in doc:
@@ -253,8 +247,8 @@ def from_json(text: str | bytes) -> CoefficientSeries:
         raise SeriesFormatError('"coeffs" must be a list of [index, coefficient] pairs')
     if type(p) is not int:  # json gives int, float, bool or a non-number
         raise SeriesFormatError('"p" must be an integer')
-    if any(type(k) not in (int, float) for k, _ in pairs):  # 2.0 passes, and make_series rules on 2.5 or k <= p
+    if any(type(k) not in (int, float) for k, _ in pairs):  # 2.0 passes; the constructor rules on 2.5 or k <= p
         raise SeriesFormatError("every index must be a JSON number")
     if any(type(a) not in (int, float) for _, a in pairs):  # a bool, string, null, list or object is no number
         raise SeriesFormatError("every coefficient must be a JSON number")
-    return make_series(p, [(k, a) for k, a in pairs])
+    return make_series(p, pairs)

@@ -7,9 +7,14 @@ with the same error type and message.
 
 import json
 import math
+import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvalent import (
     ClassParams,
@@ -61,8 +66,8 @@ from pvalent import (
 from pvalent.classes import log_r_criterion_term
 from pvalent.cli import main
 from pvalent.errors import (
-    IndexBelowValenceError, NonpositiveArgumentError, ParameterOutOfRangeError, RadiusOutOfRangeError,
-    SeriesFormatError,
+    DomainError, IndexBelowValenceError, NegativeCoefficientError, NonpositiveArgumentError, ParameterOutOfRangeError,
+    RadiusOutOfRangeError, SeriesFormatError,
 )
 
 CP = ClassParams(p=2, alpha=0.5, mu=0.3, delta=0.5)
@@ -145,6 +150,12 @@ def test_numpy_valence_gives_plain_results():
     and reports read the same."""
     assert repr(ClassParams(p=np.int64(2))) == repr(ClassParams(p=2))
     assert repr(make_series(np.int64(1), [(np.int64(3), 0.1)])) == repr(make_series(1, [(3, 0.1)]))
+    # a raw float index once stayed a float key (starlike_min_re raised a bare numpy TypeError), and a numpy
+    # valence made to_json raise TypeError
+    raw = CoefficientSeries(np.int64(1), {2.0: np.float64(0.1), np.int64(3): 1})
+    plain = make_series(1, [(2, 0.1), (3, 1.0)])
+    assert repr(raw) == repr(plain) and to_json(raw) == to_json(plain)
+    assert starlike_min_re(raw, 0.0, 0.5) == starlike_min_re(plain, 0.0, 0.5)
     assert repr(extremal_r(np.int64(3), ClassParams())) == repr(extremal_r(3, ClassParams()))
     assert schild_silverman_lambda(ClassParams(p=np.int64(2))).to_dict()["saturating_k"] == 3
     numpy_series = FractionalSeries(p=np.int64(2), shift=np.float64(0.5), leading=np.float64(1.0), terms={3: -0.1})
@@ -199,7 +210,7 @@ def test_indices_may_be_integer_valued_floats():
     assert class_order_candidate(4.0, CP) == class_order_candidate(4, CP)
 
 
-# every function that reads a series' indices, each through series._support
+# every function that reads a series' indices, each from its slots ks and walk
 SERIES_READERS = {
     "check_r_membership": check_r_membership,
     "check_p_membership": check_p_membership,
@@ -243,22 +254,89 @@ def test_index_at_the_valence_raises_index_below_valence(entry, p):
         INDEX_ENTRIES[entry](p, ClassParams(p=p))
 
 
-@pytest.mark.parametrize("entry", sorted(SERIES_READERS))
-@pytest.mark.parametrize("coeffs", [{1: 0.0}, {1: -0.0, 2: 0.0}, {0: 0.1}], ids=["zero", "zeros", "nonzero"])
-def test_an_index_below_the_valence_is_refused_by_every_reader(entry, coeffs):
-    """A zero or nonzero index below p was once read by five readers and refused naming p, the walk's own bound,
-    by four: every reader names p+1."""
-    low = min(coeffs)
-    with pytest.raises(IndexBelowValenceError, match=f"^index must be an integer >= 3, got {low}$"):
-        SERIES_READERS[entry](CoefficientSeries(2, coeffs), ClassParams(p=2))
+# raw (valence, tail) -> (the error the constructor raises, its whole message), which every reader raised before
+CONSTRUCTOR_REFUSALS = {
+    "nan": (1, {2: math.nan}, ParameterOutOfRangeError, "coefficient at index 2 is not finite"),
+    "inf": (1, {2: math.inf}, ParameterOutOfRangeError, "coefficient at index 2 is not finite"),
+    "negative": (1, {2: -0.1}, NegativeCoefficientError, "coefficient at index 2 is negative: -0.1"),
+    "string": (1, {2: "0.1"}, TypeError, "must be real number, not str"),  # make_series once took it as 0.1
+    "zero at p": (2, {2: 0.0}, IndexBelowValenceError, "index must be an integer >= 3, got 2"),
+    "zero below p": (2, {1: 0.0}, IndexBelowValenceError, "index must be an integer >= 3, got 1"),
+    "zeros below p": (2, {1: -0.0, 2: 0.0}, IndexBelowValenceError, "index must be an integer >= 3, got 1"),
+    "nonzero below p": (2, {0: 0.1}, IndexBelowValenceError, "index must be an integer >= 3, got 0"),
+    "index 2.5": (1, {2.5: 0.1}, IndexBelowValenceError, "index must be an integer >= 2, got 2.5"),
+    "valence True": (True, {2: 0.1}, ParameterOutOfRangeError, "valence p must be an integer >= 1, got True"),
+    "valence 1.0": (1.0, {2: 0.1}, ParameterOutOfRangeError, "valence p must be an integer >= 1, got 1.0"),
+    "valence 0": (0, {2: 0.1}, ParameterOutOfRangeError, "valence p must be an integer >= 1, got 0"),
+}
 
 
-@pytest.mark.parametrize("entry", sorted(SERIES_READERS))
-@pytest.mark.parametrize("p", [True, 1.0])
-def test_a_valence_that_only_equals_one_is_refused_by_every_reader(entry, p):
-    """True and 1.0 pass a reader's f.p != cp.p test, since True == 1.0 == 1, and to_json once wrote them out."""
-    with pytest.raises(ParameterOutOfRangeError, match=f"^valence p must be an integer >= 1, got {p!r}$"):
-        SERIES_READERS[entry](CoefficientSeries(p, {2: 0.1}), ClassParams(p=1))
+@pytest.mark.parametrize("entry", sorted(CONSTRUCTOR_REFUSALS))
+def test_the_constructor_refuses_an_invalid_series(entry):
+    """A raw series with a negative or non-finite a_k, or an index or valence the readers refused, once passed the
+    constructor: a negative a_k read as a member and was written to JSON that from_json refuses, nan and inf were
+    written as NaN and Infinity, and True and 1.0 passed every reader's f.p != cp.p test.  The constructor refuses
+    each, as make_series does, so no reader meets one; a zero index below p names p+1, as the readers did."""
+    p, coeffs, error, message = CONSTRUCTOR_REFUSALS[entry]
+    for build in (lambda: CoefficientSeries(p, coeffs), lambda: make_series(p, coeffs.items())):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+
+@st.composite
+def accepted_tails(draw):
+    """(p, raw, pairs): a valence and a tail the constructor accepts, each index an int, an integer-valued float or
+    a numpy integer or float and each value a float, a numpy float or an int, zeros of either sign and values past
+    the readers' double range included; and the same pairs as plain ints and floats."""
+    p = draw(st.integers(1, 4))
+    value = st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, -0.0]), st.floats(0.0, sys.float_info.max))
+    tail = draw(st.dictionaries(st.integers(p + 1, p + 30), value, max_size=5))
+    as_key, as_value = st.sampled_from([int, float, np.int64, np.float64]), st.sampled_from([float, np.float64])
+    raw = {draw(as_key)(k): draw(as_value)(a) for k, a in tail.items()}
+    raw.update({k: int(a) for k, a in draw(st.dictionaries(st.integers(p + 31, p + 40), st.integers(0, 3))).items()})
+    return draw(st.sampled_from([int, np.int64]))(p), raw, [(int(k), float(a)) for k, a in raw.items()]
+
+
+def _outcome(read, f, cp):
+    """repr of what read makes of f, or the type and message of the DomainError it raises."""
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            return repr(_plain(read(f, cp)))
+    except DomainError as refusal:
+        return type(refusal), str(refusal)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=accepted_tails())
+def test_every_accepted_tail_reads_as_make_series_of_its_pairs(data):
+    """Every reader reads a raw series the constructor accepts, bit for bit, as the series make_series builds from
+    the same pairs as plain ints and floats, a refusal (an image past double range) included."""
+    p, raw, pairs = data
+    f, g = CoefficientSeries(p, raw), make_series(int(p), pairs)
+    assert repr(f) == repr(g) and (f.ks, f.walk) == (g.ks, g.walk)
+    cp = ClassParams(p=int(p))
+    for name, read in SERIES_READERS.items():
+        assert _outcome(read, f, cp) == _outcome(read, g, cp), name
+
+
+def _no_constant(name):
+    raise AssertionError(f"to_json wrote {name}, which is not JSON")
+
+
+@settings(max_examples=200)
+@given(data=accepted_tails())
+def test_to_json_always_round_trips_through_from_json(data):
+    """to_json of any series the constructor accepts is standard JSON (no NaN or Infinity) that from_json reads back
+    to the same valence, indices and coefficient bits, numpy valences and indices included."""
+    p, raw, _ = data
+    f = CoefficientSeries(p, raw)
+    text = to_json(f)
+    json.loads(text, parse_constant=_no_constant)
+    back = from_json(text)
+    assert type(back.p) is int and back.p == p
+    assert [(k, back.coeffs[k].hex()) for k in back.ks] == [(k, f.coeffs[k].hex()) for k in f.ks]
+    assert to_json(back) == text
 
 
 RADIUS_ENTRIES = {

@@ -1,6 +1,7 @@
 """Membership criteria, sharp bounds and extremal functions for both families."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -329,18 +330,26 @@ def one_pass_series(draw):
 @settings(max_examples=200)
 @given(data=one_pass_series())
 def test_one_pass_sum_rounds_each_term_as_the_lone_product(data):
-    """Each per-term value of the one-pass sum has the bits of the lone term times a_k, rounded once."""
+    """Each per-term value of the one-pass sum has the bits of the lone term times a_k, rounded once, and each
+    P value those of the lone term times (k/p) a_k: the R report of z f'/p, or, where a (k/p) a_k leaves double
+    range and zf_prime_over_p refuses the series, an inf term and a sum of inf."""
     from pvalent.classes import _term
     from pvalent.operators import pow2_product, rafid_multiplier
 
     cp, f = data
-    rep = check_r_membership(f, cp)
-    assert [k for k, _ in rep.per_term] == sorted(f.coeffs)
-    for k, c in rep.per_term:
-        want = pow2_product(*_term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid)), f.coeffs[k])
-        assert c.hex() == want.hex()
+    rep, rep_p = check_r_membership(f, cp), check_p_membership(f, cp)
+    assert [k for k, _ in rep.per_term] == [k for k, _ in rep_p.per_term] == sorted(f.coeffs)
+    for (k, c), (_, c_p) in zip(rep.per_term, rep_p.per_term):
+        term = _term(k, cp, *rafid_multiplier(k, cp.p, cp.rafid))
+        assert c.hex() == pow2_product(*term, f.coeffs[k]).hex()
+        assert c_p.hex() == pow2_product(*term, (k / cp.p) * f.coeffs[k]).hex()
     assert repr(rep.sum) == repr(math.fsum(c for _, c in rep.per_term))
-    assert repr(check_p_membership(f, cp)) == repr(check_r_membership(zf_prime_over_p(f), cp))
+    if math.inf in [(k / cp.p) * a for k, a in f.coeffs.items()]:
+        with pytest.raises(ParameterOutOfRangeError, match=r"^coefficient at index \d+ is not finite$"):
+            zf_prime_over_p(f)
+        assert (rep_p.sum, rep_p.member) == (math.inf, False)
+    else:
+        assert repr(rep_p) == repr(check_r_membership(zf_prime_over_p(f), cp))
 
 
 def test_one_pass_sum_refuses_an_index_at_p():
@@ -440,14 +449,20 @@ def test_no_circle_term_past_the_last_term(monkeypatch, call):
 def test_an_inserted_zero_changes_nothing_and_walks_nothing(data):
     """A zero added at any index leaves the sum, verdict, margin and every other term of both criteria, and
     every other smoothed coefficient, as they were; its own term and smoothed coefficient are that zero, and
-    no w_k is walked past the last nonzero coefficient."""
+    no w_k is walked past the last nonzero coefficient.  A smoothed image past double range is refused, with
+    and without the zero alike."""
     cp, f, k, zero = data
     g = make_series(cp.p, [*f.coeffs.items(), (k, zero)])
     last = max((j for j, a in f.coeffs.items() if a), default=None)
+    images, refusals = [], []
     with pytest.MonkeyPatch.context() as monkeypatch:
         asked = _asked_indices(monkeypatch, classes, operators)
         reports = [(check(f, cp), check(g, cp)) for check in (check_r_membership, check_p_membership)]
-        images = apply_rafid(f, cp.rafid), apply_rafid(g, cp.rafid)
+        for series in (f, g):
+            try:
+                images.append(apply_rafid(series, cp.rafid))
+            except ParameterOutOfRangeError as refusal:
+                refusals.append(str(refusal))
     assert all(j <= last for j in asked) if last is not None else not asked
     for before, after in reports:
         assert after.sum == before.sum and repr(after.margin) == repr(before.margin)
@@ -455,6 +470,10 @@ def test_an_inserted_zero_changes_nothing_and_walks_nothing(data):
         terms = dict(after.per_term)
         assert terms.pop(k).hex() == zero.hex()
         assert [(j, c.hex()) for j, c in terms.items()] == [(j, c.hex()) for j, c in before.per_term]
+    if refusals:
+        assert len(refusals) == 2 and refusals[0] == refusals[1], refusals
+        assert re.fullmatch(r"coefficient at index \d+ is not finite", refusals[0])
+        return
     image = dict(images[1].coeffs)
     assert image.pop(k).hex() == zero.hex()
     assert [(j, c.hex()) for j, c in image.items()] == [(j, c.hex()) for j, c in images[0].coeffs.items()]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pvalent import classes, selftest
-from pvalent.errors import ParameterOutOfRangeError
+from pvalent.errors import DegenerateDenominatorError, ParameterOutOfRangeError
 from pvalent.series import CoefficientSeries
 from test_frozen import battery
 
@@ -200,6 +200,8 @@ MISSES = {
           r"draw 0: relative error 1\.000e\+00 at z = .+"),
     "4 routes": ("check_family_correspondence", {"zf_prime_over_p": lambda f: f},
                  r"draw 0: per-term values differ"),
+    "4 terms": ("check_family_correspondence", {"r_criterion_term": lambda k, cp: 5.0},
+                r"draw 0: P terms differ from \(k/p\) t_k a_k at indices \[[0-9, ]+\]"),
     "4 bound": ("check_family_correspondence", {"coeff_bound_p": lambda k, cp: 0.3},
                 r"canonical P bound 0\.3, expected 0\.125"),
     "6 canonical": ("check_radii",
@@ -260,8 +262,8 @@ def test_a_missed_criterion_fails_its_row_with_its_text(monkeypatch, check, fake
 
 
 def test_criterion_4_catches_a_wrong_zf_prime_over_p(monkeypatch):
-    """Both P reports criterion 4 compares go through zf_prime_over_p, so a wrong map agrees with itself; the
-    terms (k/p) t_k a_k formed without it do not."""
+    """check_p_membership forms (k/p) a_k itself, so the R report of a wrong zf_prime_over_p differs from the P
+    report at the first comparison of criterion 4, wherever the map is replaced."""
     def wrong(f):
         return CoefficientSeries(p=f.p, coeffs={k: (f.p / k) * a for k, a in f.coeffs.items()})
 
@@ -269,4 +271,20 @@ def test_criterion_4_catches_a_wrong_zf_prime_over_p(monkeypatch):
         monkeypatch.setattr(module, "zf_prime_over_p", wrong)
     result = selftest.check_family_correspondence(seed=0)
     assert not result.passed
-    assert re.fullmatch(r"draw 0: P terms differ from \(k/p\) t_k a_k at indices \[[0-9, ]+\]", result.detail)
+    assert result.detail == "draw 0: per-term values differ"
+
+
+def test_criterion_7_skips_and_counts_a_degenerate_draw(monkeypatch):
+    """A draw whose convolution-order denominator degenerates is skipped and counted, not failed; no draw of
+    seed 0 degenerates, so every third non-canonical call here raises as such a draw would."""
+    calls, real = itertools.count(), S.schild_silverman_lambda
+
+    def fake(cp):
+        if cp != S.CANONICAL and next(calls) % 3 == 0:
+            raise DegenerateDenominatorError("denominator is zero")
+        return real(cp)
+
+    monkeypatch.setattr(selftest, "schild_silverman_lambda", fake)
+    result = selftest.check_hadamard_orders(seed=0)
+    assert result.passed, result.detail
+    assert result.detail.endswith(", 50 beta=alpha collapses (25 degenerate draws skipped)"), result.detail
