@@ -283,6 +283,25 @@ def test_the_constructor_refuses_an_invalid_series(entry):
             build()
 
 
+@pytest.mark.parametrize("entry", sorted(SERIES_READERS))
+@pytest.mark.parametrize("coeffs", [{1: 0.0}, {1: -0.0, 2: 0.0}, {0: 0.1}], ids=["zero", "zeros", "nonzero"])
+def test_an_index_below_the_valence_is_refused_by_every_reader(entry, coeffs):
+    """A zero or nonzero index below p was once read by five readers and refused naming p, the walk's own bound,
+    by four: no reader meets one now, since building the series raises, naming p+1."""
+    low = min(coeffs)
+    with pytest.raises(IndexBelowValenceError, match=f"^index must be an integer >= 3, got {low}$"):
+        SERIES_READERS[entry](CoefficientSeries(2, coeffs), ClassParams(p=2))
+
+
+@pytest.mark.parametrize("entry", sorted(SERIES_READERS))
+@pytest.mark.parametrize("p", [True, 1.0])
+def test_a_valence_that_only_equals_one_is_refused_by_every_reader(entry, p):
+    """True and 1.0 pass a reader's f.p != cp.p test, since True == 1.0 == 1, and to_json once wrote them out: no
+    reader meets one now, since building the series raises."""
+    with pytest.raises(ParameterOutOfRangeError, match=f"^valence p must be an integer >= 1, got {p!r}$"):
+        SERIES_READERS[entry](CoefficientSeries(p, {2: 0.1}), ClassParams(p=1))
+
+
 @st.composite
 def accepted_tails(draw):
     """(p, raw, pairs): a valence and a tail the constructor accepts, each index an int, an integer-valued float or
