@@ -5,7 +5,8 @@ its multiplier sequence:
 
 * Rafid-type smoothing operator (parameters 0 <= mu < 1, 0 <= delta <= 1):
     z^k  ->  (1-mu)^(k-p) Gamma(k+delta)/Gamma(p+delta) z^k,
-  formed only by :func:`rafid_multipliers` as one running product (a lone k costs k-p steps).
+  formed by :func:`rafid_multipliers` as one running product (a lone k costs k-p steps), and, for the
+  radius scans once numpy is loaded, by its array twin ``_rafid_multiplier_arrays``, bit for bit.
   It arises from the integral kernel t^(delta-1) exp(-t/(1-mu)): with H = f/z^p and U ~ Gamma(p+delta, 1) it is
   z^p E[H(z (1-mu) U)], which the quadrature path integrates at every delta as an independent cross-check.
 * Bernardi integral (c > -p):  z^k -> (c+p)/(c+k) z^k.
@@ -42,6 +43,7 @@ if TYPE_CHECKING:
 
 _EXACT_GAP = 64  # integer argument gaps up to this use an exact rising product
 _QUADRATURE_NODES = 64  # largest Gauss-Laguerre rule of rafid_quadrature: exact below degree p + 128
+_CHUNK_BITS = 1000  # bits a chunk of _rafid_multiplier_arrays may move from 2^0: inside 2^-1022 .. 2^1024
 
 
 class RafidParams(_Frozen):
@@ -121,6 +123,34 @@ def rafid_multipliers(p: int, rp: RafidParams, ks: Iterable[int]) -> Iterator[tu
                 e += shift
         mantissa, shift = frexp(m)
         yield mantissa, e + shift
+
+
+def _rafid_multiplier_arrays(p: int, rp: RafidParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, e) arrays for k = p+1 .. p+n: the pairs of :func:`rafid_multipliers`, bit for bit, in array arithmetic.
+
+    ``np.multiply.accumulate`` runs the same products in the same order over the interleaved factors
+    1-mu, p+delta, 1-mu, p+1+delta, ...; each chunk restarts from the frexp mantissa of the last product
+    before it.  A chunk is short enough that no partial product leaves the normal range, at most
+    |log2(1-mu)| + log2(p+n+delta) + 1 bits per step, so, as in the generator, every rescaling is an
+    exact power of two and every product is rounded as the generator rounds it.  Needs p >= 1 and n >= 1.
+    """
+    import numpy as np
+
+    shrink = 1.0 - rp.mu
+    factors = np.empty(2 * n)
+    factors[0::2] = shrink
+    np.add(np.arange(p, p + n, dtype=float), rp.delta, out=factors[1::2])  # float(k) + delta, as k + delta rounds
+    step = max(1, int(_CHUNK_BITS // (-math.log2(shrink) + math.log2(p + n + rp.delta) + 1.0)))
+    offsets, m = [], 1.0
+    for lo in range(0, 2 * n, 2 * step):
+        chunk = factors[lo : lo + 2 * step]
+        chunk[0] *= m  # m (1-mu), the chunk's first product
+        np.multiply.accumulate(chunk, out=chunk)
+        m, shift = math.frexp(chunk[-1])
+        offsets.append(shift)
+    mantissas, exponents = np.frexp(factors[1::2])
+    # each chunk's products are w_k / 2^s, s the sum of the shifts before it
+    return mantissas, exponents + np.repeat(np.cumsum([0, *offsets[:-1]]), step)[:n]
 
 
 def rafid_multiplier(k: int, p: int, rp: RafidParams) -> tuple[float, int]:

@@ -314,7 +314,8 @@ def _squared_extremal_margin(cp: ClassParams, order: float) -> float:
 @_check("hadamard-orders")
 def check_hadamard_orders(failures: list[str], rng: np.random.Generator) -> str:
     """Criterion 7: canonical lambda and xi, saturation, beta = alpha collapse; each saturation margin of the
-    canonical class and the draws with an order in [0, p) must be the squared extremal's membership margin."""
+    canonical class and the draws with an order in [0, p) must be the squared extremal's membership margin; fails
+    below 50 collapses, as when every draw's denominator degenerates."""
     rep = schild_silverman_lambda(CANONICAL)
     if abs(rep.order - 6.0 / 7.0) > 1e-12:
         failures.append(f"canonical lambda {rep.order!r} differs from 6/7")
@@ -345,6 +346,8 @@ def check_hadamard_orders(failures: list[str], rng: np.random.Generator) -> str:
             failures.append(f"xi(beta=alpha) = {xi_same!r} differs from lambda {lam!r}")
             break
         matched += 1
+    if matched < 50 and not failures:
+        failures.append(f"only {matched} beta=alpha collapses in {matched + degenerate} draws")
     return (
         f"lambda 6/7 and xi 10/11 to 1e-12, saturation margin "
         f"{rep.saturation_margin:.1e}, {matched} beta=alpha collapses "

@@ -440,6 +440,33 @@ def test_non_sampling_subcommands_run_without_numpy():
     assert len(modules) == 11 and not dataclasses_loaded
 
 
+RADIUS_KMAX_2000 = """
+import contextlib, io, json, sys
+{preload}
+import pvalent.cli
+outputs = []
+for kind in ("starlike", "convex", "ctc"):
+    argv = ["radius", "--kind", kind, "--kmax", "2000", "--zeta", "0.25", "--mu", "0.3", "--delta", "0.7",
+            "--alpha", "0", "--A", "1", "--B", "-1"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert pvalent.cli.main(argv) == 0, argv
+    outputs.append(out.getvalue())
+print(json.dumps(["numpy" in sys.modules, outputs]))
+"""
+
+
+def test_radius_at_kmax_2000_prints_the_same_bytes_with_and_without_numpy():
+    """A cold radius call leaves numpy unloaded and scans in loops; one made after numpy is imported scans in
+    arrays, past _ARRAY_SCAN_MIN, and must print the same bytes for each kind."""
+    runs = []
+    for preload in ("", "import numpy"):
+        proc = _child("-c", RADIUS_KMAX_2000.format(preload=preload))
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    (cold_loaded, cold), (warm_loaded, warm) = runs
+    assert not cold_loaded and warm_loaded
+    assert all('"radius"' in out for out in cold) and cold == warm
+
 SUBMODULE_ATTRIBUTE = """
 import importlib, json, sys
 import pvalent

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import chain
 
 import mpmath
 import pytest
@@ -390,3 +391,67 @@ def test_log_k_table_under_racing_threads(rng, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [[want] * 20 for want in serial]
+
+
+
+def _fields(report):
+    """A radius report as its repr with the candidates left out, the candidates and the types in them: at a
+    fraction of repr's cost on 10^4 candidates, and as strict, since a radius is never -0.0 and nan != nan."""
+    return repr(report.replace(candidates=())), report.candidates, set(map(type, chain.from_iterable(report.candidates)))
+
+
+def _reports(cp, zeta, k_max):
+    """The _fields of the starlike, convex and close-to-convex reports from one cold record."""
+    from pvalent import geometry
+
+    geometry._radius_scan.cache_clear()
+    return [_fields(radius(cp, zeta, k_max)) for _, radius in _TRIPLE]
+
+
+def test_array_form_matches_the_loops_field_for_field(rng, monkeypatch):
+    """Each form, forced, gives every report repr-equal on an edge grid, and the twin walk gives the generator's
+    (m, e) pairs; with numpy loaded, as here, the selection rule takes the array form from _ARRAY_SCAN_MIN indices.
+    Every delta is run on both sides of the threshold; 2000 and 10^4 take one delta each, drawn, to stay quick."""
+    from pvalent import geometry
+    from pvalent.operators import _rafid_multiplier_arrays, rafid_multipliers
+
+    lowest, cases = geometry._ARRAY_SCAN_MIN, []
+    for p in (1, 2, 3, 4, 5, 6, 1000):
+        for mu in (0.0, float(rng.uniform(0.0, 0.99)), math.nextafter(1.0, 0.0)):
+            deltas = (0.0, 1.0, float(rng.uniform()))
+            cases += [(p, mu, delta, n) for delta in deltas for n in (lowest - 1, lowest)]
+            cases += [(p, mu, deltas[rng.integers(3)], k_max - p) for k_max in (2000, 10_000)]
+    for p, mu, delta, n in cases:
+        cp, zeta = ClassParams(p=p, mu=mu, delta=delta), float(rng.choice([0.0, rng.uniform(0.0, p)]))
+        m, e = _rafid_multiplier_arrays(p, cp.rafid, n)
+        assert list(zip(m.tolist(), e.tolist())) == list(rafid_multipliers(p, cp.rafid, range(p + 1, p + n + 1)))
+        if n <= lowest:
+            geometry._radius_scan.cache_clear()
+            assert (type(geometry._radius_scan(cp, zeta, p + n)[-1]) is tuple) == (n < lowest)
+        runs = []
+        for forced in (1, math.inf):  # every scan in arrays, then every scan in loops
+            monkeypatch.setattr(geometry, "_ARRAY_SCAN_MIN", forced)
+            runs.append(_reports(cp, zeta, p + n))
+        monkeypatch.setattr(geometry, "_ARRAY_SCAN_MIN", lowest)
+        assert runs[0] == runs[1], (p, mu, delta, zeta, n)
+
+
+@pytest.mark.parametrize("made_by", ["loops", "arrays"])
+def test_a_record_serves_a_hit_whichever_form_made_it(made_by, monkeypatch):
+    """The record keyed by (class, zeta, k_max) does not say which form made it: a loop record cached before
+    numpy was loaded serves a later hit with numpy loaded, and the reports are the cold ones."""
+    import sys
+
+    from pvalent import geometry
+
+    cp, zeta, k_max = ClassParams(p=2, alpha=0.5, A=0.8, B=-0.4, mu=0.3, delta=0.6), 0.4, 2000
+    cold = _reports(cp, zeta, k_max)
+    geometry._radius_scan.cache_clear()
+    with monkeypatch.context() as scope:
+        if made_by == "loops":
+            scope.delitem(sys.modules, "numpy")
+        first = _fields(radius_starlike(cp, zeta, k_max))
+    assert (type(geometry._radius_scan(cp, zeta, k_max)[-1]) is tuple) == (made_by == "loops")
+    warm = [first] + [_fields(radius(cp, zeta, k_max)) for _, radius in _TRIPLE[1:]]
+    assert geometry._radius_scan.cache_info().hits == 3  # the type probe above and the two later kinds
+    assert warm == cold

@@ -288,3 +288,18 @@ def test_criterion_7_skips_and_counts_a_degenerate_draw(monkeypatch):
     result = selftest.check_hadamard_orders(seed=0)
     assert result.passed, result.detail
     assert result.detail.endswith(", 50 beta=alpha collapses (25 degenerate draws skipped)"), result.detail
+
+
+def test_criterion_7_fails_when_every_draw_degenerates(monkeypatch):
+    """With no draw left to check, the row fails below 50 collapses, as check 6 fails below 50 radii."""
+    real = S.schild_silverman_lambda
+
+    def fake(cp):
+        if cp != S.CANONICAL:
+            raise DegenerateDenominatorError("denominator is zero")
+        return real(cp)
+
+    monkeypatch.setattr(selftest, "schild_silverman_lambda", fake)
+    result = selftest.check_hadamard_orders(seed=0)
+    assert not result.passed
+    assert "only 0 beta=alpha collapses in 400 draws" in result.detail, result.detail
